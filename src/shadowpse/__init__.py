@@ -9,13 +9,18 @@ imputation) and a Monte-Carlo benchmark harness.
 
 __version__ = "0.1.0"
 
-from .baselines import MethodResult, cca_estimate, mi_estimate, oracle_estimate, sri_estimate
+from .baselines import (
+    MethodResult,
+    cca_estimate,
+    mi_estimate,
+    oracle_estimate,
+    run_method,
+    sri_estimate,
+)
 from .data_model import (
     Dataset,
     DatasetDims,
-    ObservedRecord,
     complete_cases,
-    covariate_vector,
     read_csv,
     validate,
     write_csv,
@@ -24,7 +29,6 @@ from .data_model import (
 from .estimator import (
     NuisanceFits,
     PsiEstimate,
-    estimate_contrast,
     estimate_psi,
     fit_mu_chain,
     named_estimand,
@@ -42,7 +46,6 @@ from .inference import (
     OmegaFits,
     analyze_contrast,
     analyze_profile,
-    compute_phi,
     contrast_variance,
     fit_omegas,
     fit_representer,
@@ -53,7 +56,6 @@ from .inference import (
 from .series_regression import (
     SeriesRegressor,
     fit_series,
-    predict,
     predict_many,
     project_residual_orthogonality,
 )
@@ -63,7 +65,6 @@ from .sieve_basis import (
     Standardizer,
     build_spec_bundle,
     design_matrix,
-    eval_basis,
     fit_standardizer,
 )
 from .simulation import (

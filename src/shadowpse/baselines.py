@@ -1,10 +1,16 @@
 """Estimation strategies: the shadow-variable estimator and references.
 
-sri     fit the odds function, then the reweighted sieve pipeline
+Every method runs one sieve pipeline and differs only in its odds
+function and in the data the pipeline sees:
+
+sri     odds fitted on the observed data
 oracle  use the true covariates (simulation only), odds set to zero
 cca     drop incomplete records, odds set to zero
 mi      multiple imputation with a linear-Gaussian imputer and
         Rubin pooling, odds set to zero on each completed dataset
+
+run_method picks a method by name for the CLI and the Monte Carlo
+harness.
 
 On fully observed data all four collapse to the same numbers: the odds
 fit returns the zero model, complete cases are the whole sample and the
@@ -19,10 +25,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .data_model import Dataset, complete_cases
-from .errors import InsufficientCompleteCases, MissingTrueX
+from .errors import ConfigError, InsufficientCompleteCases, MissingTrueX
 from .estimator import TreatmentProfile, named_estimand, validate_profile
 from .gamma_solver import GammaModel, GammaOptions, fit_gamma
-from .inference import InferenceReport, analyze_contrast, variance_and_ci, z_critical
+from .inference import InferenceReport, analyze_contrast, z_critical
 from .sieve_basis import build_spec_bundle
 
 EstimandSpec = Union[str, tuple[Sequence[int], Sequence[int]]]
@@ -57,7 +63,6 @@ def _zero_gamma() -> GammaModel:
 
 def _run_pipeline(
     ds: Dataset,
-    gamma,
     estimands: dict,
     level: float,
     degree: int,
@@ -65,17 +70,30 @@ def _run_pipeline(
     mu_degree: int,
     mu_interactions: bool,
     method: str,
-    extras: Optional[dict] = None,
+    gamma_options: Optional[GammaOptions] = None,
 ) -> MethodResult:
+    """The sieve pipeline; gamma_options=None sets the odds to zero,
+    otherwise the odds are fitted on ds and their report goes to extras."""
     bundle = build_spec_bundle(ds, degree=degree, include_interactions=include_interactions,
                                mu_degree=mu_degree, mu_interactions=mu_interactions)
+    extras = {}
+    if gamma_options is None:
+        gamma = _zero_gamma()
+    else:
+        gamma, gamma_report = fit_gamma(ds, bundle.q, bundle.p, gamma_options)
+        extras = {
+            "gamma_q_n": gamma_report.q_n,
+            "gamma_grad_norm": gamma_report.grad_norm,
+            "gamma_converged": gamma_report.converged,
+            "gamma_n_iter": gamma_report.n_iter,
+            "gamma_messages": list(gamma_report.messages),
+        }
     cache: dict = {}
     reports = {}
     for name, (pa, pb) in estimands.items():
         reports[name] = analyze_contrast(ds, gamma, pa, pb, bundle, level, cache).report
     profiles = {prof: analysis.psi.psi_hat for prof, analysis in cache.items()}
-    return MethodResult(method=method, estimands=reports, profiles=profiles,
-                        extras=extras or {})
+    return MethodResult(method=method, estimands=reports, profiles=profiles, extras=extras)
 
 
 def sri_estimate(
@@ -90,22 +108,8 @@ def sri_estimate(
 ) -> MethodResult:
     """Shadow-variable sieve estimator on the observed data."""
     wanted = resolve_estimands(ds.k, estimands)
-    bundle = build_spec_bundle(ds, degree=degree, include_interactions=include_interactions,
-                               mu_degree=mu_degree, mu_interactions=mu_interactions)
-    gamma, gamma_report = fit_gamma(ds, bundle.q, bundle.p, gamma_options)
-    cache: dict = {}
-    reports = {}
-    for name, (pa, pb) in wanted.items():
-        reports[name] = analyze_contrast(ds, gamma, pa, pb, bundle, level, cache).report
-    profiles = {prof: analysis.psi.psi_hat for prof, analysis in cache.items()}
-    extras = {
-        "gamma_q_n": gamma_report.q_n,
-        "gamma_grad_norm": gamma_report.grad_norm,
-        "gamma_converged": gamma_report.converged,
-        "gamma_n_iter": gamma_report.n_iter,
-        "gamma_messages": list(gamma_report.messages),
-    }
-    return MethodResult(method="sri", estimands=reports, profiles=profiles, extras=extras)
+    return _run_pipeline(ds, wanted, level, degree, include_interactions,
+                         mu_degree, mu_interactions, "sri", gamma_options)
 
 
 def oracle_estimate(
@@ -122,8 +126,8 @@ def oracle_estimate(
         raise MissingTrueX("oracle_estimate needs x_miss on every record")
     ds = full.with_r_set_to_one()
     wanted = resolve_estimands(ds.k, estimands)
-    return _run_pipeline(ds, _zero_gamma(), wanted, level, degree,
-                         include_interactions, mu_degree, mu_interactions, "oracle")
+    return _run_pipeline(ds, wanted, level, degree, include_interactions,
+                         mu_degree, mu_interactions, "oracle")
 
 
 def cca_estimate(
@@ -138,8 +142,8 @@ def cca_estimate(
     """Complete-case analysis: biased under nonignorable missingness."""
     cc = complete_cases(ds)
     wanted = resolve_estimands(cc.k, estimands)
-    return _run_pipeline(cc, _zero_gamma(), wanted, level, degree,
-                         include_interactions, mu_degree, mu_interactions, "cca")
+    return _run_pipeline(cc, wanted, level, degree, include_interactions,
+                         mu_degree, mu_interactions, "cca")
 
 
 def _impute_once(
@@ -211,7 +215,7 @@ def mi_estimate(
     psi_acc: dict[TreatmentProfile, list[float]] = {}
     for _ in range(m):
         completed = _impute_once(ds, beta, resid_sd, rng)
-        res = _run_pipeline(completed, _zero_gamma(), wanted, level, degree,
+        res = _run_pipeline(completed, wanted, level, degree,
                             include_interactions, mu_degree, mu_interactions, "mi")
         for name, rep in res.estimands.items():
             points[name].append(rep.psi_hat)
@@ -237,3 +241,34 @@ def mi_estimate(
     profiles = {prof: float(np.mean(vals)) for prof, vals in psi_acc.items()}
     return MethodResult(method="mi", estimands=reports, profiles=profiles,
                         extras={"m": m})
+
+
+METHODS = ("oracle", "sri", "cca", "mi")
+
+
+def run_method(
+    method: str,
+    data: Dataset,
+    estimands: Optional[Sequence[EstimandSpec]] = None,
+    *,
+    gamma_options: GammaOptions = GammaOptions(),
+    mi_m: int = 20,
+    seed=0,
+    **sieve,
+) -> MethodResult:
+    """Run one method by name; the only place a method name is dispatched.
+
+    data is the full dataset for the oracle and the observed one for the
+    others; sieve holds level and the basis options. The estimators are
+    looked up by module-global name at each call, so a wrapper bound to
+    that name sees every call.
+    """
+    if method == "sri":
+        return sri_estimate(data, estimands, gamma_options=gamma_options, **sieve)
+    if method == "oracle":
+        return oracle_estimate(data, estimands, **sieve)
+    if method == "cca":
+        return cca_estimate(data, estimands, **sieve)
+    if method == "mi":
+        return mi_estimate(data, estimands, m=mi_m, seed=seed, **sieve)
+    raise ConfigError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")

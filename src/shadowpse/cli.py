@@ -6,8 +6,9 @@ writes a run_manifest.json with the fully resolved configuration; that
 manifest is itself a valid --config, so a run can be reproduced
 bit-identically from its own output directory.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 solver
-failure.
+Exit codes: 0 success, otherwise the exit_code of the EstimationError
+class raised (errors.py: 2 configuration, 3 data, 4 solver); a raw
+numpy LinAlgError is a solver failure too.
 """
 
 from __future__ import annotations
@@ -16,47 +17,18 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .baselines import cca_estimate, mi_estimate, oracle_estimate, sri_estimate
+from .baselines import METHODS, run_method
 from .data_model import read_csv, validate
-from .errors import (
-    AllZeroWeights,
-    ConfigError,
-    DegenerateTarget,
-    DimensionMismatch,
-    EmptyArm,
-    EmptyDataset,
-    EmptyResult,
-    EstimationError,
-    InsufficientCompleteCases,
-    LengthMismatch,
-    MissingCovariate,
-    MissingTrueX,
-    NonFiniteInput,
-    SingularProjection,
-    SingularSystem,
-    UnsolvableSystem,
-)
+from .errors import ConfigError, EstimationError
 from .gamma_solver import GammaOptions
-from .simulation import DgpConfig, run_monte_carlo, true_effects
+from .simulation import DgpConfig, McSettings, run_monte_carlo, true_effects
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
 EXIT_SOLVER = 4
-
-_DATA_ERRORS = (
-    DimensionMismatch, EmptyDataset, EmptyResult, MissingCovariate,
-    NonFiniteInput, LengthMismatch, MissingTrueX, InsufficientCompleteCases,
-    EmptyArm, DegenerateTarget,
-)
-_SOLVER_ERRORS = (
-    UnsolvableSystem, SingularProjection, SingularSystem, AllZeroWeights,
-)
 
 _DEFAULTS = {
     "data": None,
@@ -209,20 +181,12 @@ def cmd_estimate(cfg: dict) -> int:
         estimands = None  # default contrast set for the dataset's K
 
     method = cfg["method"]
-    common = dict(level=float(cfg["level"]), degree=int(cfg["degree"]),
-                  include_interactions=bool(cfg["include_interactions"]),
-                  mu_degree=int(cfg["mu_degree"]),
-                  mu_interactions=bool(cfg["mu_interactions"]))
-    if method == "sri":
-        result = sri_estimate(ds, estimands, gamma_options=_gamma_options(cfg), **common)
-    elif method == "oracle":
-        result = oracle_estimate(ds, estimands, **common)
-    elif method == "cca":
-        result = cca_estimate(ds, estimands, **common)
-    elif method == "mi":
-        result = mi_estimate(ds, estimands, m=int(cfg["mi_m"]), seed=int(cfg["seed"]), **common)
-    else:
-        raise ConfigError(f"unknown method {method!r}")
+    result = run_method(
+        method, ds, estimands, gamma_options=_gamma_options(cfg),
+        mi_m=int(cfg["mi_m"]), seed=int(cfg["seed"]), level=float(cfg["level"]),
+        degree=int(cfg["degree"]), include_interactions=bool(cfg["include_interactions"]),
+        mu_degree=int(cfg["mu_degree"]), mu_interactions=bool(cfg["mu_interactions"]),
+    )
 
     doc = {
         "command": "estimate",
@@ -248,8 +212,6 @@ def cmd_simulate(cfg: dict) -> int:
     methods = cfg["methods"] or [cfg["method"]]
     estimands = cfg["estimands"] or ["nde", "nie_1", "nie_2", "te"]
     config = DgpConfig(n=int(cfg["n"]), seed=int(cfg["seed"]), alpha=float(cfg["alpha"]))
-    from .simulation import McSettings
-
     settings = McSettings(
         config=config, methods=tuple(methods), estimands=tuple(estimands),
         level=float(cfg["level"]), degree=int(cfg["degree"]),
@@ -295,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (or a prior run manifest)")
         p.add_argument("--data", help="dataset CSV")
         p.add_argument("--descriptor", help="dataset descriptor JSON")
-        p.add_argument("--method", choices=["sri", "oracle", "cca", "mi"])
+        p.add_argument("--method", choices=METHODS)
         p.add_argument("--methods", help="comma-separated list (simulate)")
         p.add_argument("--estimand", dest="estimands", action="append",
                        help="nde, nie_<k>, te; repeatable")
@@ -339,18 +301,13 @@ def main(argv: list[str] | None = None) -> int:
             "truth": cmd_truth,
         }[args.command]
         return handler(cfg)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _DATA_ERRORS as exc:
-        print(f"data error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (_SOLVER_ERRORS, np.linalg.LinAlgError) as exc:
+    except EstimationError as exc:
+        name = "" if isinstance(exc, ConfigError) else f"{type(exc).__name__}: "
+        print(f"{exc.category}: {name}{exc}", file=sys.stderr)
+        return exc.exit_code
+    except np.linalg.LinAlgError as exc:
         print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except EstimationError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

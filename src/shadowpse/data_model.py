@@ -6,7 +6,7 @@ always-observed covariate block, Z the shadow variable, A a binary
 treatment, and M_1, ..., M_K the ordered mediator blocks.
 
 Datasets are stored column-wise as numpy arrays; missing X_miss entries
-are NaN rows aligned with R = 0. The record view is materialised lazily.
+are NaN rows aligned with R = 0.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -54,29 +54,6 @@ class DatasetDims:
     @property
     def x(self) -> int:
         return self.x_miss + self.x_obs
-
-
-@dataclass(frozen=True)
-class ObservedRecord:
-    """One unit. x_miss is None exactly when r = 0."""
-
-    r: int
-    z: np.ndarray
-    x_miss: Optional[np.ndarray]
-    x_obs: np.ndarray
-    a: int
-    m: tuple[np.ndarray, ...]
-    y: float
-
-
-def covariate_vector(record: ObservedRecord) -> np.ndarray:
-    """Concatenated (x_miss, x_obs), the X fed to all bases.
-
-    Raises MissingCovariate for records with r = 0.
-    """
-    if record.r == 0 or record.x_miss is None:
-        raise MissingCovariate("covariate_vector on a record with missing x_miss")
-    return np.concatenate([record.x_miss, record.x_obs])
 
 
 def _default_columns(dims: DatasetDims) -> dict:
@@ -164,23 +141,6 @@ class Dataset:
         """(x_miss, x_obs) for all rows; NaN where missing."""
         return np.hstack([self.x_miss, self.x_obs])
 
-    def records(self) -> list[ObservedRecord]:
-        out = []
-        for i in range(self.n):
-            xm = None if self.r[i] == 0 else self.x_miss[i].copy()
-            out.append(
-                ObservedRecord(
-                    r=int(self.r[i]),
-                    z=self.z[i].copy(),
-                    x_miss=xm,
-                    x_obs=self.x_obs[i].copy(),
-                    a=int(self.a[i]),
-                    m=tuple(mk[i].copy() for mk in self.m),
-                    y=float(self.y[i]),
-                )
-            )
-        return out
-
     # ---- point matrices consumed by the sieve bases ------------------
 
     def conditioning_points(self) -> np.ndarray:
@@ -232,31 +192,6 @@ class Dataset:
         out = self.subset(np.ones(self.n, dtype=bool))
         out.r = np.ones(self.n, dtype=int)
         return out
-
-
-def from_records(records: Sequence[ObservedRecord], dims: DatasetDims, columns: Optional[dict] = None) -> Dataset:
-    """Assemble a Dataset from record objects."""
-    if len(records) == 0:
-        raise EmptyDataset("no records")
-    n = len(records)
-    xm = np.full((n, dims.x_miss), np.nan)
-    for i, rec in enumerate(records):
-        if rec.x_miss is not None:
-            xm[i] = rec.x_miss
-    return Dataset(
-        r=np.array([rec.r for rec in records]),
-        z=np.vstack([np.atleast_1d(rec.z) for rec in records]),
-        x_miss=xm,
-        x_obs=np.vstack([np.atleast_1d(rec.x_obs) for rec in records]),
-        a=np.array([rec.a for rec in records]),
-        m=tuple(
-            np.vstack([np.atleast_1d(rec.m[j]) for rec in records])
-            for j in range(dims.k)
-        ),
-        y=np.array([rec.y for rec in records]),
-        dims=dims,
-        columns=columns or {},
-    )
 
 
 @dataclass

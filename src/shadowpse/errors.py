@@ -2,12 +2,24 @@
 
 Estimator code raises subclasses of EstimationError so callers (CLI,
 Monte-Carlo harness) can distinguish recoverable statistical failures
-from programming errors.
+from programming errors. Each class carries the command-line exit code
+and message prefix of its category: configuration (2), data (3) or
+solver (4).
 """
 
 
 class EstimationError(Exception):
-    """Base class for all estimator-level failures."""
+    """Base class for all estimator-level failures; data errors by default."""
+
+    exit_code = 3
+    category = "data error"
+
+
+class SolverError(EstimationError):
+    """A numerical solve failed on otherwise valid data."""
+
+    exit_code = 4
+    category = "solver error"
 
 
 class DimensionMismatch(EstimationError):
@@ -34,19 +46,19 @@ class LengthMismatch(EstimationError):
     """Two aligned arrays have different lengths."""
 
 
-class AllZeroWeights(EstimationError):
+class AllZeroWeights(SolverError):
     """A weighted fit received weights that sum to zero."""
 
 
-class UnsolvableSystem(EstimationError):
+class UnsolvableSystem(SolverError):
     """A linear system stayed singular beyond the ridge escalation cap."""
 
 
-class SingularProjection(EstimationError):
+class SingularProjection(SolverError):
     """A projection system stayed singular beyond the ridge escalation cap."""
 
 
-class SingularSystem(EstimationError):
+class SingularSystem(SolverError):
     """A quadratic programme stayed singular beyond the ridge escalation cap."""
 
 
@@ -68,3 +80,6 @@ class InsufficientCompleteCases(EstimationError):
 
 class ConfigError(EstimationError):
     """Invalid run configuration."""
+
+    exit_code = 2
+    category = "configuration error"

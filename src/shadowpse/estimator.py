@@ -126,32 +126,3 @@ def estimate_psi(ds: Dataset, fits: NuisanceFits) -> PsiEstimate:
     plugin = np.zeros(ds.n)
     plugin[cc] = (1.0 + gvals[cc]) * predict_many(fits.mu[0], ds.mu_points(1))
     return PsiEstimate(psi_hat=float(plugin.mean()), per_unit_plugin=plugin, n=ds.n)
-
-
-def estimate_contrast(
-    ds: Dataset,
-    gamma: GammaLike,
-    profile_a: Sequence[int],
-    profile_b: Sequence[int],
-    u_specs: Sequence[BasisSpec],
-    cache: dict | None = None,
-) -> float:
-    """psi_A - psi_B with the gamma fit and basis bundle shared.
-
-    A cache (profile tuple -> PsiEstimate) makes repeated profiles across
-    contrasts reuse the exact same fit, so telescoping identities such
-    as te = nde + sum_k nie_k hold to machine precision.
-    """
-    prof_a = validate_profile(profile_a, ds.k)
-    prof_b = validate_profile(profile_b, ds.k)
-    if cache is None:
-        cache = {}
-
-    def psi_for(prof: TreatmentProfile) -> PsiEstimate:
-        if prof not in cache:
-            cache[prof] = estimate_psi(ds, fit_mu_chain(ds, gamma, prof, u_specs))
-        return cache[prof]
-
-    if prof_a == prof_b:
-        return 0.0
-    return psi_for(prof_a).psi_hat - psi_for(prof_b).psi_hat

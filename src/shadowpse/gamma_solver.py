@@ -141,12 +141,6 @@ class _GammaProblem:
         grad = (2.0 / self.n) * (self.qmat.T @ (gam * (1.0 - th * th) * ht_cc))
         return qn, grad
 
-    def value_for_vector(self, gamma_cc: np.ndarray) -> float:
-        t = self.t_base.copy()
-        t[self.cc] = gamma_cc
-        w = self.span.T @ t
-        return float(w @ w) / self.n
-
 
 def criterion_qn(pi: np.ndarray, ds: Dataset, spec_q: BasisSpec, spec_p: BasisSpec,
                  linear_cap: float = 10.0) -> float:

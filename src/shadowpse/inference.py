@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data_model import Dataset, ObservedRecord, covariate_vector
+from .data_model import Dataset
 from .errors import DimensionMismatch, EmptyArm, LengthMismatch, SingularProjection, SingularSystem
 from .estimator import (
     GammaLike,
@@ -41,7 +41,6 @@ from .series_regression import (
     FitDiagnostics,
     SeriesRegressor,
     orthonormal_span,
-    predict,
     predict_many,
     project_onto,
     ridge_solve,
@@ -134,8 +133,7 @@ def fit_omegas(
         resid = gmat @ coef - rhs
         resid_sup = max(resid_sup, float(np.max(np.abs(span @ resid))) if resid.size else 0.0)
         diag = FitDiagnostics(
-            n_used=int(arm.sum()), dim=spec.dim, rank=span.shape[1],
-            cond=float("nan"), gram_diag_ridge=0.0,
+            n_used=int(arm.sum()), dim=spec.dim, rank=span.shape[1], gram_diag_ridge=0.0,
         )
         omega.append(SeriesRegressor(spec=spec, coef=coef, diagnostics=diag))
         ident.append(False)
@@ -155,8 +153,7 @@ def fit_omegas(
         umat = design_matrix(spec, ds.mu_points(k))
         coef, _, _, _ = np.linalg.lstsq(umat, running, rcond=None)
         diag = FitDiagnostics(
-            n_used=len(running), dim=spec.dim, rank=spec.dim,
-            cond=float("nan"), gram_diag_ridge=0.0,
+            n_used=len(running), dim=spec.dim, rank=spec.dim, gram_diag_ridge=0.0,
         )
         cumulative.append(SeriesRegressor(spec=spec, coef=coef, diagnostics=diag))
     return OmegaFits(
@@ -168,13 +165,6 @@ def fit_omegas(
         floor_events=floor_events,
         moment_residual_sup=resid_sup,
     )
-
-
-def omega_value(omegas: OmegaFits, k: int, point: np.ndarray) -> float:
-    """Floored evaluation of omega_k at one (x, m_1..m_{k-1}) point."""
-    if omegas.identically_one[k - 1]:
-        return 1.0
-    return max(predict(omegas.omega[k - 1], point), omegas.floor)
 
 
 def _phi_terms(
@@ -211,27 +201,6 @@ def phi_values(ds: Dataset, fits: NuisanceFits, omegas: OmegaFits) -> np.ndarray
     return out
 
 
-def compute_phi(record: ObservedRecord, fits: NuisanceFits, omegas: OmegaFits) -> float:
-    """Record-level phi; requires a complete case."""
-    x = covariate_vector(record)
-    kk = len(fits.profile) - 1
-    mu_vals = []
-    for k in range(kk + 1):
-        point = np.concatenate([x] + [np.atleast_1d(record.m[j]) for j in range(k)])
-        mu_vals.append(predict(fits.mu[k], point))
-    cum_vals = []
-    for k in range(kk + 1):
-        point = np.concatenate([x] + [np.atleast_1d(record.m[j]) for j in range(k)])
-        cum_vals.append(predict(omegas.cumulative[k], point))
-    phi = mu_vals[0]
-    for k in range(1, kk + 1):
-        if record.a == fits.profile[k - 1]:
-            phi += cum_vals[k - 1] * (mu_vals[k] - mu_vals[k - 1])
-    if record.a == fits.profile[kk]:
-        phi += cum_vals[kk] * (record.y - mu_vals[kk])
-    return float(phi)
-
-
 def fit_representer(
     ds: Dataset,
     gamma: GammaLike,
@@ -264,8 +233,7 @@ def fit_representer(
     proj = gmat @ coef
     value = 0.5 * float(proj @ proj) / ds.n - float(rhs @ coef) / ds.n
     diag = FitDiagnostics(
-        n_used=int(cc.sum()), dim=spec_q.dim, rank=gmat.shape[0],
-        cond=float("nan"), gram_diag_ridge=eps_used,
+        n_used=int(cc.sum()), dim=spec_q.dim, rank=gmat.shape[0], gram_diag_ridge=eps_used,
     )
     return SeriesRegressor(spec=spec_q, coef=coef, diagnostics=diag), value
 

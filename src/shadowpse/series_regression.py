@@ -25,7 +25,7 @@ from .errors import (
     NonFiniteInput,
     UnsolvableSystem,
 )
-from .sieve_basis import BasisSpec, design_matrix, eval_basis
+from .sieve_basis import BasisSpec, design_matrix
 
 RIDGE_START = 1e-10
 RIDGE_CAP = 1e-2
@@ -38,7 +38,6 @@ class FitDiagnostics:
     n_used: int
     dim: int
     rank: int
-    cond: float
     gram_diag_ridge: float  # 0.0 when the plain solve succeeded
 
 
@@ -122,11 +121,10 @@ def fit_series(
     vw = v * sw
     dim = spec.dim
 
-    # economy SVD gives rank, conditioning and a stable exact solve in one pass
+    # economy SVD gives rank and a stable exact solve in one pass
     u_mat, s, vt = np.linalg.svd(bw, full_matrices=False)
     smax = s[0] if len(s) else 0.0
     rank = int((s > smax * SINGULAR_RTOL).sum()) if smax > 0 else 0
-    cond = float(smax / s[rank - 1]) if rank > 0 else np.inf
 
     if ridge is None and rank == dim:
         coef = vt.T @ ((u_mat.T @ vw) / s)
@@ -135,12 +133,8 @@ def fit_series(
         gram = bw.T @ bw
         rhs = bw.T @ vw
         coef, eps = ridge_solve(gram, rhs, start=ridge if ridge is not None else RIDGE_START)
-    diag = FitDiagnostics(n_used=len(v), dim=dim, rank=rank, cond=cond, gram_diag_ridge=eps)
+    diag = FitDiagnostics(n_used=len(v), dim=dim, rank=rank, gram_diag_ridge=eps)
     return SeriesRegressor(spec=spec, coef=coef, diagnostics=diag)
-
-
-def predict(reg: SeriesRegressor, point: np.ndarray) -> float:
-    return float(eval_basis(reg.spec, point) @ reg.coef)
 
 
 def predict_many(reg: SeriesRegressor, points: np.ndarray) -> np.ndarray:

@@ -1,11 +1,8 @@
 """Finite-dimensional sieve bases shared by every downstream fit.
 
-Two families over standardized coordinates u = (x - center) / scale:
-
-* power: intercept, per-coordinate monomials u_j^e for e = 1..degree,
-  then all pairwise products u_i * u_j (i < j) when interactions are on.
-* tensor_power: full tensor product of per-coordinate monomials with
-  every exponent at most degree.
+A power basis over standardized coordinates u = (x - center) / scale:
+intercept, per-coordinate monomials u_j^e for e = 1..degree, then all
+pairwise products u_i * u_j (i < j) when interactions are on.
 
 Binary coordinates are never raised above power one; the duplicate
 higher powers are dropped rather than kept as collinear columns.
@@ -14,16 +11,12 @@ higher powers are dropped rather than kept as collinear columns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
 from .data_model import Dataset, complete_cases
 from .errors import DimensionMismatch, NonFiniteInput
-
-KIND_POWER = "power"
-KIND_TENSOR = "tensor_power"
-
 
 @dataclass(frozen=True)
 class Standardizer:
@@ -78,7 +71,6 @@ class BasisSpec:
     binary marks coordinates capped at power one; it defaults to no caps.
     """
 
-    kind: str
     degree: int
     input_dim: int
     standardizer: Standardizer
@@ -87,8 +79,6 @@ class BasisSpec:
     binary: tuple[bool, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.kind not in (KIND_POWER, KIND_TENSOR):
-            raise DimensionMismatch(f"unknown basis kind {self.kind!r}")
         if self.degree < 0:
             raise DimensionMismatch("degree must be >= 0")
         if len(self.standardizer.center) != self.input_dim:
@@ -106,14 +96,11 @@ class BasisSpec:
 
     @property
     def dim(self) -> int:
-        degs = self._coord_degrees()
-        if self.kind == KIND_POWER:
-            d = 1 if self.include_intercept else 0
-            d += sum(degs)
-            if self.include_interactions and self.degree >= 1:
-                d += len(list(combinations(range(self.input_dim), 2)))
-            return d
-        return int(np.prod([g + 1 for g in degs]))
+        d = 1 if self.include_intercept else 0
+        d += sum(self._coord_degrees())
+        if self.include_interactions and self.degree >= 1:
+            d += len(list(combinations(range(self.input_dim), 2)))
+        return d
 
 
 def design_matrix(spec: BasisSpec, points: np.ndarray) -> np.ndarray:
@@ -131,68 +118,37 @@ def design_matrix(spec: BasisSpec, points: np.ndarray) -> np.ndarray:
     n = u.shape[0]
     degs = spec._coord_degrees()
 
-    if spec.kind == KIND_POWER:
-        cols = []
-        if spec.include_intercept:
-            cols.append(np.ones(n))
-        for j in range(spec.input_dim):
-            uj = u[:, j]
-            p = uj.copy()
-            for _ in range(degs[j]):
-                cols.append(p)
-                p = p * uj
-        if spec.include_interactions and spec.degree >= 1:
-            for i, j in combinations(range(spec.input_dim), 2):
-                cols.append(u[:, i] * u[:, j])
-        return np.column_stack(cols) if cols else np.empty((n, 0))
-
-    # tensor_power: odometer order with the first coordinate fastest
-    pows = []
-    for j in range(spec.input_dim):
-        pj = np.empty((degs[j] + 1, n))
-        pj[0] = 1.0
-        for e in range(1, degs[j] + 1):
-            pj[e] = pj[e - 1] * u[:, j]
-        pows.append(pj)
     cols = []
-    for expo_rev in product(*[range(degs[j] + 1) for j in reversed(range(spec.input_dim))]):
-        expo = tuple(reversed(expo_rev))
-        col = np.ones(n)
-        for j, e in enumerate(expo):
-            if e:
-                col = col * pows[j][e]
-        cols.append(col)
-    return np.column_stack(cols)
-
-
-def eval_basis(spec: BasisSpec, point: np.ndarray) -> np.ndarray:
-    """Basis vector at a single point; pure and deterministic."""
-    return design_matrix(spec, np.atleast_1d(np.asarray(point, dtype=float))[None, :])[0]
+    if spec.include_intercept:
+        cols.append(np.ones(n))
+    for j in range(spec.input_dim):
+        uj = u[:, j]
+        p = uj.copy()
+        for _ in range(degs[j]):
+            cols.append(p)
+            p = p * uj
+    if spec.include_interactions and spec.degree >= 1:
+        for i, j in combinations(range(spec.input_dim), 2):
+            cols.append(u[:, i] * u[:, j])
+    return np.column_stack(cols) if cols else np.empty((n, 0))
 
 
 def column_coordinates(spec: BasisSpec) -> list[tuple[int, ...]]:
     """Input coordinates each basis column depends on, in column order."""
     degs = spec._coord_degrees()
-    if spec.kind == KIND_POWER:
-        out: list[tuple[int, ...]] = []
-        if spec.include_intercept:
-            out.append(())
-        for j in range(spec.input_dim):
-            out.extend((j,) for _ in range(degs[j]))
-        if spec.include_interactions and spec.degree >= 1:
-            out.extend(combinations(range(spec.input_dim), 2))
-        return out
-    out = []
-    for expo_rev in product(*[range(degs[j] + 1) for j in reversed(range(spec.input_dim))]):
-        expo = tuple(reversed(expo_rev))
-        out.append(tuple(j for j, e in enumerate(expo) if e > 0))
+    out: list[tuple[int, ...]] = []
+    if spec.include_intercept:
+        out.append(())
+    for j in range(spec.input_dim):
+        out.extend((j,) for _ in range(degs[j]))
+    if spec.include_interactions and spec.degree >= 1:
+        out.extend(combinations(range(spec.input_dim), 2))
     return out
 
 
 def spec_for(
     points: np.ndarray,
     degree: int = 3,
-    kind: str = KIND_POWER,
     include_interactions: bool = True,
 ) -> BasisSpec:
     """Fit a standardizer on points and build the matching BasisSpec.
@@ -204,7 +160,6 @@ def spec_for(
     if pts.ndim == 1:
         pts = pts[:, None]
     return BasisSpec(
-        kind=kind,
         degree=degree,
         input_dim=pts.shape[1],
         standardizer=fit_standardizer(pts),
@@ -230,7 +185,6 @@ class SpecBundle:
 def build_spec_bundle(
     ds: Dataset,
     degree: int = 3,
-    kind: str = KIND_POWER,
     include_interactions: bool = True,
     mu_degree: int = 2,
     mu_interactions: bool = False,
@@ -247,10 +201,10 @@ def build_spec_bundle(
     finite-sample bias in the composed estimates.
     """
     cc = complete_cases(ds)
-    p = spec_for(ds.conditioning_points(), degree, kind, include_interactions)
-    q = spec_for(cc.regressor_points(), degree, kind, include_interactions)
+    p = spec_for(ds.conditioning_points(), degree, include_interactions)
+    q = spec_for(cc.regressor_points(), degree, include_interactions)
     u = tuple(
-        spec_for(cc.mu_points(k), mu_degree, kind, mu_interactions)
+        spec_for(cc.mu_points(k), mu_degree, mu_interactions)
         for k in range(1, ds.k + 2)
     )
     return SpecBundle(p=p, q=q, u=u)

@@ -17,15 +17,16 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import expit, ndtr
 
+from . import baselines
 from .data_model import Dataset, DatasetDims
-from .errors import EstimationError
+from .errors import ConfigError, EstimationError
 from .estimator import TreatmentProfile, named_estimand
 from .gamma_solver import GammaOptions
 
@@ -301,7 +302,6 @@ class McResult:
     truth: dict[str, float]
     cells: dict[tuple[str, str], CellStats]
     raw: dict[tuple[str, str], np.ndarray]  # (method, estimand) -> points
-    raw_psi: dict[tuple[str, str], np.ndarray]  # (method, profile string) -> points
     failures: dict[str, list[str]]
 
     def to_csv(self, path: str) -> None:
@@ -340,38 +340,21 @@ class McResult:
 
 
 def _one_rep(args: tuple[McSettings, int, int]) -> dict:
-    """Run every method on one replication; import here keeps pickling light."""
-    from . import baselines
-
+    """Run every method on one replication."""
     settings, master_seed, i = args
     rng = _rng_for(np.random.SeedSequence(entropy=master_seed, spawn_key=(i,)))
     full, observed = generate(settings.config, rng=rng)
     out: dict = {}
     for method in settings.methods:
         try:
-            basis_kw = dict(
+            res = baselines.run_method(
+                method, full if method == "oracle" else observed, settings.estimands,
+                gamma_options=settings.gamma_options, mi_m=settings.mi_m,
+                seed=np.random.SeedSequence(entropy=master_seed, spawn_key=(i, 1)),
                 level=settings.level, degree=settings.degree,
                 include_interactions=settings.include_interactions,
-                mu_degree=settings.mu_degree,
-                mu_interactions=settings.mu_interactions,
+                mu_degree=settings.mu_degree, mu_interactions=settings.mu_interactions,
             )
-            if method == "oracle":
-                res = baselines.oracle_estimate(full, settings.estimands, **basis_kw)
-            elif method == "cca":
-                res = baselines.cca_estimate(observed, settings.estimands, **basis_kw)
-            elif method == "mi":
-                res = baselines.mi_estimate(
-                    observed, settings.estimands, m=settings.mi_m,
-                    seed=np.random.SeedSequence(entropy=master_seed, spawn_key=(i, 1)),
-                    **basis_kw,
-                )
-            elif method == "sri":
-                res = baselines.sri_estimate(
-                    observed, settings.estimands,
-                    gamma_options=settings.gamma_options, **basis_kw,
-                )
-            else:
-                raise EstimationError(f"unknown method {method!r}")
         except EstimationError as exc:
             out[method] = {"error": f"{type(exc).__name__}: {exc}"}
             continue
@@ -382,9 +365,6 @@ def _one_rep(args: tuple[McSettings, int, int]) -> dict:
             "estimands": {
                 name: (rep.psi_hat, rep.ci_lo, rep.ci_hi)
                 for name, rep in res.estimands.items()
-            },
-            "profiles": {
-                "".join(map(str, prof)): psi for prof, psi in res.profiles.items()
             },
         }
     return out
@@ -405,8 +385,12 @@ def run_monte_carlo(
 
     Replications are independent tasks with their own substreams, so
     the result is identical for any worker count and bit-identical for
-    a fixed master seed.
+    a fixed master seed. An unknown method, or an estimand the truth
+    table lacks, raises ConfigError before any replication runs.
     """
+    unknown = [m for m in methods if m not in baselines.METHODS]
+    if unknown:
+        raise ConfigError(f"unknown methods {unknown}; choose from {', '.join(baselines.METHODS)}")
     if settings is None:
         settings = McSettings(
             config=config, methods=tuple(methods), estimands=tuple(estimands),
@@ -416,6 +400,10 @@ def run_monte_carlo(
                            estimands=tuple(estimands))
     if truth is None:
         truth = true_effects(config, big_n=truth_big_n)
+    missing = [e for e in settings.estimands if e not in truth.contrasts]
+    if missing:
+        raise ConfigError(f"no true value for estimands {missing}; "
+                          f"the truth table holds {sorted(truth.contrasts)}")
 
     tasks = [(settings, master_seed, i) for i in range(reps)]
     if workers > 1:
@@ -426,16 +414,12 @@ def run_monte_carlo(
 
     cells: dict[tuple[str, str], CellStats] = {}
     raw: dict[tuple[str, str], np.ndarray] = {}
-    raw_psi: dict[tuple[str, str], np.ndarray] = {}
     failures: dict[str, list[str]] = {m: [] for m in settings.methods}
     for method in settings.methods:
         ok = [res[method] for res in results if "error" not in res[method]]
         for i, res in enumerate(results):
             if "error" in res[method]:
                 failures[method].append(f"rep {i}: {res[method]['error']}")
-        profile_keys = sorted({key for res in ok for key in res["profiles"]})
-        for key in profile_keys:
-            raw_psi[(method, key)] = np.array([res["profiles"][key] for res in ok])
         for est in settings.estimands:
             pts = np.array([res["estimands"][est][0] for res in ok])
             lo = np.array([res["estimands"][est][1] for res in ok])
@@ -472,5 +456,5 @@ def run_monte_carlo(
     return McResult(
         settings_summary=summary,
         truth={e: truth.contrasts[e] for e in settings.estimands},
-        cells=cells, raw=raw, raw_psi=raw_psi, failures=failures,
+        cells=cells, raw=raw, failures=failures,
     )

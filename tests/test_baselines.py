@@ -1,20 +1,25 @@
 import numpy as np
 import pytest
 
+from shadowpse import baselines, cli
 from shadowpse.baselines import (
     MethodResult,
     cca_estimate,
     mi_estimate,
     oracle_estimate,
     resolve_estimands,
+    run_method,
     sri_estimate,
 )
+from shadowpse.data_model import write_csv, write_descriptor
 from shadowpse.errors import (
+    ConfigError,
     DimensionMismatch,
     EmptyResult,
     InsufficientCompleteCases,
     MissingTrueX,
 )
+from shadowpse.simulation import DgpConfig, run_monte_carlo, true_effects
 from support import one_mediator_dataset, rng_for
 
 ESTIMAND_NAMES = ["nde", "nie_1", "nie_2", "te"]
@@ -122,3 +127,43 @@ def test_mi_moves_point_estimates_off_complete_cases(obs2000):
     # imputation must move the point estimates away from complete cases only
     assert any(abs(res.estimands[e].psi_hat - cca.estimands[e].psi_hat) > 1e-6
                for e in ESTIMAND_NAMES)
+
+
+def test_run_method_rejects_unknown_name(obs600):
+    with pytest.raises(ConfigError):
+        run_method("sir", obs600)
+
+
+def test_dispatch_calls_estimators_through_module_names(monkeypatch, obs600, tmp_path):
+    # Wrappers bound to the module attributes must see every call made by
+    # the CLI and by the Monte Carlo harness (the benchmark relies on it).
+    calls = []
+
+    def recording(name):
+        original = getattr(baselines, name)
+
+        def wrapper(*args, **kwargs):
+            res = original(*args, **kwargs)
+            calls.append((name, res.method))
+            return res
+        return wrapper
+
+    for name in ("sri_estimate", "cca_estimate"):
+        monkeypatch.setattr(baselines, name, recording(name))
+
+    data, desc = tmp_path / "obs.csv", tmp_path / "obs.json"
+    write_csv(obs600, str(data))
+    write_descriptor(obs600, str(desc))
+    for method in ("sri", "cca"):
+        rc = cli.main(["estimate", "--method", method, "--data", str(data),
+                       "--descriptor", str(desc), "--estimand", "te",
+                       "--out", str(tmp_path / f"{method}.json")])
+        assert rc == 0
+    assert calls == [("sri_estimate", "sri"), ("cca_estimate", "cca")]
+
+    calls.clear()
+    truth = true_effects(DgpConfig(n=600), big_n=2000, seed=7)
+    res = run_monte_carlo(DgpConfig(n=600), reps=1, methods=["sri", "cca"],
+                          estimands=["te"], master_seed=4, truth=truth)
+    assert res.failures == {"sri": [], "cca": []}
+    assert calls == [("sri_estimate", "sri"), ("cca_estimate", "cca")]

@@ -5,6 +5,7 @@ import pytest
 
 from shadowpse import cli
 from shadowpse.data_model import write_csv, write_descriptor
+from shadowpse.errors import ConfigError, EstimationError
 from shadowpse.simulation import DgpConfig, generate
 
 from support import seq
@@ -225,3 +226,49 @@ def test_basis_flags_are_recorded(tmp_path):
     assert resolved["include_interactions"] is False
     assert resolved["mu_degree"] == 3
     assert resolved["mu_interactions"] is True
+
+
+def _leaf_errors(cls=EstimationError):
+    for sub in cls.__subclasses__():
+        yield from (_leaf_errors(sub) if sub.__subclasses__() else [sub])
+
+
+SOLVER_ERRORS = {"AllZeroWeights", "UnsolvableSystem", "SingularProjection", "SingularSystem"}
+# documented exit code and stderr prefix of each error class
+EXPECTED_EXIT = {
+    cls.__name__: (2, "configuration error") if cls is ConfigError
+    else (4, "solver error") if cls.__name__ in SOLVER_ERRORS
+    else (3, "data error")
+    for cls in _leaf_errors()
+}
+EXPECTED_EXIT["LinAlgError"] = (4, "solver error")
+RAISABLE = {cls.__name__: cls for cls in _leaf_errors()}
+RAISABLE["LinAlgError"] = np.linalg.LinAlgError
+
+
+def test_every_error_class_has_an_expected_exit():
+    assert len(RAISABLE) == 16  # 15 EstimationError leaves plus LinAlgError
+    assert SOLVER_ERRORS <= set(RAISABLE)
+
+
+@pytest.mark.parametrize("name", sorted(RAISABLE))
+def test_exit_code_for_each_error_class(name, monkeypatch, capsys):
+    def failing(cfg):
+        raise RAISABLE[name]("forced")
+
+    monkeypatch.setattr(cli, "cmd_validate", failing)
+    code, prefix = EXPECTED_EXIT[name]
+    assert cli.main(["validate"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix + ":")
+    assert "forced" in err
+
+
+@pytest.mark.parametrize("flags", [["--methods", "sir"], ["--estimand", "nie_3"]])
+def test_simulate_rejects_bad_inputs_with_exit_2(flags, tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = cli.main(["simulate", "--n", "250", "--reps", "2", "--method", "cca",
+                   "--big-n", "2000", "--out", str(out)] + flags)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not (out / "mc_table.csv").exists()

@@ -4,10 +4,7 @@ import pytest
 from shadowpse.data_model import (
     Dataset,
     DatasetDims,
-    ObservedRecord,
     complete_cases,
-    covariate_vector,
-    from_records,
     header_order,
     read_csv,
     read_descriptor,
@@ -87,29 +84,6 @@ def test_subset_is_independent_copy():
     before = ds.y.copy()
     sub.y[:] = -99.0
     np.testing.assert_array_equal(ds.y, before)
-
-
-def test_records_and_covariate_vector():
-    ds = small_mixed()
-    recs = ds.records()
-    assert len(recs) == ds.n
-    complete = next(rec for rec in recs if rec.r == 1)
-    missing = next(rec for rec in recs if rec.r == 0)
-    vec = covariate_vector(complete)
-    assert vec.shape == (ds.dims.x,)
-    assert missing.x_miss is None
-    with pytest.raises(MissingCovariate):
-        covariate_vector(missing)
-
-
-def test_from_records_round_trip():
-    ds = small_mixed()
-    rebuilt = from_records(ds.records(), ds.dims, ds.columns)
-    np.testing.assert_array_equal(rebuilt.r, ds.r)
-    np.testing.assert_array_equal(rebuilt.y, ds.y)
-    np.testing.assert_array_equal(rebuilt.x_miss, ds.x_miss)
-    with pytest.raises(EmptyDataset):
-        from_records([], ds.dims)
 
 
 def test_point_matrix_shapes():

@@ -3,7 +3,6 @@ import pytest
 
 from shadowpse.errors import DimensionMismatch, EmptyArm, LengthMismatch
 from shadowpse.estimator import (
-    estimate_contrast,
     estimate_psi,
     fit_mu_chain,
     gamma_values_for,
@@ -11,6 +10,7 @@ from shadowpse.estimator import (
     validate_profile,
 )
 from shadowpse.gamma_solver import GammaOptions, fit_gamma
+from shadowpse.inference import analyze_contrast
 from shadowpse.series_regression import predict_many, project_residual_orthogonality
 from shadowpse.sieve_basis import build_spec_bundle
 from shadowpse.simulation import DgpConfig, generate, true_gamma_values
@@ -109,11 +109,18 @@ def test_psi_recovers_truth_with_known_odds():
     assert abs(float(np.mean(points)) - TRUE_PSI["111"]) <= 0.05
 
 
+def psi_contrast(ds, gamma, u_specs, pa, pb):
+    return (estimate_psi(ds, fit_mu_chain(ds, gamma, pa, u_specs)).psi_hat
+            - estimate_psi(ds, fit_mu_chain(ds, gamma, pb, u_specs)).psi_hat)
+
+
 def test_contrast_zero_for_equal_profiles(obs600, gamma2000):
     bundle = build_spec_bundle(obs600)
     model, _ = fit_gamma(obs600, bundle.q, bundle.p, GammaOptions())
-    value = estimate_contrast(obs600, model, (1, 1, 1), (1, 1, 1), bundle.u)
-    assert value == 0.0
+    cache = {}
+    res = analyze_contrast(obs600, model, (1, 1, 1), (1, 1, 1), bundle, cache=cache)
+    assert res.report.psi_hat == 0.0
+    assert len(cache) == 1
 
 
 def test_contrast_cache_and_total_effect_telescoping(obs2000, bundle2000, gamma2000):
@@ -122,8 +129,8 @@ def test_contrast_cache_and_total_effect_telescoping(obs2000, bundle2000, gamma2
     parts = {}
     for name in ("nde", "nie_1", "nie_2", "te"):
         pa, pb = named_estimand(name, 2)
-        parts[name] = estimate_contrast(obs2000, model, pa, pb, bundle2000.u,
-                                        cache=cache)
+        parts[name] = analyze_contrast(obs2000, model, pa, pb, bundle2000,
+                                       cache=cache).report.psi_hat
     assert len(cache) == 4  # four distinct profiles across the contrasts
     resid = parts["nde"] + parts["nie_1"] + parts["nie_2"] - parts["te"]
     assert abs(resid) <= 1e-12
@@ -133,11 +140,11 @@ def test_duplication_invariance(obs600):
     bundle = build_spec_bundle(obs600)
     model, _ = fit_gamma(obs600, bundle.q, bundle.p, GammaOptions())
     gv = model.values(obs600)
-    single = estimate_contrast(obs600, gv, (1, 1, 1), (0, 0, 0), bundle.u)
+    single = psi_contrast(obs600, gv, bundle.u, (1, 1, 1), (0, 0, 0))
     doubled_ds = tile_dataset(obs600, 2)
     doubled_bundle = build_spec_bundle(doubled_ds)
-    doubled = estimate_contrast(doubled_ds, np.tile(gv, 2), (1, 1, 1), (0, 0, 0),
-                                doubled_bundle.u)
+    doubled = psi_contrast(doubled_ds, np.tile(gv, 2), doubled_bundle.u,
+                           (1, 1, 1), (0, 0, 0))
     assert abs(single - doubled) <= 1e-10
 
 

@@ -14,7 +14,6 @@ from shadowpse.gamma_solver import (
     weak_norm_sq,
 )
 from shadowpse.sieve_basis import (
-    KIND_POWER,
     BasisSpec,
     Standardizer,
     build_spec_bundle,
@@ -25,7 +24,7 @@ from support import one_mediator_dataset, rng_for, seq
 
 
 def intercept_only_spec(dim):
-    return BasisSpec(kind=KIND_POWER, degree=0, input_dim=dim,
+    return BasisSpec(degree=0, input_dim=dim,
                      standardizer=Standardizer.identity(dim))
 
 
@@ -151,7 +150,7 @@ def test_gradient_matches_finite_differences():
 
 def test_criterion_invariant_to_projection_reparametrisation(obs2000, bundle2000):
     ident_p = BasisSpec(
-        kind=bundle2000.p.kind, degree=bundle2000.p.degree,
+        degree=bundle2000.p.degree,
         input_dim=bundle2000.p.input_dim,
         standardizer=Standardizer.identity(bundle2000.p.input_dim),
         include_interactions=True, binary=bundle2000.p.binary)

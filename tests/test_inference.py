@@ -2,19 +2,16 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from shadowpse.data_model import complete_cases
 from shadowpse.errors import DimensionMismatch, LengthMismatch
 from shadowpse.gamma_solver import GammaModel, GammaOptions, fit_gamma
 from shadowpse.inference import (
     InferenceReport,
     analyze_contrast,
     analyze_profile,
-    compute_phi,
     contrast_variance,
     fit_omegas,
     fit_representer,
     influence_values,
-    omega_value,
     phi_values,
     variance_and_ci,
     z_critical,
@@ -44,8 +41,6 @@ def test_omega_identically_one_pattern(obs2000, bundle2000, gamma2000):
     assert om.identically_one == [False, True, True]
     assert om.omega[1] is None and om.omega[2] is None
     assert om.moment_residual_sup <= 1e-6
-    point = obs2000.mu_points(2)[0]
-    assert omega_value(om, 2, point) == 1.0
     om_mixed = fit_omegas(obs2000, model, (1, 0, 1), bundle2000.u)
     assert om_mixed.identically_one == [False, False, False]
     assert om_mixed.moment_residual_sup <= 1e-6
@@ -81,15 +76,34 @@ def test_omega_floor_engages_when_arm_support_vanishes():
     assert om.floor == 1e-3
 
 
+def phi_at_row(ds, i, fits, omegas):
+    """Reference phi of complete record i, evaluated one point at a time."""
+    prof = fits.profile
+    kk = len(prof) - 1
+    x = np.concatenate([ds.x_miss[i], ds.x_obs[i]])
+    points = [np.concatenate([x] + [ds.m[j][i] for j in range(k)]) for k in range(kk + 1)]
+
+    def at(reg, k):
+        return float(design_matrix(reg.spec, points[k][None])[0] @ reg.coef)
+
+    mu = [at(fits.mu[k], k) for k in range(kk + 1)]
+    cum = [at(omegas.cumulative[k], k) for k in range(kk + 1)]
+    phi = mu[0]
+    for k in range(1, kk + 1):
+        if ds.a[i] == prof[k - 1]:
+            phi += cum[k - 1] * (mu[k] - mu[k - 1])
+    if ds.a[i] == prof[kk]:
+        phi += cum[kk] * (ds.y[i] - mu[kk])
+    return phi
+
+
 def test_phi_values_matches_per_record_path(obs600):
     bundle = build_spec_bundle(obs600)
     model, _ = fit_gamma(obs600, bundle.q, bundle.p, GammaOptions())
     analysis = analyze_profile(obs600, model, (1, 0, 1), bundle)
-    cc = complete_cases(obs600)
-    expected = analysis.phi[obs600.complete_mask]
-    for idx, rec in enumerate(cc.records()[:25]):
-        got = compute_phi(rec, analysis.fits, analysis.omegas)
-        assert abs(got - expected[idx]) <= 1e-10
+    for i in np.flatnonzero(obs600.complete_mask)[:25]:
+        got = phi_at_row(obs600, i, analysis.fits, analysis.omegas)
+        assert abs(got - analysis.phi[i]) <= 1e-10
 
 
 def test_reweighted_phi_mean_reproduces_psi(obs2000, bundle2000, gamma2000):

@@ -11,19 +11,18 @@ from shadowpse.series_regression import (
     RIDGE_CAP,
     fit_series,
     orthonormal_span,
-    predict,
     predict_many,
     project_onto,
     project_residual_orthogonality,
     ridge_solve,
 )
-from shadowpse.sieve_basis import KIND_POWER, BasisSpec, Standardizer, spec_for
+from shadowpse.sieve_basis import BasisSpec, Standardizer, spec_for
 
 from support import rng_for
 
 
 def identity_spec(degree, dim=1):
-    return BasisSpec(kind=KIND_POWER, degree=degree, input_dim=dim,
+    return BasisSpec(degree=degree, input_dim=dim,
                      standardizer=Standardizer.identity(dim))
 
 
@@ -62,15 +61,6 @@ def test_in_span_response_recovered_exactly():
     v = design_matrix(spec, pts) @ c0
     reg = fit_series(spec, pts, v)
     np.testing.assert_allclose(reg.coef, c0, atol=1e-8)
-
-
-def test_predict_matches_predict_many():
-    rng = rng_for(304)
-    pts = rng.random((12, 2))
-    reg = fit_series(spec_for(pts, degree=2), pts, rng.standard_normal(12))
-    many = predict_many(reg, pts)
-    single = np.array([predict(reg, p) for p in pts])
-    np.testing.assert_allclose(single, many, rtol=0, atol=1e-14)
 
 
 def test_zero_weights_equal_row_deletion():

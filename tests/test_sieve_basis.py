@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 
 from shadowpse.sieve_basis import (
-    KIND_POWER,
-    KIND_TENSOR,
     BasisSpec,
     Standardizer,
     build_spec_bundle,
     column_coordinates,
     design_matrix,
     detect_binary,
-    eval_basis,
     fit_standardizer,
     spec_for,
 )
@@ -19,73 +16,70 @@ from shadowpse.simulation import DgpConfig, generate
 from support import rng_for, seq
 
 
-def identity_spec(kind, degree, dim, **kw):
-    return BasisSpec(kind=kind, degree=degree, input_dim=dim,
+def identity_spec(degree, dim, **kw):
+    return BasisSpec(degree=degree, input_dim=dim,
                      standardizer=Standardizer.identity(dim), **kw)
 
 
+def at_point(spec, point):
+    return design_matrix(spec, np.asarray(point, dtype=float)[None])[0]
+
+
 def test_power_single_coordinate_values():
-    spec = identity_spec(KIND_POWER, 3, 1)
-    np.testing.assert_allclose(eval_basis(spec, np.array([2.0])),
+    spec = identity_spec(3, 1)
+    np.testing.assert_allclose(at_point(spec, [2.0]),
                                [1.0, 2.0, 4.0, 8.0], rtol=0, atol=0)
 
 
 def test_power_degree_zero_is_intercept():
-    spec = identity_spec(KIND_POWER, 0, 3)
-    np.testing.assert_array_equal(eval_basis(spec, np.array([4.0, 5.0, 6.0])), [1.0])
+    spec = identity_spec(0, 3)
+    np.testing.assert_array_equal(at_point(spec, [4.0, 5.0, 6.0]), [1.0])
 
 
 def test_pairwise_interaction_values():
-    spec = identity_spec(KIND_POWER, 1, 2)
-    np.testing.assert_array_equal(eval_basis(spec, np.array([3.0, 5.0])),
-                                  [1.0, 3.0, 5.0, 15.0])
-
-
-def test_tensor_matches_power_at_degree_one():
-    spec = identity_spec(KIND_TENSOR, 1, 2)
-    np.testing.assert_array_equal(eval_basis(spec, np.array([3.0, 5.0])),
+    spec = identity_spec(1, 2)
+    np.testing.assert_array_equal(at_point(spec, [3.0, 5.0]),
                                   [1.0, 3.0, 5.0, 15.0])
     assert column_coordinates(spec) == [(), (0,), (1,), (0, 1)]
 
 
 def test_binary_coordinate_capped_at_power_one():
-    spec = identity_spec(KIND_POWER, 2, 2, binary=(False, True))
+    spec = identity_spec(2, 2, binary=(False, True))
     assert column_coordinates(spec) == [(), (0,), (0,), (1,), (0, 1)]
-    row = eval_basis(spec, np.array([3.0, 1.0]))
+    row = at_point(spec, [3.0, 1.0])
     np.testing.assert_array_equal(row, [1.0, 3.0, 9.0, 1.0, 3.0])
 
 
 def test_dim_matches_design_and_coordinates():
     rng = rng_for(201)
-    for kind in (KIND_POWER, KIND_TENSOR):
-        for dim in (1, 2, 3):
-            for degree in (0, 1, 2, 3, 4):
-                for inter in (True, False):
-                    spec = identity_spec(kind, degree, dim, include_interactions=inter)
-                    pts = rng.random((7, dim))
-                    mat = design_matrix(spec, pts)
-                    assert mat.shape == (7, spec.dim)
-                    assert len(column_coordinates(spec)) == spec.dim
+    for dim in (1, 2, 3):
+        for degree in (0, 1, 2, 3, 4):
+            for inter in (True, False):
+                spec = identity_spec(degree, dim, include_interactions=inter)
+                pts = rng.random((7, dim))
+                mat = design_matrix(spec, pts)
+                assert mat.shape == (7, spec.dim)
+                assert len(column_coordinates(spec)) == spec.dim
 
 
 def test_power_dim_formula():
     # continuous coordinates contribute `degree` monomials each, binary one,
     # plus intercept and optional pairwise interaction columns
-    spec = identity_spec(KIND_POWER, 3, 3)
+    spec = identity_spec(3, 3)
     assert spec.dim == 1 + 3 * 3 + 3
-    spec = identity_spec(KIND_POWER, 3, 3, include_interactions=False)
+    spec = identity_spec(3, 3, include_interactions=False)
     assert spec.dim == 1 + 3 * 3
-    spec = identity_spec(KIND_POWER, 3, 3, binary=(False, True, False))
+    spec = identity_spec(3, 3, binary=(False, True, False))
     assert spec.dim == 1 + 3 + 1 + 3 + 3
 
 
-def test_eval_basis_matches_design_matrix_rows():
+def test_design_matrix_rows_are_pointwise():
     rng = rng_for(202)
     pts = rng.random((5, 3))
     spec = spec_for(pts, degree=3)
     mat = design_matrix(spec, pts)
     for i in range(5):
-        np.testing.assert_array_equal(eval_basis(spec, pts[i]), mat[i])
+        np.testing.assert_array_equal(at_point(spec, pts[i]), mat[i])
 
 
 def test_standardization_affine_identity():
@@ -94,7 +88,7 @@ def test_standardization_affine_identity():
     spec = spec_for(pts, degree=3)
     std = spec.standardizer
     manual = (pts - std.center) / std.scale
-    ident = BasisSpec(kind=spec.kind, degree=spec.degree, input_dim=spec.input_dim,
+    ident = BasisSpec(degree=spec.degree, input_dim=spec.input_dim,
                       standardizer=Standardizer.identity(2), binary=spec.binary)
     np.testing.assert_array_equal(design_matrix(spec, pts), design_matrix(ident, manual))
 
@@ -149,7 +143,7 @@ def test_bundle_default_dimensions(obs2000, bundle2000):
 def test_bundle_outcome_chain_knobs(obs2000):
     b = build_spec_bundle(obs2000, mu_degree=3, mu_interactions=True)
     for k, spec in enumerate(b.u, start=1):
-        direct = spec_for(obs2000.mu_points(k), 3, KIND_POWER, True)
+        direct = spec_for(obs2000.mu_points(k), 3, True)
         assert spec.dim == direct.dim
         assert spec.degree == 3
         assert spec.include_interactions
@@ -168,13 +162,11 @@ def test_spec_guards():
     from shadowpse.errors import DimensionMismatch, NonFiniteInput
 
     with pytest.raises(DimensionMismatch):
-        spec_for(np.zeros((3, 1)), degree=1, kind="fourier")
+        identity_spec(-1, 2)
     with pytest.raises(DimensionMismatch):
-        identity_spec(KIND_POWER, -1, 2)
-    with pytest.raises(DimensionMismatch):
-        BasisSpec(kind=KIND_POWER, degree=2, input_dim=2,
+        BasisSpec(degree=2, input_dim=2,
                   standardizer=Standardizer.identity(3))
-    spec = identity_spec(KIND_POWER, 2, 2)
+    spec = identity_spec(2, 2)
     with pytest.raises(DimensionMismatch):
         design_matrix(spec, np.zeros((3, 4)))
     with pytest.raises(NonFiniteInput):

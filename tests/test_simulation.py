@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from shadowpse.errors import ConfigError
 from shadowpse.simulation import (
     TRUTH_SEED,
     DgpConfig,
@@ -206,3 +207,18 @@ def test_result_csv_layout(tmp_path, cheap_truth):
     doc = res.to_json_dict()
     assert doc["settings"]["master_seed"] == 11
     assert doc["cells"]["cca"]["te"]["reps_used"] == 2
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(methods=["sir"]),
+    dict(methods=["cca"], estimands=["te", "nie_3"]),
+])
+def test_monte_carlo_checks_inputs_before_replicating(cheap_truth, monkeypatch, kwargs):
+    from shadowpse import simulation
+
+    def no_replication(args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simulation, "_one_rep", no_replication)
+    with pytest.raises(ConfigError):
+        run_monte_carlo(DgpConfig(n=250), reps=2, truth=cheap_truth, **kwargs)
