@@ -54,6 +54,7 @@ from .inference import (
     variance_and_ci,
 )
 from .series_regression import (
+    SampleDesigns,
     SeriesRegressor,
     fit_series,
     predict_many,

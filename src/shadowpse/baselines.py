@@ -29,6 +29,7 @@ from .errors import ConfigError, InsufficientCompleteCases, MissingTrueX
 from .estimator import TreatmentProfile, named_estimand, validate_profile
 from .gamma_solver import GammaModel, GammaOptions, fit_gamma
 from .inference import InferenceReport, analyze_contrast, z_critical
+from .series_regression import SampleDesigns
 from .sieve_basis import build_spec_bundle
 
 EstimandSpec = Union[str, tuple[Sequence[int], Sequence[int]]]
@@ -73,14 +74,18 @@ def _run_pipeline(
     gamma_options: Optional[GammaOptions] = None,
 ) -> MethodResult:
     """The sieve pipeline; gamma_options=None sets the odds to zero,
-    otherwise the odds are fitted on ds and their report goes to extras."""
+    otherwise the odds are fitted on ds and their report goes to extras.
+
+    Every stage reads the sample's designs from one SampleDesigns, which
+    is dropped when the run returns."""
     bundle = build_spec_bundle(ds, degree=degree, include_interactions=include_interactions,
                                mu_degree=mu_degree, mu_interactions=mu_interactions)
+    designs = SampleDesigns(ds, bundle)
     extras = {}
     if gamma_options is None:
         gamma = _zero_gamma()
     else:
-        gamma, gamma_report = fit_gamma(ds, bundle.q, bundle.p, gamma_options)
+        gamma, gamma_report = fit_gamma(ds, designs, gamma_options)
         extras = {
             "gamma_q_n": gamma_report.q_n,
             "gamma_grad_norm": gamma_report.grad_norm,
@@ -91,7 +96,7 @@ def _run_pipeline(
     cache: dict = {}
     reports = {}
     for name, (pa, pb) in estimands.items():
-        reports[name] = analyze_contrast(ds, gamma, pa, pb, bundle, level, cache).report
+        reports[name] = analyze_contrast(ds, gamma, pa, pb, designs, level, cache).report
     profiles = {prof: analysis.psi.psi_hat for prof, analysis in cache.items()}
     return MethodResult(method=method, estimands=reports, profiles=profiles, extras=extras)
 
@@ -148,15 +153,17 @@ def cca_estimate(
 
 def _impute_once(
     ds: Dataset,
+    design_miss: np.ndarray,
     beta: np.ndarray,
     resid_sd: np.ndarray,
     rng: np.random.Generator,
 ) -> Dataset:
+    """ds with x_miss drawn where missing; design_miss is the imputer
+    design of the incomplete records."""
     miss = ~ds.complete_mask
-    design = _imputer_design(ds, np.ones(ds.n, dtype=bool))
     filled = ds.x_miss.copy()
     for j in range(ds.dims.x_miss):
-        draw = design[miss] @ beta[:, j] + resid_sd[j] * rng.standard_normal(int(miss.sum()))
+        draw = design_miss @ beta[:, j] + resid_sd[j] * rng.standard_normal(int(miss.sum()))
         filled[miss, j] = draw
     out = ds.subset(np.ones(ds.n, dtype=bool))
     out.x_miss = filled
@@ -213,8 +220,9 @@ def mi_estimate(
     points: dict[str, list[float]] = {name: [] for name in wanted}
     within: dict[str, list[float]] = {name: [] for name in wanted}
     psi_acc: dict[TreatmentProfile, list[float]] = {}
+    design_miss = _imputer_design(ds, ~cc_mask)
     for _ in range(m):
-        completed = _impute_once(ds, beta, resid_sd, rng)
+        completed = _impute_once(ds, design_miss, beta, resid_sd, rng)
         res = _run_pipeline(completed, wanted, level, degree,
                             include_interactions, mu_degree, mu_interactions, "mi")
         for name, rep in res.estimands.items():

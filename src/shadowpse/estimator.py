@@ -22,8 +22,7 @@ import numpy as np
 from .data_model import Dataset
 from .errors import DimensionMismatch, EmptyArm
 from .gamma_solver import GammaModel
-from .series_regression import SeriesRegressor, fit_series, predict_many
-from .sieve_basis import BasisSpec
+from .series_regression import SampleDesigns, SeriesRegressor, fit_series
 
 TreatmentProfile = tuple[int, ...]
 GammaLike = Union[GammaModel, np.ndarray]
@@ -59,12 +58,15 @@ def named_estimand(name: str, k: int) -> tuple[TreatmentProfile, TreatmentProfil
     raise DimensionMismatch(f"unknown estimand {name!r} for K={k}")
 
 
-def gamma_values_for(ds: Dataset, gamma: GammaLike) -> np.ndarray:
-    """Per-record odds values; accepts a model or a precomputed vector."""
+def gamma_values_for(designs: SampleDesigns, gamma: GammaLike) -> np.ndarray:
+    """Per-record odds values; accepts a model or a precomputed vector.
+
+    A model is evaluated once per designs object and the values reused.
+    """
     if isinstance(gamma, GammaModel):
-        return gamma.values(ds)
+        return designs.odds_values(gamma)
     vals = np.asarray(gamma, dtype=float)
-    if vals.shape != (ds.n,):
+    if vals.shape != (designs.ds.n,):
         raise DimensionMismatch("gamma values must align with the dataset")
     return vals
 
@@ -93,13 +95,15 @@ def fit_mu_chain(
     ds: Dataset,
     gamma: GammaLike,
     profile: Sequence[int],
-    u_specs: Sequence[BasisSpec],
+    designs: SampleDesigns,
 ) -> NuisanceFits:
     """Fit the K+1 weighted regressions, outcome level first."""
+    designs.check(ds)
     prof = validate_profile(profile, ds.k)
+    u_specs = designs.bundle.u
     if len(u_specs) != ds.k + 1:
         raise DimensionMismatch(f"need {ds.k + 1} mu bases, got {len(u_specs)}")
-    gvals = gamma_values_for(ds, gamma)
+    gvals = gamma_values_for(designs, gamma)
     cc = ds.complete_mask
     a_cc = ds.a[cc]
     growth = 1.0 + gvals[cc]
@@ -111,18 +115,19 @@ def fit_mu_chain(
         if not arm.any():
             raise EmptyArm(f"no complete cases with a={prof[k - 1]} for mu_{k}")
         weights = np.where(arm, growth, 0.0)
-        points = ds.mu_points(k)
-        mu[k - 1] = fit_series(u_specs[k - 1], points, response, weights=weights)
+        umat = designs.u(k)
+        mu[k - 1] = fit_series(u_specs[k - 1], umat, response, weights=weights)
         if k > 1:
-            response = predict_many(mu[k - 1], ds.mu_points(k))
             # next level regresses mu_k evaluated at (x, m_1..m_{k-1})
+            response = umat @ mu[k - 1].coef
     return NuisanceFits(profile=prof, mu=mu, gamma=gamma)
 
 
-def estimate_psi(ds: Dataset, fits: NuisanceFits) -> PsiEstimate:
+def estimate_psi(ds: Dataset, fits: NuisanceFits, designs: SampleDesigns) -> PsiEstimate:
     """Average the reweighted mu_1 predictions over the whole sample."""
-    gvals = gamma_values_for(ds, fits.gamma)
+    designs.check(ds)
+    gvals = gamma_values_for(designs, fits.gamma)
     cc = ds.complete_mask
     plugin = np.zeros(ds.n)
-    plugin[cc] = (1.0 + gvals[cc]) * predict_many(fits.mu[0], ds.mu_points(1))
+    plugin[cc] = (1.0 + gvals[cc]) * (designs.u(1) @ fits.mu[0].coef)
     return PsiEstimate(psi_hat=float(plugin.mean()), per_unit_plugin=plugin, n=ds.n)

@@ -17,8 +17,10 @@ soft clamp keeps evaluations inside (exp(-cap), exp(cap)) while staying
 smooth, so the analytic gradient is exact everywhere.
 
 Projections are applied through an orthonormal basis of the
-conditioning design's column span: one factorisation per fit, O(n l)
-per criterion evaluation, and exact idempotence.
+conditioning design's column span, O(n l) per criterion evaluation
+with exact idempotence. That span and the odds design are the sample's
+SampleDesigns (series_regression): factored once per pipeline run and
+shared with the representer and the influence values.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ import numpy as np
 import scipy.optimize
 
 from .data_model import Dataset
-from .errors import ConfigError, DegenerateTarget, LengthMismatch
+from .errors import ConfigError, DegenerateTarget, DimensionMismatch, LengthMismatch
 from .sieve_basis import BasisSpec, column_coordinates, design_matrix
-from .series_regression import orthonormal_span, project_onto
+from .series_regression import SampleDesigns, project_onto
 
 
 @dataclass(frozen=True)
@@ -69,24 +71,29 @@ class GammaModel:
     linear_cap: float
     is_zero: bool = False
 
+    def _on_design(self, qmat: np.ndarray) -> np.ndarray:
+        c = self.linear_cap
+        return np.exp(c * np.tanh((qmat @ self.pi) / c))
+
     def values_at(self, points: np.ndarray) -> np.ndarray:
         if self.is_zero:
             return np.zeros(np.asarray(points).shape[0])
-        u = design_matrix(self.spec_q, points) @ self.pi
-        c = self.linear_cap
-        return np.exp(c * np.tanh(u / c))
+        return self._on_design(design_matrix(self.spec_q, points))
 
-    def values(self, ds: Dataset) -> np.ndarray:
+    def values(self, designs: SampleDesigns) -> np.ndarray:
         """Per-record gamma with 0.0 placeholders at r = 0.
 
         Incomplete records have no evaluable covariates; every consumer
         multiplies these values by r, so the placeholder is never read.
+        The model must use the designs' odds basis.
         """
+        ds = designs.ds
         out = np.zeros(ds.n)
         if self.is_zero:
             return out
-        cc = ds.complete_mask
-        out[cc] = self.values_at(ds.regressor_points())
+        if self.spec_q != designs.bundle.q:
+            raise DimensionMismatch("odds model and designs use different odds bases")
+        out[ds.complete_mask] = self._on_design(designs.q)
         return out
 
 
@@ -105,13 +112,14 @@ class GammaFitReport:
 class _GammaProblem:
     """Prebuilt matrices for repeated criterion evaluations on one sample."""
 
-    def __init__(self, ds: Dataset, spec_q: BasisSpec, spec_p: BasisSpec):
+    def __init__(self, designs: SampleDesigns):
+        ds = designs.ds
         self.n = ds.n
         self.cc = ds.complete_mask
-        self.qmat = design_matrix(spec_q, ds.regressor_points())
-        pmat = design_matrix(spec_p, ds.conditioning_points())
-        self.span = orthonormal_span(pmat)
-        self.rank_deficit = pmat.shape[1] - self.span.shape[1]
+        self.qmat = designs.q
+        self.span = designs.p_span
+        self.span_cc = designs.p_span_cc
+        self.rank_deficit = designs.bundle.p.dim - self.span.shape[1]
         self.t_base = -(1.0 - ds.r.astype(float))  # -1 at r=0, 0 at r=1
 
     def gamma_at(self, pi: np.ndarray, cap: float) -> tuple[np.ndarray, np.ndarray]:
@@ -129,7 +137,7 @@ class _GammaProblem:
     def residual_jac(self, pi: np.ndarray, cap: float) -> np.ndarray:
         gam, th = self.gamma_at(pi, cap)
         d = gam * (1.0 - th * th)
-        return (self.span[self.cc].T * d) @ self.qmat
+        return (self.span_cc.T * d) @ self.qmat
 
     def value_and_grad(self, pi: np.ndarray, cap: float) -> tuple[float, np.ndarray]:
         gam, th = self.gamma_at(pi, cap)
@@ -142,19 +150,19 @@ class _GammaProblem:
         return qn, grad
 
 
-def criterion_qn(pi: np.ndarray, ds: Dataset, spec_q: BasisSpec, spec_p: BasisSpec,
+def criterion_qn(pi: np.ndarray, ds: Dataset, designs: SampleDesigns,
                  linear_cap: float = 10.0) -> float:
-    """Q_n at one coefficient vector (fresh factorisation; use for tests)."""
-    prob = _GammaProblem(ds, spec_q, spec_p)
+    """Q_n at one coefficient vector."""
+    designs.check(ds)
+    prob = _GammaProblem(designs)
     return prob.value_and_grad(np.asarray(pi, dtype=float), linear_cap)[0]
 
 
-def criterion_for_model(model: GammaModel, ds: Dataset, spec_p: BasisSpec) -> float:
+def criterion_for_model(model: GammaModel, ds: Dataset, designs: SampleDesigns) -> float:
     """Q_n of a fitted model, including the is_zero surrogate."""
-    pmat = design_matrix(spec_p, ds.conditioning_points())
-    span = orthonormal_span(pmat)
-    t = model.values(ds) * ds.r - (1.0 - ds.r)
-    w = span.T @ t
+    designs.check(ds)
+    t = model.values(designs) * ds.r - (1.0 - ds.r)
+    w = designs.p_span.T @ t
     return float(w @ w) / ds.n
 
 
@@ -211,17 +219,16 @@ def _intercept_start(prob: _GammaProblem, ds: Dataset, spec_q: BasisSpec, cap: f
     target = np.log(n0 / n1)
     if abs(target) >= cap:
         return None
-    # invert the soft clamp so the start hits the ratio exactly
-    base = design_matrix(spec_q, ds.regressor_points()[:1])[0, j0]
+    # invert the soft clamp so the start hits the ratio exactly; the
+    # intercept column is identically one
     pi = np.zeros(spec_q.dim)
-    pi[j0] = cap * np.arctanh(target / cap) / base
+    pi[j0] = cap * np.arctanh(target / cap)
     return pi
 
 
 def fit_gamma(
     ds: Dataset,
-    spec_q: BasisSpec,
-    spec_p: BasisSpec,
+    designs: SampleDesigns,
     options: GammaOptions = GammaOptions(),
 ) -> tuple[GammaModel, GammaFitReport]:
     """Minimise Q_n plus the n-vanishing ridge with multi-start descent.
@@ -233,6 +240,8 @@ def fit_gamma(
     then first start index. The reported q_n is always the raw
     criterion; grad_norm refers to the objective actually minimised.
     """
+    designs.check(ds)
+    spec_q, spec_p = designs.bundle.q, designs.bundle.p
     if spec_p.dim < spec_q.dim:
         raise ConfigError(
             f"conditioning basis dim {spec_p.dim} < odds basis dim {spec_q.dim}; "
@@ -251,7 +260,7 @@ def fit_gamma(
         )
         return model, report
 
-    prob = _GammaProblem(ds, spec_q, spec_p)
+    prob = _GammaProblem(designs)
     messages = []
     if prob.rank_deficit > 0:
         messages.append(f"conditioning design rank-deficient by {prob.rank_deficit}")
@@ -334,7 +343,7 @@ def weak_norm_sq(
     values_a: np.ndarray,
     values_b: np.ndarray,
     ds: Dataset,
-    spec_p: BasisSpec,
+    designs: SampleDesigns,
 ) -> float:
     """Squared weak norm (1/n) || Ehat{ R (g_a - g_b) | W } ||^2.
 
@@ -343,11 +352,10 @@ def weak_norm_sq(
     is the natural convergence metric for the odds function: it only
     sees differences through the conditioning projection.
     """
+    designs.check(ds)
     va = np.asarray(values_a, dtype=float)
     vb = np.asarray(values_b, dtype=float)
     if va.shape != (ds.n,) or vb.shape != (ds.n,):
         raise LengthMismatch("weak_norm_sq: values must align with the dataset")
-    pmat = design_matrix(spec_p, ds.conditioning_points())
-    span = orthonormal_span(pmat)
-    proj = project_onto(span, ds.r * (va - vb))
+    proj = project_onto(designs.p_span, ds.r * (va - vb))
     return float(proj @ proj) / ds.n

@@ -39,13 +39,11 @@ from .estimator import (
 from .gamma_solver import GammaModel
 from .series_regression import (
     FitDiagnostics,
+    SampleDesigns,
     SeriesRegressor,
-    orthonormal_span,
-    predict_many,
     project_onto,
     ridge_solve,
 )
-from .sieve_basis import BasisSpec, SpecBundle, design_matrix
 
 OMEGA_FLOOR = 1e-3
 REPRESENTER_RIDGE = 1e-2
@@ -94,7 +92,7 @@ def fit_omegas(
     ds: Dataset,
     gamma: GammaLike,
     profile: Sequence[int],
-    u_specs: Sequence[BasisSpec],
+    designs: SampleDesigns,
     floor: float = OMEGA_FLOOR,
 ) -> OmegaFits:
     """Fit each omega_k from its conditional moment restriction.
@@ -104,8 +102,9 @@ def fit_omegas(
     conditioning (X, M_1..M_{k-1}); both are projected onto the k-th mu
     basis over complete cases, giving a square linear system.
     """
+    designs.check(ds)
     prof = validate_profile(profile, ds.k)
-    gvals = gamma_values_for(ds, gamma)
+    gvals = gamma_values_for(designs, gamma)
     cc = ds.complete_mask
     a_cc = ds.a[cc]
     growth = 1.0 + gvals[cc]
@@ -115,7 +114,7 @@ def fit_omegas(
     raw_vals: list[np.ndarray] = []
     resid_sup = 0.0
     for k in range(1, ds.k + 2):
-        spec = u_specs[k - 1]
+        spec = designs.bundle.u[k - 1]
         if k >= 2 and prof[k - 1] == prof[k - 2]:
             omega.append(None)
             ident.append(True)
@@ -125,8 +124,8 @@ def fit_omegas(
         if not arm.any():
             raise EmptyArm(f"no complete cases with a={prof[k - 1]} for omega_{k}")
         target = np.ones_like(growth) if k == 1 else (a_cc == prof[k - 2]).astype(float)
-        umat = design_matrix(spec, ds.mu_points(k))
-        span = orthonormal_span(umat)
+        umat = designs.u(k)
+        span = designs.u_span(k)
         gmat = span.T @ (umat * (growth * arm)[:, None])
         rhs = span.T @ (growth * target)
         coef = _solve_square(gmat, rhs, SingularProjection)
@@ -149,11 +148,10 @@ def fit_omegas(
             floor_events += int((vals < floor).sum())
             vals = np.maximum(vals, floor)
         running = running * vals
-        spec = u_specs[k - 1]
-        umat = design_matrix(spec, ds.mu_points(k))
-        coef, _, _, _ = np.linalg.lstsq(umat, running, rcond=None)
+        spec = designs.bundle.u[k - 1]
+        coef, _, rank, _ = np.linalg.lstsq(designs.u(k), running, rcond=None)
         diag = FitDiagnostics(
-            n_used=len(running), dim=spec.dim, rank=spec.dim, gram_diag_ridge=0.0,
+            n_used=len(running), dim=spec.dim, rank=int(rank), gram_diag_ridge=0.0,
         )
         cumulative.append(SeriesRegressor(spec=spec, coef=coef, diagnostics=diag))
     return OmegaFits(
@@ -182,7 +180,8 @@ def _phi_terms(
     return phi
 
 
-def phi_values(ds: Dataset, fits: NuisanceFits, omegas: OmegaFits) -> np.ndarray:
+def phi_values(ds: Dataset, fits: NuisanceFits, omegas: OmegaFits,
+               designs: SampleDesigns) -> np.ndarray:
     """Augmented outcome phi for every record; zero placeholders at r=0.
 
     phi = mu_1(x)
@@ -191,11 +190,12 @@ def phi_values(ds: Dataset, fits: NuisanceFits, omegas: OmegaFits) -> np.ndarray
 
     with the floored products re-projected onto the mu bases.
     """
+    designs.check(ds)
     if fits.profile != omegas.profile:
         raise DimensionMismatch("mu chain and omega fits target different profiles")
     cc = ds.complete_mask
-    mu_vals = [predict_many(fits.mu[k], ds.mu_points(k + 1)) for k in range(ds.k + 1)]
-    cum_vals = [predict_many(omegas.cumulative[k], ds.mu_points(k + 1)) for k in range(ds.k + 1)]
+    mu_vals = [designs.u(k + 1) @ fits.mu[k].coef for k in range(ds.k + 1)]
+    cum_vals = [designs.u(k + 1) @ omegas.cumulative[k].coef for k in range(ds.k + 1)]
     out = np.zeros(ds.n)
     out[cc] = _phi_terms(ds.y[cc], ds.a[cc], mu_vals, cum_vals, fits.profile)
     return out
@@ -205,8 +205,7 @@ def fit_representer(
     ds: Dataset,
     gamma: GammaLike,
     phi: np.ndarray,
-    spec_q: BasisSpec,
-    spec_p: BasisSpec,
+    designs: SampleDesigns,
     ridge: float = REPRESENTER_RIDGE,
 ) -> tuple[SeriesRegressor, float]:
     """Minimise (1/2n)||Ehat{R rho | W}|| ^2 - (1/n) sum R phi rho.
@@ -217,14 +216,16 @@ def fit_representer(
     rapidly decaying spectrum and the unregularised solution oscillates.
     The ridge is Tikhonov regularisation scaled by the mean Gram
     eigenvalue; the returned criterion value is at most zero (zero is
-    feasible).
+    feasible). The recorded rank is that of the projected odds design,
+    whose Gram matrix the system solves.
     """
+    designs.check(ds)
     if np.asarray(phi).shape != (ds.n,):
         raise LengthMismatch("phi must align with the dataset")
     cc = ds.complete_mask
-    smat = design_matrix(spec_q, ds.regressor_points())
-    span = orthonormal_span(design_matrix(spec_p, ds.conditioning_points()))
-    gmat = span[cc].T @ smat
+    spec_q = designs.bundle.q
+    smat = designs.q
+    gmat = designs.p_span_cc.T @ smat
     rhs = smat.T @ phi[cc]
     gram = gmat.T @ gmat
     scale = float(np.trace(gram)) / max(gram.shape[0], 1)
@@ -233,7 +234,8 @@ def fit_representer(
     proj = gmat @ coef
     value = 0.5 * float(proj @ proj) / ds.n - float(rhs @ coef) / ds.n
     diag = FitDiagnostics(
-        n_used=int(cc.sum()), dim=spec_q.dim, rank=gmat.shape[0], gram_diag_ridge=eps_used,
+        n_used=int(cc.sum()), dim=spec_q.dim, rank=int(np.linalg.matrix_rank(gmat)),
+        gram_diag_ridge=eps_used,
     )
     return SeriesRegressor(spec=spec_q, coef=coef, diagnostics=diag), value
 
@@ -244,7 +246,7 @@ def influence_values(
     psi_hat: float,
     phi: np.ndarray,
     rho: Optional[SeriesRegressor],
-    spec_p: BasisSpec,
+    designs: SampleDesigns,
 ) -> np.ndarray:
     """Per-record influence values; mean near zero by construction.
 
@@ -252,7 +254,8 @@ def influence_values(
     and no incomplete records the correction factor R gamma - 1 + R is
     exactly zero, so the representer term drops out.
     """
-    gvals = gamma_values_for(ds, gamma)
+    designs.check(ds)
+    gvals = gamma_values_for(designs, gamma)
     r = ds.r.astype(float)
     t = r * gvals - (1.0 - r)
     term1 = r * (1.0 + gvals) * phi
@@ -262,9 +265,8 @@ def influence_values(
         return term1 - psi_hat
     cc = ds.complete_mask
     rho_r = np.zeros(ds.n)
-    rho_r[cc] = predict_many(rho, ds.regressor_points())
-    span = orthonormal_span(design_matrix(spec_p, ds.conditioning_points()))
-    erho = project_onto(span, r * rho_r)
+    rho_r[cc] = designs.q @ rho.coef
+    erho = project_onto(designs.p_span, r * rho_r)
     return term1 - psi_hat - erho * t
 
 
@@ -346,15 +348,15 @@ def analyze_profile(
     ds: Dataset,
     gamma: GammaLike,
     profile: Sequence[int],
-    bundle: SpecBundle,
+    designs: SampleDesigns,
     level: float = 0.95,
 ) -> ProfileAnalysis:
     """Full single-profile pipeline: chain, omegas, phi, representer, IF."""
     prof = validate_profile(profile, ds.k)
-    fits = fit_mu_chain(ds, gamma, prof, bundle.u)
-    psi = estimate_psi(ds, fits)
-    omegas = fit_omegas(ds, gamma, prof, bundle.u)
-    phi = phi_values(ds, fits, omegas)
+    fits = fit_mu_chain(ds, gamma, prof, designs)
+    psi = estimate_psi(ds, fits, designs)
+    omegas = fit_omegas(ds, gamma, prof, designs)
+    phi = phi_values(ds, fits, omegas, designs)
 
     skip_rho = (
         isinstance(gamma, GammaModel) and gamma.is_zero and bool(ds.complete_mask.all())
@@ -362,8 +364,8 @@ def analyze_profile(
     if skip_rho:
         rho, rho_value = None, 0.0
     else:
-        rho, rho_value = fit_representer(ds, gamma, phi, bundle.q, bundle.p)
-    ifv = influence_values(ds, gamma, psi.psi_hat, phi, rho, bundle.p)
+        rho, rho_value = fit_representer(ds, gamma, phi, designs)
+    ifv = influence_values(ds, gamma, psi.psi_hat, phi, rho, designs)
     diag = {
         "profile": list(prof),
         "if_mean": float(ifv.mean()),
@@ -393,7 +395,7 @@ def analyze_contrast(
     gamma: GammaLike,
     profile_a: Sequence[int],
     profile_b: Sequence[int],
-    bundle: SpecBundle,
+    designs: SampleDesigns,
     level: float = 0.95,
     cache: Optional[dict] = None,
 ) -> ContrastAnalysis:
@@ -405,7 +407,7 @@ def analyze_contrast(
 
     def analysis_for(prof: TreatmentProfile) -> ProfileAnalysis:
         if prof not in cache:
-            cache[prof] = analyze_profile(ds, gamma, prof, bundle, level)
+            cache[prof] = analyze_profile(ds, gamma, prof, designs, level)
         return cache[prof]
 
     pa = analysis_for(prof_a)

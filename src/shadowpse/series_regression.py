@@ -1,31 +1,40 @@
 """Weighted series least squares and linear projection utilities.
 
-fit_series solves the weighted normal equations through an orthogonal
-decomposition of the weighted design; if that is numerically singular a
-ridge eps * I is added to the Gram matrix, escalating tenfold from
-1e-10, and anything past 1e-2 raises UnsolvableSystem.
+fit_series solves the weighted normal equations on a prebuilt design
+through an orthogonal decomposition of the weighted design; if that is
+numerically singular a ridge eps * I is added to the Gram matrix,
+escalating tenfold from 1e-10, and anything past 1e-2 raises
+UnsolvableSystem.
 
 orthonormal_span returns an orthonormal basis of a design's column
 space; projections built from it are exactly idempotent and invariant
 to invertible reparameterisations of the columns, which the odds-
 function criterion and the influence-function pieces rely on.
+
+SampleDesigns is where the sample designs of one pipeline run are
+built: the conditioning span, the odds design, each outcome-chain
+design and its span, and the odds values. Each is built on first use
+and at most once, then read by every stage and every profile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Type
 
 import numpy as np
 import scipy.linalg
 
+from .data_model import Dataset
 from .errors import (
     AllZeroWeights,
+    DimensionMismatch,
     LengthMismatch,
     NonFiniteInput,
     UnsolvableSystem,
 )
-from .sieve_basis import BasisSpec, design_matrix
+from .sieve_basis import BasisSpec, SpecBundle, design_matrix
 
 RIDGE_START = 1e-10
 RIDGE_CAP = 1e-2
@@ -98,24 +107,25 @@ def _check_inputs(
 
 def fit_series(
     spec: BasisSpec,
-    inputs: np.ndarray,
+    basis: np.ndarray,
     responses: np.ndarray,
     weights: Optional[np.ndarray] = None,
     ridge: Optional[float] = None,
 ) -> SeriesRegressor:
-    """Weighted least squares of responses on the basis at inputs.
+    """Weighted least squares of responses on basis, a design of spec.
 
     Zero-weight rows are dropped before the solve. Passing ridge forces
     the penalised path with that starting eps; the default attempts an
     exact solve first.
     """
-    pts, v, w = _check_inputs(inputs, responses, weights)
+    basis, v, w = _check_inputs(basis, responses, weights)
+    if basis.shape[1] != spec.dim:
+        raise DimensionMismatch(f"design has {basis.shape[1]} columns, spec has {spec.dim}")
     if w.sum() <= 0.0:
         raise AllZeroWeights("fit_series: all weights are zero")
     keep = w > 0.0
-    pts, v, w = pts[keep], v[keep], w[keep]
+    basis, v, w = basis[keep], v[keep], w[keep]
 
-    basis = design_matrix(spec, pts)
     sw = np.sqrt(w)
     bw = basis * sw[:, None]
     vw = v * sw
@@ -175,3 +185,68 @@ def project_onto(span: np.ndarray, values: np.ndarray) -> np.ndarray:
     if span.shape[1] == 0:
         return np.zeros_like(values, dtype=float)
     return span @ (span.T @ values)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+class SampleDesigns:
+    """The designs of one (dataset, bundle) pair, each built at most once.
+
+    One pipeline run builds one of these and hands it to every stage in
+    place of the basis specs. Each design is built on first use, so a
+    run that fits no odds and no representer never factors the
+    conditioning design. The arrays are read-only, since every profile
+    of the run reads the same ones. Rows are complete cases except for
+    the conditioning span, which covers every record.
+    """
+
+    def __init__(self, ds: Dataset, bundle: SpecBundle):
+        self.ds = ds
+        self.bundle = bundle
+        self._u: dict[int, np.ndarray] = {}
+        self._u_span: dict[int, np.ndarray] = {}
+        self._odds_model = None
+        self._odds: Optional[np.ndarray] = None
+
+    def check(self, ds: Dataset) -> None:
+        """Raise unless these designs were built from ds."""
+        if ds is not self.ds:
+            raise DimensionMismatch("designs were built for another dataset")
+
+    @cached_property
+    def p_span(self) -> np.ndarray:
+        """Orthonormal basis of the conditioning design's column span."""
+        pmat = design_matrix(self.bundle.p, self.ds.conditioning_points())
+        return _frozen(orthonormal_span(pmat))
+
+    @cached_property
+    def p_span_cc(self) -> np.ndarray:
+        """The complete-case rows of p_span."""
+        return _frozen(self.p_span[self.ds.complete_mask])
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        """The odds design."""
+        return _frozen(design_matrix(self.bundle.q, self.ds.regressor_points()))
+
+    def u(self, k: int) -> np.ndarray:
+        """The design of the k-th outcome-chain basis, k = 1..K+1."""
+        if k not in self._u:
+            self._u[k] = _frozen(design_matrix(self.bundle.u[k - 1], self.ds.mu_points(k)))
+        return self._u[k]
+
+    def u_span(self, k: int) -> np.ndarray:
+        """Orthonormal basis of the column span of u(k)."""
+        if k not in self._u_span:
+            self._u_span[k] = _frozen(orthonormal_span(self.u(k)))
+        return self._u_span[k]
+
+    def odds_values(self, model) -> np.ndarray:
+        """model.values(self), evaluated once for the last model asked for."""
+        if model is not self._odds_model:
+            self._odds = _frozen(model.values(self))
+            self._odds_model = model
+        return self._odds

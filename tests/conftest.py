@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shadowpse.gamma_solver import GammaOptions, fit_gamma
+from shadowpse.series_regression import SampleDesigns
 from shadowpse.sieve_basis import build_spec_bundle
 from shadowpse.simulation import DgpConfig, generate
 
@@ -37,7 +38,7 @@ def bundle2000(obs2000):
 @pytest.fixture(scope="session")
 def gamma2000(obs2000, bundle2000):
     """Fitted odds model and report on the shared n=2000 draw."""
-    return fit_gamma(obs2000, bundle2000.q, bundle2000.p, GammaOptions())
+    return fit_gamma(obs2000, SampleDesigns(obs2000, bundle2000), GammaOptions())
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,7 @@ from shadowpse.gamma_solver import (
 )
 from shadowpse.inference import fit_omegas, fit_representer
 from shadowpse.series_regression import (
+    SampleDesigns,
     orthonormal_span,
     predict_many,
     project_residual_orthogonality,
@@ -119,19 +120,19 @@ def test_criterion_5a_chain_residual_orthogonality():
     worst_omega = 0.0
     for i in range(50):
         full, obs = generate(DgpConfig(n=250, seed=seq(8, i)))
-        bundle = build_spec_bundle(obs)
-        model, _ = fit_gamma(obs, bundle.q, bundle.p, GammaOptions())
+        designs = SampleDesigns(obs, build_spec_bundle(obs))
+        model, _ = fit_gamma(obs, designs, GammaOptions())
         profile = (0, 1, 1) if i % 2 else (1, 0, 1)
-        fits = fit_mu_chain(obs, model, profile, bundle.u)
+        fits = fit_mu_chain(obs, model, profile, designs)
         cc = obs.complete_mask
-        growth = 1.0 + model.values(obs)[cc]
+        growth = 1.0 + model.values(designs)[cc]
         resp = obs.y[cc]
         for k in (3, 2, 1):
             w = np.where(obs.a[cc] == profile[k - 1], growth, 0.0)
             worst_mu = max(worst_mu, project_residual_orthogonality(
                 fits.mu[k - 1], obs.mu_points(k), resp, w))
             resp = predict_many(fits.mu[k - 1], obs.mu_points(k))
-        omegas = fit_omegas(obs, model, profile, bundle.u)
+        omegas = fit_omegas(obs, model, profile, designs)
         worst_omega = max(worst_omega, omegas.moment_residual_sup)
     ok = worst_mu <= 1e-6 and worst_omega <= 1e-6
     check(ok, "criterion 5a (normal-equation orthogonality, 50 instances)",
@@ -142,7 +143,7 @@ def test_criterion_5a_chain_residual_orthogonality():
 def test_criterion_5b_criterion_gradient():
     full, obs = generate(DgpConfig(n=300, seed=seq(11)))
     bundle = build_spec_bundle(obs, degree=1, include_interactions=False)
-    prob = _GammaProblem(obs, bundle.q, bundle.p)
+    prob = _GammaProblem(SampleDesigns(obs, bundle))
     rng = rng_for(11, 1)
     h = 1e-6
     worst = 0.0
@@ -174,7 +175,7 @@ def test_criterion_5c_mcar_recovers_constant_odds():
     r = (rng.random(n) < 0.7).astype(int)
     ds = one_mediator_dataset(n, x, a, m1, y, r=r, z=z)
     bundle = build_spec_bundle(ds, degree=1, include_interactions=False)
-    model, report = fit_gamma(ds, bundle.q, bundle.p, GammaOptions())
+    model, report = fit_gamma(ds, SampleDesigns(ds, bundle), GammaOptions())
     vals = model.values_at(ds.regressor_points())
     frac = float(np.mean(np.abs(vals - 3.0 / 7.0) <= 0.05))
     ok = report.converged and frac >= 0.9
@@ -219,7 +220,7 @@ def test_criterion_5f_representer_closed_form():
     bundle = build_spec_bundle(ds, degree=1, include_interactions=False)
     gamma = np.abs(np.where(ds.r == 0, 0.0, 0.5 + 0.1 * ds.y))
     phi = np.where(ds.r == 1, ds.y, 0.0)
-    rho, value = fit_representer(ds, gamma, phi, bundle.q, bundle.p)
+    rho, value = fit_representer(ds, gamma, phi, SampleDesigns(ds, bundle))
 
     eps = rho.diagnostics.gram_diag_ridge
     smat = design_matrix(bundle.q, ds.regressor_points())
@@ -249,10 +250,10 @@ def test_criterion_5g_weak_norm_shrinks():
         vals = []
         for i in range(50):
             full, obs = generate(DgpConfig(n=n, seed=seq(4, n, i)))
-            bundle = build_spec_bundle(obs)
-            model, _ = fit_gamma(obs, bundle.q, bundle.p, GammaOptions())
+            designs = SampleDesigns(obs, build_spec_bundle(obs))
+            model, _ = fit_gamma(obs, designs, GammaOptions())
             truth = true_gamma_values(full, DgpConfig(n=n))
-            vals.append(weak_norm_sq(model.values(obs), truth, obs, bundle.p))
+            vals.append(weak_norm_sq(model.values(designs), truth, obs, designs))
         meds[n] = float(np.median(vals))
     ok = meds[4000] < meds[1000]
     check(ok, "criterion 5g (projected odds error shrinks with n)",

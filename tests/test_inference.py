@@ -16,7 +16,7 @@ from shadowpse.inference import (
     variance_and_ci,
     z_critical,
 )
-from shadowpse.series_regression import orthonormal_span, predict_many
+from shadowpse.series_regression import SampleDesigns, orthonormal_span, predict_many
 from shadowpse.sieve_basis import build_spec_bundle, design_matrix
 from shadowpse.simulation import DgpConfig, generate
 
@@ -37,11 +37,11 @@ def test_z_critical_values():
 
 def test_omega_identically_one_pattern(obs2000, bundle2000, gamma2000):
     model, _ = gamma2000
-    om = fit_omegas(obs2000, model, (1, 1, 1), bundle2000.u)
+    om = fit_omegas(obs2000, model, (1, 1, 1), SampleDesigns(obs2000, bundle2000))
     assert om.identically_one == [False, True, True]
     assert om.omega[1] is None and om.omega[2] is None
     assert om.moment_residual_sup <= 1e-6
-    om_mixed = fit_omegas(obs2000, model, (1, 0, 1), bundle2000.u)
+    om_mixed = fit_omegas(obs2000, model, (1, 0, 1), SampleDesigns(obs2000, bundle2000))
     assert om_mixed.identically_one == [False, False, False]
     assert om_mixed.moment_residual_sup <= 1e-6
 
@@ -56,7 +56,7 @@ def test_omega_recovers_inverse_propensity():
     y = m1 + rng.standard_normal(n)
     ds = one_mediator_dataset(n, x, a, m1, y)
     bundle = build_spec_bundle(ds, degree=2)
-    om = fit_omegas(ds, np.zeros(n), (1, 1), bundle.u)
+    om = fit_omegas(ds, np.zeros(n), (1, 1), SampleDesigns(ds, bundle))
     vals = predict_many(om.omega[0], ds.mu_points(1))
     assert float(np.mean(np.abs(vals - 2.0) <= 0.1)) >= 0.9
     assert om.moment_residual_sup <= 1e-6
@@ -71,7 +71,7 @@ def test_omega_floor_engages_when_arm_support_vanishes():
     y = m1 + rng.standard_normal(n)
     ds = one_mediator_dataset(n, x, a, m1, y)
     bundle = build_spec_bundle(ds, degree=3)
-    om = fit_omegas(ds, np.zeros(n), (1, 1), bundle.u)
+    om = fit_omegas(ds, np.zeros(n), (1, 1), SampleDesigns(ds, bundle))
     assert om.floor_events > 0
     assert om.floor == 1e-3
 
@@ -98,9 +98,9 @@ def phi_at_row(ds, i, fits, omegas):
 
 
 def test_phi_values_matches_per_record_path(obs600):
-    bundle = build_spec_bundle(obs600)
-    model, _ = fit_gamma(obs600, bundle.q, bundle.p, GammaOptions())
-    analysis = analyze_profile(obs600, model, (1, 0, 1), bundle)
+    designs = SampleDesigns(obs600, build_spec_bundle(obs600))
+    model, _ = fit_gamma(obs600, designs, GammaOptions())
+    analysis = analyze_profile(obs600, model, (1, 0, 1), designs)
     for i in np.flatnonzero(obs600.complete_mask)[:25]:
         got = phi_at_row(obs600, i, analysis.fits, analysis.omegas)
         assert abs(got - analysis.phi[i]) <= 1e-10
@@ -108,18 +108,18 @@ def test_phi_values_matches_per_record_path(obs600):
 
 def test_reweighted_phi_mean_reproduces_psi(obs2000, bundle2000, gamma2000):
     model, _ = gamma2000
-    gvals = model.values(obs2000)
+    designs = SampleDesigns(obs2000, bundle2000)
+    gvals = model.values(designs)
     for profile in ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)):
-        analysis = analyze_profile(obs2000, model, profile, bundle2000)
+        analysis = analyze_profile(obs2000, model, profile, designs)
         lhs = float(np.mean(obs2000.r * (1.0 + gvals) * analysis.phi))
         assert abs(lhs - analysis.psi.psi_hat) <= 1e-8
 
 
 def test_representer_zero_target(obs600):
-    bundle = build_spec_bundle(obs600)
-    model, _ = fit_gamma(obs600, bundle.q, bundle.p, GammaOptions())
-    rho, value = fit_representer(obs600, model, np.zeros(obs600.n),
-                                 bundle.q, bundle.p)
+    designs = SampleDesigns(obs600, build_spec_bundle(obs600))
+    model, _ = fit_gamma(obs600, designs, GammaOptions())
+    rho, value = fit_representer(obs600, model, np.zeros(obs600.n), designs)
     np.testing.assert_allclose(rho.coef, 0.0, atol=1e-12)
     assert value == 0.0
 
@@ -132,7 +132,7 @@ def test_representer_matches_brute_force_minimiser():
     bundle = build_spec_bundle(ds, degree=1, include_interactions=False)
     gamma = np.abs(np.where(ds.r == 0, 0.0, 0.5 + 0.1 * ds.y))
     phi = np.where(ds.r == 1, ds.y, 0.0)
-    rho, value = fit_representer(ds, gamma, phi, bundle.q, bundle.p)
+    rho, value = fit_representer(ds, gamma, phi, SampleDesigns(ds, bundle))
     assert value <= 0.0
 
     # independent reconstruction of the ridged quadratic objective
@@ -154,27 +154,27 @@ def test_representer_matches_brute_force_minimiser():
 
 
 def test_influence_complete_data_reduction(comp600):
-    bundle = build_spec_bundle(comp600)
-    analysis = analyze_profile(comp600, zero_gamma(), (1, 1, 1), bundle)
+    designs = SampleDesigns(comp600, build_spec_bundle(comp600))
+    analysis = analyze_profile(comp600, zero_gamma(), (1, 1, 1), designs)
     assert analysis.rho is None
     assert abs(float(analysis.if_values.mean())) <= 1e-10
     assert analysis.report.se > 0.0
 
 
 def test_influence_requires_representer_when_data_incomplete(obs600, gamma2000):
-    bundle = build_spec_bundle(obs600)
-    model, _ = fit_gamma(obs600, bundle.q, bundle.p, GammaOptions())
+    designs = SampleDesigns(obs600, build_spec_bundle(obs600))
+    model, _ = fit_gamma(obs600, designs, GammaOptions())
     phi = np.where(obs600.r == 1, obs600.y, 0.0)
     with pytest.raises(DimensionMismatch):
-        influence_values(obs600, model, 0.0, phi, None, bundle.p)
+        influence_values(obs600, model, 0.0, phi, None, designs)
 
 
 def test_influence_mean_small_under_fitted_odds():
     for i in range(6):
         full, obs = generate(DgpConfig(n=2000, seed=seq(5, i)))
-        bundle = build_spec_bundle(obs)
-        model, _ = fit_gamma(obs, bundle.q, bundle.p, GammaOptions())
-        analysis = analyze_profile(obs, model, (1, 1, 1), bundle)
+        designs = SampleDesigns(obs, build_spec_bundle(obs))
+        model, _ = fit_gamma(obs, designs, GammaOptions())
+        analysis = analyze_profile(obs, model, (1, 1, 1), designs)
         ifv = analysis.if_values
         ratio = abs(ifv.mean()) / (ifv.std(ddof=1) / np.sqrt(obs.n))
         assert ratio <= 0.5
@@ -210,25 +210,25 @@ def test_contrast_variance_properties():
 
 
 def test_interval_width_halves_under_fourfold_duplication(obs600):
-    bundle = build_spec_bundle(obs600)
-    model, _ = fit_gamma(obs600, bundle.q, bundle.p, GammaOptions())
-    gv = model.values(obs600)
-    base = analyze_profile(obs600, gv, (1, 1, 1), bundle)
+    designs = SampleDesigns(obs600, build_spec_bundle(obs600))
+    model, _ = fit_gamma(obs600, designs, GammaOptions())
+    gv = model.values(designs)
+    base = analyze_profile(obs600, gv, (1, 1, 1), designs)
     big_ds = tile_dataset(obs600, 4)
     big = analyze_profile(big_ds, np.tile(gv, 4), (1, 1, 1),
-                          build_spec_bundle(big_ds))
+                          SampleDesigns(big_ds, build_spec_bundle(big_ds)))
     assert abs(big.report.se / base.report.se - 0.5) <= 1e-10
     assert abs(big.report.psi_hat - base.report.psi_hat) <= 1e-10
 
 
 def test_analyze_contrast_shape_and_cache(obs600):
-    bundle = build_spec_bundle(obs600)
-    model, _ = fit_gamma(obs600, bundle.q, bundle.p, GammaOptions())
+    designs = SampleDesigns(obs600, build_spec_bundle(obs600))
+    model, _ = fit_gamma(obs600, designs, GammaOptions())
     cache = {}
-    res = analyze_contrast(obs600, model, (1, 1, 1), (0, 0, 0), bundle,
+    res = analyze_contrast(obs600, model, (1, 1, 1), (0, 0, 0), designs,
                            cache=cache)
     assert len(cache) == 2
-    same = analyze_contrast(obs600, model, (1, 1, 1), (1, 1, 1), bundle,
+    same = analyze_contrast(obs600, model, (1, 1, 1), (1, 1, 1), designs,
                             cache=cache)
     assert same.report.psi_hat == 0.0
     assert same.report.se == 0.0
@@ -238,9 +238,9 @@ def test_analyze_contrast_shape_and_cache(obs600):
 
 
 def test_report_schema(obs600):
-    bundle = build_spec_bundle(obs600)
-    model, _ = fit_gamma(obs600, bundle.q, bundle.p, GammaOptions())
-    analysis = analyze_profile(obs600, model, (0, 1, 1), bundle)
+    designs = SampleDesigns(obs600, build_spec_bundle(obs600))
+    model, _ = fit_gamma(obs600, designs, GammaOptions())
+    analysis = analyze_profile(obs600, model, (0, 1, 1), designs)
     doc = analysis.report.to_dict()
     assert sorted(doc) == ["ci_hi", "ci_lo", "diagnostics", "level", "n",
                            "psi_hat", "se", "sigma2"]

@@ -16,7 +16,7 @@ from shadowpse.series_regression import (
     project_residual_orthogonality,
     ridge_solve,
 )
-from shadowpse.sieve_basis import BasisSpec, Standardizer, spec_for
+from shadowpse.sieve_basis import BasisSpec, Standardizer, design_matrix, spec_for
 
 from support import rng_for
 
@@ -29,7 +29,8 @@ def identity_spec(degree, dim=1):
 def test_hand_solved_least_squares():
     # x = [0, 1, 2], v = [1, 2, 5]: normal equations [[3,3],[3,5]] c = [8,12]
     spec = identity_spec(1)
-    reg = fit_series(spec, np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 5.0]))
+    reg = fit_series(spec, design_matrix(spec, np.array([0.0, 1.0, 2.0])),
+                     np.array([1.0, 2.0, 5.0]))
     np.testing.assert_allclose(reg.coef, [2.0 / 3.0, 2.0], rtol=0, atol=1e-12)
     assert reg.diagnostics.rank == 2
     assert reg.diagnostics.gram_diag_ridge == 0.0
@@ -39,15 +40,16 @@ def test_exact_interpolation():
     rng = rng_for(301)
     x = np.array([0.0, 0.4, 1.1, 2.3])
     v = rng.standard_normal(4)
-    reg = fit_series(identity_spec(3), x, v)
+    spec = identity_spec(3)
+    reg = fit_series(spec, design_matrix(spec, x), v)
     np.testing.assert_allclose(predict_many(reg, x), v, atol=1e-8)
 
 
 def test_constant_response_recovers_intercept_only():
     rng = rng_for(302)
     x = rng.random(10)
-    reg = fit_series(spec_for(x, degree=2, include_interactions=False), x,
-                     np.full(10, 4.5))
+    spec = spec_for(x, degree=2, include_interactions=False)
+    reg = fit_series(spec, design_matrix(spec, x), np.full(10, 4.5))
     np.testing.assert_allclose(reg.coef, [4.5, 0.0, 0.0], atol=1e-10)
 
 
@@ -55,11 +57,9 @@ def test_in_span_response_recovered_exactly():
     rng = rng_for(303)
     spec = spec_for(rng.random((30, 2)), degree=2)
     pts = rng.random((30, 2))
-    from shadowpse.sieve_basis import design_matrix
-
     c0 = rng.standard_normal(spec.dim)
     v = design_matrix(spec, pts) @ c0
-    reg = fit_series(spec, pts, v)
+    reg = fit_series(spec, design_matrix(spec, pts), v)
     np.testing.assert_allclose(reg.coef, c0, atol=1e-8)
 
 
@@ -70,8 +70,8 @@ def test_zero_weights_equal_row_deletion():
     w = np.ones(20)
     w[10:] = 0.0
     spec = spec_for(pts[:10], degree=2, include_interactions=False)
-    full = fit_series(spec, pts, v, weights=w)
-    half = fit_series(spec, pts[:10], v[:10])
+    full = fit_series(spec, design_matrix(spec, pts), v, weights=w)
+    half = fit_series(spec, design_matrix(spec, pts[:10]), v[:10])
     np.testing.assert_allclose(full.coef, half.coef, atol=1e-12)
     assert full.diagnostics.n_used == 10
 
@@ -82,8 +82,8 @@ def test_weight_rescaling_invariance():
     v = rng.standard_normal(25)
     w = 0.5 + rng.random(25)
     spec = spec_for(pts, degree=2, include_interactions=False)
-    a = fit_series(spec, pts, v, weights=w)
-    b = fit_series(spec, pts, v, weights=3.0 * w)
+    a = fit_series(spec, design_matrix(spec, pts), v, weights=w)
+    b = fit_series(spec, design_matrix(spec, pts), v, weights=3.0 * w)
     np.testing.assert_allclose(a.coef, b.coef, atol=1e-10)
 
 
@@ -92,7 +92,8 @@ def test_orthogonality_of_unridged_fit():
     pts = rng.random((60, 2))
     v = rng.standard_normal(60)
     w = 0.5 + rng.random(60)
-    reg = fit_series(spec_for(pts, degree=3), pts, v, weights=w)
+    spec = spec_for(pts, degree=3)
+    reg = fit_series(spec, design_matrix(spec, pts), v, weights=w)
     assert project_residual_orthogonality(reg, pts, v, w) <= 1e-8
 
 
@@ -101,7 +102,8 @@ def test_collinear_design_falls_back_to_ridge():
     x = rng.random(40)
     pts = np.column_stack([x, x])  # identical coordinates: rank-deficient design
     v = rng.standard_normal(40)
-    reg = fit_series(spec_for(pts, degree=2), pts, v, ridge=1e-6)
+    spec = spec_for(pts, degree=2)
+    reg = fit_series(spec, design_matrix(spec, pts), v, ridge=1e-6)
     assert reg.diagnostics.gram_diag_ridge >= 1e-6
     assert reg.diagnostics.rank < reg.spec.dim
     assert project_residual_orthogonality(reg, pts, v) <= 1e-4
@@ -110,14 +112,15 @@ def test_collinear_design_falls_back_to_ridge():
 def test_input_guards():
     spec = identity_spec(1)
     x = np.array([0.0, 1.0, 2.0])
+    basis = design_matrix(spec, x)
     with pytest.raises(AllZeroWeights):
-        fit_series(spec, x, x, weights=np.zeros(3))
+        fit_series(spec, basis, x, weights=np.zeros(3))
     with pytest.raises(NonFiniteInput):
-        fit_series(spec, x, np.array([1.0, np.nan, 2.0]))
+        fit_series(spec, basis, np.array([1.0, np.nan, 2.0]))
     with pytest.raises(LengthMismatch):
-        fit_series(spec, x, np.array([1.0, 2.0]))
+        fit_series(spec, basis, np.array([1.0, 2.0]))
     with pytest.raises(LengthMismatch):
-        fit_series(spec, x, x, weights=np.ones(5))
+        fit_series(spec, basis, x, weights=np.ones(5))
 
 
 def test_ridge_solve_identity_and_failure():
