@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -344,6 +345,31 @@ def _parse_cell(token: str, col: str, allow_missing: bool) -> float:
         raise NonFiniteInput(f"cannot parse {token!r} in column {col!r}") from exc
 
 
+def _parse_column(rows: list[list[str]], j: int, col: str, allow_missing: bool) -> np.ndarray:
+    """Cell j of every row as floats, converted with one array call.
+
+    float() reads a missing token either as NaN or not at all, so only a
+    column that fails to convert or reads a NaN goes cell by cell, where
+    _parse_cell gives the same values and the same errors.
+    """
+    try:
+        out = np.fromiter(map(float, map(itemgetter(j), rows)), dtype=float, count=len(rows))
+        if not np.isnan(out).any():
+            return out
+    except ValueError:
+        pass
+    return np.fromiter((_parse_cell(row[j], col, allow_missing) for row in rows),
+                       dtype=float, count=len(rows))
+
+
+def _parse_int_column(rows: list[list[str]], j: int, col: str) -> np.ndarray:
+    """An integer column (r, a); values truncate toward zero as int() does."""
+    vals = _parse_column(rows, j, col, False)
+    if not (np.abs(vals) < 2.0**63).all():
+        raise NonFiniteInput(f"value out of integer range in column {col!r}")
+    return vals.astype(int)
+
+
 def read_descriptor(path: str) -> tuple[int, dict]:
     with open(path) as fh:
         doc = json.load(fh)
@@ -386,27 +412,19 @@ def read_csv(data_path: str, descriptor_path: str) -> Dataset:
         x_obs=len(columns["x_obs"]),
         m=tuple(len(g) for g in columns["m"]),
     )
-    n = len(rows)
-    r = np.zeros(n, dtype=int)
-    a = np.zeros(n, dtype=int)
-    y = np.zeros(n)
-    z = np.zeros((n, dims.z))
-    xm = np.zeros((n, dims.x_miss))
-    xo = np.zeros((n, dims.x_obs))
-    m = tuple(np.zeros((n, dm)) for dm in dims.m)
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise DimensionMismatch(f"row {i + 2}: {len(row)} cells for {len(header)} columns")
-        r[i] = int(_parse_cell(row[idx[columns["r"]]], "r", False))
-        a[i] = int(_parse_cell(row[idx[columns["a"]]], "a", False))
-        y[i] = _parse_cell(row[idx[columns["y"]]], "y", False)
-        for j, col in enumerate(columns["z"]):
-            z[i, j] = _parse_cell(row[idx[col]], col, False)
-        for j, col in enumerate(columns["x_miss"]):
-            xm[i, j] = _parse_cell(row[idx[col]], col, True)
-        for j, col in enumerate(columns["x_obs"]):
-            xo[i, j] = _parse_cell(row[idx[col]], col, False)
-        for kk, group in enumerate(columns["m"]):
-            for j, col in enumerate(group):
-                m[kk][i, j] = _parse_cell(row[idx[col]], col, False)
+
+    def block(names: list[str], allow_missing: bool = False) -> np.ndarray:
+        cols = [_parse_column(rows, idx[name], name, allow_missing) for name in names]
+        return np.stack(cols, axis=1) if cols else np.zeros((len(rows), 0))
+
+    r = _parse_int_column(rows, idx[columns["r"]], columns["r"])
+    a = _parse_int_column(rows, idx[columns["a"]], columns["a"])
+    y = _parse_column(rows, idx[columns["y"]], columns["y"], False)
+    z = block(columns["z"])
+    xm = block(columns["x_miss"], allow_missing=True)
+    xo = block(columns["x_obs"])
+    m = tuple(block(group) for group in columns["m"])
     return Dataset(r=r, z=z, x_miss=xm, x_obs=xo, a=a, m=m, y=y, dims=dims, columns=columns)

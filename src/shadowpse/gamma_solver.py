@@ -226,19 +226,88 @@ def _intercept_start(prob: _GammaProblem, ds: Dataset, spec_q: BasisSpec, cap: f
     return pi
 
 
+@dataclass
+class _Descent:
+    """One trust-region descent: penalised objective, raw Q_n, the
+    objective's gradient norm, nfev and the end point."""
+
+    obj: float
+    qn: float
+    grad_norm: float
+    nfev: int
+    pi: np.ndarray
+
+
+def _objective(prob: _GammaProblem, pi: np.ndarray, cap: float, lam: float,
+               pi0: np.ndarray) -> float:
+    """Penalised objective Q_n + lam ||pi - pi0||^2 from one residual."""
+    w = prob.residual(pi, cap)
+    return float(w @ w) / prob.n + lam * float((pi - pi0) @ (pi - pi0))
+
+
+def _descend(prob: _GammaProblem, x0: np.ndarray, pi0: np.ndarray,
+             options: GammaOptions) -> _Descent:
+    """Trust-region least squares on the penalised objective from x0.
+
+    Gauss-Newton on the projected moment vector: the criterion is a
+    finite sum of squares, and with dim(p basis) >= dim(q basis) the
+    system is square or overdetermined, which trust-region least squares
+    handles at quadratic convergence near the solution.
+    """
+    cap = options.linear_cap
+    sqrt_n = np.sqrt(prob.n)
+    lam = options.penalty / prob.n
+    sqrt_lam = np.sqrt(lam)
+    eye = np.eye(len(x0))
+
+    def residual(p: np.ndarray) -> np.ndarray:
+        moment = prob.residual(p, cap) / sqrt_n
+        if lam == 0.0:
+            return moment
+        return np.concatenate([moment, sqrt_lam * (p - pi0)])
+
+    def jacobian(p: np.ndarray) -> np.ndarray:
+        jac = prob.residual_jac(p, cap) / sqrt_n
+        if lam == 0.0:
+            return jac
+        return np.vstack([jac, sqrt_lam * eye])
+
+    res = scipy.optimize.least_squares(
+        residual,
+        x0,
+        jac=jacobian,
+        method="trf",
+        tr_solver="exact",
+        xtol=1e-14,
+        ftol=1e-14,
+        gtol=1e-14,
+        max_nfev=options.max_iter,
+    )
+    qn, grad = prob.value_and_grad(res.x, cap)
+    obj = qn + lam * float((res.x - pi0) @ (res.x - pi0))
+    grad_obj = grad + 2.0 * lam * (res.x - pi0)
+    return _Descent(obj, qn, float(np.linalg.norm(grad_obj)), int(res.nfev), res.x)
+
+
 def fit_gamma(
     ds: Dataset,
     designs: SampleDesigns,
     options: GammaOptions = GammaOptions(),
 ) -> tuple[GammaModel, GammaFitReport]:
-    """Minimise Q_n plus the n-vanishing ridge with multi-start descent.
+    """Minimise Q_n plus the n-vanishing ridge by one screened descent.
 
-    Starts: the zero vector, a marginal-ratio intercept, a logistic
-    warm start on the observable columns, plus options.restarts random
-    perturbations of the best deterministic start. Ties break on lowest
-    objective (Q_n itself when penalty=0), then lowest gradient norm,
-    then first start index. The reported q_n is always the raw
-    criterion; grad_norm refers to the objective actually minimised.
+    Starts: the zero vector, a marginal-ratio intercept and a logistic
+    warm start on the observable columns. Each is screened by the
+    penalised objective (Q_n itself when penalty=0) at one residual
+    evaluation, and trust-region least squares runs only from the
+    lowest, ties breaking on the first start index. options.restarts
+    random perturbations of that descent's end point each descend
+    again; the winner has the lowest objective, then the lowest
+    gradient norm, then the first index. The report counts the screened
+    starts plus the restarts, best_start indexes into that list and
+    n_iter is the winning descent's nfev. The reported q_n is always
+    the raw criterion; grad_norm refers to the objective actually
+    minimised.
     """
     designs.check(ds)
     spec_q, spec_p = designs.bundle.q, designs.bundle.p
@@ -273,66 +342,30 @@ def fit_gamma(
     if warm is not None:
         starts.append(warm)
 
-    sqrt_n = np.sqrt(prob.n)
-    lam = options.penalty / prob.n
     pi0 = anchor if anchor is not None else np.zeros(spec_q.dim)
-    sqrt_lam = np.sqrt(lam)
-    eye = np.eye(spec_q.dim)
-
-    def residual(p: np.ndarray) -> np.ndarray:
-        moment = prob.residual(p, cap) / sqrt_n
-        if lam == 0.0:
-            return moment
-        return np.concatenate([moment, sqrt_lam * (p - pi0)])
-
-    def jacobian(p: np.ndarray) -> np.ndarray:
-        jac = prob.residual_jac(p, cap) / sqrt_n
-        if lam == 0.0:
-            return jac
-        return np.vstack([jac, sqrt_lam * eye])
-
-    def run(x0: np.ndarray) -> tuple[float, float, float, int, np.ndarray]:
-        # Gauss-Newton on the projected moment vector: the criterion is a
-        # finite sum of squares, and with dim(p basis) >= dim(q basis) the
-        # system is square or overdetermined, which trust-region least
-        # squares handles at quadratic convergence near the solution.
-        res = scipy.optimize.least_squares(
-            residual,
-            x0,
-            jac=jacobian,
-            method="trf",
-            tr_solver="exact",
-            xtol=1e-14,
-            ftol=1e-14,
-            gtol=1e-14,
-            max_nfev=options.max_iter,
-        )
-        qn, grad = prob.value_and_grad(res.x, cap)
-        obj = qn + lam * float((res.x - pi0) @ (res.x - pi0))
-        grad_obj = grad + 2.0 * lam * (res.x - pi0)
-        return obj, qn, float(np.linalg.norm(grad_obj)), int(res.nfev), res.x
-
-    results = [run(x0) for x0 in starts]
+    lam = options.penalty / prob.n
+    screen = [_objective(prob, x0, cap, lam, pi0) for x0 in starts]
+    lead = min(range(len(starts)), key=lambda i: (screen[i], i))
+    results = {lead: _descend(prob, starts[lead], pi0, options)}
     if options.restarts > 0:
-        best_so_far = min(range(len(results)), key=lambda i: (results[i][0], results[i][2], i))
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(options.seed)))
         for _ in range(options.restarts):
-            x0 = results[best_so_far][4] + 0.5 * rng.standard_normal(spec_q.dim)
+            x0 = results[lead].pi + 0.5 * rng.standard_normal(spec_q.dim)
+            results[len(starts)] = _descend(prob, x0, pi0, options)
             starts.append(x0)
-            results.append(run(x0))
 
-    best = min(range(len(results)), key=lambda i: (results[i][0], results[i][2], i))
-    _, qn, gnorm, nit, pi = results[best]
-    _, th = prob.gamma_at(pi, cap)
+    best = min(results, key=lambda i: (results[i].obj, results[i].grad_norm, i))
+    win = results[best]
+    _, th = prob.gamma_at(win.pi, cap)
     clamp_frac = float(np.mean(np.abs(th) > 0.9))
     if clamp_frac > 0:
         messages.append(f"soft clamp active on {clamp_frac:.1%} of complete cases")
-    converged = gnorm <= options.grad_tol
+    converged = win.grad_norm <= options.grad_tol
     if not converged:
-        messages.append(f"gradient norm {gnorm:.3e} above tolerance {options.grad_tol:.1e}")
-    model = GammaModel(spec_q=spec_q, pi=pi, linear_cap=cap, is_zero=False)
+        messages.append(f"gradient norm {win.grad_norm:.3e} above tolerance {options.grad_tol:.1e}")
+    model = GammaModel(spec_q=spec_q, pi=win.pi, linear_cap=cap, is_zero=False)
     report = GammaFitReport(
-        q_n=qn, grad_norm=gnorm, n_iter=nit, converged=converged,
+        q_n=win.qn, grad_norm=win.grad_norm, n_iter=win.nfev, converged=converged,
         n_starts=len(starts), best_start=best, clamp_frac=clamp_frac,
         messages=messages,
     )

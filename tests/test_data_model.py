@@ -190,3 +190,66 @@ def test_csv_parse_errors(tmp_path):
     bad.write_text("\n".join([",".join(header[:-1])] + lines[1:3]) + "\n")
     with pytest.raises(DimensionMismatch):
         read_csv(str(bad), str(desc))
+
+
+def _csv_pair(tmp_path, seed):
+    """Observed n=20 draw written as CSV plus descriptor; (header, rows, paths)."""
+    full, obs = generate(DgpConfig(n=20, seed=seq(seed)))
+    data = tmp_path / "d.csv"
+    desc = tmp_path / "d.json"
+    write_csv(obs, str(data))
+    write_descriptor(obs, str(desc))
+    lines = data.read_text().splitlines()
+    return obs, lines[0].split(","), [line.split(",") for line in lines[1:]], data, desc
+
+
+def _rewrite(path, header, rows):
+    path.write_text("\n".join(",".join(row) for row in [header] + rows) + "\n")
+
+
+def test_csv_short_row_names_its_row(tmp_path):
+    obs, header, rows, data, desc = _csv_pair(tmp_path, 107)
+    rows[4] = rows[4][:-1]
+    _rewrite(data, header, rows)
+    with pytest.raises(DimensionMismatch, match="row 6:"):
+        read_csv(str(data), str(desc))
+
+
+def test_csv_missing_tokens_read_as_nan_in_x_miss(tmp_path):
+    obs, header, rows, data, desc = _csv_pair(tmp_path, 108)
+    col = header.index(obs.columns["x_miss"][0])
+    missing = np.flatnonzero(obs.r == 0)
+    assert len(missing) >= 3
+    for i, token in zip(missing, ["NA", " nan ", ""]):
+        rows[i][col] = token
+    _rewrite(data, header, rows)
+    back = read_csv(str(data), str(desc))
+    assert np.isnan(back.x_miss[missing]).all()
+    assert np.array_equal(back.x_miss, obs.x_miss, equal_nan=True)
+
+
+def test_csv_nan_in_always_observed_column_raises(tmp_path):
+    obs, header, rows, data, desc = _csv_pair(tmp_path, 109)
+    col = obs.columns["z"][0]
+    rows[3][header.index(col)] = "nan"
+    _rewrite(data, header, rows)
+    with pytest.raises(NonFiniteInput, match=repr(col)):
+        read_csv(str(data), str(desc))
+
+
+def test_csv_unparsable_cell_names_its_column(tmp_path):
+    obs, header, rows, data, desc = _csv_pair(tmp_path, 110)
+    col = obs.columns["m"][0][0]
+    rows[7][header.index(col)] = "1.2.3"
+    _rewrite(data, header, rows)
+    with pytest.raises(NonFiniteInput, match=f"column {col!r}"):
+        read_csv(str(data), str(desc))
+
+
+def test_csv_infinite_treatment_value_raises(tmp_path):
+    obs, header, rows, data, desc = _csv_pair(tmp_path, 111)
+    col = obs.columns["a"]
+    rows[2][header.index(col)] = "inf"
+    _rewrite(data, header, rows)
+    with pytest.raises(NonFiniteInput, match=repr(col)):
+        read_csv(str(data), str(desc))

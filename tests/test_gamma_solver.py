@@ -3,9 +3,11 @@ import pytest
 
 from shadowpse.data_model import Dataset, DatasetDims
 from shadowpse.errors import ConfigError, DegenerateTarget, LengthMismatch
+from shadowpse import gamma_solver
 from shadowpse.gamma_solver import (
     GammaOptions,
     _GammaProblem,
+    _descend,
     _intercept_start,
     _logistic_warm_start,
     criterion_for_model,
@@ -132,6 +134,39 @@ def test_fit_dominates_every_start():
             assert start is not None
             qn_start = criterion_qn(start, obs, designs)
             assert report.q_n <= qn_start + 1e-12
+
+
+@pytest.mark.parametrize("restarts", [0, 2])
+def test_fit_runs_one_descent_plus_restarts(monkeypatch, obs2000, bundle2000, restarts):
+    calls = []
+    lsq = gamma_solver.scipy.optimize.least_squares
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lsq(*args, **kwargs)
+
+    monkeypatch.setattr(gamma_solver.scipy.optimize, "least_squares", counting)
+    _, report = fit_gamma(obs2000, SampleDesigns(obs2000, bundle2000),
+                          GammaOptions(restarts=restarts, seed=4))
+    assert len(calls) == 1 + restarts
+    assert report.n_starts == 3 + restarts
+
+
+def test_single_descent_matches_best_of_every_start():
+    opts = GammaOptions()
+    for i in range(5):
+        full, obs = generate(DgpConfig(n=1000, seed=seq(32, i)))
+        bundle = build_spec_bundle(obs)
+        designs = SampleDesigns(obs, bundle)
+        model, report = fit_gamma(obs, designs, opts)
+        prob = _GammaProblem(designs)
+        pi0 = _intercept_start(prob, obs, bundle.q, opts.linear_cap)
+        starts = [np.zeros(bundle.q.dim), pi0, _logistic_warm_start(prob, obs, bundle.q)]
+        best = min((_descend(prob, x0, pi0, opts) for x0 in starts), key=lambda d: d.obj)
+        lam = opts.penalty / obs.n
+        obj = report.q_n + lam * float((model.pi - pi0) @ (model.pi - pi0))
+        assert abs(obj - best.obj) <= 1e-12 * best.obj
+        np.testing.assert_allclose(model.pi, best.pi, rtol=0.0, atol=1e-6)
 
 
 def test_gradient_matches_finite_differences():
