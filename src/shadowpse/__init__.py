@@ -10,6 +10,7 @@ imputation) and a Monte-Carlo benchmark harness.
 __version__ = "0.1.0"
 
 from .baselines import (
+    MethodOptions,
     MethodResult,
     cca_estimate,
     mi_estimate,
@@ -62,6 +63,7 @@ from .series_regression import (
 )
 from .sieve_basis import (
     BasisSpec,
+    SieveOptions,
     SpecBundle,
     Standardizer,
     build_spec_bundle,

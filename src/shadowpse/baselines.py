@@ -30,7 +30,7 @@ from .estimator import TreatmentProfile, named_estimand, validate_profile
 from .gamma_solver import GammaModel, GammaOptions, fit_gamma
 from .inference import InferenceReport, analyze_contrast, z_critical
 from .series_regression import SampleDesigns
-from .sieve_basis import build_spec_bundle
+from .sieve_basis import SieveOptions, build_spec_bundle
 
 EstimandSpec = Union[str, tuple[Sequence[int], Sequence[int]]]
 
@@ -41,6 +41,17 @@ class MethodResult:
     estimands: dict[str, InferenceReport]
     profiles: dict[TreatmentProfile, float]
     extras: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class MethodOptions:
+    """What run_method hands an estimator besides the data, the
+    estimands and the seed; each method reads the fields it uses."""
+
+    level: float = 0.95
+    sieve: SieveOptions = SieveOptions()
+    gamma_options: GammaOptions = GammaOptions()
+    mi_m: int = 20
 
 
 def resolve_estimands(ds_k: int, estimands: Optional[Sequence[EstimandSpec]]) -> dict:
@@ -66,10 +77,7 @@ def _run_pipeline(
     ds: Dataset,
     estimands: dict,
     level: float,
-    degree: int,
-    include_interactions: bool,
-    mu_degree: int,
-    mu_interactions: bool,
+    sieve: SieveOptions,
     method: str,
     gamma_options: Optional[GammaOptions] = None,
 ) -> MethodResult:
@@ -78,9 +86,7 @@ def _run_pipeline(
 
     Every stage reads the sample's designs from one SampleDesigns, which
     is dropped when the run returns."""
-    bundle = build_spec_bundle(ds, degree=degree, include_interactions=include_interactions,
-                               mu_degree=mu_degree, mu_interactions=mu_interactions)
-    designs = SampleDesigns(ds, bundle)
+    designs = SampleDesigns(ds, build_spec_bundle(ds, sieve))
     extras = {}
     if gamma_options is None:
         gamma = _zero_gamma()
@@ -105,50 +111,38 @@ def sri_estimate(
     ds: Dataset,
     estimands: Optional[Sequence[EstimandSpec]] = None,
     level: float = 0.95,
-    degree: int = 3,
-    include_interactions: bool = True,
-    mu_degree: int = 2,
-    mu_interactions: bool = False,
+    sieve: SieveOptions = SieveOptions(),
     gamma_options: GammaOptions = GammaOptions(),
 ) -> MethodResult:
     """Shadow-variable sieve estimator on the observed data."""
     wanted = resolve_estimands(ds.k, estimands)
-    return _run_pipeline(ds, wanted, level, degree, include_interactions,
-                         mu_degree, mu_interactions, "sri", gamma_options)
+    return _run_pipeline(ds, wanted, level, sieve, "sri", gamma_options)
 
 
 def oracle_estimate(
     full: Dataset,
     estimands: Optional[Sequence[EstimandSpec]] = None,
     level: float = 0.95,
-    degree: int = 3,
-    include_interactions: bool = True,
-    mu_degree: int = 2,
-    mu_interactions: bool = False,
+    sieve: SieveOptions = SieveOptions(),
 ) -> MethodResult:
     """Estimator with the true covariates: r set to one, odds to zero."""
     if np.isnan(full.x_miss).any():
         raise MissingTrueX("oracle_estimate needs x_miss on every record")
     ds = full.with_r_set_to_one()
     wanted = resolve_estimands(ds.k, estimands)
-    return _run_pipeline(ds, wanted, level, degree, include_interactions,
-                         mu_degree, mu_interactions, "oracle")
+    return _run_pipeline(ds, wanted, level, sieve, "oracle")
 
 
 def cca_estimate(
     ds: Dataset,
     estimands: Optional[Sequence[EstimandSpec]] = None,
     level: float = 0.95,
-    degree: int = 3,
-    include_interactions: bool = True,
-    mu_degree: int = 2,
-    mu_interactions: bool = False,
+    sieve: SieveOptions = SieveOptions(),
 ) -> MethodResult:
     """Complete-case analysis: biased under nonignorable missingness."""
     cc = complete_cases(ds)
     wanted = resolve_estimands(cc.k, estimands)
-    return _run_pipeline(cc, wanted, level, degree, include_interactions,
-                         mu_degree, mu_interactions, "cca")
+    return _run_pipeline(cc, wanted, level, sieve, "cca")
 
 
 def _impute_once(
@@ -182,13 +176,10 @@ def _imputer_design(ds: Dataset, mask: np.ndarray) -> np.ndarray:
 def mi_estimate(
     ds: Dataset,
     estimands: Optional[Sequence[EstimandSpec]] = None,
-    m: int = 20,
+    m: int = MethodOptions.mi_m,
     seed=0,
     level: float = 0.95,
-    degree: int = 3,
-    include_interactions: bool = True,
-    mu_degree: int = 2,
-    mu_interactions: bool = False,
+    sieve: SieveOptions = SieveOptions(),
 ) -> MethodResult:
     """Linear-Gaussian multiple imputation with Rubin pooling.
 
@@ -212,10 +203,7 @@ def mi_estimate(
     resid = targets - design_cc @ beta
     resid_sd = np.sqrt((resid ** 2).sum(axis=0) / (n_cc - p))
 
-    if isinstance(seed, np.random.SeedSequence):
-        rng = np.random.Generator(np.random.Philox(seed))
-    else:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    rng = np.random.Generator(np.random.Philox(seed))
 
     points: dict[str, list[float]] = {name: [] for name in wanted}
     within: dict[str, list[float]] = {name: [] for name in wanted}
@@ -223,8 +211,7 @@ def mi_estimate(
     design_miss = _imputer_design(ds, ~cc_mask)
     for _ in range(m):
         completed = _impute_once(ds, design_miss, beta, resid_sd, rng)
-        res = _run_pipeline(completed, wanted, level, degree,
-                            include_interactions, mu_degree, mu_interactions, "mi")
+        res = _run_pipeline(completed, wanted, level, sieve, "mi")
         for name, rep in res.estimands.items():
             points[name].append(rep.psi_hat)
             within[name].append(rep.se ** 2)
@@ -258,25 +245,23 @@ def run_method(
     method: str,
     data: Dataset,
     estimands: Optional[Sequence[EstimandSpec]] = None,
-    *,
-    gamma_options: GammaOptions = GammaOptions(),
-    mi_m: int = 20,
+    options: MethodOptions = MethodOptions(),
     seed=0,
-    **sieve,
 ) -> MethodResult:
     """Run one method by name; the only place a method name is dispatched.
 
     data is the full dataset for the oracle and the observed one for the
-    others; sieve holds level and the basis options. The estimators are
-    looked up by module-global name at each call, so a wrapper bound to
-    that name sees every call.
+    others; seed drives the imputations of mi. The estimators are looked
+    up by module-global name at each call, so a wrapper bound to that
+    name sees every call.
     """
+    common = dict(level=options.level, sieve=options.sieve)
     if method == "sri":
-        return sri_estimate(data, estimands, gamma_options=gamma_options, **sieve)
+        return sri_estimate(data, estimands, gamma_options=options.gamma_options, **common)
     if method == "oracle":
-        return oracle_estimate(data, estimands, **sieve)
+        return oracle_estimate(data, estimands, **common)
     if method == "cca":
-        return cca_estimate(data, estimands, **sieve)
+        return cca_estimate(data, estimands, **common)
     if method == "mi":
-        return mi_estimate(data, estimands, m=mi_m, seed=seed, **sieve)
+        return mi_estimate(data, estimands, m=options.mi_m, seed=seed, **common)
     raise ConfigError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")

@@ -17,18 +17,23 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import __version__
-from .baselines import METHODS, run_method
+from .baselines import METHODS, MethodOptions, run_method
 from .data_model import read_csv, validate
 from .errors import ConfigError, EstimationError
 from .gamma_solver import GammaOptions
-from .simulation import DgpConfig, McSettings, run_monte_carlo, true_effects
+from .sieve_basis import SieveOptions
+from .simulation import STANDARD_ESTIMANDS, DgpConfig, run_monte_carlo, true_effects
 
 EXIT_OK = 0
 EXIT_SOLVER = 4
+
+# GammaOptions fields exposed as gamma_<name>; its seed is the run's seed
+_GAMMA_FIELDS = [f for f in fields(GammaOptions) if f.name != "seed"]
 
 _DEFAULTS = {
     "data": None,
@@ -38,24 +43,17 @@ _DEFAULTS = {
     "estimands": None,
     "profile_a": None,
     "profile_b": None,
-    "level": 0.95,
-    "degree": 3,
-    "include_interactions": True,
-    "mu_degree": 2,
-    "mu_interactions": False,
+    "level": MethodOptions.level,
+    **asdict(SieveOptions()),
     "seed": 0,
     "reps": 1000,
     "n": 1000,
     "threads": 1,
-    "mi_m": 20,
+    "mi_m": MethodOptions.mi_m,
     "big_n": 1000000,
     "alpha": 0.6,
     "out": None,
-    "gamma_max_iter": 500,
-    "gamma_grad_tol": 1e-6,
-    "gamma_linear_cap": 10.0,
-    "gamma_restarts": 0,
-    "gamma_penalty": 1.0,
+    **{f"gamma_{f.name}": f.default for f in _GAMMA_FIELDS},
 }
 
 
@@ -77,6 +75,18 @@ def _load_config_file(path: str) -> dict:
     return doc
 
 
+def _typed(key: str, value):
+    """value checked against the type of key's default: a bool, int or
+    float key takes only a JSON value of that type, and an int is read
+    as a float for a float key."""
+    kind = type(_DEFAULTS[key])
+    if kind not in (bool, int, float) or type(value) is kind:
+        return value
+    if kind is float and type(value) is int:
+        return float(value)
+    raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+
+
 def _resolve(args: argparse.Namespace) -> dict:
     cfg = dict(_DEFAULTS)
     if args.config:
@@ -85,10 +95,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
-    if args.no_interactions:
-        cfg["include_interactions"] = False
-    if args.mu_interactions_flag:
-        cfg["mu_interactions"] = True
+    cfg = {key: _typed(key, value) for key, value in cfg.items()}
     if isinstance(cfg["estimands"], str):
         cfg["estimands"] = [s for s in cfg["estimands"].split(",") if s]
     if isinstance(cfg["methods"], str):
@@ -105,14 +112,13 @@ def _parse_profile(text) -> tuple[int, ...]:
     return tuple(int(ch) for ch in s)
 
 
-def _gamma_options(cfg: dict) -> GammaOptions:
-    return GammaOptions(
-        max_iter=int(cfg["gamma_max_iter"]),
-        grad_tol=float(cfg["gamma_grad_tol"]),
-        linear_cap=float(cfg["gamma_linear_cap"]),
-        restarts=int(cfg["gamma_restarts"]),
-        penalty=float(cfg["gamma_penalty"]),
-        seed=int(cfg["seed"]),
+def _method_options(cfg: dict) -> MethodOptions:
+    return MethodOptions(
+        level=cfg["level"],
+        sieve=SieveOptions(**{f.name: cfg[f.name] for f in fields(SieveOptions)}),
+        gamma_options=GammaOptions(
+            seed=cfg["seed"], **{f.name: cfg[f"gamma_{f.name}"] for f in _GAMMA_FIELDS}),
+        mi_m=cfg["mi_m"],
     )
 
 
@@ -158,9 +164,6 @@ def cmd_validate(cfg: dict) -> int:
     report = validate(ds)
     doc = {"command": "validate", "report": report.to_dict()}
     _write_json(doc, cfg["out"])
-    directory = _manifest_dir(cfg)
-    if directory:
-        _write_manifest("validate", cfg, directory)
     return EXIT_OK
 
 
@@ -181,12 +184,7 @@ def cmd_estimate(cfg: dict) -> int:
         estimands = None  # default contrast set for the dataset's K
 
     method = cfg["method"]
-    result = run_method(
-        method, ds, estimands, gamma_options=_gamma_options(cfg),
-        mi_m=int(cfg["mi_m"]), seed=int(cfg["seed"]), level=float(cfg["level"]),
-        degree=int(cfg["degree"]), include_interactions=bool(cfg["include_interactions"]),
-        mu_degree=int(cfg["mu_degree"]), mu_interactions=bool(cfg["mu_interactions"]),
-    )
+    result = run_method(method, ds, estimands, _method_options(cfg), seed=cfg["seed"])
 
     doc = {
         "command": "estimate",
@@ -198,9 +196,6 @@ def cmd_estimate(cfg: dict) -> int:
     if vreport is not None:
         doc["validation"] = vreport.to_dict()
     _write_json(doc, cfg["out"])
-    directory = _manifest_dir(cfg)
-    if directory:
-        _write_manifest("estimate", cfg, directory)
     return EXIT_OK
 
 
@@ -209,39 +204,25 @@ def cmd_simulate(cfg: dict) -> int:
     if not out:
         raise ConfigError("simulate requires --out DIRECTORY")
     os.makedirs(out, exist_ok=True)
-    methods = cfg["methods"] or [cfg["method"]]
-    estimands = cfg["estimands"] or ["nde", "nie_1", "nie_2", "te"]
-    config = DgpConfig(n=int(cfg["n"]), seed=int(cfg["seed"]), alpha=float(cfg["alpha"]))
-    settings = McSettings(
-        config=config, methods=tuple(methods), estimands=tuple(estimands),
-        level=float(cfg["level"]), degree=int(cfg["degree"]),
-        include_interactions=bool(cfg["include_interactions"]),
-        mu_degree=int(cfg["mu_degree"]),
-        mu_interactions=bool(cfg["mu_interactions"]),
-        gamma_options=_gamma_options(cfg), mi_m=int(cfg["mi_m"]),
-    )
+    config = DgpConfig(n=cfg["n"], seed=cfg["seed"], alpha=cfg["alpha"])
     result = run_monte_carlo(
-        config, reps=int(cfg["reps"]), methods=methods, estimands=estimands,
-        master_seed=int(cfg["seed"]), workers=int(cfg["threads"]),
-        settings=settings, truth_big_n=int(cfg["big_n"]),
+        config, reps=cfg["reps"], methods=cfg["methods"] or [cfg["method"]],
+        estimands=cfg["estimands"] or STANDARD_ESTIMANDS, master_seed=cfg["seed"],
+        workers=cfg["threads"], options=_method_options(cfg), truth_big_n=cfg["big_n"],
     )
     result.to_csv(os.path.join(out, "mc_table.csv"))
     with open(os.path.join(out, "mc_summary.json"), "w") as fh:
         json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest("simulate", cfg, out)
     print(f"wrote {os.path.join(out, 'mc_table.csv')}")
     return EXIT_OK
 
 
 def cmd_truth(cfg: dict) -> int:
-    config = DgpConfig(n=int(cfg["n"]), seed=int(cfg["seed"]), alpha=float(cfg["alpha"]))
-    table = true_effects(config, big_n=int(cfg["big_n"]), seed=int(cfg["seed"]))
+    config = DgpConfig(n=cfg["n"], seed=cfg["seed"], alpha=cfg["alpha"])
+    table = true_effects(config, big_n=cfg["big_n"], seed=cfg["seed"])
     doc = {"command": "truth", "table": table.to_dict()}
     _write_json(doc, cfg["out"])
-    directory = _manifest_dir(cfg)
-    if directory:
-        _write_manifest("truth", cfg, directory)
     return EXIT_OK
 
 
@@ -265,10 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--profile-b", dest="profile_b")
         p.add_argument("--level", type=float)
         p.add_argument("--degree", type=int)
-        p.add_argument("--no-interactions", action="store_true", default=False)
+        p.add_argument("--no-interactions", dest="include_interactions",
+                       action="store_const", const=False)
         p.add_argument("--mu-degree", dest="mu_degree", type=int)
-        p.add_argument("--mu-interactions", dest="mu_interactions_flag",
-                       action="store_true", default=False,
+        p.add_argument("--mu-interactions", dest="mu_interactions",
+                       action="store_const", const=True,
                        help="use pairwise interactions in the outcome-chain bases")
         p.add_argument("--seed", type=int)
         p.add_argument("--reps", type=int)
@@ -278,11 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--big-n", dest="big_n", type=int)
         p.add_argument("--alpha", type=float)
         p.add_argument("--out")
-        p.add_argument("--gamma-max-iter", dest="gamma_max_iter", type=int)
-        p.add_argument("--gamma-grad-tol", dest="gamma_grad_tol", type=float)
-        p.add_argument("--gamma-linear-cap", dest="gamma_linear_cap", type=float)
-        p.add_argument("--gamma-restarts", dest="gamma_restarts", type=int)
-        p.add_argument("--gamma-penalty", dest="gamma_penalty", type=float)
+        for f in _GAMMA_FIELDS:
+            p.add_argument("--gamma-" + f.name.replace("_", "-"), dest=f"gamma_{f.name}",
+                           type=type(f.default))
 
     for name in ("validate", "estimate", "simulate", "truth"):
         add_common(sub.add_parser(name))
@@ -300,7 +280,11 @@ def main(argv: list[str] | None = None) -> int:
             "simulate": cmd_simulate,
             "truth": cmd_truth,
         }[args.command]
-        return handler(cfg)
+        code = handler(cfg)
+        directory = _manifest_dir(cfg)
+        if directory:
+            _write_manifest(args.command, cfg, directory)
+        return code
     except EstimationError as exc:
         name = "" if isinstance(exc, ConfigError) else f"{type(exc).__name__}: "
         print(f"{exc.category}: {name}{exc}", file=sys.stderr)

@@ -148,7 +148,7 @@ def column_coordinates(spec: BasisSpec) -> list[tuple[int, ...]]:
 
 def spec_for(
     points: np.ndarray,
-    degree: int = 3,
+    degree: int,
     include_interactions: bool = True,
 ) -> BasisSpec:
     """Fit a standardizer on points and build the matching BasisSpec.
@@ -169,6 +169,20 @@ def spec_for(
 
 
 @dataclass(frozen=True)
+class SieveOptions:
+    """Sieve sizes of one estimation run.
+
+    degree and include_interactions size the conditioning and odds bases
+    (p, q); mu_degree and mu_interactions size the outcome-chain bases (u).
+    """
+
+    degree: int = 3
+    include_interactions: bool = True
+    mu_degree: int = 2
+    mu_interactions: bool = False
+
+
+@dataclass(frozen=True)
 class SpecBundle:
     """All bases one estimation run needs.
 
@@ -182,13 +196,7 @@ class SpecBundle:
     u: tuple[BasisSpec, ...]
 
 
-def build_spec_bundle(
-    ds: Dataset,
-    degree: int = 3,
-    include_interactions: bool = True,
-    mu_degree: int = 2,
-    mu_interactions: bool = False,
-) -> SpecBundle:
+def build_spec_bundle(ds: Dataset, sieve: SieveOptions = SieveOptions()) -> SpecBundle:
     """Standardizers are fit on the sample each basis will see.
 
     The conditioning basis sees every record; the q and u bases involve
@@ -201,10 +209,10 @@ def build_spec_bundle(
     finite-sample bias in the composed estimates.
     """
     cc = complete_cases(ds)
-    p = spec_for(ds.conditioning_points(), degree, include_interactions)
-    q = spec_for(cc.regressor_points(), degree, include_interactions)
+    p = spec_for(ds.conditioning_points(), sieve.degree, sieve.include_interactions)
+    q = spec_for(cc.regressor_points(), sieve.degree, sieve.include_interactions)
     u = tuple(
-        spec_for(cc.mu_points(k), mu_degree, mu_interactions)
+        spec_for(cc.mu_points(k), sieve.mu_degree, sieve.mu_interactions)
         for k in range(1, ds.k + 2)
     )
     return SpecBundle(p=p, q=q, u=u)

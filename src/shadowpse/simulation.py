@@ -28,7 +28,6 @@ from . import baselines
 from .data_model import Dataset, DatasetDims
 from .errors import ConfigError, EstimationError
 from .estimator import TreatmentProfile, named_estimand
-from .gamma_solver import GammaOptions
 
 # ---- structural configuration -----------------------------------------
 
@@ -129,9 +128,7 @@ def _y_mean(c: YEq, a, x1, x2, x3, m1, m2):
 def _rng_for(seed_or_seq) -> np.random.Generator:
     if isinstance(seed_or_seq, np.random.Generator):
         return seed_or_seq
-    if isinstance(seed_or_seq, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed_or_seq))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed_or_seq))))
+    return np.random.Generator(np.random.Philox(seed_or_seq))
 
 
 DIMS = DatasetDims(z=1, x_miss=1, x_obs=2, m=(1, 1))
@@ -269,22 +266,6 @@ def true_effects(config: DgpConfig, big_n: int = 10 ** 6, seed: int = TRUTH_SEED
 # ---- Monte-Carlo harness ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class McSettings:
-    """Everything one replication needs besides the seed."""
-
-    config: DgpConfig
-    methods: tuple[str, ...]
-    estimands: tuple[str, ...]
-    level: float = 0.95
-    degree: int = 3
-    include_interactions: bool = True
-    mu_degree: int = 2
-    mu_interactions: bool = False
-    gamma_options: GammaOptions = GammaOptions()
-    mi_m: int = 20
-
-
 @dataclass
 class CellStats:
     bias: float
@@ -339,21 +320,18 @@ class McResult:
         return out
 
 
-def _one_rep(args: tuple[McSettings, int, int]) -> dict:
-    """Run every method on one replication."""
-    settings, master_seed, i = args
+def _one_rep(args: tuple) -> dict:
+    """Run every method on one replication; args is (config, methods,
+    estimands, options, master_seed, i)."""
+    config, methods, estimands, options, master_seed, i = args
     rng = _rng_for(np.random.SeedSequence(entropy=master_seed, spawn_key=(i,)))
-    full, observed = generate(settings.config, rng=rng)
+    full, observed = generate(config, rng=rng)
     out: dict = {}
-    for method in settings.methods:
+    for method in methods:
         try:
             res = baselines.run_method(
-                method, full if method == "oracle" else observed, settings.estimands,
-                gamma_options=settings.gamma_options, mi_m=settings.mi_m,
+                method, full if method == "oracle" else observed, estimands, options,
                 seed=np.random.SeedSequence(entropy=master_seed, spawn_key=(i, 1)),
-                level=settings.level, degree=settings.degree,
-                include_interactions=settings.include_interactions,
-                mu_degree=settings.mu_degree, mu_interactions=settings.mu_interactions,
             )
         except EstimationError as exc:
             out[method] = {"error": f"{type(exc).__name__}: {exc}"}
@@ -378,7 +356,7 @@ def run_monte_carlo(
     master_seed: int = 0,
     workers: int = 1,
     truth: Optional[TruthTable] = None,
-    settings: Optional[McSettings] = None,
+    options: baselines.MethodOptions = baselines.MethodOptions(),
     truth_big_n: int = 10 ** 6,
 ) -> McResult:
     """Replicate the benchmark and score each method against the truth.
@@ -391,21 +369,14 @@ def run_monte_carlo(
     unknown = [m for m in methods if m not in baselines.METHODS]
     if unknown:
         raise ConfigError(f"unknown methods {unknown}; choose from {', '.join(baselines.METHODS)}")
-    if settings is None:
-        settings = McSettings(
-            config=config, methods=tuple(methods), estimands=tuple(estimands),
-        )
-    else:
-        settings = replace(settings, config=config, methods=tuple(methods),
-                           estimands=tuple(estimands))
     if truth is None:
         truth = true_effects(config, big_n=truth_big_n)
-    missing = [e for e in settings.estimands if e not in truth.contrasts]
+    missing = [e for e in estimands if e not in truth.contrasts]
     if missing:
         raise ConfigError(f"no true value for estimands {missing}; "
                           f"the truth table holds {sorted(truth.contrasts)}")
 
-    tasks = [(settings, master_seed, i) for i in range(reps)]
+    tasks = [(config, methods, estimands, options, master_seed, i) for i in range(reps)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_one_rep, tasks, chunksize=max(1, reps // (8 * workers))))
@@ -414,13 +385,13 @@ def run_monte_carlo(
 
     cells: dict[tuple[str, str], CellStats] = {}
     raw: dict[tuple[str, str], np.ndarray] = {}
-    failures: dict[str, list[str]] = {m: [] for m in settings.methods}
-    for method in settings.methods:
+    failures: dict[str, list[str]] = {m: [] for m in methods}
+    for method in methods:
         ok = [res[method] for res in results if "error" not in res[method]]
         for i, res in enumerate(results):
             if "error" in res[method]:
                 failures[method].append(f"rep {i}: {res[method]['error']}")
-        for est in settings.estimands:
+        for est in estimands:
             pts = np.array([res["estimands"][est][0] for res in ok])
             lo = np.array([res["estimands"][est][1] for res in ok])
             hi = np.array([res["estimands"][est][2] for res in ok])
@@ -441,20 +412,17 @@ def run_monte_carlo(
         "n": config.n,
         "reps": reps,
         "master_seed": master_seed,
-        "methods": list(settings.methods),
-        "estimands": list(settings.estimands),
-        "level": settings.level,
-        "degree": settings.degree,
-        "include_interactions": settings.include_interactions,
-        "mu_degree": settings.mu_degree,
-        "mu_interactions": settings.mu_interactions,
-        "mi_m": settings.mi_m,
+        "methods": list(methods),
+        "estimands": list(estimands),
+        "level": options.level,
+        **asdict(options.sieve),
+        "mi_m": options.mi_m,
         "truth_big_n": truth.big_n,
         "truth_seed": truth.seed,
         "dgp": asdict(config),
     }
     return McResult(
         settings_summary=summary,
-        truth={e: truth.contrasts[e] for e in settings.estimands},
+        truth={e: truth.contrasts[e] for e in estimands},
         cells=cells, raw=raw, failures=failures,
     )

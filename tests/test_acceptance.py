@@ -26,7 +26,7 @@ from shadowpse.series_regression import (
     predict_many,
     project_residual_orthogonality,
 )
-from shadowpse.sieve_basis import build_spec_bundle, design_matrix
+from shadowpse.sieve_basis import SieveOptions, build_spec_bundle, design_matrix
 from shadowpse.simulation import (
     TRUTH_SEED,
     DgpConfig,
@@ -142,7 +142,7 @@ def test_criterion_5a_chain_residual_orthogonality():
 
 def test_criterion_5b_criterion_gradient():
     full, obs = generate(DgpConfig(n=300, seed=seq(11)))
-    bundle = build_spec_bundle(obs, degree=1, include_interactions=False)
+    bundle = build_spec_bundle(obs, SieveOptions(degree=1, include_interactions=False))
     prob = _GammaProblem(SampleDesigns(obs, bundle))
     rng = rng_for(11, 1)
     h = 1e-6
@@ -174,7 +174,7 @@ def test_criterion_5c_mcar_recovers_constant_odds():
     y = m1 + a + rng.standard_normal(n)
     r = (rng.random(n) < 0.7).astype(int)
     ds = one_mediator_dataset(n, x, a, m1, y, r=r, z=z)
-    bundle = build_spec_bundle(ds, degree=1, include_interactions=False)
+    bundle = build_spec_bundle(ds, SieveOptions(degree=1, include_interactions=False))
     model, report = fit_gamma(ds, SampleDesigns(ds, bundle), GammaOptions())
     vals = model.values_at(ds.regressor_points())
     frac = float(np.mean(np.abs(vals - 3.0 / 7.0) <= 0.05))
@@ -217,7 +217,7 @@ def test_criterion_5f_representer_closed_form():
     mask = np.zeros(obs.n, dtype=bool)
     mask[:20] = True
     ds = obs.subset(mask)
-    bundle = build_spec_bundle(ds, degree=1, include_interactions=False)
+    bundle = build_spec_bundle(ds, SieveOptions(degree=1, include_interactions=False))
     gamma = np.abs(np.where(ds.r == 0, 0.0, 0.5 + 0.1 * ds.y))
     phi = np.where(ds.r == 1, ds.y, 0.0)
     rho, value = fit_representer(ds, gamma, phi, SampleDesigns(ds, bundle))

@@ -19,6 +19,7 @@ from shadowpse.errors import (
     InsufficientCompleteCases,
     MissingTrueX,
 )
+from shadowpse.sieve_basis import SieveOptions
 from shadowpse.simulation import DgpConfig, run_monte_carlo, true_effects
 from support import one_mediator_dataset, rng_for
 
@@ -75,7 +76,7 @@ def test_constant_outcome_gives_zero_contrasts():
     a = (rng.random(n) < 0.5).astype(int)
     m1 = x + rng.standard_normal(n)
     ds = one_mediator_dataset(n, x, a, m1, np.full(n, -1.75))
-    res = cca_estimate(ds, degree=2)
+    res = cca_estimate(ds, sieve=SieveOptions(degree=2))
     for est in ("nde", "nie_1", "te"):
         assert abs(res.estimands[est].psi_hat) <= 1e-10
     for psi in res.profiles.values():

@@ -1,9 +1,12 @@
+import inspect
 import json
+from operator import attrgetter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from shadowpse import cli
+from shadowpse import baselines, cli
 from shadowpse.data_model import write_csv, write_descriptor
 from shadowpse.errors import ConfigError, EstimationError
 from shadowpse.simulation import DgpConfig, generate
@@ -128,6 +131,36 @@ def test_unknown_config_key(tmp_path):
     assert cli.main(["truth", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("estimate", {"include_interactions": "false"}),
+    ("estimate", {"degree": "abc"}),
+    ("truth", {"seed": None}),
+    ("estimate", {"gamma_restarts": 1.7}),
+], ids=["include_interactions", "degree", "seed", "gamma_restarts"])
+def test_config_value_of_the_wrong_type_is_a_config_error(command, doc, data_files,
+                                                          tmp_path, capsys):
+    data, desc = data_files
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main([command, "--config", str(path), "--data", data, "--descriptor", desc,
+                   "--big-n", "200", "--out", str(tmp_path / "out.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert repr(next(iter(doc))) in err
+    assert not (tmp_path / "run_manifest.json").exists()
+
+
+def test_config_int_is_read_as_float(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"gamma_penalty": 2}))
+    assert cli.main(["truth", "--config", str(path), "--big-n", "200",
+                     "--out", str(tmp_path / "t.json")]) == 0
+    resolved = json.loads((tmp_path / "run_manifest.json").read_text())["config"]
+    assert resolved["gamma_penalty"] == 2.0
+    assert isinstance(resolved["gamma_penalty"], float)
+
+
 def test_unparseable_cell_is_a_data_error(data_files, tmp_path, capsys):
     data, desc = data_files
     lines = open(data).read().strip().split("\n")
@@ -226,6 +259,49 @@ def test_basis_flags_are_recorded(tmp_path):
     assert resolved["include_interactions"] is False
     assert resolved["mu_degree"] == 3
     assert resolved["mu_interactions"] is True
+
+
+# flag, its config key, a value other than the default, and where the
+# estimator's bound arguments hold it
+OPTION_FLAGS = [
+    (["--level", "0.9"], "level", 0.9, "level"),
+    (["--degree", "2"], "degree", 2, "sieve.degree"),
+    (["--no-interactions"], "include_interactions", False, "sieve.include_interactions"),
+    (["--mu-degree", "3"], "mu_degree", 3, "sieve.mu_degree"),
+    (["--mu-interactions"], "mu_interactions", True, "sieve.mu_interactions"),
+    (["--mi-m", "3"], "mi_m", 3, "m"),
+    (["--gamma-max-iter", "300"], "gamma_max_iter", 300, "gamma_options.max_iter"),
+    (["--gamma-grad-tol", "1e-7"], "gamma_grad_tol", 1e-7, "gamma_options.grad_tol"),
+    (["--gamma-linear-cap", "8"], "gamma_linear_cap", 8.0, "gamma_options.linear_cap"),
+    (["--gamma-restarts", "1"], "gamma_restarts", 1, "gamma_options.restarts"),
+    (["--gamma-penalty", "0.5"], "gamma_penalty", 0.5, "gamma_options.penalty"),
+]
+
+
+@pytest.mark.parametrize("flags, key, value, path", OPTION_FLAGS,
+                         ids=[flags[0] for flags, *_ in OPTION_FLAGS])
+def test_option_flag_reaches_the_estimator(flags, key, value, path, data_files,
+                                           tmp_path, monkeypatch):
+    assert value != cli._DEFAULTS[key]
+    method = "mi" if key == "mi_m" else "sri"
+    name = f"{method}_estimate"
+    original = getattr(baselines, name)
+    calls = []
+
+    def capturing(*args, **kwargs):
+        calls.append(inspect.signature(original).bind(*args, **kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, name, capturing)
+    data, desc = data_files
+    rc = cli.main(["estimate", "--method", method, "--data", data, "--descriptor", desc,
+                   "--estimand", "te", "--out", str(tmp_path / "est.json")] + flags)
+    assert rc == 0
+    resolved = json.loads((tmp_path / "run_manifest.json").read_text())["config"]
+    assert resolved[key] == value and type(resolved[key]) is type(value)
+    (bound,) = calls
+    bound.apply_defaults()
+    assert attrgetter(path)(SimpleNamespace(**bound.arguments)) == value
 
 
 def _leaf_errors(cls=EstimationError):

@@ -16,7 +16,7 @@ from shadowpse.series_regression import (
     predict_many,
     project_residual_orthogonality,
 )
-from shadowpse.sieve_basis import build_spec_bundle
+from shadowpse.sieve_basis import SieveOptions, build_spec_bundle
 from shadowpse.simulation import DgpConfig, generate, true_gamma_values
 
 from support import TRUE_PSI, one_mediator_dataset, rng_for, seq, tile_dataset
@@ -57,7 +57,7 @@ def test_constant_outcome_and_constant_odds_scaling():
     a = (rng.random(n) < 0.5).astype(int)
     m1 = x + rng.standard_normal(n)
     ds = one_mediator_dataset(n, x, a, m1, np.full(n, 3.25))
-    designs = SampleDesigns(ds, build_spec_bundle(ds, degree=2))
+    designs = SampleDesigns(ds, build_spec_bundle(ds, SieveOptions(degree=2)))
     fits = fit_mu_chain(ds, np.zeros(n), (1, 0), designs)
     assert abs(estimate_psi(ds, fits, designs).psi_hat - 3.25) <= 1e-12
     fits_c = fit_mu_chain(ds, np.full(n, 0.4), (1, 0), designs)
@@ -65,8 +65,8 @@ def test_constant_outcome_and_constant_odds_scaling():
 
 
 def test_linear_chain_equals_per_arm_least_squares(comp600):
-    designs = SampleDesigns(comp600, build_spec_bundle(comp600, mu_degree=1,
-                                                        mu_interactions=False))
+    designs = SampleDesigns(comp600, build_spec_bundle(
+        comp600, SieveOptions(mu_degree=1, mu_interactions=False)))
     profile = (1, 0, 1)
     fits = fit_mu_chain(comp600, np.zeros(comp600.n), profile, designs)
     resp = comp600.y.copy()
@@ -162,6 +162,6 @@ def test_empty_arm_raises():
     m1 = x + rng.standard_normal(n)
     y = m1 + rng.standard_normal(n)
     ds = one_mediator_dataset(n, x, np.zeros(n, dtype=int), m1, y)
-    designs = SampleDesigns(ds, build_spec_bundle(ds, degree=1))
+    designs = SampleDesigns(ds, build_spec_bundle(ds, SieveOptions(degree=1)))
     with pytest.raises(EmptyArm):
         fit_mu_chain(ds, np.zeros(n), (1, 1), designs)

@@ -18,6 +18,7 @@ from shadowpse.gamma_solver import (
 from shadowpse.series_regression import SampleDesigns
 from shadowpse.sieve_basis import (
     BasisSpec,
+    SieveOptions,
     SpecBundle,
     Standardizer,
     build_spec_bundle,
@@ -89,8 +90,8 @@ def test_all_missing_is_degenerate():
 
 
 def test_projection_basis_must_dominate_odds_basis(obs600):
-    bundle2 = build_spec_bundle(obs600, degree=2)
-    bundle1 = build_spec_bundle(obs600, degree=1)
+    bundle2 = build_spec_bundle(obs600, SieveOptions(degree=2))
+    bundle1 = build_spec_bundle(obs600, SieveOptions(degree=1))
     with pytest.raises(ConfigError):
         fit_gamma(obs600, SampleDesigns(obs600, SpecBundle(p=bundle1.p, q=bundle2.q, u=bundle1.u)),
                   GammaOptions())
@@ -98,7 +99,7 @@ def test_projection_basis_must_dominate_odds_basis(obs600):
 
 def test_mcar_recovers_constant_odds():
     ds = mcar_dataset()
-    bundle = build_spec_bundle(ds, degree=1, include_interactions=False)
+    bundle = build_spec_bundle(ds, SieveOptions(degree=1, include_interactions=False))
     model, report = fit_gamma(ds, SampleDesigns(ds, bundle), GammaOptions())
     assert report.converged
     vals = model.values_at(ds.regressor_points())
@@ -171,7 +172,7 @@ def test_single_descent_matches_best_of_every_start():
 
 def test_gradient_matches_finite_differences():
     full, obs = generate(DgpConfig(n=300, seed=seq(11)))
-    bundle = build_spec_bundle(obs, degree=1, include_interactions=False)
+    bundle = build_spec_bundle(obs, SieveOptions(degree=1, include_interactions=False))
     prob = _GammaProblem(SampleDesigns(obs, bundle))
     rng = rng_for(11, 1)
     h = 1e-6
@@ -239,8 +240,8 @@ def test_restarts_are_deterministic(obs600):
 
 
 def test_zero_penalty_path_runs(obs600):
-    designs = SampleDesigns(obs600, build_spec_bundle(obs600, degree=1,
-                                                       include_interactions=False))
+    designs = SampleDesigns(obs600, build_spec_bundle(
+        obs600, SieveOptions(degree=1, include_interactions=False)))
     model, report = fit_gamma(obs600, designs, GammaOptions(penalty=0.0))
     assert report.q_n >= 0.0
     assert np.isfinite(model.values(designs)).all()

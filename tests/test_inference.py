@@ -17,7 +17,7 @@ from shadowpse.inference import (
     z_critical,
 )
 from shadowpse.series_regression import SampleDesigns, orthonormal_span, predict_many
-from shadowpse.sieve_basis import build_spec_bundle, design_matrix
+from shadowpse.sieve_basis import SieveOptions, build_spec_bundle, design_matrix
 from shadowpse.simulation import DgpConfig, generate
 
 from support import one_mediator_dataset, rng_for, seq, tile_dataset
@@ -55,7 +55,7 @@ def test_omega_recovers_inverse_propensity():
     m1 = x + rng.standard_normal(n)
     y = m1 + rng.standard_normal(n)
     ds = one_mediator_dataset(n, x, a, m1, y)
-    bundle = build_spec_bundle(ds, degree=2)
+    bundle = build_spec_bundle(ds, SieveOptions(degree=2))
     om = fit_omegas(ds, np.zeros(n), (1, 1), SampleDesigns(ds, bundle))
     vals = predict_many(om.omega[0], ds.mu_points(1))
     assert float(np.mean(np.abs(vals - 2.0) <= 0.1)) >= 0.9
@@ -70,7 +70,7 @@ def test_omega_floor_engages_when_arm_support_vanishes():
     m1 = x + 0.1 * rng.standard_normal(n)
     y = m1 + rng.standard_normal(n)
     ds = one_mediator_dataset(n, x, a, m1, y)
-    bundle = build_spec_bundle(ds, degree=3)
+    bundle = build_spec_bundle(ds, SieveOptions(degree=3))
     om = fit_omegas(ds, np.zeros(n), (1, 1), SampleDesigns(ds, bundle))
     assert om.floor_events > 0
     assert om.floor == 1e-3
@@ -129,7 +129,7 @@ def test_representer_matches_brute_force_minimiser():
     mask = np.zeros(obs.n, dtype=bool)
     mask[:20] = True
     ds = obs.subset(mask)
-    bundle = build_spec_bundle(ds, degree=1, include_interactions=False)
+    bundle = build_spec_bundle(ds, SieveOptions(degree=1, include_interactions=False))
     gamma = np.abs(np.where(ds.r == 0, 0.0, 0.5 + 0.1 * ds.y))
     phi = np.where(ds.r == 1, ds.y, 0.0)
     rho, value = fit_representer(ds, gamma, phi, SampleDesigns(ds, bundle))

@@ -3,6 +3,7 @@ import pytest
 
 from shadowpse.sieve_basis import (
     BasisSpec,
+    SieveOptions,
     Standardizer,
     build_spec_bundle,
     column_coordinates,
@@ -141,7 +142,7 @@ def test_bundle_default_dimensions(obs2000, bundle2000):
 
 
 def test_bundle_outcome_chain_knobs(obs2000):
-    b = build_spec_bundle(obs2000, mu_degree=3, mu_interactions=True)
+    b = build_spec_bundle(obs2000, SieveOptions(mu_degree=3, mu_interactions=True))
     for k, spec in enumerate(b.u, start=1):
         direct = spec_for(obs2000.mu_points(k), 3, True)
         assert spec.dim == direct.dim
@@ -153,7 +154,7 @@ def test_bundle_outcome_chain_knobs(obs2000):
 
 
 def test_bundle_degree_knob(obs2000):
-    b = build_spec_bundle(obs2000, degree=2, include_interactions=False)
+    b = build_spec_bundle(obs2000, SieveOptions(degree=2, include_interactions=False))
     assert b.q.degree == 2 and not b.q.include_interactions
     assert b.p.degree == 2 and not b.p.include_interactions
 

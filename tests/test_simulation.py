@@ -3,11 +3,11 @@ import csv
 import numpy as np
 import pytest
 
+from shadowpse.baselines import MethodOptions
 from shadowpse.errors import ConfigError
 from shadowpse.simulation import (
     TRUTH_SEED,
     DgpConfig,
-    McSettings,
     generate,
     run_monte_carlo,
     true_effects,
@@ -153,12 +153,11 @@ def test_truth_table_dict_schema(cheap_truth):
 
 
 def test_settings_defaults():
-    settings = McSettings(config=DgpConfig(n=100), methods=("cca",),
-                          estimands=("te",))
-    assert settings.degree == 3
-    assert settings.include_interactions
-    assert settings.mu_degree == 2
-    assert not settings.mu_interactions
+    settings = MethodOptions()
+    assert settings.sieve.degree == 3
+    assert settings.sieve.include_interactions
+    assert settings.sieve.mu_degree == 2
+    assert not settings.sieve.mu_interactions
     assert settings.level == 0.95
     assert settings.mi_m == 20
 
