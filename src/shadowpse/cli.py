@@ -45,13 +45,13 @@ _DEFAULTS = {
     "profile_b": None,
     "level": MethodOptions.level,
     **asdict(SieveOptions()),
-    "seed": 0,
+    "seed": DgpConfig.seed,
     "reps": 1000,
-    "n": 1000,
+    "n": DgpConfig.n,
     "threads": 1,
     "mi_m": MethodOptions.mi_m,
     "big_n": 1000000,
-    "alpha": 0.6,
+    "alpha": DgpConfig.alpha,
     "out": None,
     **{f"gamma_{f.name}": f.default for f in _GAMMA_FIELDS},
 }
@@ -100,6 +100,9 @@ def _resolve(args: argparse.Namespace) -> dict:
         cfg["estimands"] = [s for s in cfg["estimands"].split(",") if s]
     if isinstance(cfg["methods"], str):
         cfg["methods"] = [s for s in cfg["methods"].split(",") if s]
+    for key in ("n", "reps", "big_n"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
     return cfg
 
 
@@ -125,7 +128,11 @@ def _method_options(cfg: dict) -> MethodOptions:
 def _write_json(doc: dict, out: str | None) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True)
     if out:
-        with open(out, "w") as fh:
+        try:
+            fh = open(out, "w")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {out}: {exc.strerror}")
+        with fh:
             fh.write(text)
             fh.write("\n")
     else:
@@ -203,7 +210,10 @@ def cmd_simulate(cfg: dict) -> int:
     out = cfg["out"]
     if not out:
         raise ConfigError("simulate requires --out DIRECTORY")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make --out directory {out}: {exc.strerror}")
     config = DgpConfig(n=cfg["n"], seed=cfg["seed"], alpha=cfg["alpha"])
     result = run_monte_carlo(
         config, reps=cfg["reps"], methods=cfg["methods"] or [cfg["method"]],

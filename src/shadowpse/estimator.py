@@ -97,13 +97,15 @@ def fit_mu_chain(
     profile: Sequence[int],
     designs: SampleDesigns,
 ) -> NuisanceFits:
-    """Fit the K+1 weighted regressions, outcome level first."""
+    """Fit the K+1 weighted regressions, outcome level first; each mu_k
+    is shared through designs.fits with every profile of the same suffix."""
     designs.check(ds)
     prof = validate_profile(profile, ds.k)
     u_specs = designs.bundle.u
     if len(u_specs) != ds.k + 1:
         raise DimensionMismatch(f"need {ds.k + 1} mu bases, got {len(u_specs)}")
     gvals = gamma_values_for(designs, gamma)
+    memo = designs.fits(gvals)
     cc = ds.complete_mask
     a_cc = ds.a[cc]
     growth = 1.0 + gvals[cc]
@@ -111,15 +113,17 @@ def fit_mu_chain(
     mu: list[SeriesRegressor] = [None] * (ds.k + 1)  # type: ignore[list-item]
     response = ds.y[cc]
     for k in range(ds.k + 1, 0, -1):
-        arm = a_cc == prof[k - 1]
-        if not arm.any():
-            raise EmptyArm(f"no complete cases with a={prof[k - 1]} for mu_{k}")
-        weights = np.where(arm, growth, 0.0)
-        umat = designs.u(k)
-        mu[k - 1] = fit_series(u_specs[k - 1], umat, response, weights=weights)
-        if k > 1:
+        key = ("mu", k, prof[k - 1:])
+        if key not in memo:
+            arm = a_cc == prof[k - 1]
+            if not arm.any():
+                raise EmptyArm(f"no complete cases with a={prof[k - 1]} for mu_{k}")
+            weights = np.where(arm, growth, 0.0)
+            umat = designs.u(k)
+            reg = fit_series(u_specs[k - 1], umat, response, weights=weights)
             # next level regresses mu_k evaluated at (x, m_1..m_{k-1})
-            response = umat @ mu[k - 1].coef
+            memo[key] = (reg, umat @ reg.coef if k > 1 else None)
+        mu[k - 1], response = memo[key]
     return NuisanceFits(profile=prof, mu=mu, gamma=gamma)
 
 

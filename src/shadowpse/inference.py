@@ -88,6 +88,29 @@ def _solve_square(gmat: np.ndarray, rhs: np.ndarray, error) -> np.ndarray:
     return sol
 
 
+def _fit_omega(
+    designs: SampleDesigns, k: int, arm_level: int, target: np.ndarray,
+    a_cc: np.ndarray, growth: np.ndarray,
+) -> tuple[SeriesRegressor, float, np.ndarray]:
+    """omega_k, its moment residual sup and its raw values on the
+    complete cases."""
+    arm = a_cc == arm_level
+    if not arm.any():
+        raise EmptyArm(f"no complete cases with a={arm_level} for omega_{k}")
+    umat = designs.u(k)
+    span = designs.u_span(k)
+    gmat = span.T @ (umat * (growth * arm)[:, None])
+    rhs = span.T @ (growth * target)
+    coef = _solve_square(gmat, rhs, SingularProjection)
+    resid = gmat @ coef - rhs
+    resid_sup = float(np.max(np.abs(span @ resid))) if resid.size else 0.0
+    spec = designs.bundle.u[k - 1]
+    diag = FitDiagnostics(
+        n_used=int(arm.sum()), dim=spec.dim, rank=span.shape[1], gram_diag_ridge=0.0,
+    )
+    return SeriesRegressor(spec=spec, coef=coef, diagnostics=diag), resid_sup, umat @ coef
+
+
 def fit_omegas(
     ds: Dataset,
     gamma: GammaLike,
@@ -101,10 +124,14 @@ def fit_omegas(
     k >= 2, omega_k solves the same with target 1{A=a_{k-1}} and
     conditioning (X, M_1..M_{k-1}); both are projected onto the k-th mu
     basis over complete cases, giving a square linear system.
+
+    The omega and cumulative fits are shared through designs.fits with
+    every profile of the same levels; floor events count per profile.
     """
     designs.check(ds)
     prof = validate_profile(profile, ds.k)
     gvals = gamma_values_for(designs, gamma)
+    memo = designs.fits(gvals)
     cc = ds.complete_mask
     a_cc = ds.a[cc]
     growth = 1.0 + gvals[cc]
@@ -114,29 +141,20 @@ def fit_omegas(
     raw_vals: list[np.ndarray] = []
     resid_sup = 0.0
     for k in range(1, ds.k + 2):
-        spec = designs.bundle.u[k - 1]
         if k >= 2 and prof[k - 1] == prof[k - 2]:
             omega.append(None)
             ident.append(True)
             raw_vals.append(np.ones(int(cc.sum())))
             continue
-        arm = a_cc == prof[k - 1]
-        if not arm.any():
-            raise EmptyArm(f"no complete cases with a={prof[k - 1]} for omega_{k}")
-        target = np.ones_like(growth) if k == 1 else (a_cc == prof[k - 2]).astype(float)
-        umat = designs.u(k)
-        span = designs.u_span(k)
-        gmat = span.T @ (umat * (growth * arm)[:, None])
-        rhs = span.T @ (growth * target)
-        coef = _solve_square(gmat, rhs, SingularProjection)
-        resid = gmat @ coef - rhs
-        resid_sup = max(resid_sup, float(np.max(np.abs(span @ resid))) if resid.size else 0.0)
-        diag = FitDiagnostics(
-            n_used=int(arm.sum()), dim=spec.dim, rank=span.shape[1], gram_diag_ridge=0.0,
-        )
-        omega.append(SeriesRegressor(spec=spec, coef=coef, diagnostics=diag))
+        key = ("omega", k, prof[k - 2:k] if k >= 2 else prof[:1])
+        if key not in memo:
+            target = np.ones_like(growth) if k == 1 else (a_cc == prof[k - 2]).astype(float)
+            memo[key] = _fit_omega(designs, k, prof[k - 1], target, a_cc, growth)
+        reg, sup, vals = memo[key]
+        resid_sup = max(resid_sup, sup)
+        omega.append(reg)
         ident.append(False)
-        raw_vals.append(umat @ coef)
+        raw_vals.append(vals)
 
     # cumulative products, floored then pushed back into the k-th basis span
     floor_events = 0
@@ -147,13 +165,17 @@ def fit_omegas(
         if not ident[k - 1]:
             floor_events += int((vals < floor).sum())
             vals = np.maximum(vals, floor)
-        running = running * vals
-        spec = designs.bundle.u[k - 1]
-        coef, _, rank, _ = np.linalg.lstsq(designs.u(k), running, rcond=None)
-        diag = FitDiagnostics(
-            n_used=len(running), dim=spec.dim, rank=int(rank), gram_diag_ridge=0.0,
-        )
-        cumulative.append(SeriesRegressor(spec=spec, coef=coef, diagnostics=diag))
+        key = ("cumulative", floor, k, prof[:k])
+        if key not in memo:
+            product = running * vals
+            spec = designs.bundle.u[k - 1]
+            coef, _, rank, _ = np.linalg.lstsq(designs.u(k), product, rcond=None)
+            diag = FitDiagnostics(
+                n_used=len(product), dim=spec.dim, rank=int(rank), gram_diag_ridge=0.0,
+            )
+            memo[key] = (SeriesRegressor(spec=spec, coef=coef, diagnostics=diag), product)
+        reg, running = memo[key]
+        cumulative.append(reg)
     return OmegaFits(
         profile=prof,
         omega=omega,

@@ -14,7 +14,9 @@ function criterion and the influence-function pieces rely on.
 SampleDesigns is where the sample designs of one pipeline run are
 built: the conditioning span, the odds design, each outcome-chain
 design and its span, and the odds values. Each is built on first use
-and at most once, then read by every stage and every profile.
+and at most once, then read by every stage and every profile. It also
+holds the run's nuisance fits under the current odds, so profiles that
+share a fit make it once.
 """
 
 from __future__ import annotations
@@ -201,6 +203,15 @@ class SampleDesigns:
     conditioning design. The arrays are read-only, since every profile
     of the run reads the same ones. Rows are complete cases except for
     the conditioning span, which covers every record.
+
+    fits(odds) is the memo of the nuisance fits made under one vector
+    of odds values, shared by every profile of the run. A profile
+    (a_1..a_{K+1}) reads mu_k under ("mu", k, (a_k..a_{K+1})), the
+    non-identity omega_k under ("omega", k, (a_{k-1}, a_k)), with
+    ("omega", 1, (a_1,)) for omega_1, and the cumulative omega product
+    up to level k under ("cumulative", floor, k, (a_1..a_k)), so the
+    four default profiles of a K = 2 run make 9 mu, 4 omega and 9
+    cumulative fits where fitting each profile alone makes 12, 6 and 12.
     """
 
     def __init__(self, ds: Dataset, bundle: SpecBundle):
@@ -210,6 +221,8 @@ class SampleDesigns:
         self._u_span: dict[int, np.ndarray] = {}
         self._odds_model = None
         self._odds: Optional[np.ndarray] = None
+        self._fits_odds: Optional[np.ndarray] = None
+        self._fits: dict = {}
 
     def check(self, ds: Dataset) -> None:
         """Raise unless these designs were built from ds."""
@@ -250,3 +263,18 @@ class SampleDesigns:
             self._odds = _frozen(model.values(self))
             self._odds_model = model
         return self._odds
+
+    def fits(self, odds: np.ndarray) -> dict:
+        """The memo of nuisance fits made under the odds values `odds`.
+
+        A call with other odds values than the last starts an empty
+        memo, so no fit is read under odds it was not made with.
+        """
+        same = odds is self._fits_odds or (
+            self._fits_odds is not None
+            and np.array_equal(odds, self._fits_odds, equal_nan=True)
+        )
+        if not same:
+            self._fits = {}
+            self._fits_odds = odds if not odds.flags.writeable else _frozen(odds.copy())
+        return self._fits

@@ -11,6 +11,7 @@ higher powers are dropped rather than kept as collinear columns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -196,11 +197,48 @@ class SpecBundle:
     u: tuple[BasisSpec, ...]
 
 
+class _SampleSpecBundle(SpecBundle):
+    """The bundle build_spec_bundle fits on one sample: u at once, p and
+    q on first read, so a run that reads neither never fits them."""
+
+    def __init__(self, ds: Dataset, cc: Dataset, sieve: SieveOptions,
+                 u: tuple[BasisSpec, ...]):
+        object.__setattr__(self, "u", u)
+        self._ds, self._cc, self._sieve = ds, cc, sieve
+
+    @cached_property
+    def p(self) -> BasisSpec:
+        sieve = self._sieve
+        return spec_for(self._ds.conditioning_points(), sieve.degree, sieve.include_interactions)
+
+    @cached_property
+    def q(self) -> BasisSpec:
+        sieve = self._sieve
+        return spec_for(self._cc.regressor_points(), sieve.degree, sieve.include_interactions)
+
+
+def _leading(spec: BasisSpec, dim: int) -> BasisSpec:
+    """spec restricted to its first dim input coordinates."""
+    std = spec.standardizer
+    return BasisSpec(
+        degree=spec.degree,
+        input_dim=dim,
+        standardizer=Standardizer(center=std.center[:dim], scale=std.scale[:dim]),
+        include_interactions=spec.include_interactions,
+        binary=spec.binary[:dim],
+    )
+
+
 def build_spec_bundle(ds: Dataset, sieve: SieveOptions = SieveOptions()) -> SpecBundle:
     """Standardizers are fit on the sample each basis will see.
 
     The conditioning basis sees every record; the q and u bases involve
-    x_miss so their centers and scales come from complete cases.
+    x_miss so their centers and scales come from complete cases. The
+    conditioning and odds bases are fitted when first read: the zero-odds
+    runs of oracle, cca and mi never read them. The outcome-chain points
+    of level k are the leading columns of those of level K+1, so one fit
+    on the level K+1 points gives every u_k its centers, scales and
+    binary mask.
 
     The outcome-chain bases (u) default to a coarser sieve than the
     conditioning and odds bases: the backward regression chain is fit by
@@ -209,10 +247,12 @@ def build_spec_bundle(ds: Dataset, sieve: SieveOptions = SieveOptions()) -> Spec
     finite-sample bias in the composed estimates.
     """
     cc = complete_cases(ds)
-    p = spec_for(ds.conditioning_points(), sieve.degree, sieve.include_interactions)
-    q = spec_for(cc.regressor_points(), sieve.degree, sieve.include_interactions)
-    u = tuple(
-        spec_for(cc.mu_points(k), sieve.mu_degree, sieve.mu_interactions)
-        for k in range(1, ds.k + 2)
-    )
-    return SpecBundle(p=p, q=q, u=u)
+    chain = spec_for(cc.mu_points(ds.k + 1), sieve.mu_degree, sieve.mu_interactions)
+    u = []
+    for k in range(1, ds.k + 2):
+        width = ds.dims.x + sum(ds.dims.m[:k - 1])
+        # numpy sums a lone column pairwise but the columns of a wider
+        # block row by row, so a one-column level keeps its own fit
+        u.append(_leading(chain, width) if width != 1 else
+                 spec_for(cc.mu_points(k), sieve.mu_degree, sieve.mu_interactions))
+    return _SampleSpecBundle(ds, cc, sieve, tuple(u))

@@ -348,3 +348,35 @@ def test_simulate_rejects_bad_inputs_with_exit_2(flags, tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith("configuration error:")
     assert not (out / "mc_table.csv").exists()
+
+
+@pytest.mark.parametrize("command, out", [("truth", "missing/t.json"),
+                                          ("simulate", "a_file")])
+def test_unwritable_out_is_a_config_error(command, out, tmp_path, capsys):
+    (tmp_path / "a_file").write_text("")
+    rc = cli.main([command, "--n", "200", "--reps", "1", "--method", "cca", "--big-n", "200",
+                   "--out", str(tmp_path / out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file"]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("truth", ["--big-n", "0"]),
+    ("simulate", ["--reps", "0"]),
+    ("simulate", ["--n", "0"]),
+    ("simulate", ["--n", "-5"]),
+])
+def test_size_below_one_is_rejected_before_any_work(command, flags, tmp_path, monkeypatch,
+                                                    capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "true_effects", no_work)
+    monkeypatch.setattr(cli, "run_monte_carlo", no_work)
+    out = tmp_path / "run"
+    rc = cli.main([command, "--n", "200", "--reps", "2", "--method", "cca", "--big-n", "200",
+                   "--out", str(out)] + flags)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not out.exists()

@@ -8,8 +8,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from shadowpse import series_regression
-from shadowpse.baselines import cca_estimate, sri_estimate
+from shadowpse import inference, series_regression, sieve_basis
+from shadowpse.baselines import cca_estimate, mi_estimate, sri_estimate
 from shadowpse.data_model import Dataset, complete_cases
 from shadowpse.errors import DimensionMismatch
 from shadowpse.estimator import fit_mu_chain, named_estimand
@@ -18,16 +18,16 @@ from shadowpse.inference import analyze_profile, fit_omegas, fit_representer
 from shadowpse.series_regression import SampleDesigns
 from shadowpse.sieve_basis import build_spec_bundle
 
+DEFAULT_PROFILES = [(1, 1, 1), (0, 0, 0), (0, 0, 1), (0, 1, 1)]
 
-def count_spans(monkeypatch) -> list:
-    """Record (shape, content digest) of every orthonormal_span argument,
-    under every module-level name in the package that binds it."""
-    original = series_regression.orthonormal_span
+
+def record_calls(monkeypatch, original, record) -> list:
+    """Append record(args, kwargs) for every call of original, under every
+    module-level name in the package that binds it."""
     seen = []
 
     def counting(*args, **kwargs):
-        matrix = np.ascontiguousarray(kwargs["matrix"] if "matrix" in kwargs else args[0])
-        seen.append((matrix.shape, hashlib.sha256(matrix.tobytes()).hexdigest()))
+        seen.append(record(args, kwargs))
         return original(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
@@ -36,6 +36,15 @@ def count_spans(monkeypatch) -> list:
                 if value is original:
                     monkeypatch.setattr(mod, attr, counting)
     return seen
+
+
+def count_spans(monkeypatch) -> list:
+    """Record (shape, content digest) of every orthonormal_span argument."""
+    def digest(args, kwargs):
+        matrix = np.ascontiguousarray(kwargs["matrix"] if "matrix" in kwargs else args[0])
+        return matrix.shape, hashlib.sha256(matrix.tobytes()).hexdigest()
+
+    return record_calls(monkeypatch, series_regression.orthonormal_span, digest)
 
 
 def count_odds_evaluations(monkeypatch) -> list:
@@ -116,3 +125,85 @@ def test_fit_ranks_are_real_on_rank_deficient_designs(obs600):
     rank = np.linalg.matrix_rank(designs.p_span_cc.T @ designs.q)
     assert rank < rho.spec.dim
     assert rho.diagnostics.rank == rank
+
+
+@pytest.mark.parametrize("estimate", [sri_estimate, cca_estimate])
+def test_each_nuisance_is_fitted_once_per_run(estimate, monkeypatch, obs2000):
+    """The default estimands read four profiles; their mu chains share 9
+    distinct fits, their omegas 4 and their cumulative products 9."""
+    mu_fits = record_calls(monkeypatch, series_regression.fit_series, lambda a, kw: None)
+    omega_solves = record_calls(monkeypatch, inference._solve_square, lambda a, kw: None)
+    lstsq = np.linalg.lstsq
+    lstsq_rows = []
+
+    def counting_lstsq(matrix, *args, **kwargs):
+        lstsq_rows.append(np.shape(matrix)[0])
+        return lstsq(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    res = estimate(obs2000)
+    assert sorted(res.profiles) == sorted(DEFAULT_PROFILES)
+    n_cc = int(obs2000.complete_mask.sum())
+    assert (len(mu_fits), len(omega_solves), lstsq_rows.count(n_cc)) == (9, 4, 9)
+
+
+@pytest.mark.parametrize("method", ["cca", "mi"])
+def test_zero_odds_runs_fit_only_the_outcome_chain_bases(method, monkeypatch, obs600):
+    """One spec_for per bundle, on the level K+1 outcome-chain points:
+    the conditioning and odds bases are never fitted."""
+    widths = record_calls(monkeypatch, sieve_basis.spec_for,
+                          lambda a, kw: np.shape(a[0] if a else kw["points"])[1])
+    if method == "cca":
+        cca_estimate(obs600)
+        bundles = 1
+    else:
+        mi_estimate(obs600, m=2, seed=3)
+        bundles = 2
+    assert widths == [obs600.mu_points(obs600.k + 1).shape[1]] * bundles
+
+
+def analysis_bytes(analysis) -> bytes:
+    """Every array and figure of one profile analysis, as bytes."""
+    arrays = [analysis.if_values, analysis.phi, analysis.psi.per_unit_plugin]
+    arrays += [reg.coef for reg in analysis.fits.mu]
+    arrays += [reg.coef for reg in analysis.omegas.cumulative]
+    arrays += [reg.coef for reg in analysis.omegas.omega if reg is not None]
+    return b"".join(np.ascontiguousarray(arr).tobytes() for arr in arrays) + repr(
+        analysis.report.to_dict()).encode()
+
+
+@pytest.mark.parametrize("odds", ["zero then model", "array then array",
+                                  "one array changed in place"])
+def test_fits_never_outlive_their_odds(odds, obs2000, bundle2000, gamma2000):
+    """One SampleDesigns asked with two odds in turn gives what a fresh
+    SampleDesigns per odds gives, byte for byte."""
+    flat = np.where(obs2000.r == 1, 0.5, 0.0)
+    tilted = np.where(obs2000.r == 1, 0.5 + 0.1 * np.tanh(obs2000.y), 0.0)
+    if odds == "zero then model":
+        pair = (GammaModel(spec_q=None, pi=None, linear_cap=10.0, is_zero=True), gamma2000[0])
+    elif odds == "array then array":
+        pair = (flat, tilted)
+    else:
+        pair = (flat.copy(),) * 2
+    shared = SampleDesigns(obs2000, bundle2000)
+    for gamma in pair:
+        fresh = SampleDesigns(obs2000, bundle2000)
+        for prof in DEFAULT_PROFILES:
+            got = analyze_profile(obs2000, gamma, prof, shared)
+            want = analyze_profile(obs2000, gamma, prof, fresh)
+            assert analysis_bytes(got) == analysis_bytes(want)
+        if odds == "one array changed in place":
+            gamma[:] = tilted
+
+
+def test_cumulative_fits_follow_the_floor(obs2000, bundle2000, gamma2000):
+    model, _ = gamma2000
+    shared = SampleDesigns(obs2000, bundle2000)
+    for floor in (inference.OMEGA_FLOOR, 1.5):
+        got = fit_omegas(obs2000, model, (0, 1, 1), shared, floor=floor)
+        want = fit_omegas(obs2000, model, (0, 1, 1), SampleDesigns(obs2000, bundle2000),
+                          floor=floor)
+        assert got.floor_events == want.floor_events
+        assert [reg.coef.tobytes() for reg in got.cumulative] == [
+            reg.coef.tobytes() for reg in want.cumulative]
+    assert got.floor_events > 0

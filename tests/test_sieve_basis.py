@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shadowpse.data_model import Dataset, DatasetDims
 from shadowpse.sieve_basis import (
     BasisSpec,
     SieveOptions,
@@ -151,6 +152,20 @@ def test_bundle_outcome_chain_knobs(obs2000):
     coarse = build_spec_bundle(obs2000)
     assert all(u.degree == 2 and not u.include_interactions for u in coarse.u)
     assert coarse.q.degree == 3 and coarse.q.include_interactions
+
+
+@pytest.mark.parametrize("x_miss, x_obs", [(1, 2), (1, 0), (0, 1), (0, 0)])
+@pytest.mark.parametrize("sieve", [SieveOptions(), SieveOptions(mu_degree=3, mu_interactions=True)])
+def test_outcome_chain_specs_equal_per_level_fits(x_miss, x_obs, sieve, obs600):
+    """Each u_k sliced from the one level K+1 fit equals spec_for on the
+    level k points, standardizer and binary mask bit for bit."""
+    ds = Dataset(r=obs600.r, z=obs600.z, x_miss=obs600.x_miss[:, :x_miss],
+                 x_obs=obs600.x_obs[:, :x_obs], a=obs600.a, m=obs600.m, y=obs600.y,
+                 dims=DatasetDims(z=obs600.dims.z, x_miss=x_miss, x_obs=x_obs,
+                                  m=obs600.dims.m))
+    bundle = build_spec_bundle(ds, sieve)
+    assert list(bundle.u) == [spec_for(ds.mu_points(k), sieve.mu_degree, sieve.mu_interactions)
+                              for k in range(1, ds.k + 2)]
 
 
 def test_bundle_degree_knob(obs2000):
