@@ -139,6 +139,18 @@ def _write_json(doc: dict, out: str | None) -> None:
         print(text)
 
 
+def _check_out_file(out: str) -> None:
+    """Raise ConfigError unless --out names a file that can be written,
+    so a run that could not save its result fails before the work."""
+    if os.path.isdir(out):
+        raise ConfigError(f"cannot write --out {out}: it is a directory")
+    parent = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(parent):
+        raise ConfigError(f"cannot write --out {out}: no directory {parent}")
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise ConfigError(f"cannot write --out {out}: directory {parent} is not writable")
+
+
 def _write_manifest(command: str, cfg: dict, directory: str) -> None:
     manifest = {"command": command, "version": __version__, "config": cfg}
     path = os.path.join(directory, "run_manifest.json")
@@ -290,6 +302,8 @@ def main(argv: list[str] | None = None) -> int:
             "simulate": cmd_simulate,
             "truth": cmd_truth,
         }[args.command]
+        if cfg["out"] and args.command != "simulate":
+            _check_out_file(cfg["out"])
         code = handler(cfg)
         directory = _manifest_dir(cfg)
         if directory:

@@ -228,8 +228,8 @@ def _intercept_start(prob: _GammaProblem, ds: Dataset, spec_q: BasisSpec, cap: f
 
 @dataclass
 class _Descent:
-    """One trust-region descent: penalised objective, raw Q_n, the
-    objective's gradient norm, nfev and the end point."""
+    """One Levenberg-Marquardt descent: penalised objective, raw Q_n,
+    the objective's gradient norm, nfev and the end point."""
 
     obj: float
     qn: float
@@ -247,37 +247,32 @@ def _objective(prob: _GammaProblem, pi: np.ndarray, cap: float, lam: float,
 
 def _descend(prob: _GammaProblem, x0: np.ndarray, pi0: np.ndarray,
              options: GammaOptions) -> _Descent:
-    """Trust-region least squares on the penalised objective from x0.
+    """Levenberg-Marquardt (MINPACK lmder) on the penalised objective from x0.
 
     Gauss-Newton on the projected moment vector: the criterion is a
-    finite sum of squares, and with dim(p basis) >= dim(q basis) the
-    system is square or overdetermined, which trust-region least squares
-    handles at quadratic convergence near the solution.
+    finite sum of squares, which Levenberg-Marquardt solves at quadratic
+    convergence near the solution. The penalty rows sqrt(lam) (pi - pi0)
+    are always stacked under the moment rows, as zero rows when
+    penalty=0, so the residual has at least as many rows as unknowns
+    even when the conditioning span is rank-deficient.
     """
     cap = options.linear_cap
     sqrt_n = np.sqrt(prob.n)
     lam = options.penalty / prob.n
     sqrt_lam = np.sqrt(lam)
-    eye = np.eye(len(x0))
+    penalty_jac = sqrt_lam * np.eye(len(x0))
 
     def residual(p: np.ndarray) -> np.ndarray:
-        moment = prob.residual(p, cap) / sqrt_n
-        if lam == 0.0:
-            return moment
-        return np.concatenate([moment, sqrt_lam * (p - pi0)])
+        return np.concatenate([prob.residual(p, cap) / sqrt_n, sqrt_lam * (p - pi0)])
 
     def jacobian(p: np.ndarray) -> np.ndarray:
-        jac = prob.residual_jac(p, cap) / sqrt_n
-        if lam == 0.0:
-            return jac
-        return np.vstack([jac, sqrt_lam * eye])
+        return np.vstack([prob.residual_jac(p, cap) / sqrt_n, penalty_jac])
 
     res = scipy.optimize.least_squares(
         residual,
         x0,
         jac=jacobian,
-        method="trf",
-        tr_solver="exact",
+        method="lm",
         xtol=1e-14,
         ftol=1e-14,
         gtol=1e-14,
@@ -299,8 +294,8 @@ def fit_gamma(
     Starts: the zero vector, a marginal-ratio intercept and a logistic
     warm start on the observable columns. Each is screened by the
     penalised objective (Q_n itself when penalty=0) at one residual
-    evaluation, and trust-region least squares runs only from the
-    lowest, ties breaking on the first start index. options.restarts
+    evaluation, and Levenberg-Marquardt runs only from the lowest, ties
+    breaking on the first start index. options.restarts
     random perturbations of that descent's end point each descend
     again; the winner has the lowest objective, then the lowest
     gradient norm, then the first index. The report counts the screened

@@ -240,23 +240,24 @@ def fit_representer(
     eigenvalue; the returned criterion value is at most zero (zero is
     feasible). The recorded rank is that of the projected odds design,
     whose Gram matrix the system solves.
+
+    Only the right-hand side depends on phi: the projected odds design,
+    its Gram matrix, ridge start, rank and Cholesky factor are the run's
+    designs.representer_system(ridge), built by the first profile and
+    shared by the rest.
     """
     designs.check(ds)
     if np.asarray(phi).shape != (ds.n,):
         raise LengthMismatch("phi must align with the dataset")
     cc = ds.complete_mask
     spec_q = designs.bundle.q
-    smat = designs.q
-    gmat = designs.p_span_cc.T @ smat
-    rhs = smat.T @ phi[cc]
-    gram = gmat.T @ gmat
-    scale = float(np.trace(gram)) / max(gram.shape[0], 1)
-    eps = ridge * max(scale, 1.0)
-    coef, eps_used = ridge_solve(gram, rhs, error=SingularSystem, start=eps)
-    proj = gmat @ coef
+    system = designs.representer_system(ridge)
+    rhs = designs.q.T @ phi[cc]
+    coef, eps_used = system.solve(rhs, SingularSystem)
+    proj = system.design @ coef
     value = 0.5 * float(proj @ proj) / ds.n - float(rhs @ coef) / ds.n
     diag = FitDiagnostics(
-        n_used=int(cc.sum()), dim=spec_q.dim, rank=int(np.linalg.matrix_rank(gmat)),
+        n_used=int(cc.sum()), dim=spec_q.dim, rank=system.rank,
         gram_diag_ridge=eps_used,
     )
     return SeriesRegressor(spec=spec_q, coef=coef, diagnostics=diag), value

@@ -13,15 +13,15 @@ function criterion and the influence-function pieces rely on.
 
 SampleDesigns is where the sample designs of one pipeline run are
 built: the conditioning span, the odds design, each outcome-chain
-design and its span, and the odds values. Each is built on first use
-and at most once, then read by every stage and every profile. It also
-holds the run's nuisance fits under the current odds, so profiles that
-share a fit make it once.
+design and its span, the odds values and the representer's factored
+normal equations. Each is built on first use and at most once, then
+read by every stage and every profile. It also holds the run's nuisance
+fits under the current odds, so profiles that share a fit make it once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Type
 
@@ -65,15 +65,23 @@ def ridge_solve(
     error: Type[Exception] = UnsolvableSystem,
     start: float = RIDGE_START,
     cap: float = RIDGE_CAP,
+    factors: Optional[dict] = None,
 ) -> tuple[np.ndarray, float]:
-    """Solve (gram + eps I) x = rhs, escalating eps tenfold until it works."""
+    """Solve (gram + eps I) x = rhs, escalating eps tenfold until it works.
+
+    factors, when given, keeps the Cholesky factor of gram + eps I under
+    eps, so repeated solves against one gram factor each eps once.
+    """
     eps = start
     dim = gram.shape[0]
     cap = max(cap, start)
+    if factors is None:
+        factors = {}
     while eps <= cap * (1 + 1e-12):
         try:
-            chol = scipy.linalg.cho_factor(gram + eps * np.eye(dim), lower=True)
-            x = scipy.linalg.cho_solve(chol, rhs)
+            if eps not in factors:
+                factors[eps] = scipy.linalg.cho_factor(gram + eps * np.eye(dim), lower=True)
+            x = scipy.linalg.cho_solve(factors[eps], rhs)
         except (scipy.linalg.LinAlgError, ValueError):
             eps *= 10.0
             continue
@@ -81,6 +89,36 @@ def ridge_solve(
             return x, eps
         eps *= 10.0
     raise error(f"system stayed singular up to ridge {cap}")
+
+
+@dataclass
+class RidgeSystem:
+    """The ridged normal equations of one design, for many right-hand sides.
+
+    gram is design' design and start the first ridge eps, the given
+    ridge times the mean Gram eigenvalue (at least one); rank is the
+    design's numerical rank. solve() escalates eps as ridge_solve does
+    and factors each eps once over every solve.
+    """
+
+    design: np.ndarray
+    gram: np.ndarray
+    start: float
+    rank: int
+    factors: dict = field(default_factory=dict)
+
+    def solve(self, rhs: np.ndarray, error: Type[Exception]) -> tuple[np.ndarray, float]:
+        return ridge_solve(self.gram, rhs, error=error, start=self.start, factors=self.factors)
+
+
+def ridge_system(design: np.ndarray, ridge: float) -> RidgeSystem:
+    """The RidgeSystem of design with Tikhonov ridge scaled by its Gram."""
+    gram = design.T @ design
+    scale = float(np.trace(gram)) / max(gram.shape[0], 1)
+    return RidgeSystem(
+        design=design, gram=gram, start=ridge * max(scale, 1.0),
+        rank=int(np.linalg.matrix_rank(design)),
+    )
 
 
 def _check_inputs(
@@ -212,6 +250,11 @@ class SampleDesigns:
     up to level k under ("cumulative", floor, k, (a_1..a_k)), so the
     four default profiles of a K = 2 run make 9 mu, 4 omega and 9
     cumulative fits where fitting each profile alone makes 12, 6 and 12.
+
+    representer_system(ridge) holds the representer's ridged normal
+    equations, which depend on the designs alone: one Gram matrix, rank
+    and Cholesky factor per run, solved against each profile's
+    right-hand side.
     """
 
     def __init__(self, ds: Dataset, bundle: SpecBundle):
@@ -223,6 +266,7 @@ class SampleDesigns:
         self._odds: Optional[np.ndarray] = None
         self._fits_odds: Optional[np.ndarray] = None
         self._fits: dict = {}
+        self._representer: dict[float, RidgeSystem] = {}
 
     def check(self, ds: Dataset) -> None:
         """Raise unless these designs were built from ds."""
@@ -263,6 +307,18 @@ class SampleDesigns:
             self._odds = _frozen(model.values(self))
             self._odds_model = model
         return self._odds
+
+    def representer_system(self, ridge: float) -> RidgeSystem:
+        """The representer's normal equations under ridge, built once.
+
+        Its design is the projected odds design p_span_cc' q, which no
+        odds values or profile enter, so every profile of the run solves
+        against the same Gram matrix, ridge start, rank and Cholesky
+        factor and pays only for its right-hand side.
+        """
+        if ridge not in self._representer:
+            self._representer[ridge] = ridge_system(_frozen(self.p_span_cc.T @ self.q), ridge)
+        return self._representer[ridge]
 
     def fits(self, odds: np.ndarray) -> dict:
         """The memo of nuisance fits made under the odds values `odds`.

@@ -361,6 +361,23 @@ def test_unwritable_out_is_a_config_error(command, out, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file"]
 
 
+@pytest.mark.parametrize("command", ["validate", "estimate", "truth"])
+@pytest.mark.parametrize("out", ["missing/out.json", "a_dir"])
+def test_out_is_checked_before_any_work(command, out, tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("read_csv", "true_effects", "run_method"):
+        monkeypatch.setattr(cli, name, no_work)
+    (tmp_path / "a_dir").mkdir()
+    rc = cli.main([command, "--data", str(tmp_path / "d.csv"),
+                   "--descriptor", str(tmp_path / "d.json"), "--big-n", "200",
+                   "--out", str(tmp_path / out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("configuration error: cannot write --out")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir"]
+
+
 @pytest.mark.parametrize("command, flags", [
     ("truth", ["--big-n", "0"]),
     ("simulate", ["--reps", "0"]),

@@ -7,15 +7,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from shadowpse import inference, series_regression, sieve_basis
 from shadowpse.baselines import cca_estimate, mi_estimate, sri_estimate
 from shadowpse.data_model import Dataset, complete_cases
-from shadowpse.errors import DimensionMismatch
+from shadowpse.errors import DimensionMismatch, SingularSystem
 from shadowpse.estimator import fit_mu_chain, named_estimand
 from shadowpse.gamma_solver import GammaModel
 from shadowpse.inference import analyze_profile, fit_omegas, fit_representer
-from shadowpse.series_regression import SampleDesigns
+from shadowpse.series_regression import SampleDesigns, ridge_solve
 from shadowpse.sieve_basis import build_spec_bundle
 
 DEFAULT_PROFILES = [(1, 1, 1), (0, 0, 0), (0, 0, 1), (0, 1, 1)]
@@ -207,3 +208,51 @@ def test_cumulative_fits_follow_the_floor(obs2000, bundle2000, gamma2000):
         assert [reg.coef.tobytes() for reg in got.cumulative] == [
             reg.coef.tobytes() for reg in want.cumulative]
     assert got.floor_events > 0
+
+
+def fresh_representer(designs: SampleDesigns, phi: np.ndarray,
+                      ridge: float = inference.REPRESENTER_RIDGE):
+    """One profile's representer solved on its own: coefficients,
+    criterion value and rank of the projected odds design."""
+    n = designs.ds.n
+    gmat = designs.p_span_cc.T @ designs.q
+    rhs = designs.q.T @ phi[designs.ds.complete_mask]
+    gram = gmat.T @ gmat
+    eps = ridge * max(float(np.trace(gram)) / gram.shape[0], 1.0)
+    coef, _ = ridge_solve(gram, rhs, error=SingularSystem, start=eps)
+    proj = gmat @ coef
+    value = 0.5 * float(proj @ proj) / n - float(rhs @ coef) / n
+    return coef, value, int(np.linalg.matrix_rank(gmat))
+
+
+def test_representer_system_is_factored_once_per_run(monkeypatch, obs2000):
+    """The four default profiles solve against one factored representer
+    system, and each solve equals a fresh per-profile one byte for byte."""
+    builds = record_calls(monkeypatch, series_regression.ridge_system, lambda a, kw: None)
+    cho_factor = scipy.linalg.cho_factor
+    factored = []
+
+    def counting_factor(matrix, *args, **kwargs):
+        factored.append(np.shape(matrix))
+        return cho_factor(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counting_factor)
+    fit = inference.fit_representer
+    solved = []
+
+    def recording(ds, gamma, phi, designs, *args, **kwargs):
+        out = fit(ds, gamma, phi, designs, *args, **kwargs)
+        solved.append((phi, designs, out))
+        return out
+
+    monkeypatch.setattr(inference, "fit_representer", recording)
+    sri_estimate(obs2000)
+    dim_q = solved[0][1].bundle.q.dim
+    assert len(solved) == len(DEFAULT_PROFILES)
+    assert len(builds) == 1
+    assert factored.count((dim_q, dim_q)) == 1
+    for phi, designs, (rho, value) in solved:
+        coef, want_value, rank = fresh_representer(designs, phi)
+        assert rho.coef.tobytes() == coef.tobytes()
+        assert value == want_value
+        assert rho.diagnostics.rank == rank

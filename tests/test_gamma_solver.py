@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
 from shadowpse.data_model import Dataset, DatasetDims
-from shadowpse.errors import ConfigError, DegenerateTarget, LengthMismatch
+from shadowpse.errors import ConfigError, DegenerateTarget, EstimationError, LengthMismatch
 from shadowpse import gamma_solver
 from shadowpse.gamma_solver import (
     GammaOptions,
     _GammaProblem,
     _descend,
     _intercept_start,
+    _objective,
     _logistic_warm_start,
     criterion_for_model,
     criterion_qn,
@@ -168,6 +170,55 @@ def test_single_descent_matches_best_of_every_start():
         obj = report.q_n + lam * float((model.pi - pi0) @ (model.pi - pi0))
         assert abs(obj - best.obj) <= 1e-12 * best.obj
         np.testing.assert_allclose(model.pi, best.pi, rtol=0.0, atol=1e-6)
+
+
+def trf_descent(prob, x0, pi0, opts):
+    """Reference descent: scipy's trust-region reflective solver on the
+    same stacked residual, with an exact trust-region subproblem."""
+    cap, sqrt_n = opts.linear_cap, np.sqrt(prob.n)
+    sqrt_lam = np.sqrt(opts.penalty / prob.n)
+    res = scipy.optimize.least_squares(
+        lambda p: np.concatenate([prob.residual(p, cap) / sqrt_n, sqrt_lam * (p - pi0)]),
+        x0,
+        jac=lambda p: np.vstack([prob.residual_jac(p, cap) / sqrt_n,
+                                 sqrt_lam * np.eye(len(p))]),
+        method="trf", tr_solver="exact", xtol=1e-14, ftol=1e-14, gtol=1e-14,
+        max_nfev=opts.max_iter,
+    )
+    return res.x
+
+
+def test_descent_agrees_with_trust_region_reference():
+    opts = GammaOptions()
+    lam = opts.penalty / 1000
+    for i in range(10):
+        full, obs = generate(DgpConfig(n=1000, seed=seq(33, i)))
+        bundle = build_spec_bundle(obs)
+        prob = _GammaProblem(SampleDesigns(obs, bundle))
+        pi0 = _intercept_start(prob, obs, bundle.q, opts.linear_cap)
+        starts = [np.zeros(bundle.q.dim), pi0, _logistic_warm_start(prob, obs, bundle.q)]
+        x0 = min(starts, key=lambda x: _objective(prob, x, opts.linear_cap, lam, pi0))
+        got = _descend(prob, x0, pi0, opts)
+        want = trf_descent(prob, x0, pi0, opts)
+        assert np.max(np.abs(got.pi - want)) <= 1e-5
+        assert abs(got.obj - _objective(prob, want, opts.linear_cap, lam, pi0)) <= 1e-8
+
+
+def test_zero_penalty_on_rank_deficient_conditioning_span():
+    """z duplicating an x_obs column leaves the conditioning span fewer
+    columns than the odds basis; with no penalty the moment rows alone
+    are fewer than the unknowns."""
+    full, obs = generate(DgpConfig(n=1000, seed=seq(34)))
+    ds = obs.subset(np.ones(obs.n, dtype=bool))
+    ds.z = ds.x_obs[:, :1].copy()
+    designs = SampleDesigns(ds, build_spec_bundle(ds))
+    assert designs.p_span.shape[1] < designs.bundle.q.dim
+    try:
+        _, report = fit_gamma(ds, designs, GammaOptions(penalty=0.0))
+    except EstimationError:
+        return
+    assert np.isfinite(report.q_n)
+    assert any("rank-deficient" in msg for msg in report.messages)
 
 
 def test_gradient_matches_finite_differences():
