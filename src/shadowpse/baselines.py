@@ -19,7 +19,7 @@ imputer has nothing to fill.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -29,7 +29,7 @@ from .errors import ConfigError, InsufficientCompleteCases, MissingTrueX
 from .estimator import TreatmentProfile, named_estimand, validate_profile
 from .gamma_solver import GammaModel, GammaOptions, fit_gamma
 from .inference import InferenceReport, analyze_contrast, z_critical
-from .series_regression import SampleDesigns
+from .series_regression import SampleDesigns, lapack_errors
 from .sieve_basis import SieveOptions, build_spec_bundle
 
 EstimandSpec = Union[str, tuple[Sequence[int], Sequence[int]]]
@@ -153,16 +153,14 @@ def _impute_once(
     rng: np.random.Generator,
 ) -> Dataset:
     """ds with x_miss drawn where missing; design_miss is the imputer
-    design of the incomplete records."""
+    design of the incomplete records. The columns it does not fill are
+    shared with ds, not copied."""
     miss = ~ds.complete_mask
     filled = ds.x_miss.copy()
     for j in range(ds.dims.x_miss):
         draw = design_miss @ beta[:, j] + resid_sd[j] * rng.standard_normal(int(miss.sum()))
         filled[miss, j] = draw
-    out = ds.subset(np.ones(ds.n, dtype=bool))
-    out.x_miss = filled
-    out.r = np.ones(ds.n, dtype=int)
-    return out
+    return replace(ds, x_miss=filled, r=np.ones(ds.n, dtype=int))
 
 
 def _imputer_design(ds: Dataset, mask: np.ndarray) -> np.ndarray:
@@ -199,7 +197,8 @@ def mi_estimate(
             f"{n_cc} complete cases cannot support a {p}-column imputer"
         )
     targets = ds.x_miss[cc_mask]
-    beta, _, _, _ = np.linalg.lstsq(design_cc, targets, rcond=None)
+    with lapack_errors("imputer regression"):
+        beta, _, _, _ = np.linalg.lstsq(design_cc, targets, rcond=None)
     resid = targets - design_cc @ beta
     resid_sd = np.sqrt((resid ** 2).sum(axis=0) / (n_cc - p))
 

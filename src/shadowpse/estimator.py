@@ -22,7 +22,7 @@ import numpy as np
 from .data_model import Dataset
 from .errors import DimensionMismatch, EmptyArm
 from .gamma_solver import GammaModel
-from .series_regression import SampleDesigns, SeriesRegressor, fit_series
+from .series_regression import SampleDesigns, SeriesRegressor, factor_series, solve_series
 
 TreatmentProfile = tuple[int, ...]
 GammaLike = Union[GammaModel, np.ndarray]
@@ -75,12 +75,14 @@ def gamma_values_for(designs: SampleDesigns, gamma: GammaLike) -> np.ndarray:
 class NuisanceFits:
     """Backward chain mu_1..mu_{K+1} for one profile.
 
-    mu[k-1] is the fit for mu_k; gamma holds whatever was passed in
-    (model or raw values) so downstream stages reuse the same weights.
+    mu[k-1] is the fit for mu_k and values[k-1] its fitted values on the
+    complete cases; gamma holds whatever was passed in (model or raw
+    values) so downstream stages reuse the same weights.
     """
 
     profile: TreatmentProfile
     mu: list[SeriesRegressor]
+    values: list[np.ndarray]
     gamma: GammaLike
 
 
@@ -98,7 +100,9 @@ def fit_mu_chain(
     designs: SampleDesigns,
 ) -> NuisanceFits:
     """Fit the K+1 weighted regressions, outcome level first; each mu_k
-    is shared through designs.fits with every profile of the same suffix."""
+    is shared through designs.fits with every profile of the same suffix,
+    and each is solved against the factor of its weighted design, made
+    once per (k, a_k) and shared by every mu_k fit on that arm."""
     designs.check(ds)
     prof = validate_profile(profile, ds.k)
     u_specs = designs.bundle.u
@@ -111,20 +115,24 @@ def fit_mu_chain(
     growth = 1.0 + gvals[cc]
 
     mu: list[SeriesRegressor] = [None] * (ds.k + 1)  # type: ignore[list-item]
+    values: list[np.ndarray] = [None] * (ds.k + 1)  # type: ignore[list-item]
     response = ds.y[cc]
     for k in range(ds.k + 1, 0, -1):
         key = ("mu", k, prof[k - 1:])
         if key not in memo:
-            arm = a_cc == prof[k - 1]
-            if not arm.any():
-                raise EmptyArm(f"no complete cases with a={prof[k - 1]} for mu_{k}")
-            weights = np.where(arm, growth, 0.0)
-            umat = designs.u(k)
-            reg = fit_series(u_specs[k - 1], umat, response, weights=weights)
+            factor_key = ("factor", k, prof[k - 1])
+            if factor_key not in memo:
+                arm = a_cc == prof[k - 1]
+                if not arm.any():
+                    raise EmptyArm(f"no complete cases with a={prof[k - 1]} for mu_{k}")
+                memo[factor_key] = factor_series(
+                    u_specs[k - 1], designs.u(k), np.where(arm, growth, 0.0))
+            reg = solve_series(memo[factor_key], response)
             # next level regresses mu_k evaluated at (x, m_1..m_{k-1})
-            memo[key] = (reg, umat @ reg.coef if k > 1 else None)
-        mu[k - 1], response = memo[key]
-    return NuisanceFits(profile=prof, mu=mu, gamma=gamma)
+            memo[key] = (reg, designs.u(k) @ reg.coef)
+        mu[k - 1], values[k - 1] = memo[key]
+        response = values[k - 1]
+    return NuisanceFits(profile=prof, mu=mu, values=values, gamma=gamma)
 
 
 def estimate_psi(ds: Dataset, fits: NuisanceFits, designs: SampleDesigns) -> PsiEstimate:
@@ -133,5 +141,5 @@ def estimate_psi(ds: Dataset, fits: NuisanceFits, designs: SampleDesigns) -> Psi
     gvals = gamma_values_for(designs, fits.gamma)
     cc = ds.complete_mask
     plugin = np.zeros(ds.n)
-    plugin[cc] = (1.0 + gvals[cc]) * (designs.u(1) @ fits.mu[0].coef)
+    plugin[cc] = (1.0 + gvals[cc]) * fits.values[0]
     return PsiEstimate(psi_hat=float(plugin.mean()), per_unit_plugin=plugin, n=ds.n)

@@ -41,6 +41,7 @@ from .series_regression import (
     FitDiagnostics,
     SampleDesigns,
     SeriesRegressor,
+    lapack_errors,
     project_onto,
     ridge_solve,
 )
@@ -67,13 +68,15 @@ class OmegaFits:
     cumulative[k-1] stores the floored product omega_1..omega_k pushed
     back onto the k-th mu basis, so the phi augmentation terms stay
     orthogonal to the fitted chain and the reweighted mean of phi
-    reproduces psi_hat exactly.
+    reproduces psi_hat exactly; cumulative_values[k-1] are its fitted
+    values on the complete cases.
     """
 
     profile: TreatmentProfile
     omega: list[Optional[SeriesRegressor]]
     identically_one: list[bool]
     cumulative: list[SeriesRegressor]
+    cumulative_values: list[np.ndarray]
     floor: float
     floor_events: int
     moment_residual_sup: float
@@ -81,7 +84,8 @@ class OmegaFits:
 
 def _solve_square(gmat: np.ndarray, rhs: np.ndarray, error) -> np.ndarray:
     """Least-squares solve of gmat c = rhs with ridge escalation fallback."""
-    sol, _, rank, _ = np.linalg.lstsq(gmat, rhs, rcond=1e-10)
+    with lapack_errors("density-ratio system"):
+        sol, _, rank, _ = np.linalg.lstsq(gmat, rhs, rcond=1e-10)
     if rank == gmat.shape[1] and np.isfinite(sol).all():
         return sol
     sol, _ = ridge_solve(gmat.T @ gmat, gmat.T @ rhs, error=error)
@@ -127,6 +131,8 @@ def fit_omegas(
 
     The omega and cumulative fits are shared through designs.fits with
     every profile of the same levels; floor events count per profile.
+    The cumulative fits are unweighted least squares on the k-th mu
+    basis, solved through designs.u_lstsq(k).
     """
     designs.check(ds)
     prof = validate_profile(profile, ds.k)
@@ -159,6 +165,7 @@ def fit_omegas(
     # cumulative products, floored then pushed back into the k-th basis span
     floor_events = 0
     cumulative: list[SeriesRegressor] = []
+    cumulative_values: list[np.ndarray] = []
     running = np.ones(int(cc.sum()))
     for k in range(1, ds.k + 2):
         vals = raw_vals[k - 1]
@@ -169,18 +176,22 @@ def fit_omegas(
         if key not in memo:
             product = running * vals
             spec = designs.bundle.u[k - 1]
-            coef, _, rank, _ = np.linalg.lstsq(designs.u(k), product, rcond=None)
+            lstsq = designs.u_lstsq(k)
+            coef = lstsq.solve(product)
             diag = FitDiagnostics(
-                n_used=len(product), dim=spec.dim, rank=int(rank), gram_diag_ridge=0.0,
+                n_used=len(product), dim=spec.dim, rank=lstsq.rank, gram_diag_ridge=0.0,
             )
-            memo[key] = (SeriesRegressor(spec=spec, coef=coef, diagnostics=diag), product)
-        reg, running = memo[key]
+            reg = SeriesRegressor(spec=spec, coef=coef, diagnostics=diag)
+            memo[key] = (reg, product, designs.u(k) @ coef)
+        reg, running, fitted = memo[key]
         cumulative.append(reg)
+        cumulative_values.append(fitted)
     return OmegaFits(
         profile=prof,
         omega=omega,
         identically_one=ident,
         cumulative=cumulative,
+        cumulative_values=cumulative_values,
         floor=floor,
         floor_events=floor_events,
         moment_residual_sup=resid_sup,
@@ -216,10 +227,9 @@ def phi_values(ds: Dataset, fits: NuisanceFits, omegas: OmegaFits,
     if fits.profile != omegas.profile:
         raise DimensionMismatch("mu chain and omega fits target different profiles")
     cc = ds.complete_mask
-    mu_vals = [designs.u(k + 1) @ fits.mu[k].coef for k in range(ds.k + 1)]
-    cum_vals = [designs.u(k + 1) @ omegas.cumulative[k].coef for k in range(ds.k + 1)]
     out = np.zeros(ds.n)
-    out[cc] = _phi_terms(ds.y[cc], ds.a[cc], mu_vals, cum_vals, fits.profile)
+    out[cc] = _phi_terms(ds.y[cc], ds.a[cc], fits.values, omegas.cumulative_values,
+                         fits.profile)
     return out
 
 

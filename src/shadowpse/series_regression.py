@@ -4,23 +4,31 @@ fit_series solves the weighted normal equations on a prebuilt design
 through an orthogonal decomposition of the weighted design; if that is
 numerically singular a ridge eps * I is added to the Gram matrix,
 escalating tenfold from 1e-10, and anything past 1e-2 raises
-UnsolvableSystem.
+UnsolvableSystem. It is factor_series, which takes the SVD of the
+weighted design, then solve_series, which solves one response against
+it, so fits that share a design and weights factor it once.
 
 orthonormal_span returns an orthonormal basis of a design's column
 space; projections built from it are exactly idempotent and invariant
 to invertible reparameterisations of the columns, which the odds-
 function criterion and the influence-function pieces rely on.
+span_least_squares solves unweighted least squares on a design through
+that span, so a design whose span is built needs no second large
+factorisation. A LAPACK failure in any of these raises UnsolvableSystem.
 
 SampleDesigns is where the sample designs of one pipeline run are
 built: the conditioning span, the odds design, each outcome-chain
-design and its span, the odds values and the representer's factored
-normal equations. Each is built on first use and at most once, then
-read by every stage and every profile. It also holds the run's nuisance
-fits under the current odds, so profiles that share a fit make it once.
+design, its span and the least squares through that span, the odds
+values and the representer's factored normal equations. Each is built
+on first use and at most once, then read by every stage and every
+profile. It also holds the run's nuisance fits under the current odds,
+so profiles that share a fit make it once, and each weighted outcome-
+chain design is factored once per (level k, arm a_k).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Type
@@ -42,6 +50,15 @@ RIDGE_START = 1e-10
 RIDGE_CAP = 1e-2
 # design singular values below s_max * this are treated as zero
 SINGULAR_RTOL = 1e-10
+
+
+@contextmanager
+def lapack_errors(what: str):
+    """Re-raise a LAPACK failure inside the block as UnsolvableSystem."""
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise UnsolvableSystem(f"{what}: {exc}") from exc
 
 
 @dataclass
@@ -115,34 +132,106 @@ def ridge_system(design: np.ndarray, ridge: float) -> RidgeSystem:
     """The RidgeSystem of design with Tikhonov ridge scaled by its Gram."""
     gram = design.T @ design
     scale = float(np.trace(gram)) / max(gram.shape[0], 1)
-    return RidgeSystem(
-        design=design, gram=gram, start=ridge * max(scale, 1.0),
-        rank=int(np.linalg.matrix_rank(design)),
-    )
+    with lapack_errors("rank of a ridged design"):
+        rank = int(np.linalg.matrix_rank(design))
+    return RidgeSystem(design=design, gram=gram, start=ridge * max(scale, 1.0), rank=rank)
+
+
+def _check_responses(n: int, responses: np.ndarray) -> np.ndarray:
+    v = np.asarray(responses, dtype=float)
+    if v.ndim != 1:
+        raise LengthMismatch("responses must be 1-d")
+    if len(v) != n:
+        raise LengthMismatch(f"{n} input rows but {len(v)} responses")
+    if not np.isfinite(v).all():
+        raise NonFiniteInput("fit_series: non-finite input")
+    return v
+
+
+def _check_design(
+    inputs: np.ndarray, weights: Optional[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    pts = np.asarray(inputs, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if weights is None:
+        w = np.ones(pts.shape[0])
+    else:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (pts.shape[0],):
+            raise LengthMismatch("weights misaligned with the design rows")
+    if not np.isfinite(pts).all() or not np.isfinite(w).all():
+        raise NonFiniteInput("fit_series: non-finite input")
+    if (w < 0).any():
+        raise NonFiniteInput("fit_series: negative weight")
+    return pts, w
 
 
 def _check_inputs(
     inputs: np.ndarray, responses: np.ndarray, weights: Optional[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    pts = np.asarray(inputs, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    v = np.asarray(responses, dtype=float)
-    if v.ndim != 1:
-        raise LengthMismatch("responses must be 1-d")
-    if len(v) != pts.shape[0]:
-        raise LengthMismatch(f"{pts.shape[0]} input rows but {len(v)} responses")
-    if weights is None:
-        w = np.ones(len(v))
+    pts, w = _check_design(inputs, weights)
+    return pts, _check_responses(pts.shape[0], responses), w
+
+
+@dataclass
+class WeightedDesign:
+    """The economy SVD u diag(s) vt of sqrt(w) * basis over the rows
+    with w > 0, with the numerical rank, ready for any number of
+    responses on the same rows and weights."""
+
+    spec: BasisSpec
+    basis: np.ndarray
+    keep: np.ndarray
+    sw: np.ndarray
+    u: np.ndarray
+    s: np.ndarray
+    vt: np.ndarray
+    rank: int
+
+
+def factor_series(
+    spec: BasisSpec, basis: np.ndarray, weights: Optional[np.ndarray] = None
+) -> WeightedDesign:
+    """Factor the weighted design of a fit of basis, a design of spec.
+
+    Zero-weight rows are dropped before the factorisation."""
+    basis, w = _check_design(basis, weights)
+    if basis.shape[1] != spec.dim:
+        raise DimensionMismatch(f"design has {basis.shape[1]} columns, spec has {spec.dim}")
+    if w.sum() <= 0.0:
+        raise AllZeroWeights("fit_series: all weights are zero")
+    keep = w > 0.0
+    sw = np.sqrt(w[keep])
+    # economy SVD gives rank and a stable exact solve in one pass
+    with lapack_errors("weighted series design"):
+        u_mat, s, vt = np.linalg.svd(basis[keep] * sw[:, None], full_matrices=False)
+    smax = s[0] if len(s) else 0.0
+    rank = int((s > smax * SINGULAR_RTOL).sum()) if smax > 0 else 0
+    return WeightedDesign(spec=spec, basis=basis, keep=keep, sw=sw, u=u_mat, s=s, vt=vt,
+                          rank=rank)
+
+
+def solve_series(
+    design: WeightedDesign, responses: np.ndarray, ridge: Optional[float] = None
+) -> SeriesRegressor:
+    """Weighted least squares of responses on a factored design.
+
+    Passing ridge forces the penalised path with that starting eps; the
+    default solves exactly when the design has full column rank.
+    """
+    v = _check_responses(len(design.keep), responses)[design.keep]
+    vw = v * design.sw
+    dim = design.spec.dim
+    if ridge is None and design.rank == dim:
+        coef = design.vt.T @ ((design.u.T @ vw) / design.s)
+        eps = 0.0
     else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != v.shape:
-            raise LengthMismatch("weights misaligned with responses")
-    if not np.isfinite(pts).all() or not np.isfinite(v).all() or not np.isfinite(w).all():
-        raise NonFiniteInput("fit_series: non-finite input")
-    if (w < 0).any():
-        raise NonFiniteInput("fit_series: negative weight")
-    return pts, v, w
+        bw = design.basis[design.keep] * design.sw[:, None]
+        coef, eps = ridge_solve(bw.T @ bw, bw.T @ vw,
+                                start=ridge if ridge is not None else RIDGE_START)
+    diag = FitDiagnostics(n_used=len(v), dim=dim, rank=design.rank, gram_diag_ridge=eps)
+    return SeriesRegressor(spec=design.spec, coef=coef, diagnostics=diag)
 
 
 def fit_series(
@@ -152,39 +241,14 @@ def fit_series(
     weights: Optional[np.ndarray] = None,
     ridge: Optional[float] = None,
 ) -> SeriesRegressor:
-    """Weighted least squares of responses on basis, a design of spec.
+    """Weighted least squares of responses on basis, a design of spec:
+    factor_series, then solve_series.
 
     Zero-weight rows are dropped before the solve. Passing ridge forces
     the penalised path with that starting eps; the default attempts an
     exact solve first.
     """
-    basis, v, w = _check_inputs(basis, responses, weights)
-    if basis.shape[1] != spec.dim:
-        raise DimensionMismatch(f"design has {basis.shape[1]} columns, spec has {spec.dim}")
-    if w.sum() <= 0.0:
-        raise AllZeroWeights("fit_series: all weights are zero")
-    keep = w > 0.0
-    basis, v, w = basis[keep], v[keep], w[keep]
-
-    sw = np.sqrt(w)
-    bw = basis * sw[:, None]
-    vw = v * sw
-    dim = spec.dim
-
-    # economy SVD gives rank and a stable exact solve in one pass
-    u_mat, s, vt = np.linalg.svd(bw, full_matrices=False)
-    smax = s[0] if len(s) else 0.0
-    rank = int((s > smax * SINGULAR_RTOL).sum()) if smax > 0 else 0
-
-    if ridge is None and rank == dim:
-        coef = vt.T @ ((u_mat.T @ vw) / s)
-        eps = 0.0
-    else:
-        gram = bw.T @ bw
-        rhs = bw.T @ vw
-        coef, eps = ridge_solve(gram, rhs, start=ridge if ridge is not None else RIDGE_START)
-    diag = FitDiagnostics(n_used=len(v), dim=dim, rank=rank, gram_diag_ridge=eps)
-    return SeriesRegressor(spec=spec, coef=coef, diagnostics=diag)
+    return solve_series(factor_series(spec, basis, weights), responses, ridge)
 
 
 def predict_many(reg: SeriesRegressor, points: np.ndarray) -> np.ndarray:
@@ -213,7 +277,8 @@ def orthonormal_span(matrix: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
     m = np.asarray(matrix, dtype=float)
     if m.size == 0:
         return np.zeros((m.shape[0], 0))
-    u_mat, s, _ = np.linalg.svd(m, full_matrices=False)
+    with lapack_errors("orthonormal span"):
+        u_mat, s, _ = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((m.shape[0], 0))
     rank = int((s > s[0] * rtol).sum())
@@ -225,6 +290,37 @@ def project_onto(span: np.ndarray, values: np.ndarray) -> np.ndarray:
     if span.shape[1] == 0:
         return np.zeros_like(values, dtype=float)
     return span @ (span.T @ values)
+
+
+@dataclass
+class SpanLeastSquares:
+    """Minimum-norm least squares on a design through an orthonormal
+    basis `span` of its column space.
+
+    The design is span @ reduced, with reduced = span' design small, so
+    min ||design c - v|| is solved by c = pinv(reduced) @ (span' v); the
+    pseudo-inverse drops singular values at or below np.linalg.lstsq's
+    default cutoff eps * max(design rows, columns) * s_max, and rank
+    counts the rest, as lstsq's rank does.
+    """
+
+    span: np.ndarray
+    pinv: np.ndarray
+    rank: int
+
+    def solve(self, values: np.ndarray) -> np.ndarray:
+        return self.pinv @ (self.span.T @ values)
+
+
+def span_least_squares(span: np.ndarray, design: np.ndarray) -> SpanLeastSquares:
+    """The SpanLeastSquares of design, given an orthonormal basis of its span."""
+    reduced = span.T @ design
+    with lapack_errors("reduced least-squares design"):
+        u_mat, s, vt = np.linalg.svd(reduced, full_matrices=False)
+    cutoff = np.finfo(float).eps * max(design.shape) * (s[0] if s.size else 0.0)
+    rank = int((s > cutoff).sum())
+    pinv = (vt[:rank].T / s[:rank]) @ u_mat[:, :rank].T
+    return SpanLeastSquares(span=span, pinv=_frozen(pinv), rank=rank)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -250,6 +346,13 @@ class SampleDesigns:
     up to level k under ("cumulative", floor, k, (a_1..a_k)), so the
     four default profiles of a K = 2 run make 9 mu, 4 omega and 9
     cumulative fits where fitting each profile alone makes 12, 6 and 12.
+    Every mu_k fit on arm a_k solves against the factor of the weighted
+    design of u(k), held under ("factor", k, a_k): 6 factorisations for
+    those 9 fits. The mu and cumulative entries keep the fitted values on
+    the complete cases with the fit, so no profile computes them again.
+
+    u_lstsq(k) solves the cumulative fits through u_span(k), reusing the
+    span's SVD in place of a fresh least-squares factorisation of u(k).
 
     representer_system(ridge) holds the representer's ridged normal
     equations, which depend on the designs alone: one Gram matrix, rank
@@ -262,6 +365,7 @@ class SampleDesigns:
         self.bundle = bundle
         self._u: dict[int, np.ndarray] = {}
         self._u_span: dict[int, np.ndarray] = {}
+        self._u_lstsq: dict[int, SpanLeastSquares] = {}
         self._odds_model = None
         self._odds: Optional[np.ndarray] = None
         self._fits_odds: Optional[np.ndarray] = None
@@ -300,6 +404,14 @@ class SampleDesigns:
         if k not in self._u_span:
             self._u_span[k] = _frozen(orthonormal_span(self.u(k)))
         return self._u_span[k]
+
+    def u_lstsq(self, k: int) -> SpanLeastSquares:
+        """Least squares on u(k) through u_span(k), which already holds
+        u(k)'s SVD: one small pseudo-inverse per run, then each fit is
+        two thin products."""
+        if k not in self._u_lstsq:
+            self._u_lstsq[k] = span_least_squares(self.u_span(k), self.u(k))
+        return self._u_lstsq[k]
 
     def odds_values(self, model) -> np.ndarray:
         """model.values(self), evaluated once for the last model asked for."""

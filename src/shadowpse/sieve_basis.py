@@ -16,8 +16,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .data_model import Dataset, complete_cases
-from .errors import DimensionMismatch, NonFiniteInput
+from .data_model import Dataset
+from .errors import DimensionMismatch, EmptyResult, NonFiniteInput
 
 @dataclass(frozen=True)
 class Standardizer:
@@ -201,10 +201,9 @@ class _SampleSpecBundle(SpecBundle):
     """The bundle build_spec_bundle fits on one sample: u at once, p and
     q on first read, so a run that reads neither never fits them."""
 
-    def __init__(self, ds: Dataset, cc: Dataset, sieve: SieveOptions,
-                 u: tuple[BasisSpec, ...]):
+    def __init__(self, ds: Dataset, sieve: SieveOptions, u: tuple[BasisSpec, ...]):
         object.__setattr__(self, "u", u)
-        self._ds, self._cc, self._sieve = ds, cc, sieve
+        self._ds, self._sieve = ds, sieve
 
     @cached_property
     def p(self) -> BasisSpec:
@@ -214,7 +213,7 @@ class _SampleSpecBundle(SpecBundle):
     @cached_property
     def q(self) -> BasisSpec:
         sieve = self._sieve
-        return spec_for(self._cc.regressor_points(), sieve.degree, sieve.include_interactions)
+        return spec_for(self._ds.regressor_points(), sieve.degree, sieve.include_interactions)
 
 
 def _leading(spec: BasisSpec, dim: int) -> BasisSpec:
@@ -246,13 +245,15 @@ def build_spec_bundle(ds: Dataset, sieve: SieveOptions = SieveOptions()) -> Spec
     dimension, so richer u bases buy little and cost a visible
     finite-sample bias in the composed estimates.
     """
-    cc = complete_cases(ds)
-    chain = spec_for(cc.mu_points(ds.k + 1), sieve.mu_degree, sieve.mu_interactions)
+    if not ds.complete_mask.any():
+        raise EmptyResult("no complete cases")
+    # the point matrices default to the complete-case rows
+    chain = spec_for(ds.mu_points(ds.k + 1), sieve.mu_degree, sieve.mu_interactions)
     u = []
     for k in range(1, ds.k + 2):
         width = ds.dims.x + sum(ds.dims.m[:k - 1])
         # numpy sums a lone column pairwise but the columns of a wider
         # block row by row, so a one-column level keeps its own fit
         u.append(_leading(chain, width) if width != 1 else
-                 spec_for(cc.mu_points(k), sieve.mu_degree, sieve.mu_interactions))
-    return _SampleSpecBundle(ds, cc, sieve, tuple(u))
+                 spec_for(ds.mu_points(k), sieve.mu_degree, sieve.mu_interactions))
+    return _SampleSpecBundle(ds, sieve, tuple(u))

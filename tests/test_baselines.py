@@ -168,3 +168,14 @@ def test_dispatch_calls_estimators_through_module_names(monkeypatch, obs600, tmp
                           estimands=["te"], master_seed=4, truth=truth)
     assert res.failures == {"sri": [], "cca": []}
     assert calls == [("sri_estimate", "sri"), ("cca_estimate", "cca")]
+
+
+def test_mi_leaves_the_observed_arrays_unchanged(obs600):
+    """The completed datasets share the observed columns they do not fill."""
+    def arrays(ds):
+        return [ds.r, ds.z, ds.x_miss, ds.x_obs, ds.a, *ds.m, ds.y]
+
+    before = [arr.copy() for arr in arrays(obs600)]
+    mi_estimate(obs600, m=2, seed=3)
+    for was, now in zip(before, arrays(obs600)):
+        np.testing.assert_array_equal(now, was)

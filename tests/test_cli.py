@@ -6,9 +6,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from shadowpse import baselines, cli
+from shadowpse import baselines, cli, simulation
 from shadowpse.data_model import write_csv, write_descriptor
-from shadowpse.errors import ConfigError, EstimationError
+from shadowpse.errors import ConfigError, EstimationError, UnsolvableSystem
 from shadowpse.simulation import DgpConfig, generate
 
 from support import seq
@@ -397,3 +397,23 @@ def test_size_below_one_is_rejected_before_any_work(command, flags, tmp_path, mo
     assert rc == 2
     assert capsys.readouterr().err.startswith("configuration error:")
     assert not out.exists()
+
+
+def test_lapack_failures_are_solver_errors(data_files, obs600, monkeypatch, capsys):
+    """A LAPACK failure inside a solve surfaces as UnsolvableSystem from
+    an estimator, as exit code 4 from the CLI and as a recorded solver
+    error in a Monte Carlo replication."""
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    with pytest.raises(UnsolvableSystem):
+        baselines.cca_estimate(obs600)
+
+    data, desc = data_files
+    assert cli.main(["estimate", "--data", data, "--descriptor", desc]) == 4
+    assert capsys.readouterr().err.startswith("solver error: UnsolvableSystem:")
+
+    rep = simulation._one_rep((DgpConfig(n=400), ("cca",), ("te",),
+                               baselines.MethodOptions(), 5, 0))
+    assert rep["cca"]["error"].startswith("UnsolvableSystem: ")

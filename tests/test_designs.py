@@ -13,7 +13,7 @@ from shadowpse import inference, series_regression, sieve_basis
 from shadowpse.baselines import cca_estimate, mi_estimate, sri_estimate
 from shadowpse.data_model import Dataset, complete_cases
 from shadowpse.errors import DimensionMismatch, SingularSystem
-from shadowpse.estimator import fit_mu_chain, named_estimand
+from shadowpse.estimator import fit_mu_chain, gamma_values_for, named_estimand
 from shadowpse.gamma_solver import GammaModel
 from shadowpse.inference import analyze_profile, fit_omegas, fit_representer
 from shadowpse.series_regression import SampleDesigns, ridge_solve
@@ -131,8 +131,12 @@ def test_fit_ranks_are_real_on_rank_deficient_designs(obs600):
 @pytest.mark.parametrize("estimate", [sri_estimate, cca_estimate])
 def test_each_nuisance_is_fitted_once_per_run(estimate, monkeypatch, obs2000):
     """The default estimands read four profiles; their mu chains share 9
-    distinct fits, their omegas 4 and their cumulative products 9."""
-    mu_fits = record_calls(monkeypatch, series_regression.fit_series, lambda a, kw: None)
+    distinct fits, solved against 6 weighted factorisations (one per
+    level and arm), their omegas 4, and their 9 cumulative products are
+    solved through the outcome-chain spans with no least-squares
+    factorisation of a complete-case design."""
+    factors = record_calls(monkeypatch, series_regression.factor_series, lambda a, kw: None)
+    mu_solves = record_calls(monkeypatch, series_regression.solve_series, lambda a, kw: None)
     omega_solves = record_calls(monkeypatch, inference._solve_square, lambda a, kw: None)
     lstsq = np.linalg.lstsq
     lstsq_rows = []
@@ -145,7 +149,8 @@ def test_each_nuisance_is_fitted_once_per_run(estimate, monkeypatch, obs2000):
     res = estimate(obs2000)
     assert sorted(res.profiles) == sorted(DEFAULT_PROFILES)
     n_cc = int(obs2000.complete_mask.sum())
-    assert (len(mu_fits), len(omega_solves), lstsq_rows.count(n_cc)) == (9, 4, 9)
+    assert (len(factors), len(mu_solves), len(omega_solves), lstsq_rows.count(n_cc)) == (
+        6, 9, 4, 0)
 
 
 @pytest.mark.parametrize("method", ["cca", "mi"])
@@ -256,3 +261,62 @@ def test_representer_system_is_factored_once_per_run(monkeypatch, obs2000):
         assert rho.coef.tobytes() == coef.tobytes()
         assert value == want_value
         assert rho.diagnostics.rank == rank
+
+
+def standalone_chain(ds: Dataset, designs: SampleDesigns, gvals: np.ndarray, prof) -> list:
+    """The mu_k coefficients of one profile, each from its own fit_series."""
+    cc = ds.complete_mask
+    coefs = [None] * (ds.k + 1)
+    response = ds.y[cc]
+    for k in range(ds.k + 1, 0, -1):
+        weights = np.where(ds.a[cc] == prof[k - 1], 1.0 + gvals[cc], 0.0)
+        reg = series_regression.fit_series(designs.bundle.u[k - 1], designs.u(k), response,
+                                           weights)
+        coefs[k - 1] = reg.coef
+        response = designs.u(k) @ reg.coef
+    return coefs
+
+
+def assert_pure(ds: Dataset, gamma, profiles) -> list:
+    """Every shared mu fit of the profiles is byte-equal to its own
+    fit_series, and every cumulative fit agrees with np.linalg.lstsq on
+    u(k) to 1e-12 relative, with lstsq's rank. Returns the lstsq ranks."""
+    designs = SampleDesigns(ds, build_spec_bundle(ds))
+    gvals = gamma_values_for(designs, gamma)
+    ranks = []
+    for prof in profiles:
+        analysis = analyze_profile(ds, gamma, prof, designs)
+        want = standalone_chain(ds, designs, gvals, prof)
+        assert [reg.coef.tobytes() for reg in analysis.fits.mu] == [c.tobytes() for c in want]
+        omegas = analysis.omegas
+        product = np.ones(len(designs.u(1)))
+        for k, reg in enumerate(omegas.cumulative, start=1):
+            omega = omegas.omega[k - 1]
+            if omega is not None:
+                product = product * np.maximum(designs.u(k) @ omega.coef, omegas.floor)
+            coef, _, rank, _ = np.linalg.lstsq(designs.u(k), product, rcond=None)
+            assert np.max(np.abs(reg.coef - coef)) <= 1e-12 * np.max(np.abs(coef))
+            assert reg.diagnostics.rank == rank
+            ranks.append(int(rank))
+    return ranks
+
+
+@pytest.mark.parametrize("method", ["sri", "cca"])
+def test_shared_factors_are_pure(method, obs2000, gamma2000):
+    """Factoring each weighted design once per run and solving the
+    cumulative fits through the spans changes no fit."""
+    if method == "sri":
+        ds, gamma = obs2000, gamma2000[0]
+    else:
+        ds = complete_cases(obs2000)
+        gamma = GammaModel(spec_q=None, pi=None, linear_cap=10.0, is_zero=True)
+    ranks = assert_pure(ds, gamma, DEFAULT_PROFILES)
+    assert len(ranks) == 3 * len(DEFAULT_PROFILES)
+
+
+def test_shared_factors_are_pure_on_rank_deficient_designs(obs600):
+    ds = constant_x_miss(obs600)
+    gamma = np.where(ds.r == 1, 0.5 + 0.1 * np.tanh(ds.y), 0.0)
+    ranks = assert_pure(ds, gamma, DEFAULT_PROFILES)
+    dims = [spec.dim for spec in build_spec_bundle(ds).u]
+    assert all(rank < dims[i % len(dims)] for i, rank in enumerate(ranks))
