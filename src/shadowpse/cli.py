@@ -7,8 +7,7 @@ manifest is itself a valid --config, so a run can be reproduced
 bit-identically from its own output directory.
 
 Exit codes: 0 success, otherwise the exit_code of the EstimationError
-class raised (errors.py: 2 configuration, 3 data, 4 solver); a raw
-numpy LinAlgError is a solver failure too.
+class raised (errors.py: 2 configuration, 3 data, 4 solver).
 """
 
 from __future__ import annotations
@@ -19,8 +18,6 @@ import os
 import sys
 from dataclasses import asdict, fields
 
-import numpy as np
-
 from . import __version__
 from .baselines import METHODS, MethodOptions, run_method
 from .data_model import read_csv, validate
@@ -30,7 +27,6 @@ from .sieve_basis import SieveOptions
 from .simulation import STANDARD_ESTIMANDS, DgpConfig, run_monte_carlo, true_effects
 
 EXIT_OK = 0
-EXIT_SOLVER = 4
 
 # GammaOptions fields exposed as gamma_<name>; its seed is the run's seed
 _GAMMA_FIELDS = [f for f in fields(GammaOptions) if f.name != "seed"]
@@ -313,9 +309,6 @@ def main(argv: list[str] | None = None) -> int:
         name = "" if isinstance(exc, ConfigError) else f"{type(exc).__name__}: "
         print(f"{exc.category}: {name}{exc}", file=sys.stderr)
         return exc.exit_code
-    except np.linalg.LinAlgError as exc:
-        print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -12,9 +12,9 @@ are NaN rows aligned with R = 0.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -345,29 +345,26 @@ def _parse_cell(token: str, col: str, allow_missing: bool) -> float:
         raise NonFiniteInput(f"cannot parse {token!r} in column {col!r}") from exc
 
 
-def _parse_column(rows: list[list[str]], j: int, col: str, allow_missing: bool) -> np.ndarray:
-    """Cell j of every row as floats, converted with one array call.
-
-    float() reads a missing token either as NaN or not at all, so only a
-    column that fails to convert or reads a NaN goes cell by cell, where
-    _parse_cell gives the same values and the same errors.
-    """
+def _missing_as_nan(token: str) -> float:
+    """An x_miss cell for np.loadtxt: the value _parse_cell reads, or a
+    ValueError where it raises. float() itself reads "nan" in any case
+    and around whitespace; only "", "na" and blank cells fail it."""
     try:
-        out = np.fromiter(map(float, map(itemgetter(j), rows)), dtype=float, count=len(rows))
-        if not np.isnan(out).any():
-            return out
+        return float(token) if token else np.nan
     except ValueError:
-        pass
-    return np.fromiter((_parse_cell(row[j], col, allow_missing) for row in rows),
-                       dtype=float, count=len(rows))
+        if token.strip().lower() in _MISSING_TOKENS:
+            return np.nan
+        raise
 
 
-def _parse_int_column(rows: list[list[str]], j: int, col: str) -> np.ndarray:
-    """An integer column (r, a); values truncate toward zero as int() does."""
-    vals = _parse_column(rows, j, col, False)
-    if not (np.abs(vals) < 2.0**63).all():
-        raise NonFiniteInput(f"value out of integer range in column {col!r}")
-    return vals.astype(int)
+def _unread_cell(token: str) -> float:
+    """A cell of a column the descriptor does not declare, left unparsed."""
+    return 0.0
+
+
+def _integer_range(vals: np.ndarray) -> bool:
+    """Whether every value of an integer column (r, a) converts to int."""
+    return bool((np.abs(vals) < 2.0**63).all())
 
 
 def read_descriptor(path: str) -> tuple[int, dict]:
@@ -385,26 +382,96 @@ def read_descriptor(path: str) -> tuple[int, dict]:
     return k, columns
 
 
+def _load_table(body: str, header: list[str], idx: dict, columns: dict) -> Optional[np.ndarray]:
+    """Every cell of the records as one float table, by one np.loadtxt call.
+
+    Only the x_miss columns read missing tokens, as NaN, and columns the
+    descriptor does not declare are not parsed. None when loadtxt
+    rejects the text, when the rows do not have one cell per header
+    column, or when an always-observed column holds a NaN or an r or a
+    value outside the integer range: _read_cells then names the error.
+    """
+    declared = {idx[name] for name in header_order(columns)}
+    converters = {j: _unread_cell for j in range(len(header)) if j not in declared}
+    converters.update({idx[name]: _missing_as_nan for name in columns["x_miss"]})
+    try:
+        table = np.loadtxt(io.StringIO(body), dtype=float, delimiter=",", comments=None,
+                           quotechar='"', ndmin=2, converters=converters)
+    except ValueError:
+        return None
+    if table.shape[1] != len(header):
+        return None
+    observed = [idx[name] for name in header_order(columns) if name not in columns["x_miss"]]
+    if np.isnan(table[:, observed]).any():
+        return None
+    if not _integer_range(table[:, [idx[columns["r"]], idx[columns["a"]]]]):
+        return None
+    return table
+
+
+def _read_cells(body: str, header: list[str], idx: dict, columns: dict) -> np.ndarray:
+    """The table of _load_table, read by the csv module cell by cell.
+
+    Raises the error that names the row or column at fault. The checks
+    run in a fixed order, so a file with several faults always names
+    the same one: the length of every record, then r, a, y and the z,
+    x_miss, x_obs and mediator blocks, column by column. Columns the
+    descriptor does not declare stay NaN.
+    """
+    rows = [row for row in csv.reader(io.StringIO(body, newline="")) if row]
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DimensionMismatch(f"row {i + 2}: {len(row)} cells for {len(header)} columns")
+    table = np.full((len(rows), len(header)), np.nan)
+    integer = (columns["r"], columns["a"])
+    for name in [*integer, columns["y"], *columns["z"], *columns["x_miss"],
+                 *columns["x_obs"], *(name for group in columns["m"] for name in group)]:
+        j = idx[name]
+        allow_missing = name in columns["x_miss"]
+        table[:, j] = [_parse_cell(row[j], name, allow_missing) for row in rows]
+        if name in integer and not _integer_range(table[:, j]):
+            raise NonFiniteInput(f"value out of integer range in column {name!r}")
+    return table
+
+
 def read_csv(data_path: str, descriptor_path: str) -> Dataset:
     """Load a dataset given its sidecar descriptor.
 
     Column order in the file is free; columns are matched by name.
+    Blank lines are skipped. The records are parsed by one np.loadtxt
+    call, which reads a missing token (empty, na or nan in any case) as
+    NaN in the x_miss columns only. A file that loadtxt rejects, or one
+    with a NaN in an always-observed column or an r or a value outside
+    the integer range, is read again cell by cell through the csv
+    module, which raises the error naming the row or column at fault
+    (or returns the same table when float() reads every cell, as it
+    does "1_000"). Columns the descriptor does not declare are never
+    parsed.
     """
     k, columns = read_descriptor(descriptor_path)
     with open(data_path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise EmptyDataset(f"{data_path} is empty")
-        header = [h.strip() for h in header]
-        idx = {name: i for i, name in enumerate(header)}
-        for name in header_order(columns):
-            if name not in idx:
-                raise DimensionMismatch(f"column {name!r} declared but absent from {data_path}")
-        rows = [row for row in reader if row]
-    if not rows:
+        body = fh.read()
+    header = [h.strip() for h in header]
+    idx = {name: i for i, name in enumerate(header)}
+    for name in header_order(columns):
+        if name not in idx:
+            raise DimensionMismatch(f"column {name!r} declared but absent from {data_path}")
+    if not body.strip("\r\n"):
         raise EmptyDataset(f"{data_path} has a header but no records")
+
+    table = _load_table(body, header, idx, columns)
+    if table is None:
+        table = _read_cells(body, header, idx, columns)
+
+    def column(name: str) -> np.ndarray:
+        return np.ascontiguousarray(table[:, idx[name]])
+
+    def block(names: list[str]) -> np.ndarray:
+        return np.ascontiguousarray(table[:, [idx[name] for name in names]])
 
     dims = DatasetDims(
         z=len(columns["z"]),
@@ -412,19 +479,14 @@ def read_csv(data_path: str, descriptor_path: str) -> Dataset:
         x_obs=len(columns["x_obs"]),
         m=tuple(len(g) for g in columns["m"]),
     )
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DimensionMismatch(f"row {i + 2}: {len(row)} cells for {len(header)} columns")
-
-    def block(names: list[str], allow_missing: bool = False) -> np.ndarray:
-        cols = [_parse_column(rows, idx[name], name, allow_missing) for name in names]
-        return np.stack(cols, axis=1) if cols else np.zeros((len(rows), 0))
-
-    r = _parse_int_column(rows, idx[columns["r"]], columns["r"])
-    a = _parse_int_column(rows, idx[columns["a"]], columns["a"])
-    y = _parse_column(rows, idx[columns["y"]], columns["y"], False)
-    z = block(columns["z"])
-    xm = block(columns["x_miss"], allow_missing=True)
-    xo = block(columns["x_obs"])
-    m = tuple(block(group) for group in columns["m"])
-    return Dataset(r=r, z=z, x_miss=xm, x_obs=xo, a=a, m=m, y=y, dims=dims, columns=columns)
+    return Dataset(
+        r=column(columns["r"]).astype(int),
+        z=block(columns["z"]),
+        x_miss=block(columns["x_miss"]),
+        x_obs=block(columns["x_obs"]),
+        a=column(columns["a"]).astype(int),
+        m=tuple(block(group) for group in columns["m"]),
+        y=column(columns["y"]),
+        dims=dims,
+        columns=columns,
+    )

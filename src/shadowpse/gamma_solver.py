@@ -16,7 +16,9 @@ with Ehat the series projection onto the conditioning basis. The tanh
 soft clamp keeps evaluations inside (exp(-cap), exp(cap)) while staying
 smooth, so the analytic gradient is exact everywhere.
 
-Projections are applied through an orthonormal basis of the
+fit_gamma runs Levenberg-Marquardt once, from the marginal-ratio
+intercept start that also anchors the ridge, plus any requested
+restarts. Projections are applied through an orthonormal basis of the
 conditioning design's column span, O(n l) per criterion evaluation
 with exact idempotence. That span and the odds design are the sample's
 SampleDesigns (series_regression): factored once per pipeline run and
@@ -99,6 +101,14 @@ class GammaModel:
 
 @dataclass
 class GammaFitReport:
+    """How the odds fit went.
+
+    n_starts counts the descents: the one from the intercept start plus
+    options.restarts perturbed ones. best_start is the index of the
+    winning descent and n_iter its nfev; q_n is the raw criterion at the
+    winner and grad_norm the penalised objective's gradient norm there.
+    """
+
     q_n: float
     grad_norm: float
     n_iter: int
@@ -166,47 +176,6 @@ def criterion_for_model(model: GammaModel, ds: Dataset, designs: SampleDesigns) 
     return float(w @ w) / ds.n
 
 
-def _logistic_warm_start(prob: _GammaProblem, ds: Dataset, spec_q: BasisSpec) -> Optional[np.ndarray]:
-    """Logistic fit of (1 - R) on the basis columns free of x_miss.
-
-    log gamma equals the log-odds of R = 0 given the full record; the
-    observable-column fit approximates its projection and costs one
-    IRLS loop. Columns touching x_miss start at zero.
-    """
-    dxm = ds.dims.x_miss
-    cols = column_coordinates(spec_q)
-    avail = [j for j, coords in enumerate(cols) if all(c >= dxm for c in coords)]
-    if not avail:
-        return None
-    # x_miss standardises to 0 at the center, so filling with the center
-    # leaves the available columns untouched
-    center = np.asarray(spec_q.standardizer.center[:dxm])
-    points = ds.regressor_points(mask=np.ones(ds.n, dtype=bool))
-    points[:, :dxm] = np.where(np.isnan(points[:, :dxm]), center, points[:, :dxm])
-    dmat = design_matrix(spec_q, points)[:, avail]
-    target = 1.0 - ds.r.astype(float)
-
-    beta = np.zeros(len(avail))
-    for _ in range(25):
-        eta = np.clip(dmat @ beta, -30, 30)
-        p = 1.0 / (1.0 + np.exp(-eta))
-        wgt = np.maximum(p * (1.0 - p), 1e-6)
-        grad = dmat.T @ (target - p)
-        hess = (dmat * wgt[:, None]).T @ dmat + 1e-6 * np.eye(len(avail))
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            return None
-        beta = beta + step
-        if np.max(np.abs(step)) < 1e-10:
-            break
-    if not np.isfinite(beta).all():
-        return None
-    pi = np.zeros(spec_q.dim)
-    pi[avail] = beta
-    return pi
-
-
 def _intercept_start(prob: _GammaProblem, ds: Dataset, spec_q: BasisSpec, cap: float) -> Optional[np.ndarray]:
     """Constant-odds start matching the marginal missing/complete ratio."""
     cols = column_coordinates(spec_q)
@@ -236,13 +205,6 @@ class _Descent:
     grad_norm: float
     nfev: int
     pi: np.ndarray
-
-
-def _objective(prob: _GammaProblem, pi: np.ndarray, cap: float, lam: float,
-               pi0: np.ndarray) -> float:
-    """Penalised objective Q_n + lam ||pi - pi0||^2 from one residual."""
-    w = prob.residual(pi, cap)
-    return float(w @ w) / prob.n + lam * float((pi - pi0) @ (pi - pi0))
 
 
 def _descend(prob: _GammaProblem, x0: np.ndarray, pi0: np.ndarray,
@@ -281,7 +243,7 @@ def _descend(prob: _GammaProblem, x0: np.ndarray, pi0: np.ndarray,
     qn, grad = prob.value_and_grad(res.x, cap)
     obj = qn + lam * float((res.x - pi0) @ (res.x - pi0))
     grad_obj = grad + 2.0 * lam * (res.x - pi0)
-    return _Descent(obj, qn, float(np.linalg.norm(grad_obj)), int(res.nfev), res.x)
+    return _Descent(obj, qn, float(np.sqrt(grad_obj @ grad_obj)), int(res.nfev), res.x)
 
 
 def fit_gamma(
@@ -289,20 +251,18 @@ def fit_gamma(
     designs: SampleDesigns,
     options: GammaOptions = GammaOptions(),
 ) -> tuple[GammaModel, GammaFitReport]:
-    """Minimise Q_n plus the n-vanishing ridge by one screened descent.
+    """Minimise Q_n plus the n-vanishing ridge by one descent from pi0.
 
-    Starts: the zero vector, a marginal-ratio intercept and a logistic
-    warm start on the observable columns. Each is screened by the
-    penalised objective (Q_n itself when penalty=0) at one residual
-    evaluation, and Levenberg-Marquardt runs only from the lowest, ties
-    breaking on the first start index. options.restarts
-    random perturbations of that descent's end point each descend
-    again; the winner has the lowest objective, then the lowest
-    gradient norm, then the first index. The report counts the screened
-    starts plus the restarts, best_start indexes into that list and
-    n_iter is the winning descent's nfev. The reported q_n is always
-    the raw criterion; grad_norm refers to the objective actually
-    minimised.
+    Levenberg-Marquardt starts from the penalty anchor pi0, the
+    marginal-ratio intercept start, or from zero when the odds basis
+    has no intercept or the marginal ratio lies beyond the soft clamp.
+    options.restarts random perturbations of that descent's end point
+    each descend again; the winner has the lowest objective, then the
+    lowest gradient norm, then the first index. The report counts the
+    first descent plus the restarts, best_start indexes into them (0 is
+    the descent from pi0) and n_iter is the winning descent's nfev. The
+    reported q_n is always the raw criterion; grad_norm refers to the
+    objective actually minimised.
     """
     designs.check(ds)
     spec_q, spec_p = designs.bundle.q, designs.bundle.p
@@ -329,27 +289,16 @@ def fit_gamma(
     if prob.rank_deficit > 0:
         messages.append(f"conditioning design rank-deficient by {prob.rank_deficit}")
 
-    anchor = _intercept_start(prob, ds, spec_q, cap)
-    starts: list[np.ndarray] = [np.zeros(spec_q.dim)]
-    if anchor is not None:
-        starts.append(anchor)
-    warm = _logistic_warm_start(prob, ds, spec_q)
-    if warm is not None:
-        starts.append(warm)
+    pi0 = _intercept_start(prob, ds, spec_q, cap)
+    if pi0 is None:
+        pi0 = np.zeros(spec_q.dim)
+    results = [_descend(prob, pi0, pi0, options)]
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(options.seed)))
+    for _ in range(options.restarts):
+        x0 = results[0].pi + 0.5 * rng.standard_normal(spec_q.dim)
+        results.append(_descend(prob, x0, pi0, options))
 
-    pi0 = anchor if anchor is not None else np.zeros(spec_q.dim)
-    lam = options.penalty / prob.n
-    screen = [_objective(prob, x0, cap, lam, pi0) for x0 in starts]
-    lead = min(range(len(starts)), key=lambda i: (screen[i], i))
-    results = {lead: _descend(prob, starts[lead], pi0, options)}
-    if options.restarts > 0:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(options.seed)))
-        for _ in range(options.restarts):
-            x0 = results[lead].pi + 0.5 * rng.standard_normal(spec_q.dim)
-            results[len(starts)] = _descend(prob, x0, pi0, options)
-            starts.append(x0)
-
-    best = min(results, key=lambda i: (results[i].obj, results[i].grad_norm, i))
+    best = min(range(len(results)), key=lambda i: (results[i].obj, results[i].grad_norm, i))
     win = results[best]
     _, th = prob.gamma_at(win.pi, cap)
     clamp_frac = float(np.mean(np.abs(th) > 0.9))
@@ -361,7 +310,7 @@ def fit_gamma(
     model = GammaModel(spec_q=spec_q, pi=win.pi, linear_cap=cap, is_zero=False)
     report = GammaFitReport(
         q_n=win.qn, grad_norm=win.grad_norm, n_iter=win.nfev, converged=converged,
-        n_starts=len(starts), best_start=best, clamp_frac=clamp_frac,
+        n_starts=len(results), best_start=best, clamp_frac=clamp_frac,
         messages=messages,
     )
     return model, report

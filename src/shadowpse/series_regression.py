@@ -9,9 +9,10 @@ weighted design, then solve_series, which solves one response against
 it, so fits that share a design and weights factor it once.
 
 orthonormal_span returns an orthonormal basis of a design's column
-space; projections built from it are exactly idempotent and invariant
-to invertible reparameterisations of the columns, which the odds-
-function criterion and the influence-function pieces rely on.
+space from two passes over its Gram matrix (CholeskyQR2); projections
+built from it are exactly idempotent and invariant to invertible
+reparameterisations of the columns, which the odds-function criterion
+and the influence-function pieces rely on.
 span_least_squares solves unweighted least squares on a design through
 that span, so a design whose span is built needs no second large
 factorisation. A LAPACK failure in any of these raises UnsolvableSystem.
@@ -50,6 +51,9 @@ RIDGE_START = 1e-10
 RIDGE_CAP = 1e-2
 # design singular values below s_max * this are treated as zero
 SINGULAR_RTOL = 1e-10
+# Gram eigenvalues at or below the largest times this are treated as zero
+# by orthonormal_span: a singular-value ratio of about 3e-7
+SPAN_EIG_RTOL = 1e-13
 
 
 @contextmanager
@@ -272,17 +276,35 @@ def project_residual_orthogonality(
     return float(np.max(np.abs(basis.T @ resid)) / max(len(v), 1))
 
 
-def orthonormal_span(matrix: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
-    """Orthonormal basis of the column span, rank-truncated by SVD."""
+def _gram_pass(m: np.ndarray) -> np.ndarray:
+    """m V diag(w)^(-1/2) over the eigenpairs (w, V) of m' m whose
+    eigenvalue lies above SPAN_EIG_RTOL times the largest."""
+    gram = m.T @ m
+    if not np.isfinite(gram).all():
+        raise UnsolvableSystem("orthonormal span: non-finite design")
+    with lapack_errors("orthonormal span"):
+        w, v = np.linalg.eigh(gram)
+    keep = w > max(w[-1], 0.0) * SPAN_EIG_RTOL
+    return m @ (v[:, keep] / np.sqrt(w[keep]))
+
+
+def orthonormal_span(matrix: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span, from two Gram passes.
+
+    CholeskyQR2 in eigenvector form: the first pass maps the matrix
+    through the eigenvectors of its Gram matrix, scaled by the inverse
+    root eigenvalues, and drops the directions whose eigenvalue is at
+    most SPAN_EIG_RTOL times the largest; the second pass repeats it on
+    that result, which restores orthonormality to rounding level for a
+    well-conditioned matrix. The rank is the number of columns kept.
+    """
     m = np.asarray(matrix, dtype=float)
     if m.size == 0:
         return np.zeros((m.shape[0], 0))
-    with lapack_errors("orthonormal span"):
-        u_mat, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((m.shape[0], 0))
-    rank = int((s > s[0] * rtol).sum())
-    return u_mat[:, :rank]
+    first = _gram_pass(m)
+    if first.shape[1] == 0:
+        return first
+    return _gram_pass(first)
 
 
 def project_onto(span: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -352,7 +374,7 @@ class SampleDesigns:
     the complete cases with the fit, so no profile computes them again.
 
     u_lstsq(k) solves the cumulative fits through u_span(k), reusing the
-    span's SVD in place of a fresh least-squares factorisation of u(k).
+    span in place of a fresh least-squares factorisation of u(k).
 
     representer_system(ridge) holds the representer's ridged normal
     equations, which depend on the designs alone: one Gram matrix, rank
@@ -406,9 +428,9 @@ class SampleDesigns:
         return self._u_span[k]
 
     def u_lstsq(self, k: int) -> SpanLeastSquares:
-        """Least squares on u(k) through u_span(k), which already holds
-        u(k)'s SVD: one small pseudo-inverse per run, then each fit is
-        two thin products."""
+        """Least squares on u(k) through u_span(k), which already spans
+        u(k): one small pseudo-inverse per run, then each fit is two thin
+        products."""
         if k not in self._u_lstsq:
             self._u_lstsq[k] = span_least_squares(self.u_span(k), self.u(k))
         return self._u_lstsq[k]

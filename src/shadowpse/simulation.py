@@ -336,9 +336,6 @@ def _one_rep(args: tuple) -> dict:
         except EstimationError as exc:
             out[method] = {"error": f"{type(exc).__name__}: {exc}"}
             continue
-        except np.linalg.LinAlgError as exc:
-            out[method] = {"error": f"LinAlgError: {exc}"}
-            continue
         out[method] = {
             "estimands": {
                 name: (rep.psi_hat, rep.ci_lo, rep.ci_hi)

@@ -1,6 +1,8 @@
+import ast
 import inspect
 import json
 from operator import attrgetter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -317,13 +319,11 @@ EXPECTED_EXIT = {
     else (3, "data error")
     for cls in _leaf_errors()
 }
-EXPECTED_EXIT["LinAlgError"] = (4, "solver error")
 RAISABLE = {cls.__name__: cls for cls in _leaf_errors()}
-RAISABLE["LinAlgError"] = np.linalg.LinAlgError
 
 
 def test_every_error_class_has_an_expected_exit():
-    assert len(RAISABLE) == 16  # 15 EstimationError leaves plus LinAlgError
+    assert len(RAISABLE) == 15  # the EstimationError leaves
     assert SOLVER_ERRORS <= set(RAISABLE)
 
 
@@ -400,20 +400,96 @@ def test_size_below_one_is_rejected_before_any_work(command, flags, tmp_path, mo
 
 
 def test_lapack_failures_are_solver_errors(data_files, obs600, monkeypatch, capsys):
-    """A LAPACK failure inside a solve surfaces as UnsolvableSystem from
-    an estimator, as exit code 4 from the CLI and as a recorded solver
+    """A LAPACK failure inside a solve, in an SVD or in the eigh of an
+    orthonormal span's Gram matrix, surfaces as UnsolvableSystem from an
+    estimator, as exit code 4 from the CLI and as a recorded solver
     error in a Monte Carlo replication."""
-    def failing_svd(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    monkeypatch.setattr(np.linalg, "svd", failing_svd)
-    with pytest.raises(UnsolvableSystem):
-        baselines.cca_estimate(obs600)
-
     data, desc = data_files
-    assert cli.main(["estimate", "--data", data, "--descriptor", desc]) == 4
-    assert capsys.readouterr().err.startswith("solver error: UnsolvableSystem:")
+    for name in ("svd", "eigh"):
+        message = f"{name} did not converge"
 
-    rep = simulation._one_rep((DgpConfig(n=400), ("cca",), ("te",),
-                               baselines.MethodOptions(), 5, 0))
-    assert rep["cca"]["error"].startswith("UnsolvableSystem: ")
+        def failing(*args, message=message, **kwargs):
+            raise np.linalg.LinAlgError(message)
+
+        monkeypatch.setattr(np.linalg, name, failing)
+        with pytest.raises(UnsolvableSystem, match=message):
+            baselines.cca_estimate(obs600)
+
+        assert cli.main(["estimate", "--data", data, "--descriptor", desc]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: UnsolvableSystem:") and message in err
+
+        rep = simulation._one_rep((DgpConfig(n=400), ("cca",), ("te",),
+                                   baselines.MethodOptions(), 5, 0))
+        assert rep["cca"]["error"].startswith("UnsolvableSystem: ")
+        monkeypatch.undo()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "shadowpse"
+LAPACK_PREFIXES = ("np.linalg.", "numpy.linalg.", "scipy.linalg.")
+
+
+def _dotted(node):
+    """"a.b.c" for a chain of attributes on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id, *reversed(parts)])
+
+
+def _catches_linalg_error(handler):
+    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any((_dotted(t) or "").endswith("LinAlgError") for t in caught)
+
+
+def _guarded(ancestors):
+    """Whether the innermost node lies in the body of a `with
+    lapack_errors(...)` block or of a try that catches LinAlgError."""
+    for node, child in zip(ancestors, ancestors[1:]):
+        if isinstance(node, ast.With) and child in node.body and any(
+                isinstance(item.context_expr, ast.Call)
+                and _dotted(item.context_expr.func) == "lapack_errors"
+                for item in node.items):
+            return True
+        if isinstance(node, ast.Try) and child in node.body and any(
+                _catches_linalg_error(h) for h in node.handlers):
+            return True
+    return False
+
+
+def _lapack_calls(tree):
+    """(dotted name, line, guarded) for every np.linalg / scipy.linalg call."""
+    stack = [(tree, [tree])]
+    while stack:
+        node, ancestors = stack.pop()
+        if isinstance(node, ast.Call):
+            name = _dotted(node.func) or ""
+            if name.startswith(LAPACK_PREFIXES):
+                yield name, node.lineno, _guarded(ancestors)
+        stack.extend((child, ancestors + [child]) for child in ast.iter_child_nodes(node))
+
+
+def test_every_lapack_call_is_guarded():
+    """Every np.linalg / scipy.linalg call in the package sits inside a
+    `with lapack_errors(...)` block or a try that catches LinAlgError,
+    so no raw LinAlgError reaches the CLI or the Monte Carlo harness."""
+    calls, unguarded = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert node.module not in ("numpy.linalg", "scipy.linalg"), path.name
+                assert not (node.module in ("numpy", "scipy")
+                            and any(a.name == "linalg" for a in node.names)), path.name
+            if isinstance(node, ast.Import):
+                assert all(a.asname is None for a in node.names
+                           if a.name.endswith(".linalg")), path.name
+        for name, line, guarded in _lapack_calls(tree):
+            calls += 1
+            if not guarded:
+                unguarded.append(f"{path.name}:{line} {name}")
+    assert calls >= 5
+    assert unguarded == []

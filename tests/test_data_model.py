@@ -1,6 +1,10 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
+from shadowpse import data_model
 from shadowpse.data_model import (
     Dataset,
     DatasetDims,
@@ -19,6 +23,7 @@ from shadowpse.errors import (
     MissingCovariate,
     NonFiniteInput,
 )
+from shadowpse.data_model import _parse_cell
 from shadowpse.simulation import DgpConfig, generate
 
 from support import one_mediator_dataset, rng_for, seq
@@ -253,3 +258,148 @@ def test_csv_infinite_treatment_value_raises(tmp_path):
     _rewrite(data, header, rows)
     with pytest.raises(NonFiniteInput, match=repr(col)):
         read_csv(str(data), str(desc))
+
+
+def _reference_read(data, desc):
+    """The dataset arrays of a CSV file, read by the csv module and
+    converted cell by cell through _parse_cell."""
+    k, columns = read_descriptor(str(desc))
+    with open(data, newline="") as fh:
+        header, *rows = [row for row in csv.reader(fh) if row]
+    idx = {name.strip(): j for j, name in enumerate(header)}
+
+    def col(name, allow_missing=False):
+        return np.array([_parse_cell(row[idx[name]], name, allow_missing) for row in rows])
+
+    def block(names, allow_missing=False):
+        return np.stack([col(name, allow_missing) for name in names], axis=1)
+
+    return {
+        "r": col(columns["r"]).astype(int), "a": col(columns["a"]).astype(int),
+        "y": col(columns["y"]), "z": block(columns["z"]),
+        "x_miss": block(columns["x_miss"], True), "x_obs": block(columns["x_obs"]),
+        **{f"m{j}": block(group) for j, group in enumerate(columns["m"])},
+    }
+
+
+def _arrays(ds):
+    return {"r": ds.r, "a": ds.a, "y": ds.y, "z": ds.z, "x_miss": ds.x_miss,
+            "x_obs": ds.x_obs, **{f"m{j}": mk for j, mk in enumerate(ds.m)}}
+
+
+def _missing_tokens(obs, header, rows):
+    col = header.index(obs.columns["x_miss"][0])
+    for i, j in enumerate(np.flatnonzero(obs.r == 0)):
+        rows[j][col] = ["NA", " nan ", "", "na", "NaN", "  "][i % 6]
+    return header, rows, "\n"
+
+
+def _quoted(obs, header, rows):
+    return header, [[f'"{cell}"' for cell in row] if i % 3 == 0 else row
+                    for i, row in enumerate(rows)], "\n"
+
+
+def _crlf_and_blank_lines(obs, header, rows):
+    out = []
+    for i, row in enumerate(rows):
+        out.append(row)
+        if i % 50 == 0:
+            out.append([])
+    return header, out, "\r\n"
+
+
+def _reordered(obs, header, rows):
+    perm = np.random.default_rng(5).permutation(len(header))
+    return [header[j] for j in perm], [[row[j] for j in perm] for row in rows], "\n"
+
+
+def _hash_in_cells(obs, header, rows):
+    """An undeclared text column whose cells hold a #, quoted with a
+    comma in every other row, and a # in a declared column's name."""
+    note = [f'"see #{i}, again"' if i % 2 else f"see #{i}" for i in range(len(rows))]
+    return ([*header, "note"], [[*row, cell] for row, cell in zip(rows, note)], "\n")
+
+
+def _underscored_digits(obs, header, rows):
+    """Cells that float() reads and np.loadtxt rejects, so the file is
+    read cell by cell."""
+    col = header.index(obs.columns["x_obs"][0])
+    for row in rows[::7]:
+        row[col] = "1_0"
+    return header, rows, "\n"
+
+
+READ_VARIANTS = {
+    "plain": (lambda obs, header, rows: (header, rows, "\n"), True),
+    "missing_tokens": (_missing_tokens, True),
+    "quoted": (_quoted, True),
+    "crlf_blank_lines": (_crlf_and_blank_lines, True),
+    "reordered": (_reordered, True),
+    "hash_in_cells": (_hash_in_cells, True),
+    "underscored_digits": (_underscored_digits, False),
+}
+
+
+@pytest.fixture(scope="module")
+def obs_n2000():
+    return generate(DgpConfig(n=2000, seed=seq(112)))[1]
+
+
+@pytest.mark.parametrize("variant", sorted(READ_VARIANTS))
+def test_read_csv_matches_cell_by_cell_reference(variant, obs_n2000, tmp_path, monkeypatch):
+    """read_csv gives byte-identical arrays to a csv-module reader that
+    converts every cell through _parse_cell; a file np.loadtxt reads
+    never reaches the cell-by-cell path."""
+    rewrite, loadtxt_reads = READ_VARIANTS[variant]
+    data, desc = tmp_path / "d.csv", tmp_path / "d.json"
+    write_csv(obs_n2000, str(data))
+    write_descriptor(obs_n2000, str(desc))
+    lines = data.read_text().splitlines()
+    header, rows, newline = rewrite(obs_n2000, lines[0].split(","),
+                                    [line.split(",") for line in lines[1:]])
+    if variant == "hash_in_cells":
+        doc = json.loads(desc.read_text())
+        doc["columns"]["y"] = "y#1"
+        desc.write_text(json.dumps(doc))
+        header = ["y#1" if name == "y" else name for name in header]
+    data.write_bytes(newline.join(",".join(row) for row in [header, *rows]).encode()
+                     + newline.encode())
+
+    if loadtxt_reads:
+        def no_cells(*args):
+            raise AssertionError("read cell by cell")
+        monkeypatch.setattr(data_model, "_read_cells", no_cells)
+    got = _arrays(read_csv(str(data), str(desc)))
+    want = _reference_read(data, desc)
+    assert sorted(got) == sorted(want)
+    for name, arr in want.items():
+        assert got[name].dtype == arr.dtype and got[name].shape == arr.shape, name
+        assert got[name].tobytes() == arr.tobytes(), name
+        assert got[name].flags.c_contiguous, name
+    np.testing.assert_array_equal(got["r"], obs_n2000.r)
+    np.testing.assert_array_equal(got["a"], obs_n2000.a)
+
+
+@pytest.mark.parametrize("cell, column, error, message", [
+    ("1e300", "r", NonFiniteInput, "value out of integer range in column 'r'"),
+    ("nan", "a", NonFiniteInput, "missing value in always-observed column 'a'"),
+    ("", "y", NonFiniteInput, "missing value in always-observed column 'y'"),
+    ("1.2.3", "x1", NonFiniteInput, "cannot parse '1.2.3' in column 'x1'"),
+    ('"1,5"', "z", NonFiniteInput, "cannot parse '1,5' in column 'z'"),
+])
+def test_read_csv_names_the_faulty_column(cell, column, error, message, tmp_path):
+    obs, header, rows, data, desc = _csv_pair(tmp_path, 113)
+    i = int(np.flatnonzero(obs.r == 1)[2])
+    rows[i][header.index(column)] = cell
+    _rewrite(data, header, rows)
+    with pytest.raises(error) as info:
+        read_csv(str(data), str(desc))
+    assert str(info.value) == message
+
+
+def test_header_only_file_warns_nothing(tmp_path, recwarn):
+    obs, header, rows, data, desc = _csv_pair(tmp_path, 114)
+    data.write_text(",".join(header) + "\r\n\r\n\n")
+    with pytest.raises(EmptyDataset, match="has a header but no records"):
+        read_csv(str(data), str(desc))
+    assert len(recwarn) == 0

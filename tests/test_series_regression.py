@@ -16,9 +16,16 @@ from shadowpse.series_regression import (
     project_residual_orthogonality,
     ridge_solve,
 )
-from shadowpse.sieve_basis import BasisSpec, Standardizer, design_matrix, spec_for
+from shadowpse.sieve_basis import (
+    BasisSpec,
+    Standardizer,
+    build_spec_bundle,
+    design_matrix,
+    spec_for,
+)
+from shadowpse.simulation import DgpConfig, generate
 
-from support import rng_for
+from support import rng_for, seq
 
 
 def identity_spec(degree, dim=1):
@@ -158,3 +165,49 @@ def test_projection_idempotence():
     v = rng.standard_normal(40)
     once = project_onto(span, v)
     np.testing.assert_allclose(project_onto(span, once), once, atol=1e-10)
+
+
+def svd_span(mat, rtol=1e-12):
+    """Reference span: left singular vectors above rtol times the largest."""
+    u_mat, s, _ = np.linalg.svd(mat, full_matrices=False)
+    return u_mat[:, :int((s > s[0] * rtol).sum())]
+
+
+def conditioning_design_1000():
+    full, obs = generate(DgpConfig(n=1000, seed=seq(313)))
+    return design_matrix(build_spec_bundle(obs).p, obs.conditioning_points())
+
+
+def quadratic_design_2000():
+    pts = rng_for(314).standard_normal((2000, 5))
+    return design_matrix(spec_for(pts, degree=2, include_interactions=False), pts)
+
+
+@pytest.mark.parametrize("make, shape", [
+    (conditioning_design_1000, (1000, 39)),
+    (quadratic_design_2000, (2000, 11)),
+], ids=["1000x39", "2000x11"])
+def test_orthonormal_span_matches_svd_span(make, shape):
+    mat = make()
+    assert mat.shape == shape
+    span, ref = orthonormal_span(mat), svd_span(mat)
+    assert span.shape == ref.shape
+    assert np.abs(span.T @ span - np.eye(span.shape[1])).max() <= 1e-12
+    vals = rng_for(315).standard_normal((shape[0], 20))
+    np.testing.assert_allclose(span @ (span.T @ vals), ref @ (ref.T @ vals),
+                               rtol=0.0, atol=1e-10)
+
+
+def test_orthonormal_span_degenerate_matrices():
+    base = rng_for(316).standard_normal((40, 4))
+    duplicated = orthonormal_span(np.column_stack([base, base[:, :2], base]))
+    assert duplicated.shape == (40, 4)
+    np.testing.assert_allclose(duplicated.T @ duplicated, np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(project_onto(duplicated, base), base, atol=1e-12)
+    assert orthonormal_span(np.zeros((40, 3))).shape == (40, 0)
+    assert orthonormal_span(np.zeros((40, 0))).shape == (40, 0)
+    assert orthonormal_span(np.zeros((0, 3))).shape == (0, 0)
+    bad = base.copy()
+    bad[3, 1] = np.nan
+    with pytest.raises(UnsolvableSystem):
+        orthonormal_span(bad)
