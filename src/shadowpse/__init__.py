@@ -38,7 +38,6 @@ from .gamma_solver import (
     GammaFitReport,
     GammaModel,
     GammaOptions,
-    criterion_qn,
     fit_gamma,
     weak_norm_sq,
 )
@@ -57,7 +56,6 @@ from .inference import (
 from .series_regression import (
     SampleDesigns,
     SeriesRegressor,
-    fit_series,
     predict_many,
     project_residual_orthogonality,
 )

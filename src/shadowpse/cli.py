@@ -96,9 +96,12 @@ def _resolve(args: argparse.Namespace) -> dict:
         cfg["estimands"] = [s for s in cfg["estimands"].split(",") if s]
     if isinstance(cfg["methods"], str):
         cfg["methods"] = [s for s in cfg["methods"].split(",") if s]
-    for key in ("n", "reps", "big_n"):
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
+    for key, least in (("n", 1), ("reps", 1), ("big_n", 1), ("mi_m", 2),
+                       ("degree", 0), ("mu_degree", 0)):
+        if cfg[key] < least:
+            raise ConfigError(f"{key} must be at least {least}, got {cfg[key]}")
+    if not 0.0 < cfg["level"] < 1.0:
+        raise ConfigError(f"level must be in (0, 1), got {cfg['level']}")
     return cfg
 
 

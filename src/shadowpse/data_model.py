@@ -367,6 +367,11 @@ def _integer_range(vals: np.ndarray) -> bool:
     return bool((np.abs(vals) < 2.0**63).all())
 
 
+def _whole(vals: np.ndarray) -> np.ndarray:
+    """Which values of an integer column (r, a) have no fractional part."""
+    return vals == np.floor(vals)
+
+
 def read_descriptor(path: str) -> tuple[int, dict]:
     with open(path) as fh:
         doc = json.load(fh)
@@ -389,7 +394,8 @@ def _load_table(body: str, header: list[str], idx: dict, columns: dict) -> Optio
     descriptor does not declare are not parsed. None when loadtxt
     rejects the text, when the rows do not have one cell per header
     column, or when an always-observed column holds a NaN or an r or a
-    value outside the integer range: _read_cells then names the error.
+    value that is fractional or outside the integer range: _read_cells
+    then names the error.
     """
     declared = {idx[name] for name in header_order(columns)}
     converters = {j: _unread_cell for j in range(len(header)) if j not in declared}
@@ -404,7 +410,8 @@ def _load_table(body: str, header: list[str], idx: dict, columns: dict) -> Optio
     observed = [idx[name] for name in header_order(columns) if name not in columns["x_miss"]]
     if np.isnan(table[:, observed]).any():
         return None
-    if not _integer_range(table[:, [idx[columns["r"]], idx[columns["a"]]]]):
+    integer = table[:, [idx[columns["r"]], idx[columns["a"]]]]
+    if not _integer_range(integer) or not _whole(integer).all():
         return None
     return table
 
@@ -429,8 +436,14 @@ def _read_cells(body: str, header: list[str], idx: dict, columns: dict) -> np.nd
         j = idx[name]
         allow_missing = name in columns["x_miss"]
         table[:, j] = [_parse_cell(row[j], name, allow_missing) for row in rows]
-        if name in integer and not _integer_range(table[:, j]):
-            raise NonFiniteInput(f"value out of integer range in column {name!r}")
+        if name in integer:
+            if not _integer_range(table[:, j]):
+                raise NonFiniteInput(f"value out of integer range in column {name!r}")
+            fractional = np.flatnonzero(~_whole(table[:, j]))
+            if fractional.size:
+                i = fractional[0]
+                raise DimensionMismatch(
+                    f"row {i + 2}: non-integer value {rows[i][j].strip()!r} in column {name!r}")
     return table
 
 
@@ -441,12 +454,12 @@ def read_csv(data_path: str, descriptor_path: str) -> Dataset:
     Blank lines are skipped. The records are parsed by one np.loadtxt
     call, which reads a missing token (empty, na or nan in any case) as
     NaN in the x_miss columns only. A file that loadtxt rejects, or one
-    with a NaN in an always-observed column or an r or a value outside
-    the integer range, is read again cell by cell through the csv
-    module, which raises the error naming the row or column at fault
-    (or returns the same table when float() reads every cell, as it
-    does "1_000"). Columns the descriptor does not declare are never
-    parsed.
+    with a NaN in an always-observed column or an r or a value that is
+    fractional or outside the integer range, is read again cell by cell
+    through the csv module, which raises the error naming the row or
+    column at fault (or returns the same table when float() reads every
+    cell, as it does "1_000"). Columns the descriptor does not declare
+    are never parsed.
     """
     k, columns = read_descriptor(descriptor_path)
     with open(data_path, newline="") as fh:

@@ -46,16 +46,8 @@ class LengthMismatch(EstimationError):
     """Two aligned arrays have different lengths."""
 
 
-class AllZeroWeights(SolverError):
-    """A weighted fit received weights that sum to zero."""
-
-
 class UnsolvableSystem(SolverError):
     """A linear system stayed singular beyond the ridge escalation cap."""
-
-
-class SingularProjection(SolverError):
-    """A projection system stayed singular beyond the ridge escalation cap."""
 
 
 class SingularSystem(SolverError):

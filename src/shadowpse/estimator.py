@@ -20,9 +20,9 @@ from typing import Sequence, Union
 import numpy as np
 
 from .data_model import Dataset
-from .errors import DimensionMismatch, EmptyArm
+from .errors import DimensionMismatch
 from .gamma_solver import GammaModel
-from .series_regression import SampleDesigns, SeriesRegressor, factor_series, solve_series
+from .series_regression import SampleDesigns, SeriesRegressor
 
 TreatmentProfile = tuple[int, ...]
 GammaLike = Union[GammaModel, np.ndarray]
@@ -101,8 +101,9 @@ def fit_mu_chain(
 ) -> NuisanceFits:
     """Fit the K+1 weighted regressions, outcome level first; each mu_k
     is shared through designs.fits with every profile of the same suffix,
-    and each is solved against the factor of its weighted design, made
-    once per (k, a_k) and shared by every mu_k fit on that arm."""
+    and each is solved through the span of u(k) against
+    designs.arm_lstsq(k, a_k, odds), the one small weighted system per
+    (k, a_k) that the omega_k fits on that arm read too."""
     designs.check(ds)
     prof = validate_profile(profile, ds.k)
     u_specs = designs.bundle.u
@@ -110,24 +111,15 @@ def fit_mu_chain(
         raise DimensionMismatch(f"need {ds.k + 1} mu bases, got {len(u_specs)}")
     gvals = gamma_values_for(designs, gamma)
     memo = designs.fits(gvals)
-    cc = ds.complete_mask
-    a_cc = ds.a[cc]
-    growth = 1.0 + gvals[cc]
 
     mu: list[SeriesRegressor] = [None] * (ds.k + 1)  # type: ignore[list-item]
     values: list[np.ndarray] = [None] * (ds.k + 1)  # type: ignore[list-item]
-    response = ds.y[cc]
+    response = ds.y[ds.complete_mask]
     for k in range(ds.k + 1, 0, -1):
         key = ("mu", k, prof[k - 1:])
         if key not in memo:
-            factor_key = ("factor", k, prof[k - 1])
-            if factor_key not in memo:
-                arm = a_cc == prof[k - 1]
-                if not arm.any():
-                    raise EmptyArm(f"no complete cases with a={prof[k - 1]} for mu_{k}")
-                memo[factor_key] = factor_series(
-                    u_specs[k - 1], designs.u(k), np.where(arm, growth, 0.0))
-            reg = solve_series(memo[factor_key], response)
+            system = designs.arm_lstsq(k, prof[k - 1], gvals)
+            reg = system.regressor(u_specs[k - 1], system.solve(response))
             # next level regresses mu_k evaluated at (x, m_1..m_{k-1})
             memo[key] = (reg, designs.u(k) @ reg.coef)
         mu[k - 1], values[k - 1] = memo[key]

@@ -160,22 +160,6 @@ class _GammaProblem:
         return qn, grad
 
 
-def criterion_qn(pi: np.ndarray, ds: Dataset, designs: SampleDesigns,
-                 linear_cap: float = 10.0) -> float:
-    """Q_n at one coefficient vector."""
-    designs.check(ds)
-    prob = _GammaProblem(designs)
-    return prob.value_and_grad(np.asarray(pi, dtype=float), linear_cap)[0]
-
-
-def criterion_for_model(model: GammaModel, ds: Dataset, designs: SampleDesigns) -> float:
-    """Q_n of a fitted model, including the is_zero surrogate."""
-    designs.check(ds)
-    t = model.values(designs) * ds.r - (1.0 - ds.r)
-    w = designs.p_span.T @ t
-    return float(w @ w) / ds.n
-
-
 def _intercept_start(prob: _GammaProblem, ds: Dataset, spec_q: BasisSpec, cap: float) -> Optional[np.ndarray]:
     """Constant-odds start matching the marginal missing/complete ratio."""
     cols = column_coordinates(spec_q)

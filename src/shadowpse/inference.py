@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data_model import Dataset
-from .errors import DimensionMismatch, EmptyArm, LengthMismatch, SingularProjection, SingularSystem
+from .errors import DimensionMismatch, LengthMismatch, SingularSystem
 from .estimator import (
     GammaLike,
     NuisanceFits,
@@ -37,14 +37,7 @@ from .estimator import (
     validate_profile,
 )
 from .gamma_solver import GammaModel
-from .series_regression import (
-    FitDiagnostics,
-    SampleDesigns,
-    SeriesRegressor,
-    lapack_errors,
-    project_onto,
-    ridge_solve,
-)
+from .series_regression import FitDiagnostics, SampleDesigns, SeriesRegressor, project_onto
 
 OMEGA_FLOOR = 1e-3
 REPRESENTER_RIDGE = 1e-2
@@ -82,37 +75,24 @@ class OmegaFits:
     moment_residual_sup: float
 
 
-def _solve_square(gmat: np.ndarray, rhs: np.ndarray, error) -> np.ndarray:
-    """Least-squares solve of gmat c = rhs with ridge escalation fallback."""
-    with lapack_errors("density-ratio system"):
-        sol, _, rank, _ = np.linalg.lstsq(gmat, rhs, rcond=1e-10)
-    if rank == gmat.shape[1] and np.isfinite(sol).all():
-        return sol
-    sol, _ = ridge_solve(gmat.T @ gmat, gmat.T @ rhs, error=error)
-    return sol
-
-
 def _fit_omega(
     designs: SampleDesigns, k: int, arm_level: int, target: np.ndarray,
-    a_cc: np.ndarray, growth: np.ndarray,
+    gvals: np.ndarray,
 ) -> tuple[SeriesRegressor, float, np.ndarray]:
     """omega_k, its moment residual sup and its raw values on the
-    complete cases."""
-    arm = a_cc == arm_level
-    if not arm.any():
-        raise EmptyArm(f"no complete cases with a={arm_level} for omega_{k}")
-    umat = designs.u(k)
-    span = designs.u_span(k)
-    gmat = span.T @ (umat * (growth * arm)[:, None])
-    rhs = span.T @ (growth * target)
-    coef = _solve_square(gmat, rhs, SingularProjection)
-    resid = gmat @ coef - rhs
-    resid_sup = float(np.max(np.abs(span @ resid))) if resid.size else 0.0
-    spec = designs.bundle.u[k - 1]
-    diag = FitDiagnostics(
-        n_used=int(arm.sum()), dim=spec.dim, rank=span.shape[1], gram_diag_ridge=0.0,
-    )
-    return SeriesRegressor(spec=spec, coef=coef, diagnostics=diag), resid_sup, umat @ coef
+    complete cases.
+
+    The moment system span' diag(1{A = a_k} (1 + gamma)) u(k) c =
+    span' ((1 + gamma) target) has the matrix of the mu_k fits on arm
+    a_k, so it is solved against their designs.arm_lstsq(k, a_k, odds).
+    """
+    system = designs.arm_lstsq(k, arm_level, gvals)
+    rhs = system.span.T @ ((1.0 + gvals[designs.ds.complete_mask]) * target)
+    coef = system.pinv @ rhs
+    resid = system.reduced @ coef - rhs
+    resid_sup = float(np.max(np.abs(system.span @ resid))) if resid.size else 0.0
+    reg = system.regressor(designs.bundle.u[k - 1], coef)
+    return reg, resid_sup, designs.u(k) @ coef
 
 
 def fit_omegas(
@@ -126,8 +106,9 @@ def fit_omegas(
 
     omega_1 solves E[(1+gamma)(1{A=a_1} w(X) - 1) | R=1, X] = 0 and, for
     k >= 2, omega_k solves the same with target 1{A=a_{k-1}} and
-    conditioning (X, M_1..M_{k-1}); both are projected onto the k-th mu
-    basis over complete cases, giving a square linear system.
+    conditioning (X, M_1..M_{k-1}); both are projected onto the span of
+    the k-th mu basis over complete cases, giving a small linear system
+    whose matrix is that of the mu_k fits on arm a_k.
 
     The omega and cumulative fits are shared through designs.fits with
     every profile of the same levels; floor events count per profile.
@@ -140,7 +121,6 @@ def fit_omegas(
     memo = designs.fits(gvals)
     cc = ds.complete_mask
     a_cc = ds.a[cc]
-    growth = 1.0 + gvals[cc]
 
     omega: list[Optional[SeriesRegressor]] = []
     ident: list[bool] = []
@@ -154,8 +134,8 @@ def fit_omegas(
             continue
         key = ("omega", k, prof[k - 2:k] if k >= 2 else prof[:1])
         if key not in memo:
-            target = np.ones_like(growth) if k == 1 else (a_cc == prof[k - 2]).astype(float)
-            memo[key] = _fit_omega(designs, k, prof[k - 1], target, a_cc, growth)
+            target = np.ones(len(a_cc)) if k == 1 else (a_cc == prof[k - 2]).astype(float)
+            memo[key] = _fit_omega(designs, k, prof[k - 1], target, gvals)
         reg, sup, vals = memo[key]
         resid_sup = max(resid_sup, sup)
         omega.append(reg)
@@ -175,14 +155,9 @@ def fit_omegas(
         key = ("cumulative", floor, k, prof[:k])
         if key not in memo:
             product = running * vals
-            spec = designs.bundle.u[k - 1]
             lstsq = designs.u_lstsq(k)
-            coef = lstsq.solve(product)
-            diag = FitDiagnostics(
-                n_used=len(product), dim=spec.dim, rank=lstsq.rank, gram_diag_ridge=0.0,
-            )
-            reg = SeriesRegressor(spec=spec, coef=coef, diagnostics=diag)
-            memo[key] = (reg, product, designs.u(k) @ coef)
+            reg = lstsq.regressor(designs.bundle.u[k - 1], lstsq.solve(product))
+            memo[key] = (reg, product, designs.u(k) @ reg.coef)
         reg, running, fitted = memo[key]
         cumulative.append(reg)
         cumulative_values.append(fitted)
@@ -405,7 +380,6 @@ def analyze_profile(
         "omega_floor_events": omegas.floor_events,
         "omega_moment_residual_sup": omegas.moment_residual_sup,
         "rho_criterion": rho_value,
-        "mu_ridge": [reg.diagnostics.gram_diag_ridge for reg in fits.mu],
     }
     report = variance_and_ci(psi.psi_hat, ifv, level, diag)
     return ProfileAnalysis(

@@ -1,21 +1,17 @@
-"""Weighted series least squares and linear projection utilities.
-
-fit_series solves the weighted normal equations on a prebuilt design
-through an orthogonal decomposition of the weighted design; if that is
-numerically singular a ridge eps * I is added to the Gram matrix,
-escalating tenfold from 1e-10, and anything past 1e-2 raises
-UnsolvableSystem. It is factor_series, which takes the SVD of the
-weighted design, then solve_series, which solves one response against
-it, so fits that share a design and weights factor it once.
+"""Series least squares through orthonormal spans, and projections.
 
 orthonormal_span returns an orthonormal basis of a design's column
 space from two passes over its Gram matrix (CholeskyQR2); projections
 built from it are exactly idempotent and invariant to invertible
 reparameterisations of the columns, which the odds-function criterion
 and the influence-function pieces rely on.
-span_least_squares solves unweighted least squares on a design through
-that span, so a design whose span is built needs no second large
-factorisation. A LAPACK failure in any of these raises UnsolvableSystem.
+span_least_squares solves weighted least squares on a design through
+that span: the normal equations reduce to a system with one row per
+span column, so a design whose span is built needs no second large
+factorisation, and each right-hand side costs two thin products.
+ridge_solve and RidgeSystem solve ridged normal equations, escalating
+the ridge eps * I tenfold until the Cholesky factor succeeds. A LAPACK
+failure in any of these raises UnsolvableSystem.
 
 SampleDesigns is where the sample designs of one pipeline run are
 built: the conditioning span, the odds design, each outcome-chain
@@ -23,8 +19,8 @@ design, its span and the least squares through that span, the odds
 values and the representer's factored normal equations. Each is built
 on first use and at most once, then read by every stage and every
 profile. It also holds the run's nuisance fits under the current odds,
-so profiles that share a fit make it once, and each weighted outcome-
-chain design is factored once per (level k, arm a_k).
+so profiles that share a fit make it once, and one weighted span system
+per (level k, arm a_k), shared by the mu_k and omega_k fits on that arm.
 """
 
 from __future__ import annotations
@@ -39,8 +35,8 @@ import scipy.linalg
 
 from .data_model import Dataset
 from .errors import (
-    AllZeroWeights,
     DimensionMismatch,
+    EmptyArm,
     LengthMismatch,
     NonFiniteInput,
     UnsolvableSystem,
@@ -49,8 +45,6 @@ from .sieve_basis import BasisSpec, SpecBundle, design_matrix
 
 RIDGE_START = 1e-10
 RIDGE_CAP = 1e-2
-# design singular values below s_max * this are treated as zero
-SINGULAR_RTOL = 1e-10
 # Gram eigenvalues at or below the largest times this are treated as zero
 # by orthonormal_span: a singular-value ratio of about 3e-7
 SPAN_EIG_RTOL = 1e-13
@@ -70,7 +64,7 @@ class FitDiagnostics:
     n_used: int
     dim: int
     rank: int
-    gram_diag_ridge: float  # 0.0 when the plain solve succeeded
+    gram_diag_ridge: float  # 0.0 for a solve with no ridge
 
 
 @dataclass
@@ -141,120 +135,6 @@ def ridge_system(design: np.ndarray, ridge: float) -> RidgeSystem:
     return RidgeSystem(design=design, gram=gram, start=ridge * max(scale, 1.0), rank=rank)
 
 
-def _check_responses(n: int, responses: np.ndarray) -> np.ndarray:
-    v = np.asarray(responses, dtype=float)
-    if v.ndim != 1:
-        raise LengthMismatch("responses must be 1-d")
-    if len(v) != n:
-        raise LengthMismatch(f"{n} input rows but {len(v)} responses")
-    if not np.isfinite(v).all():
-        raise NonFiniteInput("fit_series: non-finite input")
-    return v
-
-
-def _check_design(
-    inputs: np.ndarray, weights: Optional[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    pts = np.asarray(inputs, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if weights is None:
-        w = np.ones(pts.shape[0])
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (pts.shape[0],):
-            raise LengthMismatch("weights misaligned with the design rows")
-    if not np.isfinite(pts).all() or not np.isfinite(w).all():
-        raise NonFiniteInput("fit_series: non-finite input")
-    if (w < 0).any():
-        raise NonFiniteInput("fit_series: negative weight")
-    return pts, w
-
-
-def _check_inputs(
-    inputs: np.ndarray, responses: np.ndarray, weights: Optional[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    pts, w = _check_design(inputs, weights)
-    return pts, _check_responses(pts.shape[0], responses), w
-
-
-@dataclass
-class WeightedDesign:
-    """The economy SVD u diag(s) vt of sqrt(w) * basis over the rows
-    with w > 0, with the numerical rank, ready for any number of
-    responses on the same rows and weights."""
-
-    spec: BasisSpec
-    basis: np.ndarray
-    keep: np.ndarray
-    sw: np.ndarray
-    u: np.ndarray
-    s: np.ndarray
-    vt: np.ndarray
-    rank: int
-
-
-def factor_series(
-    spec: BasisSpec, basis: np.ndarray, weights: Optional[np.ndarray] = None
-) -> WeightedDesign:
-    """Factor the weighted design of a fit of basis, a design of spec.
-
-    Zero-weight rows are dropped before the factorisation."""
-    basis, w = _check_design(basis, weights)
-    if basis.shape[1] != spec.dim:
-        raise DimensionMismatch(f"design has {basis.shape[1]} columns, spec has {spec.dim}")
-    if w.sum() <= 0.0:
-        raise AllZeroWeights("fit_series: all weights are zero")
-    keep = w > 0.0
-    sw = np.sqrt(w[keep])
-    # economy SVD gives rank and a stable exact solve in one pass
-    with lapack_errors("weighted series design"):
-        u_mat, s, vt = np.linalg.svd(basis[keep] * sw[:, None], full_matrices=False)
-    smax = s[0] if len(s) else 0.0
-    rank = int((s > smax * SINGULAR_RTOL).sum()) if smax > 0 else 0
-    return WeightedDesign(spec=spec, basis=basis, keep=keep, sw=sw, u=u_mat, s=s, vt=vt,
-                          rank=rank)
-
-
-def solve_series(
-    design: WeightedDesign, responses: np.ndarray, ridge: Optional[float] = None
-) -> SeriesRegressor:
-    """Weighted least squares of responses on a factored design.
-
-    Passing ridge forces the penalised path with that starting eps; the
-    default solves exactly when the design has full column rank.
-    """
-    v = _check_responses(len(design.keep), responses)[design.keep]
-    vw = v * design.sw
-    dim = design.spec.dim
-    if ridge is None and design.rank == dim:
-        coef = design.vt.T @ ((design.u.T @ vw) / design.s)
-        eps = 0.0
-    else:
-        bw = design.basis[design.keep] * design.sw[:, None]
-        coef, eps = ridge_solve(bw.T @ bw, bw.T @ vw,
-                                start=ridge if ridge is not None else RIDGE_START)
-    diag = FitDiagnostics(n_used=len(v), dim=dim, rank=design.rank, gram_diag_ridge=eps)
-    return SeriesRegressor(spec=design.spec, coef=coef, diagnostics=diag)
-
-
-def fit_series(
-    spec: BasisSpec,
-    basis: np.ndarray,
-    responses: np.ndarray,
-    weights: Optional[np.ndarray] = None,
-    ridge: Optional[float] = None,
-) -> SeriesRegressor:
-    """Weighted least squares of responses on basis, a design of spec:
-    factor_series, then solve_series.
-
-    Zero-weight rows are dropped before the solve. Passing ridge forces
-    the penalised path with that starting eps; the default attempts an
-    exact solve first.
-    """
-    return solve_series(factor_series(spec, basis, weights), responses, ridge)
-
-
 def predict_many(reg: SeriesRegressor, points: np.ndarray) -> np.ndarray:
     return design_matrix(reg.spec, points) @ reg.coef
 
@@ -270,8 +150,13 @@ def project_residual_orthogonality(
     Zero for an unridged solve up to floating point; ridged solves are
     allowed to drift by the penalty times the coefficient size.
     """
-    pts, v, w = _check_inputs(inputs, responses, weights)
-    basis = design_matrix(reg.spec, pts)
+    basis = design_matrix(reg.spec, inputs)
+    v = np.asarray(responses, dtype=float)
+    w = np.ones(len(basis)) if weights is None else np.asarray(weights, dtype=float)
+    if v.shape != (len(basis),) or w.shape != (len(basis),):
+        raise LengthMismatch("responses and weights must align with the input rows")
+    if not (np.isfinite(v).all() and np.isfinite(w).all()):
+        raise NonFiniteInput("project_residual_orthogonality: non-finite input")
     resid = (v - basis @ reg.coef) * w
     return float(np.max(np.abs(basis.T @ resid)) / max(len(v), 1))
 
@@ -316,33 +201,51 @@ def project_onto(span: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SpanLeastSquares:
-    """Minimum-norm least squares on a design through an orthonormal
-    basis `span` of its column space.
+    """Weighted minimum-norm least squares on a design through an
+    orthonormal basis `span` of its column space.
 
-    The design is span @ reduced, with reduced = span' design small, so
-    min ||design c - v|| is solved by c = pinv(reduced) @ (span' v); the
-    pseudo-inverse drops singular values at or below np.linalg.lstsq's
-    default cutoff eps * max(design rows, columns) * s_max, and rank
-    counts the rest, as lstsq's rank does.
+    The design is span @ R with R = span' design of full row rank, so
+    the normal equations design' W (design c - v) = 0 hold exactly when
+    span' W (design c - v) = 0, with W = diag(weights) (the identity
+    when weights is None). That system's matrix, reduced = span' W
+    design, has one row per span column; c = pinv(reduced) @ span' W v
+    is the minimum-norm solution. The pseudo-inverse drops singular
+    values at or below np.linalg.lstsq's default cutoff
+    eps * max(design rows, columns) * s_max, and rank counts the rest,
+    as lstsq's rank does.
     """
 
     span: np.ndarray
+    weights: Optional[np.ndarray]
+    reduced: np.ndarray
     pinv: np.ndarray
     rank: int
 
     def solve(self, values: np.ndarray) -> np.ndarray:
-        return self.pinv @ (self.span.T @ values)
+        weighted = values if self.weights is None else self.weights * values
+        return self.pinv @ (self.span.T @ weighted)
+
+    def regressor(self, spec: BasisSpec, coef: np.ndarray) -> SeriesRegressor:
+        """The fit with coefficients coef, over the rows of positive weight."""
+        n_used = len(self.span) if self.weights is None else int(np.count_nonzero(self.weights))
+        diag = FitDiagnostics(n_used=n_used, dim=spec.dim, rank=self.rank, gram_diag_ridge=0.0)
+        return SeriesRegressor(spec=spec, coef=coef, diagnostics=diag)
 
 
-def span_least_squares(span: np.ndarray, design: np.ndarray) -> SpanLeastSquares:
-    """The SpanLeastSquares of design, given an orthonormal basis of its span."""
-    reduced = span.T @ design
+def span_least_squares(
+    span: np.ndarray, design: np.ndarray, weights: Optional[np.ndarray] = None
+) -> SpanLeastSquares:
+    """The SpanLeastSquares of design, given an orthonormal basis of its
+    span and nonnegative row weights (None for unit weights)."""
+    weighted_span = span.T if weights is None else span.T * weights
+    reduced = weighted_span @ design
     with lapack_errors("reduced least-squares design"):
         u_mat, s, vt = np.linalg.svd(reduced, full_matrices=False)
     cutoff = np.finfo(float).eps * max(design.shape) * (s[0] if s.size else 0.0)
     rank = int((s > cutoff).sum())
     pinv = (vt[:rank].T / s[:rank]) @ u_mat[:, :rank].T
-    return SpanLeastSquares(span=span, pinv=_frozen(pinv), rank=rank)
+    return SpanLeastSquares(span=span, weights=weights, reduced=_frozen(reduced),
+                            pinv=_frozen(pinv), rank=rank)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -368,13 +271,15 @@ class SampleDesigns:
     up to level k under ("cumulative", floor, k, (a_1..a_k)), so the
     four default profiles of a K = 2 run make 9 mu, 4 omega and 9
     cumulative fits where fitting each profile alone makes 12, 6 and 12.
-    Every mu_k fit on arm a_k solves against the factor of the weighted
-    design of u(k), held under ("factor", k, a_k): 6 factorisations for
-    those 9 fits. The mu and cumulative entries keep the fitted values on
-    the complete cases with the fit, so no profile computes them again.
+    The mu and cumulative entries keep the fitted values on the complete
+    cases with the fit, so no profile computes them again.
 
-    u_lstsq(k) solves the cumulative fits through u_span(k), reusing the
-    span in place of a fresh least-squares factorisation of u(k).
+    arm_lstsq(k, a_k, odds) is the weighted least squares on u(k) with
+    weights 1{A = a_k} (1 + odds), solved through u_span(k) and held in
+    fits(odds) under ("system", k, a_k). Every mu_k and omega_k fit on
+    arm a_k solves against it: 6 systems for the 9 mu and 4 omega fits
+    above. u_lstsq(k) is the unweighted one the cumulative fits solve
+    against. No fit factors a matrix with a row per complete case.
 
     representer_system(ridge) holds the representer's ridged normal
     equations, which depend on the designs alone: one Gram matrix, rank
@@ -434,6 +339,21 @@ class SampleDesigns:
         if k not in self._u_lstsq:
             self._u_lstsq[k] = span_least_squares(self.u_span(k), self.u(k))
         return self._u_lstsq[k]
+
+    def arm_lstsq(self, k: int, level: int, odds: np.ndarray) -> SpanLeastSquares:
+        """Least squares on u(k) over the complete cases with a = level,
+        weighted by 1 + odds, through u_span(k): one small system per
+        (k, level) under the odds values `odds`, held in fits(odds)."""
+        memo = self.fits(odds)
+        key = ("system", k, level)
+        if key not in memo:
+            cc = self.ds.complete_mask
+            arm = self.ds.a[cc] == level
+            if not arm.any():
+                raise EmptyArm(f"no complete cases with a={level} at level {k}")
+            weights = _frozen(np.where(arm, 1.0 + odds[cc], 0.0))
+            memo[key] = span_least_squares(self.u_span(k), self.u(k), weights)
+        return memo[key]
 
     def odds_values(self, model) -> np.ndarray:
         """model.values(self), evaluated once for the last model asked for."""

@@ -75,8 +75,8 @@ class BasisSpec:
     degree: int
     input_dim: int
     standardizer: Standardizer
+    include_interactions: bool
     include_intercept: bool = True
-    include_interactions: bool = True
     binary: tuple[bool, ...] = field(default=())
 
     def __post_init__(self) -> None:
@@ -150,7 +150,7 @@ def column_coordinates(spec: BasisSpec) -> list[tuple[int, ...]]:
 def spec_for(
     points: np.ndarray,
     degree: int,
-    include_interactions: bool = True,
+    include_interactions: bool,
 ) -> BasisSpec:
     """Fit a standardizer on points and build the matching BasisSpec.
 

@@ -311,7 +311,7 @@ def _leaf_errors(cls=EstimationError):
         yield from (_leaf_errors(sub) if sub.__subclasses__() else [sub])
 
 
-SOLVER_ERRORS = {"AllZeroWeights", "UnsolvableSystem", "SingularProjection", "SingularSystem"}
+SOLVER_ERRORS = {"UnsolvableSystem", "SingularSystem"}
 # documented exit code and stderr prefix of each error class
 EXPECTED_EXIT = {
     cls.__name__: (2, "configuration error") if cls is ConfigError
@@ -323,7 +323,7 @@ RAISABLE = {cls.__name__: cls for cls in _leaf_errors()}
 
 
 def test_every_error_class_has_an_expected_exit():
-    assert len(RAISABLE) == 15  # the EstimationError leaves
+    assert len(RAISABLE) == 13  # the EstimationError leaves
     assert SOLVER_ERRORS <= set(RAISABLE)
 
 
@@ -376,6 +376,22 @@ def test_out_is_checked_before_any_work(command, out, tmp_path, monkeypatch, cap
     assert rc == 2
     assert capsys.readouterr().err.startswith("configuration error: cannot write --out")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir"]
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--level", "1.5", "level"), ("--level", "0", "level"), ("--level", "nan", "level"),
+    ("--mi-m", "1", "mi_m"), ("--degree", "-1", "degree"), ("--mu-degree", "-1", "mu_degree"),
+])
+def test_bad_estimator_setting_is_rejected_before_any_data_is_read(flag, value, key, data_files,
+                                                                   monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "read_csv", no_work)
+    data, desc = data_files
+    rc = cli.main(["estimate", "--data", data, "--descriptor", desc, flag, value])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {key} must be")
 
 
 @pytest.mark.parametrize("command, flags", [

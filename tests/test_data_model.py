@@ -329,6 +329,15 @@ def _underscored_digits(obs, header, rows):
     return header, rows, "\n"
 
 
+def _integers_as_floats(obs, header, rows):
+    """r and a cells written as 1.0 and 0.0: whole numbers, read as such."""
+    for name in (obs.columns["r"], obs.columns["a"]):
+        col = header.index(name)
+        for row in rows:
+            row[col] += ".0"
+    return header, rows, "\n"
+
+
 READ_VARIANTS = {
     "plain": (lambda obs, header, rows: (header, rows, "\n"), True),
     "missing_tokens": (_missing_tokens, True),
@@ -337,6 +346,7 @@ READ_VARIANTS = {
     "reordered": (_reordered, True),
     "hash_in_cells": (_hash_in_cells, True),
     "underscored_digits": (_underscored_digits, False),
+    "integers_as_floats": (_integers_as_floats, True),
 }
 
 
@@ -395,6 +405,21 @@ def test_read_csv_names_the_faulty_column(cell, column, error, message, tmp_path
     with pytest.raises(error) as info:
         read_csv(str(data), str(desc))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("path", ["loadtxt", "cells"])
+@pytest.mark.parametrize("cell, column", [("0.4", "r"), ("0.7", "a"), ("1.9", "a"), ("1.5", "r")])
+def test_fractional_integer_cell_names_its_column(cell, column, path, tmp_path):
+    """A fractional r or a cell raises, whether np.loadtxt reads the file
+    or a cell it rejects sends the whole file cell by cell."""
+    obs, header, rows, data, desc = _csv_pair(tmp_path, 115)
+    rows[5][header.index(column)] = cell
+    if path == "cells":
+        rows[9][header.index(obs.columns["x_obs"][0])] = "1_0"
+    _rewrite(data, header, rows)
+    with pytest.raises(DimensionMismatch) as info:
+        read_csv(str(data), str(desc))
+    assert str(info.value) == f"row 7: non-integer value {cell!r} in column {column!r}"
 
 
 def test_header_only_file_warns_nothing(tmp_path, recwarn):

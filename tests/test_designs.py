@@ -131,26 +131,36 @@ def test_fit_ranks_are_real_on_rank_deficient_designs(obs600):
 @pytest.mark.parametrize("estimate", [sri_estimate, cca_estimate])
 def test_each_nuisance_is_fitted_once_per_run(estimate, monkeypatch, obs2000):
     """The default estimands read four profiles; their mu chains share 9
-    distinct fits, solved against 6 weighted factorisations (one per
-    level and arm), their omegas 4, and their 9 cumulative products are
-    solved through the outcome-chain spans with no least-squares
-    factorisation of a complete-case design."""
-    factors = record_calls(monkeypatch, series_regression.factor_series, lambda a, kw: None)
-    mu_solves = record_calls(monkeypatch, series_regression.solve_series, lambda a, kw: None)
-    omega_solves = record_calls(monkeypatch, inference._solve_square, lambda a, kw: None)
-    lstsq = np.linalg.lstsq
-    lstsq_rows = []
+    distinct fits and their omegas 4, all solved against 6 weighted span
+    systems (one per level and arm), and their 9 cumulative products
+    against 3 unweighted ones (one per level). No SVD or least-squares
+    solve runs on a matrix with a row per complete case."""
+    systems = record_calls(monkeypatch, series_regression.span_least_squares,
+                           lambda a, kw: (a[2] if len(a) > 2 else kw.get("weights")) is not None)
+    omegas = record_calls(monkeypatch, inference._fit_omega, lambda a, kw: None)
+    solve = series_regression.SpanLeastSquares.solve
+    solves = []
 
-    def counting_lstsq(matrix, *args, **kwargs):
-        lstsq_rows.append(np.shape(matrix)[0])
-        return lstsq(matrix, *args, **kwargs)
+    def counting_solve(self, values):
+        solves.append(self.weights is not None)
+        return solve(self, values)
 
-    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    monkeypatch.setattr(series_regression.SpanLeastSquares, "solve", counting_solve)
+    rows = []
+    for name in ("svd", "lstsq"):
+        original = getattr(np.linalg, name)
+
+        def counting(matrix, *args, _original=original, **kwargs):
+            rows.append(np.shape(matrix)[0])
+            return _original(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
     res = estimate(obs2000)
     assert sorted(res.profiles) == sorted(DEFAULT_PROFILES)
     n_cc = int(obs2000.complete_mask.sum())
-    assert (len(factors), len(mu_solves), len(omega_solves), lstsq_rows.count(n_cc)) == (
-        6, 9, 4, 0)
+    assert (systems.count(True), solves.count(True), len(omegas)) == (6, 9, 4)
+    assert (systems.count(False), solves.count(False)) == (3, 9)
+    assert rows and n_cc not in rows
 
 
 @pytest.mark.parametrize("method", ["cca", "mi"])
@@ -264,30 +274,32 @@ def test_representer_system_is_factored_once_per_run(monkeypatch, obs2000):
 
 
 def standalone_chain(ds: Dataset, designs: SampleDesigns, gvals: np.ndarray, prof) -> list:
-    """The mu_k coefficients of one profile, each from its own fit_series."""
+    """The mu_k coefficients of one profile, each from np.linalg.lstsq on
+    its sqrt(w)-weighted design."""
     cc = ds.complete_mask
     coefs = [None] * (ds.k + 1)
     response = ds.y[cc]
     for k in range(ds.k + 1, 0, -1):
-        weights = np.where(ds.a[cc] == prof[k - 1], 1.0 + gvals[cc], 0.0)
-        reg = series_regression.fit_series(designs.bundle.u[k - 1], designs.u(k), response,
-                                           weights)
-        coefs[k - 1] = reg.coef
-        response = designs.u(k) @ reg.coef
+        sw = np.sqrt(np.where(ds.a[cc] == prof[k - 1], 1.0 + gvals[cc], 0.0))
+        coefs[k - 1], _, _, _ = np.linalg.lstsq(designs.u(k) * sw[:, None], response * sw,
+                                                rcond=None)
+        response = designs.u(k) @ coefs[k - 1]
     return coefs
 
 
 def assert_pure(ds: Dataset, gamma, profiles) -> list:
-    """Every shared mu fit of the profiles is byte-equal to its own
-    fit_series, and every cumulative fit agrees with np.linalg.lstsq on
-    u(k) to 1e-12 relative, with lstsq's rank. Returns the lstsq ranks."""
+    """Every shared mu fit of the profiles agrees with np.linalg.lstsq on
+    its weighted design to 1e-10 relative, and every cumulative fit with
+    np.linalg.lstsq on u(k) to 1e-12 relative, with lstsq's rank.
+    Returns the lstsq ranks of the cumulative fits."""
     designs = SampleDesigns(ds, build_spec_bundle(ds))
     gvals = gamma_values_for(designs, gamma)
     ranks = []
     for prof in profiles:
         analysis = analyze_profile(ds, gamma, prof, designs)
         want = standalone_chain(ds, designs, gvals, prof)
-        assert [reg.coef.tobytes() for reg in analysis.fits.mu] == [c.tobytes() for c in want]
+        for reg, coef in zip(analysis.fits.mu, want):
+            assert np.max(np.abs(reg.coef - coef)) <= 1e-10 * np.max(np.abs(coef))
         omegas = analysis.omegas
         product = np.ones(len(designs.u(1)))
         for k, reg in enumerate(omegas.cumulative, start=1):
@@ -303,8 +315,8 @@ def assert_pure(ds: Dataset, gamma, profiles) -> list:
 
 @pytest.mark.parametrize("method", ["sri", "cca"])
 def test_shared_factors_are_pure(method, obs2000, gamma2000):
-    """Factoring each weighted design once per run and solving the
-    cumulative fits through the spans changes no fit."""
+    """Solving the mu fits and the cumulative fits through the spans
+    gives the least-squares fits."""
     if method == "sri":
         ds, gamma = obs2000, gamma2000[0]
     else:

@@ -10,8 +10,6 @@ from shadowpse.gamma_solver import (
     _GammaProblem,
     _descend,
     _intercept_start,
-    criterion_for_model,
-    criterion_qn,
     fit_gamma,
     weak_norm_sq,
 )
@@ -29,7 +27,7 @@ from support import one_mediator_dataset, rng_for, seq
 
 
 def intercept_only_spec(dim):
-    return BasisSpec(degree=0, input_dim=dim,
+    return BasisSpec(degree=0, input_dim=dim, include_interactions=True,
                      standardizer=Standardizer.identity(dim))
 
 
@@ -53,12 +51,17 @@ def mcar_dataset():
     return one_mediator_dataset(n, x, a, m1, y, r=r, z=z)
 
 
+def criterion_qn(pi, designs, cap=10.0) -> float:
+    """Q_n at one coefficient vector."""
+    return _GammaProblem(designs).value_and_grad(np.asarray(pi, dtype=float), cap)[0]
+
+
 def test_constant_ratio_zeroes_intercept_only_criterion():
     ds = four_record_toy()
     spec = intercept_only_spec(4)
     # invert the soft clamp so gamma is the constant n0/n1 = 1/3 exactly
     pi = np.array([10.0 * np.arctanh(np.log(1.0 / 3.0) / 10.0)])
-    assert criterion_qn(pi, ds, SampleDesigns(ds, SpecBundle(p=spec, q=spec, u=()))) <= 1e-12
+    assert criterion_qn(pi, SampleDesigns(ds, SpecBundle(p=spec, q=spec, u=()))) <= 1e-12
 
 
 def test_toy_criterion_matches_hand_arithmetic():
@@ -68,7 +71,7 @@ def test_toy_criterion_matches_hand_arithmetic():
     g = float(np.exp(10.0 * np.tanh(0.03)))
     hand = ((3.0 * g - 1.0) / 4.0) ** 2
     designs = SampleDesigns(ds, SpecBundle(p=spec, q=spec, u=()))
-    assert abs(criterion_qn(pi, ds, designs) - hand) <= 1e-12
+    assert abs(criterion_qn(pi, designs) - hand) <= 1e-12
 
 
 def test_complete_data_returns_zero_model(comp600):
@@ -78,7 +81,8 @@ def test_complete_data_returns_zero_model(comp600):
     assert report.q_n == 0.0
     assert report.converged
     np.testing.assert_array_equal(model.values(designs), np.zeros(comp600.n))
-    assert criterion_for_model(model, comp600, designs) == 0.0
+    # so the moment R gamma - 1 + R, and with it Q_n, is zero at every record
+    assert not (model.values(designs) * comp600.r - (1.0 - comp600.r)).any()
 
 
 def test_all_missing_is_degenerate():
@@ -113,7 +117,7 @@ def test_benchmark_fit_stationary_and_dominant(obs2000, bundle2000, gamma2000):
     assert report.converged
     zero = np.zeros(bundle2000.q.dim)
     designs = SampleDesigns(obs2000, bundle2000)
-    assert report.q_n <= criterion_qn(zero, obs2000, designs) + 1e-12
+    assert report.q_n <= criterion_qn(zero, designs) + 1e-12
     assert 0.0 <= report.clamp_frac <= 1.0
     # fitted odds stay inside the soft-clamp range
     vals = model.values_at(obs2000.regressor_points())
@@ -131,7 +135,7 @@ def test_fit_dominates_every_start():
         starts = [np.zeros(bundle.q.dim), _intercept_start(prob, obs, bundle.q, 10.0)]
         for start in starts:
             assert start is not None
-            qn_start = criterion_qn(start, obs, designs)
+            qn_start = criterion_qn(start, designs)
             assert report.q_n <= qn_start + 1e-12
 
 
@@ -247,8 +251,8 @@ def test_criterion_invariant_to_projection_reparametrisation(obs2000, bundle2000
         standardizer=Standardizer.identity(bundle2000.p.input_dim),
         include_interactions=True, binary=bundle2000.p.binary)
     pi = 0.05 * rng_for(38).standard_normal(bundle2000.q.dim)
-    q_std = criterion_qn(pi, obs2000, SampleDesigns(obs2000, bundle2000))
-    q_raw = criterion_qn(pi, obs2000, SampleDesigns(
+    q_std = criterion_qn(pi, SampleDesigns(obs2000, bundle2000))
+    q_raw = criterion_qn(pi, SampleDesigns(
         obs2000, SpecBundle(p=ident_p, q=bundle2000.q, u=bundle2000.u)))
     assert abs(q_std - q_raw) <= 1e-8 * max(q_std, 1e-12)
 

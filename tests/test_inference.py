@@ -246,6 +246,6 @@ def test_report_schema(obs600):
                            "psi_hat", "se", "sigma2"]
     diag = doc["diagnostics"]
     for key in ("profile", "if_mean", "omega_floor_events",
-                "omega_moment_residual_sup", "rho_criterion", "mu_ridge"):
+                "omega_moment_residual_sup", "rho_criterion"):
         assert key in diag
     assert isinstance(analysis.report, InferenceReport)

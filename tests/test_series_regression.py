@@ -1,20 +1,16 @@
 import numpy as np
 import pytest
 
-from shadowpse.errors import (
-    AllZeroWeights,
-    LengthMismatch,
-    NonFiniteInput,
-    UnsolvableSystem,
-)
+from shadowpse.errors import LengthMismatch, NonFiniteInput, UnsolvableSystem
 from shadowpse.series_regression import (
     RIDGE_CAP,
-    fit_series,
+    SeriesRegressor,
     orthonormal_span,
     predict_many,
     project_onto,
     project_residual_orthogonality,
     ridge_solve,
+    span_least_squares,
 )
 from shadowpse.sieve_basis import (
     BasisSpec,
@@ -29,15 +25,28 @@ from support import rng_for, seq
 
 
 def identity_spec(degree, dim=1):
-    return BasisSpec(degree=degree, input_dim=dim,
+    return BasisSpec(degree=degree, input_dim=dim, include_interactions=True,
                      standardizer=Standardizer.identity(dim))
+
+
+def span_fit(spec, basis, values, weights=None) -> SeriesRegressor:
+    """Weighted least squares of values on basis, solved through its span,
+    checked against np.linalg.lstsq on the sqrt(w)-weighted design: the
+    same minimum-norm coefficients to 1e-10 relative and the same rank."""
+    system = span_least_squares(orthonormal_span(basis), basis, weights)
+    reg = system.regressor(spec, system.solve(values))
+    sw = np.ones(len(basis)) if weights is None else np.sqrt(weights)
+    coef, _, rank, _ = np.linalg.lstsq(basis * sw[:, None], values * sw, rcond=None)
+    assert np.max(np.abs(reg.coef - coef)) <= 1e-10 * max(np.max(np.abs(coef)), 1.0)
+    assert reg.diagnostics.rank == rank
+    return reg
 
 
 def test_hand_solved_least_squares():
     # x = [0, 1, 2], v = [1, 2, 5]: normal equations [[3,3],[3,5]] c = [8,12]
     spec = identity_spec(1)
-    reg = fit_series(spec, design_matrix(spec, np.array([0.0, 1.0, 2.0])),
-                     np.array([1.0, 2.0, 5.0]))
+    reg = span_fit(spec, design_matrix(spec, np.array([0.0, 1.0, 2.0])),
+                   np.array([1.0, 2.0, 5.0]))
     np.testing.assert_allclose(reg.coef, [2.0 / 3.0, 2.0], rtol=0, atol=1e-12)
     assert reg.diagnostics.rank == 2
     assert reg.diagnostics.gram_diag_ridge == 0.0
@@ -48,7 +57,7 @@ def test_exact_interpolation():
     x = np.array([0.0, 0.4, 1.1, 2.3])
     v = rng.standard_normal(4)
     spec = identity_spec(3)
-    reg = fit_series(spec, design_matrix(spec, x), v)
+    reg = span_fit(spec, design_matrix(spec, x), v)
     np.testing.assert_allclose(predict_many(reg, x), v, atol=1e-8)
 
 
@@ -56,17 +65,17 @@ def test_constant_response_recovers_intercept_only():
     rng = rng_for(302)
     x = rng.random(10)
     spec = spec_for(x, degree=2, include_interactions=False)
-    reg = fit_series(spec, design_matrix(spec, x), np.full(10, 4.5))
+    reg = span_fit(spec, design_matrix(spec, x), np.full(10, 4.5))
     np.testing.assert_allclose(reg.coef, [4.5, 0.0, 0.0], atol=1e-10)
 
 
 def test_in_span_response_recovered_exactly():
     rng = rng_for(303)
-    spec = spec_for(rng.random((30, 2)), degree=2)
+    spec = spec_for(rng.random((30, 2)), degree=2, include_interactions=True)
     pts = rng.random((30, 2))
     c0 = rng.standard_normal(spec.dim)
     v = design_matrix(spec, pts) @ c0
-    reg = fit_series(spec, design_matrix(spec, pts), v)
+    reg = span_fit(spec, design_matrix(spec, pts), v)
     np.testing.assert_allclose(reg.coef, c0, atol=1e-8)
 
 
@@ -77,8 +86,8 @@ def test_zero_weights_equal_row_deletion():
     w = np.ones(20)
     w[10:] = 0.0
     spec = spec_for(pts[:10], degree=2, include_interactions=False)
-    full = fit_series(spec, design_matrix(spec, pts), v, weights=w)
-    half = fit_series(spec, design_matrix(spec, pts[:10]), v[:10])
+    full = span_fit(spec, design_matrix(spec, pts), v, weights=w)
+    half = span_fit(spec, design_matrix(spec, pts[:10]), v[:10])
     np.testing.assert_allclose(full.coef, half.coef, atol=1e-12)
     assert full.diagnostics.n_used == 10
 
@@ -89,8 +98,8 @@ def test_weight_rescaling_invariance():
     v = rng.standard_normal(25)
     w = 0.5 + rng.random(25)
     spec = spec_for(pts, degree=2, include_interactions=False)
-    a = fit_series(spec, design_matrix(spec, pts), v, weights=w)
-    b = fit_series(spec, design_matrix(spec, pts), v, weights=3.0 * w)
+    a = span_fit(spec, design_matrix(spec, pts), v, weights=w)
+    b = span_fit(spec, design_matrix(spec, pts), v, weights=3.0 * w)
     np.testing.assert_allclose(a.coef, b.coef, atol=1e-10)
 
 
@@ -99,35 +108,35 @@ def test_orthogonality_of_unridged_fit():
     pts = rng.random((60, 2))
     v = rng.standard_normal(60)
     w = 0.5 + rng.random(60)
-    spec = spec_for(pts, degree=3)
-    reg = fit_series(spec, design_matrix(spec, pts), v, weights=w)
+    spec = spec_for(pts, degree=3, include_interactions=True)
+    reg = span_fit(spec, design_matrix(spec, pts), v, weights=w)
     assert project_residual_orthogonality(reg, pts, v, w) <= 1e-8
 
 
-def test_collinear_design_falls_back_to_ridge():
+def test_collinear_design_solves_at_its_real_rank():
     rng = rng_for(308)
     x = rng.random(40)
     pts = np.column_stack([x, x])  # identical coordinates: rank-deficient design
     v = rng.standard_normal(40)
-    spec = spec_for(pts, degree=2)
-    reg = fit_series(spec, design_matrix(spec, pts), v, ridge=1e-6)
-    assert reg.diagnostics.gram_diag_ridge >= 1e-6
-    assert reg.diagnostics.rank < reg.spec.dim
-    assert project_residual_orthogonality(reg, pts, v) <= 1e-4
+    w = np.where(rng.random(40) < 0.7, 0.5 + rng.random(40), 0.0)
+    spec = spec_for(pts, degree=2, include_interactions=True)
+    basis = design_matrix(spec, pts)
+    reg = span_fit(spec, basis, v, weights=w)
+    assert reg.diagnostics.rank == np.linalg.matrix_rank(basis) < reg.spec.dim
+    assert reg.diagnostics.gram_diag_ridge == 0.0
+    assert project_residual_orthogonality(reg, pts, v, w) <= 1e-10
 
 
 def test_input_guards():
     spec = identity_spec(1)
     x = np.array([0.0, 1.0, 2.0])
-    basis = design_matrix(spec, x)
-    with pytest.raises(AllZeroWeights):
-        fit_series(spec, basis, x, weights=np.zeros(3))
+    reg = span_fit(spec, design_matrix(spec, x), x)
     with pytest.raises(NonFiniteInput):
-        fit_series(spec, basis, np.array([1.0, np.nan, 2.0]))
+        project_residual_orthogonality(reg, x, np.array([1.0, np.nan, 2.0]))
     with pytest.raises(LengthMismatch):
-        fit_series(spec, basis, np.array([1.0, 2.0]))
+        project_residual_orthogonality(reg, x, np.array([1.0, 2.0]))
     with pytest.raises(LengthMismatch):
-        fit_series(spec, basis, x, weights=np.ones(5))
+        project_residual_orthogonality(reg, x, x, weights=np.ones(5))
 
 
 def test_ridge_solve_identity_and_failure():

@@ -18,8 +18,8 @@ from shadowpse.simulation import DgpConfig, generate
 from support import rng_for, seq
 
 
-def identity_spec(degree, dim, **kw):
-    return BasisSpec(degree=degree, input_dim=dim,
+def identity_spec(degree, dim, include_interactions=True, **kw):
+    return BasisSpec(degree=degree, input_dim=dim, include_interactions=include_interactions,
                      standardizer=Standardizer.identity(dim), **kw)
 
 
@@ -78,7 +78,7 @@ def test_power_dim_formula():
 def test_design_matrix_rows_are_pointwise():
     rng = rng_for(202)
     pts = rng.random((5, 3))
-    spec = spec_for(pts, degree=3)
+    spec = spec_for(pts, degree=3, include_interactions=True)
     mat = design_matrix(spec, pts)
     for i in range(5):
         np.testing.assert_array_equal(at_point(spec, pts[i]), mat[i])
@@ -87,10 +87,11 @@ def test_design_matrix_rows_are_pointwise():
 def test_standardization_affine_identity():
     rng = rng_for(203)
     pts = 2.0 + 3.0 * rng.random((40, 2))
-    spec = spec_for(pts, degree=3)
+    spec = spec_for(pts, degree=3, include_interactions=True)
     std = spec.standardizer
     manual = (pts - std.center) / std.scale
     ident = BasisSpec(degree=spec.degree, input_dim=spec.input_dim,
+                      include_interactions=spec.include_interactions,
                       standardizer=Standardizer.identity(2), binary=spec.binary)
     np.testing.assert_array_equal(design_matrix(spec, pts), design_matrix(ident, manual))
 
@@ -99,7 +100,7 @@ def test_design_matrix_does_not_mutate_points():
     rng = rng_for(204)
     pts = rng.random((10, 2))
     before = pts.copy()
-    spec = spec_for(pts, degree=2)
+    spec = spec_for(pts, degree=2, include_interactions=True)
     design_matrix(spec, pts)
     np.testing.assert_array_equal(pts, before)
 
@@ -127,7 +128,7 @@ def test_detect_binary():
 def test_spec_for_detects_binary_and_standardizes():
     rng = rng_for(205)
     pts = np.column_stack([rng.random(50), (rng.random(50) < 0.5).astype(float)])
-    spec = spec_for(pts, degree=3)
+    spec = spec_for(pts, degree=3, include_interactions=True)
     assert tuple(spec.binary) == (False, True)
     # binary column contributes exactly one monomial
     assert spec.dim == 1 + 3 + 1 + 1
@@ -180,7 +181,7 @@ def test_spec_guards():
     with pytest.raises(DimensionMismatch):
         identity_spec(-1, 2)
     with pytest.raises(DimensionMismatch):
-        BasisSpec(degree=2, input_dim=2,
+        BasisSpec(degree=2, input_dim=2, include_interactions=True,
                   standardizer=Standardizer.identity(3))
     spec = identity_spec(2, 2)
     with pytest.raises(DimensionMismatch):
