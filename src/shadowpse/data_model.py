@@ -283,11 +283,6 @@ def complete_cases(ds: Dataset) -> Dataset:
 # ---- CSV + descriptor round trip -------------------------------------
 
 
-def _fmt(x: float) -> str:
-    # shortest representation that round-trips the double exactly
-    return repr(float(x))
-
-
 def header_order(columns: dict) -> list[str]:
     cols = [columns["r"]]
     cols.extend(columns["z"])
@@ -307,30 +302,51 @@ def write_descriptor(ds: Dataset, path: str) -> None:
         fh.write("\n")
 
 
+_CHUNK_ROWS = 1000  # records formatted per write; memory stays flat in n
+
+
+def _cells(block: np.ndarray, blank: Optional[np.ndarray] = None) -> list[list[str]]:
+    """One list of cell strings per column of a (rows, p) float block.
+
+    repr of a Python float is the shortest string that round-trips the
+    double. Rows where blank is True are written as empty cells.
+    """
+    columns = [list(map(repr, column)) for column in block.T.tolist()]
+    if blank is not None:
+        rows = np.flatnonzero(blank).tolist()
+        for column in columns:
+            for i in rows:
+                column[i] = ""
+    return columns
+
+
 def write_csv(ds: Dataset, path: str) -> None:
     """Write records in the canonical column order.
 
-    Missing x_miss cells are written empty. Floats use the shortest
-    round-trip representation, so read_csv(write_csv(ds)) is
-    value-identical.
+    The header is written by the csv module, so a name is quoted where
+    it needs to be. Records end in CRLF, as the csv module's rows do.
+    Floats use the shortest round-trip representation, so
+    read_csv(write_csv(ds)) gives back the same bits; r and a are
+    integers.
+    The x_miss cells of a record whose x_miss values are all NaN are
+    written empty; a record with only some of them NaN writes "nan".
+    Cells are formatted column by column, _CHUNK_ROWS records at a time,
+    with one write per chunk.
     """
-    order = header_order(ds.columns)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(order)
-        for i in range(ds.n):
-            row = [str(int(ds.r[i]))]
-            row.extend(_fmt(v) for v in ds.z[i])
-            if np.isnan(ds.x_miss[i]).all():
-                row.extend("" for _ in range(ds.dims.x_miss))
-            else:
-                row.extend(_fmt(v) for v in ds.x_miss[i])
-            row.extend(_fmt(v) for v in ds.x_obs[i])
-            row.append(str(int(ds.a[i])))
+        csv.writer(fh).writerow(header_order(ds.columns))
+        for start in range(0, ds.n, _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            x_miss = ds.x_miss[rows]
+            columns = [list(map(str, ds.r[rows].tolist()))]
+            columns += _cells(ds.z[rows])
+            columns += _cells(x_miss, np.isnan(x_miss).all(axis=1))
+            columns += _cells(ds.x_obs[rows])
+            columns.append(list(map(str, ds.a[rows].tolist())))
             for mk in ds.m:
-                row.extend(_fmt(v) for v in mk[i])
-            row.append(_fmt(ds.y[i]))
-            writer.writerow(row)
+                columns += _cells(mk[rows])
+            columns += _cells(ds.y[rows, None])
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def _parse_cell(token: str, col: str, allow_missing: bool) -> float:

@@ -509,3 +509,36 @@ def test_every_lapack_call_is_guarded():
                 unguarded.append(f"{path.name}:{line} {name}")
     assert calls >= 5
     assert unguarded == []
+
+
+def _loops_over_records(tree):
+    """Line of every for loop or comprehension over range(<expr>.n) or
+    range(<start>, <expr>.n): one step per record. A loop with a step,
+    such as write_csv's range(0, ds.n, _CHUNK_ROWS), is not one."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.For, ast.comprehension)):
+            continue
+        call = node.iter
+        if not (isinstance(call, ast.Call) and _dotted(call.func) == "range"
+                and 1 <= len(call.args) <= 2):
+            continue
+        stop = call.args[-1]
+        if isinstance(stop, ast.Attribute) and stop.attr == "n":
+            yield getattr(node, "lineno", None) or call.lineno
+
+
+def test_no_loop_steps_through_the_records():
+    """No code in the package loops over the records one at a time, as
+    `for i in range(ds.n)` does; per-record work is done by numpy over
+    whole columns."""
+    flagged = """
+for i in range(ds.n): pass
+for i in range(0, self.data.n): pass
+cells = [f(i) for i in range(ds.n)]
+for start in range(0, ds.n, 1000): pass
+for j in range(ds.dims.x_miss): pass
+"""
+    assert list(_loops_over_records(ast.parse(flagged))) == [2, 3, 4]
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in _loops_over_records(ast.parse(path.read_text()))]
+    assert found == []

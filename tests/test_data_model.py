@@ -428,3 +428,91 @@ def test_header_only_file_warns_nothing(tmp_path, recwarn):
     with pytest.raises(EmptyDataset, match="has a header but no records"):
         read_csv(str(data), str(desc))
     assert len(recwarn) == 0
+
+
+def _reference_write(ds, path):
+    """write_csv's bytes, one csv.writer row per record: repr(float(v))
+    for every float cell, str(int(v)) for r and a, and empty x_miss
+    cells on the records whose x_miss values are all NaN."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header_order(ds.columns))
+        for i in range(len(ds.r)):
+            x_miss = ([""] * ds.dims.x_miss if np.isnan(ds.x_miss[i]).all()
+                      else [repr(float(v)) for v in ds.x_miss[i]])
+            writer.writerow([
+                str(int(ds.r[i])), *(repr(float(v)) for v in ds.z[i]), *x_miss,
+                *(repr(float(v)) for v in ds.x_obs[i]), str(int(ds.a[i])),
+                *(repr(float(v)) for mk in ds.m for v in mk[i]), repr(float(ds.y[i]))])
+
+
+def _hand_built(n, z=1, x_miss=1, x_obs=1, m=(1,), fill=None):
+    """Dataset with the given block widths: r alternates 1, 0 from the
+    first record, x_miss is NaN on r = 0, cells come from fill (cycled)
+    or a seeded normal draw."""
+    dims = DatasetDims(z=z, x_miss=x_miss, x_obs=x_obs, m=m)
+    width = z + x_miss + x_obs + sum(m) + 1
+    if fill is None:
+        cells = rng_for(116, n, width).standard_normal((n, width))
+    else:
+        cells = np.resize(np.array(fill, dtype=float), n * width).reshape(n, width)
+    r = (np.arange(n) % 2 == 0).astype(int)
+    cuts = np.cumsum([z, x_miss, x_obs, *m])
+    zb, xm, xo, *mb, y = np.split(cells, cuts, axis=1)
+    xm[r == 0] = np.nan
+    return Dataset(r=r, z=zb, x_miss=xm, x_obs=xo, a=np.arange(n) % 3 == 0,
+                   m=tuple(mb), y=y[:, 0], dims=dims)
+
+
+def _partly_missing_x_miss():
+    ds = _hand_built(6, x_miss=2)
+    ds.x_miss[2, 1] = np.nan  # a complete record with one x_miss cell NaN
+    ds.x_miss[4, 0] = np.nan
+    return ds
+
+
+def _quoted_name():
+    ds = _hand_built(5, z=2)
+    columns = dict(ds.columns, y='y, "final"', z=["z 1", "z\r\n2"])
+    return Dataset(r=ds.r, z=ds.z, x_miss=ds.x_miss, x_obs=ds.x_obs, a=ds.a, m=ds.m,
+                   y=ds.y, dims=ds.dims, columns=columns)
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2, 1.0, -1e308, 2.5e-308]
+
+HAND_BUILT = {
+    "partly_missing_x_miss": _partly_missing_x_miss,
+    "vector_blocks_k1": lambda: _hand_built(7, z=2, x_miss=2, x_obs=0, m=(2,)),
+    "vector_blocks_k3": lambda: _hand_built(7, z=2, x_miss=1, x_obs=2, m=(2, 1, 2)),
+    "edge_values": lambda: _hand_built(9, x_miss=2, m=(1, 1), fill=EDGE_VALUES),
+    "quoted_name": _quoted_name,
+}
+
+
+def _assert_same_bytes(ds, tmp_path):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_csv(ds, str(got))
+    _reference_write(ds, str(want))
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, 999, 1000, 1001, 2500])
+def test_write_csv_matches_row_by_row_reference_on_draws(n, tmp_path):
+    """Byte parity on generated draws whose sizes sit on and around the
+    edges of write_csv's row chunks."""
+    _assert_same_bytes(generate(DgpConfig(n=n, seed=seq(116, n)))[1], tmp_path)
+
+
+@pytest.mark.parametrize("case", sorted(HAND_BUILT))
+def test_write_csv_matches_row_by_row_reference_on_hand_built(case, tmp_path):
+    ds = HAND_BUILT[case]()
+    _assert_same_bytes(ds, tmp_path)
+    if case == "partly_missing_x_miss":
+        lines = (tmp_path / "got.csv").read_text().splitlines()
+        assert lines[2].split(",")[2:4] == ["", ""]
+        assert lines[3].split(",")[2:4] == [repr(float(ds.x_miss[2, 0])), "nan"]
+        assert lines[5].split(",")[2:4] == ["nan", repr(float(ds.x_miss[4, 1]))]
+    if case == "edge_values":
+        cells = set((tmp_path / "got.csv").read_text().replace("\r\n", ",").split(","))
+        assert {"-0.0", "5e-324", "1e+16", "1e-05", "0.30000000000000004", "1.0",
+                "-1e+308", "2.5e-308"} <= cells
