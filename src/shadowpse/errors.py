@@ -16,7 +16,7 @@ class EstimationError(Exception):
 
 
 class SolverError(EstimationError):
-    """A numerical solve failed on otherwise valid data."""
+    """A numerical solve failed on otherwise valid data: UnsolvableSystem."""
 
     exit_code = 4
     category = "solver error"
@@ -47,11 +47,7 @@ class LengthMismatch(EstimationError):
 
 
 class UnsolvableSystem(SolverError):
-    """A linear system stayed singular beyond the ridge escalation cap."""
-
-
-class SingularSystem(SolverError):
-    """A quadratic programme stayed singular beyond the ridge escalation cap."""
+    """A LAPACK solve or factorisation failed, or met or gave non-finite values."""
 
 
 class DegenerateTarget(EstimationError):

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data_model import Dataset
-from .errors import DimensionMismatch, LengthMismatch, SingularSystem
+from .errors import DimensionMismatch, LengthMismatch
 from .estimator import (
     GammaLike,
     NuisanceFits,
@@ -227,7 +227,7 @@ def fit_representer(
     whose Gram matrix the system solves.
 
     Only the right-hand side depends on phi: the projected odds design,
-    its Gram matrix, ridge start, rank and Cholesky factor are the run's
+    its Gram matrix, ridge eps, rank and Cholesky factor are the run's
     designs.representer_system(ridge), built by the first profile and
     shared by the rest.
     """
@@ -238,12 +238,12 @@ def fit_representer(
     spec_q = designs.bundle.q
     system = designs.representer_system(ridge)
     rhs = designs.q.T @ phi[cc]
-    coef, eps_used = system.solve(rhs, SingularSystem)
+    coef = system.solve(rhs)
     proj = system.design @ coef
     value = 0.5 * float(proj @ proj) / ds.n - float(rhs @ coef) / ds.n
     diag = FitDiagnostics(
         n_used=int(cc.sum()), dim=spec_q.dim, rank=system.rank,
-        gram_diag_ridge=eps_used,
+        gram_diag_ridge=system.eps,
     )
     return SeriesRegressor(spec=spec_q, coef=coef, diagnostics=diag), value
 

@@ -9,9 +9,9 @@ span_least_squares solves weighted least squares on a design through
 that span: the normal equations reduce to a system with one row per
 span column, so a design whose span is built needs no second large
 factorisation, and each right-hand side costs two thin products.
-ridge_solve and RidgeSystem solve ridged normal equations, escalating
-the ridge eps * I tenfold until the Cholesky factor succeeds. A LAPACK
-failure in any of these raises UnsolvableSystem.
+RidgeSystem holds ridged normal equations (gram + eps I) x = rhs with
+one Cholesky factor, made once and read by every right-hand side. A
+LAPACK failure in any of these raises UnsolvableSystem.
 
 SampleDesigns is where the sample designs of one pipeline run are
 built: the conditioning span, the odds design, each outcome-chain
@@ -26,9 +26,9 @@ per (level k, arm a_k), shared by the mu_k and omega_k fits on that arm.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Type
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -43,8 +43,6 @@ from .errors import (
 )
 from .sieve_basis import BasisSpec, SpecBundle, design_matrix
 
-RIDGE_START = 1e-10
-RIDGE_CAP = 1e-2
 # Gram eigenvalues at or below the largest times this are treated as zero
 # by orthonormal_span: a singular-value ratio of about 3e-7
 SPAN_EIG_RTOL = 1e-13
@@ -74,65 +72,40 @@ class SeriesRegressor:
     diagnostics: FitDiagnostics
 
 
-def ridge_solve(
-    gram: np.ndarray,
-    rhs: np.ndarray,
-    error: Type[Exception] = UnsolvableSystem,
-    start: float = RIDGE_START,
-    cap: float = RIDGE_CAP,
-    factors: Optional[dict] = None,
-) -> tuple[np.ndarray, float]:
-    """Solve (gram + eps I) x = rhs, escalating eps tenfold until it works.
-
-    factors, when given, keeps the Cholesky factor of gram + eps I under
-    eps, so repeated solves against one gram factor each eps once.
-    """
-    eps = start
-    dim = gram.shape[0]
-    cap = max(cap, start)
-    if factors is None:
-        factors = {}
-    while eps <= cap * (1 + 1e-12):
-        try:
-            if eps not in factors:
-                factors[eps] = scipy.linalg.cho_factor(gram + eps * np.eye(dim), lower=True)
-            x = scipy.linalg.cho_solve(factors[eps], rhs)
-        except (scipy.linalg.LinAlgError, ValueError):
-            eps *= 10.0
-            continue
-        if np.isfinite(x).all():
-            return x, eps
-        eps *= 10.0
-    raise error(f"system stayed singular up to ridge {cap}")
-
-
 @dataclass
 class RidgeSystem:
     """The ridged normal equations of one design, for many right-hand sides.
 
-    gram is design' design and start the first ridge eps, the given
-    ridge times the mean Gram eigenvalue (at least one); rank is the
-    design's numerical rank. solve() escalates eps as ridge_solve does
-    and factors each eps once over every solve.
+    gram is design' design and eps the Tikhonov ridge, the given ridge
+    times the mean Gram eigenvalue (at least one); rank is the design's
+    numerical rank and factor the Cholesky factor of gram + eps I.
     """
 
     design: np.ndarray
     gram: np.ndarray
-    start: float
+    eps: float
     rank: int
-    factors: dict = field(default_factory=dict)
+    factor: tuple
 
-    def solve(self, rhs: np.ndarray, error: Type[Exception]) -> tuple[np.ndarray, float]:
-        return ridge_solve(self.gram, rhs, error=error, start=self.start, factors=self.factors)
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with (gram + eps I) x = rhs; raises if x is not finite, as for a non-finite rhs."""
+        with lapack_errors("ridged solve"):
+            x = scipy.linalg.cho_solve(self.factor, rhs, check_finite=False)
+        if not np.isfinite(x).all():
+            raise UnsolvableSystem(f"ridged solve at eps {self.eps}: non-finite solution")
+        return x
 
 
 def ridge_system(design: np.ndarray, ridge: float) -> RidgeSystem:
     """The RidgeSystem of design with Tikhonov ridge scaled by its Gram."""
     gram = design.T @ design
-    scale = float(np.trace(gram)) / max(gram.shape[0], 1)
-    with lapack_errors("rank of a ridged design"):
+    if not np.isfinite(gram).all():
+        raise UnsolvableSystem("ridged system: non-finite design")
+    eps = ridge * max(float(np.trace(gram)) / max(gram.shape[0], 1), 1.0)
+    with lapack_errors(f"ridged system at eps {eps}"):
         rank = int(np.linalg.matrix_rank(design))
-    return RidgeSystem(design=design, gram=gram, start=ridge * max(scale, 1.0), rank=rank)
+        factor = scipy.linalg.cho_factor(gram + eps * np.eye(gram.shape[0]), lower=True)
+    return RidgeSystem(design=design, gram=gram, eps=eps, rank=rank, factor=factor)
 
 
 def predict_many(reg: SeriesRegressor, points: np.ndarray) -> np.ndarray:
@@ -367,7 +340,7 @@ class SampleDesigns:
 
         Its design is the projected odds design p_span_cc' q, which no
         odds values or profile enter, so every profile of the run solves
-        against the same Gram matrix, ridge start, rank and Cholesky
+        against the same Gram matrix, ridge eps, rank and Cholesky
         factor and pays only for its right-hand side.
         """
         if ridge not in self._representer:

@@ -311,7 +311,7 @@ def _leaf_errors(cls=EstimationError):
         yield from (_leaf_errors(sub) if sub.__subclasses__() else [sub])
 
 
-SOLVER_ERRORS = {"UnsolvableSystem", "SingularSystem"}
+SOLVER_ERRORS = {"UnsolvableSystem"}
 # documented exit code and stderr prefix of each error class
 EXPECTED_EXIT = {
     cls.__name__: (2, "configuration error") if cls is ConfigError
@@ -323,7 +323,7 @@ RAISABLE = {cls.__name__: cls for cls in _leaf_errors()}
 
 
 def test_every_error_class_has_an_expected_exit():
-    assert len(RAISABLE) == 13  # the EstimationError leaves
+    assert len(RAISABLE) == 12  # the EstimationError leaves
     assert SOLVER_ERRORS <= set(RAISABLE)
 
 
@@ -456,24 +456,15 @@ def _dotted(node):
     return ".".join([node.id, *reversed(parts)])
 
 
-def _catches_linalg_error(handler):
-    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
-    return any((_dotted(t) or "").endswith("LinAlgError") for t in caught)
-
-
 def _guarded(ancestors):
     """Whether the innermost node lies in the body of a `with
-    lapack_errors(...)` block or of a try that catches LinAlgError."""
-    for node, child in zip(ancestors, ancestors[1:]):
-        if isinstance(node, ast.With) and child in node.body and any(
-                isinstance(item.context_expr, ast.Call)
-                and _dotted(item.context_expr.func) == "lapack_errors"
-                for item in node.items):
-            return True
-        if isinstance(node, ast.Try) and child in node.body and any(
-                _catches_linalg_error(h) for h in node.handlers):
-            return True
-    return False
+    lapack_errors(...)` block."""
+    return any(
+        isinstance(node, ast.With) and child in node.body and any(
+            isinstance(item.context_expr, ast.Call)
+            and _dotted(item.context_expr.func) == "lapack_errors"
+            for item in node.items)
+        for node, child in zip(ancestors, ancestors[1:]))
 
 
 def _lapack_calls(tree):
@@ -490,8 +481,8 @@ def _lapack_calls(tree):
 
 def test_every_lapack_call_is_guarded():
     """Every np.linalg / scipy.linalg call in the package sits inside a
-    `with lapack_errors(...)` block or a try that catches LinAlgError,
-    so no raw LinAlgError reaches the CLI or the Monte Carlo harness."""
+    `with lapack_errors(...)` block, so no raw LinAlgError reaches the
+    CLI or the Monte Carlo harness."""
     calls, unguarded = 0, []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())

@@ -12,11 +12,11 @@ import scipy.linalg
 from shadowpse import inference, series_regression, sieve_basis
 from shadowpse.baselines import cca_estimate, mi_estimate, sri_estimate
 from shadowpse.data_model import Dataset, complete_cases
-from shadowpse.errors import DimensionMismatch, SingularSystem
+from shadowpse.errors import DimensionMismatch
 from shadowpse.estimator import fit_mu_chain, gamma_values_for, named_estimand
 from shadowpse.gamma_solver import GammaModel
 from shadowpse.inference import analyze_profile, fit_omegas, fit_representer
-from shadowpse.series_regression import SampleDesigns, ridge_solve
+from shadowpse.series_regression import SampleDesigns
 from shadowpse.sieve_basis import build_spec_bundle
 
 DEFAULT_PROFILES = [(1, 1, 1), (0, 0, 0), (0, 0, 1), (0, 1, 1)]
@@ -234,7 +234,8 @@ def fresh_representer(designs: SampleDesigns, phi: np.ndarray,
     rhs = designs.q.T @ phi[designs.ds.complete_mask]
     gram = gmat.T @ gmat
     eps = ridge * max(float(np.trace(gram)) / gram.shape[0], 1.0)
-    coef, _ = ridge_solve(gram, rhs, error=SingularSystem, start=eps)
+    factor = scipy.linalg.cho_factor(gram + eps * np.eye(gram.shape[0]), lower=True)
+    coef = scipy.linalg.cho_solve(factor, rhs)
     proj = gmat @ coef
     value = 0.5 * float(proj @ proj) / n - float(rhs @ coef) / n
     return coef, value, int(np.linalg.matrix_rank(gmat))

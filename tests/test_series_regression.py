@@ -3,13 +3,12 @@ import pytest
 
 from shadowpse.errors import LengthMismatch, NonFiniteInput, UnsolvableSystem
 from shadowpse.series_regression import (
-    RIDGE_CAP,
     SeriesRegressor,
     orthonormal_span,
     predict_many,
     project_onto,
     project_residual_orthogonality,
-    ridge_solve,
+    ridge_system,
     span_least_squares,
 )
 from shadowpse.sieve_basis import (
@@ -139,13 +138,22 @@ def test_input_guards():
         project_residual_orthogonality(reg, x, x, weights=np.ones(5))
 
 
-def test_ridge_solve_identity_and_failure():
-    sol, eps = ridge_solve(np.eye(3), np.array([1.0, 2.0, 3.0]))
+def test_ridge_system_identity_and_failure():
+    """An identity design solves exactly up to its recorded eps; a NaN
+    design, a failed Cholesky factor and a non-finite solution each
+    raise UnsolvableSystem."""
+    system = ridge_system(np.eye(3), 1e-9)
+    assert system.eps == 1e-9  # ridge times max(mean Gram eigenvalue 1, 1)
+    assert system.rank == 3
+    sol = system.solve(np.array([1.0, 2.0, 3.0]))
     np.testing.assert_allclose(sol, [1.0, 2.0, 3.0], atol=1e-8)
-    assert eps <= RIDGE_CAP
-    bad = np.full((2, 2), np.nan)
+    assert ridge_system(np.full((3, 3), 4.0), 0.5).eps == 0.5 * 48.0
     with pytest.raises(UnsolvableSystem):
-        ridge_solve(bad, np.ones(2))
+        ridge_system(np.full((2, 2), np.nan), 1e-2)
+    with pytest.raises(UnsolvableSystem, match="ridged system"):
+        ridge_system(np.eye(3), -2.0)  # gram + eps I = -I has no Cholesky factor
+    with pytest.raises(UnsolvableSystem):
+        system.solve(np.array([1.0, np.inf, 3.0]))
 
 
 def test_orthonormal_span_projection_invariance():
