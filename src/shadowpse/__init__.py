@@ -29,7 +29,6 @@ from .data_model import (
 )
 from .estimator import (
     NuisanceFits,
-    PsiEstimate,
     estimate_psi,
     fit_mu_chain,
     named_estimand,
@@ -44,9 +43,7 @@ from .gamma_solver import (
 from .inference import (
     InferenceReport,
     OmegaFits,
-    analyze_contrast,
     analyze_profile,
-    contrast_variance,
     fit_omegas,
     fit_representer,
     influence_values,

@@ -28,7 +28,7 @@ from .data_model import Dataset, complete_cases
 from .errors import ConfigError, InsufficientCompleteCases, MissingTrueX
 from .estimator import TreatmentProfile, named_estimand, validate_profile
 from .gamma_solver import GammaModel, GammaOptions, fit_gamma
-from .inference import InferenceReport, analyze_contrast, z_critical
+from .inference import InferenceReport, analyze_profile, variance_and_ci, z_critical
 from .series_regression import SampleDesigns, lapack_errors
 from .sieve_basis import SieveOptions, build_spec_bundle
 
@@ -84,8 +84,10 @@ def _run_pipeline(
     """The sieve pipeline; gamma_options=None sets the odds to zero,
     otherwise the odds are fitted on ds and their report goes to extras.
 
-    Every stage reads the sample's designs from one SampleDesigns, which
-    is dropped when the run returns."""
+    Each distinct profile is analysed once; a contrast psi_a - psi_b
+    takes the difference of its two profiles' influence values. Every
+    stage reads the sample's designs from one SampleDesigns, which is
+    dropped when the run returns."""
     designs = SampleDesigns(ds, build_spec_bundle(ds, sieve))
     extras = {}
     if gamma_options is None:
@@ -99,11 +101,18 @@ def _run_pipeline(
             "gamma_n_iter": gamma_report.n_iter,
             "gamma_messages": list(gamma_report.messages),
         }
-    cache: dict = {}
+    analyses = {}
     reports = {}
     for name, (pa, pb) in estimands.items():
-        reports[name] = analyze_contrast(ds, gamma, pa, pb, designs, level, cache).report
-    profiles = {prof: analysis.psi.psi_hat for prof, analysis in cache.items()}
+        for prof in (pa, pb):
+            if prof not in analyses:
+                analyses[prof] = analyze_profile(ds, gamma, prof, designs, level)
+        a, b = analyses[pa], analyses[pb]
+        diag = {"profile_a": list(pa), "profile_b": list(pb),
+                "psi_a": a.psi_hat, "psi_b": b.psi_hat}
+        contrast = 0.0 if pa == pb else a.psi_hat - b.psi_hat
+        reports[name] = variance_and_ci(contrast, a.if_values - b.if_values, level, diag)
+    profiles = {prof: analysis.psi_hat for prof, analysis in analyses.items()}
     return MethodResult(method=method, estimands=reports, profiles=profiles, extras=extras)
 
 
@@ -163,14 +172,6 @@ def _impute_once(
     return replace(ds, x_miss=filled, r=np.ones(ds.n, dtype=int))
 
 
-def _imputer_design(ds: Dataset, mask: np.ndarray) -> np.ndarray:
-    cols = [np.ones(int(mask.sum()))[:, None], ds.z[mask], ds.x_obs[mask],
-            ds.a[mask, None].astype(float)]
-    cols.extend(mk[mask] for mk in ds.m)
-    cols.append(ds.y[mask, None])
-    return np.hstack(cols)
-
-
 def mi_estimate(
     ds: Dataset,
     estimands: Optional[Sequence[EstimandSpec]] = None,
@@ -190,7 +191,8 @@ def mi_estimate(
         raise InsufficientCompleteCases("multiple imputation needs m >= 2")
     wanted = resolve_estimands(ds.k, estimands)
     cc_mask = ds.complete_mask
-    design_cc = _imputer_design(ds, cc_mask)
+    design = np.hstack([np.ones((ds.n, 1)), ds.conditioning_points()])
+    design_cc = design[cc_mask]
     n_cc, p = design_cc.shape
     if n_cc <= p:
         raise InsufficientCompleteCases(
@@ -207,7 +209,7 @@ def mi_estimate(
     points: dict[str, list[float]] = {name: [] for name in wanted}
     within: dict[str, list[float]] = {name: [] for name in wanted}
     psi_acc: dict[TreatmentProfile, list[float]] = {}
-    design_miss = _imputer_design(ds, ~cc_mask)
+    design_miss = design[~cc_mask]
     for _ in range(m):
         completed = _impute_once(ds, design_miss, beta, resid_sd, rng)
         res = _run_pipeline(completed, wanted, level, sieve, "mi")

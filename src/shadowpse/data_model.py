@@ -138,10 +138,6 @@ class Dataset:
     def complete_mask(self) -> np.ndarray:
         return self.r == 1
 
-    def covariates(self) -> np.ndarray:
-        """(x_miss, x_obs) for all rows; NaN where missing."""
-        return np.hstack([self.x_miss, self.x_obs])
-
     # ---- point matrices consumed by the sieve bases ------------------
 
     def conditioning_points(self) -> np.ndarray:

@@ -86,13 +86,6 @@ class NuisanceFits:
     gamma: GammaLike
 
 
-@dataclass
-class PsiEstimate:
-    psi_hat: float
-    per_unit_plugin: np.ndarray  # R (1 + gamma) mu_1(X), zero at r = 0
-    n: int
-
-
 def fit_mu_chain(
     ds: Dataset,
     gamma: GammaLike,
@@ -127,11 +120,11 @@ def fit_mu_chain(
     return NuisanceFits(profile=prof, mu=mu, values=values, gamma=gamma)
 
 
-def estimate_psi(ds: Dataset, fits: NuisanceFits, designs: SampleDesigns) -> PsiEstimate:
+def estimate_psi(ds: Dataset, fits: NuisanceFits, designs: SampleDesigns) -> float:
     """Average the reweighted mu_1 predictions over the whole sample."""
     designs.check(ds)
     gvals = gamma_values_for(designs, fits.gamma)
     cc = ds.complete_mask
     plugin = np.zeros(ds.n)
     plugin[cc] = (1.0 + gvals[cc]) * fits.values[0]
-    return PsiEstimate(psi_hat=float(plugin.mean()), per_unit_plugin=plugin, n=ds.n)
+    return float(plugin.mean())

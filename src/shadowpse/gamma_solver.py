@@ -35,7 +35,7 @@ import scipy.optimize
 
 from .data_model import Dataset
 from .errors import ConfigError, DegenerateTarget, DimensionMismatch, LengthMismatch
-from .sieve_basis import BasisSpec, column_coordinates, design_matrix
+from .sieve_basis import BasisSpec, design_matrix
 from .series_regression import SampleDesigns, project_onto
 
 
@@ -160,22 +160,17 @@ class _GammaProblem:
         return qn, grad
 
 
-def _intercept_start(prob: _GammaProblem, ds: Dataset, spec_q: BasisSpec, cap: float) -> Optional[np.ndarray]:
+def _intercept_start(ds: Dataset, spec_q: BasisSpec, cap: float) -> Optional[np.ndarray]:
     """Constant-odds start matching the marginal missing/complete ratio."""
-    cols = column_coordinates(spec_q)
-    try:
-        j0 = cols.index(())
-    except ValueError:
-        return None
     n0 = float((ds.r == 0).sum())
     n1 = float((ds.r == 1).sum())
     target = np.log(n0 / n1)
     if abs(target) >= cap:
         return None
     # invert the soft clamp so the start hits the ratio exactly; the
-    # intercept column is identically one
+    # intercept is column 0 and identically one
     pi = np.zeros(spec_q.dim)
-    pi[j0] = cap * np.arctanh(target / cap)
+    pi[0] = cap * np.arctanh(target / cap)
     return pi
 
 
@@ -238,8 +233,8 @@ def fit_gamma(
     """Minimise Q_n plus the n-vanishing ridge by one descent from pi0.
 
     Levenberg-Marquardt starts from the penalty anchor pi0, the
-    marginal-ratio intercept start, or from zero when the odds basis
-    has no intercept or the marginal ratio lies beyond the soft clamp.
+    marginal-ratio intercept start, or from zero when the marginal
+    ratio lies beyond the soft clamp.
     options.restarts random perturbations of that descent's end point
     each descend again; the winner has the lowest objective, then the
     lowest gradient norm, then the first index. The report counts the
@@ -273,7 +268,7 @@ def fit_gamma(
     if prob.rank_deficit > 0:
         messages.append(f"conditioning design rank-deficient by {prob.rank_deficit}")
 
-    pi0 = _intercept_start(prob, ds, spec_q, cap)
+    pi0 = _intercept_start(ds, spec_q, cap)
     if pi0 is None:
         pi0 = np.zeros(spec_q.dim)
     results = [_descend(prob, pi0, pi0, options)]

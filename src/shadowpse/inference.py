@@ -29,7 +29,6 @@ from .errors import DimensionMismatch, LengthMismatch
 from .estimator import (
     GammaLike,
     NuisanceFits,
-    PsiEstimate,
     TreatmentProfile,
     estimate_psi,
     fit_mu_chain,
@@ -323,26 +322,13 @@ def variance_and_ci(
     )
 
 
-def contrast_variance(
-    contrast_hat: float,
-    if_a: np.ndarray,
-    if_b: np.ndarray,
-    level: float = 0.95,
-    diagnostics: Optional[dict] = None,
-) -> InferenceReport:
-    """Variance of a contrast from the differenced influence values."""
-    if np.asarray(if_a).shape != np.asarray(if_b).shape:
-        raise LengthMismatch("contrast_variance: influence vectors misaligned")
-    return variance_and_ci(contrast_hat, np.asarray(if_a) - np.asarray(if_b), level, diagnostics)
-
-
-# ---- profile and contrast drivers -------------------------------------
+# ---- profile driver ----------------------------------------------------
 
 
 @dataclass
 class ProfileAnalysis:
     profile: TreatmentProfile
-    psi: PsiEstimate
+    psi_hat: float
     fits: NuisanceFits
     omegas: OmegaFits
     phi: np.ndarray
@@ -362,7 +348,7 @@ def analyze_profile(
     """Full single-profile pipeline: chain, omegas, phi, representer, IF."""
     prof = validate_profile(profile, ds.k)
     fits = fit_mu_chain(ds, gamma, prof, designs)
-    psi = estimate_psi(ds, fits, designs)
+    psi_hat = estimate_psi(ds, fits, designs)
     omegas = fit_omegas(ds, gamma, prof, designs)
     phi = phi_values(ds, fits, omegas, designs)
 
@@ -373,7 +359,7 @@ def analyze_profile(
         rho, rho_value = None, 0.0
     else:
         rho, rho_value = fit_representer(ds, gamma, phi, designs)
-    ifv = influence_values(ds, gamma, psi.psi_hat, phi, rho, designs)
+    ifv = influence_values(ds, gamma, psi_hat, phi, rho, designs)
     diag = {
         "profile": list(prof),
         "if_mean": float(ifv.mean()),
@@ -381,53 +367,8 @@ def analyze_profile(
         "omega_moment_residual_sup": omegas.moment_residual_sup,
         "rho_criterion": rho_value,
     }
-    report = variance_and_ci(psi.psi_hat, ifv, level, diag)
+    report = variance_and_ci(psi_hat, ifv, level, diag)
     return ProfileAnalysis(
-        profile=prof, psi=psi, fits=fits, omegas=omegas, phi=phi,
+        profile=prof, psi_hat=psi_hat, fits=fits, omegas=omegas, phi=phi,
         rho=rho, rho_criterion=rho_value, if_values=ifv, report=report,
-    )
-
-
-@dataclass
-class ContrastAnalysis:
-    profile_a: TreatmentProfile
-    profile_b: TreatmentProfile
-    psi_a: float
-    psi_b: float
-    report: InferenceReport
-
-
-def analyze_contrast(
-    ds: Dataset,
-    gamma: GammaLike,
-    profile_a: Sequence[int],
-    profile_b: Sequence[int],
-    designs: SampleDesigns,
-    level: float = 0.95,
-    cache: Optional[dict] = None,
-) -> ContrastAnalysis:
-    """Contrast pipeline; a shared cache reuses per-profile analyses."""
-    prof_a = validate_profile(profile_a, ds.k)
-    prof_b = validate_profile(profile_b, ds.k)
-    if cache is None:
-        cache = {}
-
-    def analysis_for(prof: TreatmentProfile) -> ProfileAnalysis:
-        if prof not in cache:
-            cache[prof] = analyze_profile(ds, gamma, prof, designs, level)
-        return cache[prof]
-
-    pa = analysis_for(prof_a)
-    pb = analysis_for(prof_b)
-    contrast = 0.0 if prof_a == prof_b else pa.psi.psi_hat - pb.psi.psi_hat
-    diag = {
-        "profile_a": list(prof_a),
-        "profile_b": list(prof_b),
-        "psi_a": pa.psi.psi_hat,
-        "psi_b": pb.psi.psi_hat,
-    }
-    report = contrast_variance(contrast, pa.if_values, pb.if_values, level, diag)
-    return ContrastAnalysis(
-        profile_a=prof_a, profile_b=prof_b,
-        psi_a=pa.psi.psi_hat, psi_b=pb.psi.psi_hat, report=report,
     )

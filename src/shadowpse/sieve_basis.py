@@ -76,7 +76,6 @@ class BasisSpec:
     input_dim: int
     standardizer: Standardizer
     include_interactions: bool
-    include_intercept: bool = True
     binary: tuple[bool, ...] = field(default=())
 
     def __post_init__(self) -> None:
@@ -97,8 +96,7 @@ class BasisSpec:
 
     @property
     def dim(self) -> int:
-        d = 1 if self.include_intercept else 0
-        d += sum(self._coord_degrees())
+        d = 1 + sum(self._coord_degrees())
         if self.include_interactions and self.degree >= 1:
             d += len(list(combinations(range(self.input_dim), 2)))
         return d
@@ -119,9 +117,7 @@ def design_matrix(spec: BasisSpec, points: np.ndarray) -> np.ndarray:
     n = u.shape[0]
     degs = spec._coord_degrees()
 
-    cols = []
-    if spec.include_intercept:
-        cols.append(np.ones(n))
+    cols = [np.ones(n)]
     for j in range(spec.input_dim):
         uj = u[:, j]
         p = uj.copy()
@@ -131,20 +127,7 @@ def design_matrix(spec: BasisSpec, points: np.ndarray) -> np.ndarray:
     if spec.include_interactions and spec.degree >= 1:
         for i, j in combinations(range(spec.input_dim), 2):
             cols.append(u[:, i] * u[:, j])
-    return np.column_stack(cols) if cols else np.empty((n, 0))
-
-
-def column_coordinates(spec: BasisSpec) -> list[tuple[int, ...]]:
-    """Input coordinates each basis column depends on, in column order."""
-    degs = spec._coord_degrees()
-    out: list[tuple[int, ...]] = []
-    if spec.include_intercept:
-        out.append(())
-    for j in range(spec.input_dim):
-        out.extend((j,) for _ in range(degs[j]))
-    if spec.include_interactions and spec.degree >= 1:
-        out.extend(combinations(range(spec.input_dim), 2))
-    return out
+    return np.column_stack(cols)
 
 
 def spec_for(

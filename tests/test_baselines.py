@@ -83,6 +83,33 @@ def test_constant_outcome_gives_zero_contrasts():
         assert abs(psi - (-1.75)) <= 1e-10
 
 
+def test_contrast_report_shape(obs600):
+    res = sri_estimate(obs600, [((1, 1, 1), (0, 0, 0))])
+    rep = res.estimands["psi_111_vs_000"]
+    assert rep.diagnostics == {
+        "profile_a": [1, 1, 1], "profile_b": [0, 0, 0],
+        "psi_a": res.profiles[(1, 1, 1)], "psi_b": res.profiles[(0, 0, 0)],
+    }
+    assert rep.psi_hat == res.profiles[(1, 1, 1)] - res.profiles[(0, 0, 0)]
+    assert rep.ci_lo <= rep.psi_hat <= rep.ci_hi
+
+
+def test_each_profile_analysed_once(monkeypatch, obs600):
+    calls = []
+    original = baselines.analyze_profile
+
+    def counting(ds, gamma, profile, *args, **kwargs):
+        calls.append(profile)
+        return original(ds, gamma, profile, *args, **kwargs)
+
+    monkeypatch.setattr(baselines, "analyze_profile", counting)
+    res = sri_estimate(obs600)
+    assert calls == [(0, 0, 1), (0, 0, 0), (1, 1, 1), (0, 1, 1)]
+    assert list(res.profiles) == calls
+    parts = {name: rep.psi_hat for name, rep in res.estimands.items()}
+    assert abs(parts["nde"] + parts["nie_1"] + parts["nie_2"] - parts["te"]) <= 1e-12
+
+
 def test_oracle_requires_true_covariates(obs600):
     with pytest.raises(MissingTrueX):
         oracle_estimate(obs600)

@@ -533,3 +533,42 @@ for j in range(ds.dims.x_miss): pass
     found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
              for line in _loops_over_records(ast.parse(path.read_text()))]
     assert found == []
+
+
+def _public_definitions(tree):
+    """(name, line) of every public module-level function and class."""
+    return [(node.name, node.lineno) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _referenced_names(tree):
+    """Every name a module reads: bare names, attributes, imported names,
+    and string constants for lookups such as getattr(module, "name")."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_public_name_is_reachable():
+    """Every public module-level function and class of the package is read
+    by another line of the package, by the acceptance suite or by the
+    benchmark. The re-exports of __init__ do not count: a name only they
+    reach serves no estimator, CLI path or acceptance criterion."""
+    tree = ast.parse("def f(): pass\nclass C: g = f\ndef _h(): pass\nx = C\n")
+    assert _public_definitions(tree) == [("f", 1), ("C", 2)]
+    assert {"f", "C"} <= set(_referenced_names(tree))
+    modules = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    readers = modules + [SRC.parents[1] / "tests" / "test_acceptance.py",
+                         *sorted((SRC.parents[1] / "bench").glob("*.py"))]
+    used = {name for path in readers for name in _referenced_names(ast.parse(path.read_text()))}
+    unused = [f"{path.name}:{line} {name}" for path in modules
+              for name, line in _public_definitions(ast.parse(path.read_text()))
+              if name not in used]
+    assert unused == []

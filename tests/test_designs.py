@@ -91,7 +91,7 @@ def test_shared_designs_match_fresh_designs_bit_for_bit(obs2000, bundle2000, gam
     for prof in profiles:
         a = analyze_profile(obs2000, model, prof, shared)
         b = analyze_profile(obs2000, model, prof, SampleDesigns(obs2000, bundle2000))
-        assert a.psi.psi_hat == b.psi.psi_hat
+        assert a.psi_hat == b.psi_hat
         assert a.if_values.tobytes() == b.if_values.tobytes()
         assert a.report.to_dict() == b.report.to_dict()
 
@@ -180,7 +180,7 @@ def test_zero_odds_runs_fit_only_the_outcome_chain_bases(method, monkeypatch, ob
 
 def analysis_bytes(analysis) -> bytes:
     """Every array and figure of one profile analysis, as bytes."""
-    arrays = [analysis.if_values, analysis.phi, analysis.psi.per_unit_plugin]
+    arrays = [analysis.if_values, analysis.phi]
     arrays += [reg.coef for reg in analysis.fits.mu]
     arrays += [reg.coef for reg in analysis.omegas.cumulative]
     arrays += [reg.coef for reg in analysis.omegas.omega if reg is not None]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shadowpse.baselines import sri_estimate
 from shadowpse.errors import DimensionMismatch, EmptyArm, LengthMismatch
 from shadowpse.estimator import (
     estimate_psi,
@@ -10,7 +11,6 @@ from shadowpse.estimator import (
     validate_profile,
 )
 from shadowpse.gamma_solver import GammaOptions, fit_gamma
-from shadowpse.inference import analyze_contrast
 from shadowpse.series_regression import (
     SampleDesigns,
     predict_many,
@@ -59,9 +59,9 @@ def test_constant_outcome_and_constant_odds_scaling():
     ds = one_mediator_dataset(n, x, a, m1, np.full(n, 3.25))
     designs = SampleDesigns(ds, build_spec_bundle(ds, SieveOptions(degree=2)))
     fits = fit_mu_chain(ds, np.zeros(n), (1, 0), designs)
-    assert abs(estimate_psi(ds, fits, designs).psi_hat - 3.25) <= 1e-12
+    assert abs(estimate_psi(ds, fits, designs) - 3.25) <= 1e-12
     fits_c = fit_mu_chain(ds, np.full(n, 0.4), (1, 0), designs)
-    assert abs(estimate_psi(ds, fits_c, designs).psi_hat - 1.4 * 3.25) <= 1e-12
+    assert abs(estimate_psi(ds, fits_c, designs) - 1.4 * 3.25) <= 1e-12
 
 
 def test_linear_chain_equals_per_arm_least_squares(comp600):
@@ -79,9 +79,7 @@ def test_linear_chain_equals_per_arm_least_squares(comp600):
         mine = predict_many(fits.mu[k - 1], pts)
         np.testing.assert_allclose(mine, direct, atol=1e-10)
         resp = mine
-    est = estimate_psi(comp600, fits, designs)
-    assert est.psi_hat == est.per_unit_plugin.mean()
-    assert abs(est.psi_hat - direct.mean()) <= 1e-10
+    assert abs(estimate_psi(comp600, fits, designs) - direct.mean()) <= 1e-10
 
 
 def test_chain_orthogonality_under_estimated_odds():
@@ -111,36 +109,21 @@ def test_psi_recovers_truth_with_known_odds():
         gamma = np.where(obs.r == 0, 0.0,
                          true_gamma_values(full, DgpConfig(n=2000)))
         fits = fit_mu_chain(obs, gamma, (1, 1, 1), designs)
-        points.append(estimate_psi(obs, fits, designs).psi_hat)
+        points.append(estimate_psi(obs, fits, designs))
     assert abs(float(np.mean(points)) - TRUE_PSI["111"]) <= 0.05
 
 
 def psi_contrast(ds, gamma, designs, pa, pb):
-    return (estimate_psi(ds, fit_mu_chain(ds, gamma, pa, designs), designs).psi_hat
-            - estimate_psi(ds, fit_mu_chain(ds, gamma, pb, designs), designs).psi_hat)
+    return (estimate_psi(ds, fit_mu_chain(ds, gamma, pa, designs), designs)
+            - estimate_psi(ds, fit_mu_chain(ds, gamma, pb, designs), designs))
 
 
-def test_contrast_zero_for_equal_profiles(obs600, gamma2000):
-    designs = SampleDesigns(obs600, build_spec_bundle(obs600))
-    model, _ = fit_gamma(obs600, designs, GammaOptions())
-    cache = {}
-    res = analyze_contrast(obs600, model, (1, 1, 1), (1, 1, 1), designs, cache=cache)
-    assert res.report.psi_hat == 0.0
-    assert len(cache) == 1
-
-
-def test_contrast_cache_and_total_effect_telescoping(obs2000, bundle2000, gamma2000):
-    model, _ = gamma2000
-    designs = SampleDesigns(obs2000, bundle2000)
-    cache = {}
-    parts = {}
-    for name in ("nde", "nie_1", "nie_2", "te"):
-        pa, pb = named_estimand(name, 2)
-        parts[name] = analyze_contrast(obs2000, model, pa, pb, designs,
-                                       cache=cache).report.psi_hat
-    assert len(cache) == 4  # four distinct profiles across the contrasts
-    resid = parts["nde"] + parts["nie_1"] + parts["nie_2"] - parts["te"]
-    assert abs(resid) <= 1e-12
+def test_contrast_zero_for_equal_profiles(obs600):
+    res = sri_estimate(obs600, [((1, 1, 1), (1, 1, 1))])
+    rep = res.estimands["psi_111_vs_111"]
+    assert rep.psi_hat == 0.0
+    assert rep.se == 0.0
+    assert list(res.profiles) == [(1, 1, 1)]
 
 
 def test_duplication_invariance(obs600):

@@ -131,8 +131,7 @@ def test_fit_dominates_every_start():
         bundle = build_spec_bundle(obs)
         designs = SampleDesigns(obs, bundle)
         model, report = fit_gamma(obs, designs, GammaOptions())
-        prob = _GammaProblem(designs)
-        starts = [np.zeros(bundle.q.dim), _intercept_start(prob, obs, bundle.q, 10.0)]
+        starts = [np.zeros(bundle.q.dim), _intercept_start(obs, bundle.q, 10.0)]
         for start in starts:
             assert start is not None
             qn_start = criterion_qn(start, designs)
@@ -163,7 +162,7 @@ def test_single_descent_matches_best_of_every_start():
         designs = SampleDesigns(obs, bundle)
         model, report = fit_gamma(obs, designs, opts)
         prob = _GammaProblem(designs)
-        pi0 = _intercept_start(prob, obs, bundle.q, opts.linear_cap)
+        pi0 = _intercept_start(obs, bundle.q, opts.linear_cap)
         starts = [np.zeros(bundle.q.dim), pi0]
         best = min((_descend(prob, x0, pi0, opts) for x0 in starts), key=lambda d: d.obj)
         lam = opts.penalty / obs.n
@@ -200,7 +199,7 @@ def test_descent_agrees_with_trust_region_reference():
         full, obs = generate(DgpConfig(n=1000, seed=seq(33, i)))
         bundle = build_spec_bundle(obs)
         prob = _GammaProblem(SampleDesigns(obs, bundle))
-        pi0 = _intercept_start(prob, obs, bundle.q, opts.linear_cap)
+        pi0 = _intercept_start(obs, bundle.q, opts.linear_cap)
         got = _descend(prob, pi0, pi0, opts)
         want = trf_descent(prob, pi0, pi0, opts)
         assert np.max(np.abs(got.pi - want)) <= 1e-5

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from shadowpse.errors import DimensionMismatch, LengthMismatch
+from shadowpse.errors import DimensionMismatch
 from shadowpse.gamma_solver import GammaModel, GammaOptions, fit_gamma
 from shadowpse.inference import (
     InferenceReport,
-    analyze_contrast,
     analyze_profile,
-    contrast_variance,
     fit_omegas,
     fit_representer,
     influence_values,
@@ -113,7 +111,7 @@ def test_reweighted_phi_mean_reproduces_psi(obs2000, bundle2000, gamma2000):
     for profile in ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)):
         analysis = analyze_profile(obs2000, model, profile, designs)
         lhs = float(np.mean(obs2000.r * (1.0 + gvals) * analysis.phi))
-        assert abs(lhs - analysis.psi.psi_hat) <= 1e-8
+        assert abs(lhs - analysis.psi_hat) <= 1e-8
 
 
 def test_representer_zero_target(obs600):
@@ -199,14 +197,12 @@ def test_contrast_variance_properties():
     rng = rng_for(314)
     if_a = rng.standard_normal(300)
     if_b = rng.standard_normal(300)
-    same = contrast_variance(0.0, if_a, if_a)
+    same = variance_and_ci(0.0, if_a - if_a)
     assert same.se == 0.0
-    diff = contrast_variance(0.3, if_a, if_b)
+    diff = variance_and_ci(0.3, if_a - if_b)
     sa = variance_and_ci(0.0, if_a).se
     sb = variance_and_ci(0.0, if_b).se
     assert diff.se <= sa + sb + 1e-12
-    with pytest.raises(LengthMismatch):
-        contrast_variance(0.0, if_a, if_b[:-1])
 
 
 def test_interval_width_halves_under_fourfold_duplication(obs600):
@@ -219,22 +215,6 @@ def test_interval_width_halves_under_fourfold_duplication(obs600):
                           SampleDesigns(big_ds, build_spec_bundle(big_ds)))
     assert abs(big.report.se / base.report.se - 0.5) <= 1e-10
     assert abs(big.report.psi_hat - base.report.psi_hat) <= 1e-10
-
-
-def test_analyze_contrast_shape_and_cache(obs600):
-    designs = SampleDesigns(obs600, build_spec_bundle(obs600))
-    model, _ = fit_gamma(obs600, designs, GammaOptions())
-    cache = {}
-    res = analyze_contrast(obs600, model, (1, 1, 1), (0, 0, 0), designs,
-                           cache=cache)
-    assert len(cache) == 2
-    same = analyze_contrast(obs600, model, (1, 1, 1), (1, 1, 1), designs,
-                            cache=cache)
-    assert same.report.psi_hat == 0.0
-    assert same.report.se == 0.0
-    for key in ("profile_a", "profile_b", "psi_a", "psi_b"):
-        assert key in res.report.diagnostics
-    assert res.report.ci_lo <= res.report.psi_hat <= res.report.ci_hi
 
 
 def test_report_schema(obs600):

@@ -7,7 +7,6 @@ from shadowpse.sieve_basis import (
     SieveOptions,
     Standardizer,
     build_spec_bundle,
-    column_coordinates,
     design_matrix,
     detect_binary,
     fit_standardizer,
@@ -42,12 +41,10 @@ def test_pairwise_interaction_values():
     spec = identity_spec(1, 2)
     np.testing.assert_array_equal(at_point(spec, [3.0, 5.0]),
                                   [1.0, 3.0, 5.0, 15.0])
-    assert column_coordinates(spec) == [(), (0,), (1,), (0, 1)]
 
 
 def test_binary_coordinate_capped_at_power_one():
     spec = identity_spec(2, 2, binary=(False, True))
-    assert column_coordinates(spec) == [(), (0,), (0,), (1,), (0, 1)]
     row = at_point(spec, [3.0, 1.0])
     np.testing.assert_array_equal(row, [1.0, 3.0, 9.0, 1.0, 3.0])
 
@@ -61,7 +58,6 @@ def test_dim_matches_design_and_coordinates():
                 pts = rng.random((7, dim))
                 mat = design_matrix(spec, pts)
                 assert mat.shape == (7, spec.dim)
-                assert len(column_coordinates(spec)) == spec.dim
 
 
 def test_power_dim_formula():
