@@ -11,6 +11,12 @@ linear span of the odds-function basis. Incomplete records contribute
 through the formula literally: the first term vanishes with R_i = 0 and
 the last factor becomes -1, so their covariates are never touched.
 
+Recovering rho is ill-posed: at the default sieve 8-9 of the 39 Gram
+eigenvalues lie below 1e-2 of their mean at every n, so a fixed relative
+ridge would damp the same directions at every n, and its bias would not
+shrink while the se does. The ridge is therefore representer_ridge(n),
+1e-2 up to n = 1000 and 1e-2 (1000 / n)^2 above (Chen & Pouzo 2012).
+
 Density-ratio fits, like the odds function, pose a conditional moment
 restriction; because omega enters the moment linearly inside a linear
 projection, each fit reduces to one small linear solve.
@@ -39,7 +45,6 @@ from .gamma_solver import GammaModel
 from .series_regression import FitDiagnostics, SampleDesigns, SeriesRegressor, project_onto
 
 OMEGA_FLOOR = 1e-3
-REPRESENTER_RIDGE = 1e-2
 
 
 def z_critical(level: float) -> float:
@@ -207,35 +212,26 @@ def phi_values(ds: Dataset, fits: NuisanceFits, omegas: OmegaFits,
     return out
 
 
-def fit_representer(
-    ds: Dataset,
-    gamma: GammaLike,
-    phi: np.ndarray,
-    designs: SampleDesigns,
-    ridge: float = REPRESENTER_RIDGE,
-) -> tuple[SeriesRegressor, float]:
+def fit_representer(ds: Dataset, phi: np.ndarray,
+                    designs: SampleDesigns) -> tuple[SeriesRegressor, float]:
     """Minimise (1/2n)||Ehat{R rho | W}|| ^2 - (1/n) sum R phi rho.
 
     rho ranges over the linear span of the odds basis, so the first-order
-    condition is a convex quadratic. Recovering rho from its smoothed
-    projection is an ill-posed inverse problem: the Gram operator has
-    rapidly decaying spectrum and the unregularised solution oscillates.
-    The ridge is Tikhonov regularisation scaled by the mean Gram
-    eigenvalue; the returned criterion value is at most zero (zero is
-    feasible). The recorded rank is that of the projected odds design,
-    whose Gram matrix the system solves.
-
-    Only the right-hand side depends on phi: the projected odds design,
-    its Gram matrix, ridge eps, rank and Cholesky factor are the run's
-    designs.representer_system(ridge), built by the first profile and
-    shared by the rest.
+    condition is a convex quadratic, ill-posed as the module docstring
+    says. Its Tikhonov ridge is representer_ridge(n) times the mean Gram
+    eigenvalue (at least one), so it shrinks with n above n = 1000 and
+    its bias falls faster than the se. The returned criterion value is
+    at most zero (zero is feasible). The recorded rank is that of the
+    projected odds design, whose Gram matrix the system solves. Only
+    the right-hand side depends on phi: the factored system is the
+    run's designs.representer_system, shared by every profile.
     """
     designs.check(ds)
     if np.asarray(phi).shape != (ds.n,):
         raise LengthMismatch("phi must align with the dataset")
     cc = ds.complete_mask
     spec_q = designs.bundle.q
-    system = designs.representer_system(ridge)
+    system = designs.representer_system
     rhs = designs.q.T @ phi[cc]
     coef = system.solve(rhs)
     proj = system.design @ coef
@@ -358,7 +354,7 @@ def analyze_profile(
     if skip_rho:
         rho, rho_value = None, 0.0
     else:
-        rho, rho_value = fit_representer(ds, gamma, phi, designs)
+        rho, rho_value = fit_representer(ds, phi, designs)
     ifv = influence_values(ds, gamma, psi_hat, phi, rho, designs)
     diag = {
         "profile": list(prof),

@@ -108,6 +108,12 @@ def ridge_system(design: np.ndarray, ridge: float) -> RidgeSystem:
     return RidgeSystem(design=design, gram=gram, eps=eps, rank=rank, factor=factor)
 
 
+def representer_ridge(n: int) -> float:
+    """The representer's relative ridge at sample size n: 1e-2 up to
+    n = 1000, then 1e-2 (1000 / n)^2 (the inference module says why)."""
+    return 1e-2 * min(1.0, (1000 / n) ** 2)
+
+
 def predict_many(reg: SeriesRegressor, points: np.ndarray) -> np.ndarray:
     return design_matrix(reg.spec, points) @ reg.coef
 
@@ -254,10 +260,9 @@ class SampleDesigns:
     above. u_lstsq(k) is the unweighted one the cumulative fits solve
     against. No fit factors a matrix with a row per complete case.
 
-    representer_system(ridge) holds the representer's ridged normal
-    equations, which depend on the designs alone: one Gram matrix, rank
-    and Cholesky factor per run, solved against each profile's
-    right-hand side.
+    representer_system holds the representer's normal equations under
+    the ridge representer_ridge(n) that the sample size sets, factored
+    once per run and solved against each profile's right-hand side.
     """
 
     def __init__(self, ds: Dataset, bundle: SpecBundle):
@@ -270,7 +275,6 @@ class SampleDesigns:
         self._odds: Optional[np.ndarray] = None
         self._fits_odds: Optional[np.ndarray] = None
         self._fits: dict = {}
-        self._representer: dict[float, RidgeSystem] = {}
 
     def check(self, ds: Dataset) -> None:
         """Raise unless these designs were built from ds."""
@@ -335,17 +339,16 @@ class SampleDesigns:
             self._odds_model = model
         return self._odds
 
-    def representer_system(self, ridge: float) -> RidgeSystem:
-        """The representer's normal equations under ridge, built once.
+    @cached_property
+    def representer_system(self) -> RidgeSystem:
+        """The representer's normal equations under representer_ridge(n).
 
         Its design is the projected odds design p_span_cc' q, which no
         odds values or profile enter, so every profile of the run solves
         against the same Gram matrix, ridge eps, rank and Cholesky
         factor and pays only for its right-hand side.
         """
-        if ridge not in self._representer:
-            self._representer[ridge] = ridge_system(_frozen(self.p_span_cc.T @ self.q), ridge)
-        return self._representer[ridge]
+        return ridge_system(_frozen(self.p_span_cc.T @ self.q), representer_ridge(self.ds.n))
 
     def fits(self, odds: np.ndarray) -> dict:
         """The memo of nuisance fits made under the odds values `odds`.

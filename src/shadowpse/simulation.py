@@ -16,7 +16,10 @@ therefore independent of execution order and worker count.
 from __future__ import annotations
 
 import csv
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from itertools import product
 from typing import Optional, Sequence
@@ -345,6 +348,24 @@ def _one_rep(args: tuple) -> dict:
     return out
 
 
+@contextmanager
+def _one_blas_thread_env():
+    """Set the BLAS thread-count variables to 1 inside the block, then
+    restore them, so that processes started in it run one BLAS thread
+    each. The current process's BLAS, already loaded, is left as it is."""
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    saved = {name: os.environ.get(name) for name in names}
+    os.environ.update(dict.fromkeys(names, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def run_monte_carlo(
     config: DgpConfig,
     reps: int,
@@ -360,8 +381,12 @@ def run_monte_carlo(
 
     Replications are independent tasks with their own substreams, so
     the result is identical for any worker count and bit-identical for
-    a fixed master seed. An unknown method, or an estimand the truth
-    table lacks, raises ConfigError before any replication runs.
+    a fixed master seed. With workers > 1 they run in spawned processes
+    with one BLAS thread each: the replications' products are small, so
+    more BLAS threads than cores only contend (a fork pool inheriting
+    the default thread count ran slower than one process). An unknown
+    method, or an estimand the truth table lacks, raises ConfigError
+    before any replication runs.
     """
     unknown = [m for m in methods if m not in baselines.METHODS]
     if unknown:
@@ -375,7 +400,8 @@ def run_monte_carlo(
 
     tasks = [(config, methods, estimands, options, master_seed, i) for i in range(reps)]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        context = multiprocessing.get_context("spawn")
+        with _one_blas_thread_env(), ProcessPoolExecutor(workers, mp_context=context) as pool:
             results = list(pool.map(_one_rep, tasks, chunksize=max(1, reps // (8 * workers))))
     else:
         results = [_one_rep(t) for t in tasks]

@@ -218,9 +218,8 @@ def test_criterion_5f_representer_closed_form():
     mask[:20] = True
     ds = obs.subset(mask)
     bundle = build_spec_bundle(ds, SieveOptions(degree=1, include_interactions=False))
-    gamma = np.abs(np.where(ds.r == 0, 0.0, 0.5 + 0.1 * ds.y))
     phi = np.where(ds.r == 1, ds.y, 0.0)
-    rho, value = fit_representer(ds, gamma, phi, SampleDesigns(ds, bundle))
+    rho, value = fit_representer(ds, phi, SampleDesigns(ds, bundle))
 
     eps = rho.diagnostics.gram_diag_ridge
     smat = design_matrix(bundle.q, ds.regressor_points())

@@ -122,7 +122,7 @@ def test_fit_ranks_are_real_on_rank_deficient_designs(obs600):
         assert reg.diagnostics.rank == rank
 
     phi = np.where(ds.r == 1, ds.y, 0.0)
-    rho, _ = fit_representer(ds, gamma, phi, designs)
+    rho, _ = fit_representer(ds, phi, designs)
     rank = np.linalg.matrix_rank(designs.p_span_cc.T @ designs.q)
     assert rank < rho.spec.dim
     assert rho.diagnostics.rank == rank
@@ -225,14 +225,15 @@ def test_cumulative_fits_follow_the_floor(obs2000, bundle2000, gamma2000):
     assert got.floor_events > 0
 
 
-def fresh_representer(designs: SampleDesigns, phi: np.ndarray,
-                      ridge: float = inference.REPRESENTER_RIDGE):
-    """One profile's representer solved on its own: coefficients,
-    criterion value and rank of the projected odds design."""
+def fresh_representer(designs: SampleDesigns, phi: np.ndarray):
+    """One profile's representer solved on its own, at the ridge the rule
+    gives for the dataset's n: coefficients, criterion value and rank of
+    the projected odds design."""
     n = designs.ds.n
     gmat = designs.p_span_cc.T @ designs.q
     rhs = designs.q.T @ phi[designs.ds.complete_mask]
     gram = gmat.T @ gmat
+    ridge = series_regression.representer_ridge(n)
     eps = ridge * max(float(np.trace(gram)) / gram.shape[0], 1.0)
     factor = scipy.linalg.cho_factor(gram + eps * np.eye(gram.shape[0]), lower=True)
     coef = scipy.linalg.cho_solve(factor, rhs)
@@ -256,8 +257,8 @@ def test_representer_system_is_factored_once_per_run(monkeypatch, obs2000):
     fit = inference.fit_representer
     solved = []
 
-    def recording(ds, gamma, phi, designs, *args, **kwargs):
-        out = fit(ds, gamma, phi, designs, *args, **kwargs)
+    def recording(ds, phi, designs, *args, **kwargs):
+        out = fit(ds, phi, designs, *args, **kwargs)
         solved.append((phi, designs, out))
         return out
 

@@ -14,7 +14,16 @@ from shadowpse.inference import (
     variance_and_ci,
     z_critical,
 )
-from shadowpse.series_regression import SampleDesigns, orthonormal_span, predict_many
+from shadowpse.estimator import estimate_psi, fit_mu_chain
+from shadowpse.series_regression import (
+    FitDiagnostics,
+    SampleDesigns,
+    SeriesRegressor,
+    orthonormal_span,
+    predict_many,
+    representer_ridge,
+    ridge_system,
+)
 from shadowpse.sieve_basis import SieveOptions, build_spec_bundle, design_matrix
 from shadowpse.simulation import DgpConfig, generate
 
@@ -116,8 +125,7 @@ def test_reweighted_phi_mean_reproduces_psi(obs2000, bundle2000, gamma2000):
 
 def test_representer_zero_target(obs600):
     designs = SampleDesigns(obs600, build_spec_bundle(obs600))
-    model, _ = fit_gamma(obs600, designs, GammaOptions())
-    rho, value = fit_representer(obs600, model, np.zeros(obs600.n), designs)
+    rho, value = fit_representer(obs600, np.zeros(obs600.n), designs)
     np.testing.assert_allclose(rho.coef, 0.0, atol=1e-12)
     assert value == 0.0
 
@@ -128,9 +136,8 @@ def test_representer_matches_brute_force_minimiser():
     mask[:20] = True
     ds = obs.subset(mask)
     bundle = build_spec_bundle(ds, SieveOptions(degree=1, include_interactions=False))
-    gamma = np.abs(np.where(ds.r == 0, 0.0, 0.5 + 0.1 * ds.y))
     phi = np.where(ds.r == 1, ds.y, 0.0)
-    rho, value = fit_representer(ds, gamma, phi, SampleDesigns(ds, bundle))
+    rho, value = fit_representer(ds, phi, SampleDesigns(ds, bundle))
     assert value <= 0.0
 
     # independent reconstruction of the ridged quadratic objective
@@ -205,16 +212,40 @@ def test_contrast_variance_properties():
     assert diff.se <= sa + sb + 1e-12
 
 
+def fixed_ridge_report(ds, gvals, ridge: float) -> InferenceReport:
+    """The (1, 1, 1) profile's report as analyze_profile builds it, with
+    the representer solved at the given relative ridge rather than at
+    the rule's ridge for ds.n."""
+    designs = SampleDesigns(ds, build_spec_bundle(ds))
+    fits = fit_mu_chain(ds, gvals, (1, 1, 1), designs)
+    psi_hat = estimate_psi(ds, fits, designs)
+    phi = phi_values(ds, fits, fit_omegas(ds, gvals, (1, 1, 1), designs), designs)
+    system = ridge_system(designs.p_span_cc.T @ designs.q, ridge)
+    coef = system.solve(designs.q.T @ phi[ds.complete_mask])
+    diag = FitDiagnostics(int(ds.complete_mask.sum()), coef.size, system.rank, system.eps)
+    rho = SeriesRegressor(designs.bundle.q, coef, diag)
+    return variance_and_ci(psi_hat, influence_values(ds, gvals, psi_hat, phi, rho, designs))
+
+
 def test_interval_width_halves_under_fourfold_duplication(obs600):
+    """At one fixed ridge, tiling the sample four times leaves psi_hat as
+    it is and halves the se. The representer's own ridge depends on n,
+    so the property is stated at a ridge held fixed across both."""
     designs = SampleDesigns(obs600, build_spec_bundle(obs600))
     model, _ = fit_gamma(obs600, designs, GammaOptions())
     gv = model.values(designs)
-    base = analyze_profile(obs600, gv, (1, 1, 1), designs)
-    big_ds = tile_dataset(obs600, 4)
-    big = analyze_profile(big_ds, np.tile(gv, 4), (1, 1, 1),
-                          SampleDesigns(big_ds, build_spec_bundle(big_ds)))
-    assert abs(big.report.se / base.report.se - 0.5) <= 1e-10
-    assert abs(big.report.psi_hat - base.report.psi_hat) <= 1e-10
+    base = fixed_ridge_report(obs600, gv, 1e-2)
+    assert base.se == analyze_profile(obs600, gv, (1, 1, 1), designs).report.se
+    big = fixed_ridge_report(tile_dataset(obs600, 4), np.tile(gv, 4), 1e-2)
+    assert abs(big.se / base.se - 0.5) <= 1e-10
+    assert abs(big.psi_hat - base.psi_hat) <= 1e-10
+
+
+def test_representer_ridge_rule():
+    """1e-2 up to n = 1000, then 1e-2 (1000 / n)^2."""
+    assert representer_ridge(600) == 1e-2
+    assert representer_ridge(1000) == 1e-2
+    assert representer_ridge(2400) == pytest.approx(1e-2 / 5.76, rel=1e-15)
 
 
 def test_report_schema(obs600):

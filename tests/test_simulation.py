@@ -1,4 +1,5 @@
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -169,6 +170,24 @@ def test_monte_carlo_determinism(cheap_truth):
     assert a.to_json_dict() == b.to_json_dict()
     for key in a.raw:
         np.testing.assert_array_equal(a.raw[key], b.raw[key])
+
+
+def test_worker_count_leaves_result_unchanged(cheap_truth, monkeypatch):
+    """Two spawned workers give the serial result, and the BLAS thread
+    variables they start under are restored afterwards."""
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    before = {name: os.environ.get(name)
+              for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    kwargs = dict(reps=4, methods=["sri", "cca"], master_seed=23, truth=cheap_truth)
+    serial = run_monte_carlo(DgpConfig(n=250), workers=1, **kwargs)
+    pooled = run_monte_carlo(DgpConfig(n=250), workers=2, **kwargs)
+    assert pooled.cells == serial.cells
+    assert pooled.raw.keys() == serial.raw.keys()
+    for key in serial.raw:
+        assert pooled.raw[key].tobytes() == serial.raw[key].tobytes()
+    assert pooled.to_json_dict() == serial.to_json_dict()
+    assert {name: os.environ.get(name) for name in before} == before
 
 
 def test_single_replication(cheap_truth):
