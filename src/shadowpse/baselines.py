@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .data_model import Dataset, complete_cases
-from .errors import ConfigError, InsufficientCompleteCases, MissingTrueX
+from .errors import ConfigError, InsufficientCompleteCases
 from .estimator import TreatmentProfile, named_estimand, validate_profile
 from .gamma_solver import GammaModel, GammaOptions, fit_gamma
 from .inference import InferenceReport, analyze_profile, variance_and_ci, z_critical
@@ -135,8 +135,6 @@ def oracle_estimate(
     sieve: SieveOptions = SieveOptions(),
 ) -> MethodResult:
     """Estimator with the true covariates: r set to one, odds to zero."""
-    if np.isnan(full.x_miss).any():
-        raise MissingTrueX("oracle_estimate needs x_miss on every record")
     ds = full.with_r_set_to_one()
     wanted = resolve_estimands(ds.k, estimands)
     return _run_pipeline(ds, wanted, level, sieve, "oracle")

@@ -23,7 +23,7 @@ from .errors import (
     DimensionMismatch,
     EmptyDataset,
     EmptyResult,
-    MissingCovariate,
+    MissingTrueX,
     NonFiniteInput,
 )
 
@@ -185,7 +185,7 @@ class Dataset:
     def with_r_set_to_one(self) -> "Dataset":
         """Copy with r = 1 everywhere; requires x_miss present for all rows."""
         if np.isnan(self.x_miss).any():
-            raise MissingCovariate("cannot set r=1 with NaN x_miss rows present")
+            raise MissingTrueX("cannot set r=1: x_miss is NaN on some records")
         out = self.subset(np.ones(self.n, dtype=bool))
         out.r = np.ones(self.n, dtype=int)
         return out

@@ -34,10 +34,6 @@ class EmptyResult(EstimationError):
     """An operation produced an empty dataset (e.g. no complete cases)."""
 
 
-class MissingCovariate(EstimationError):
-    """Covariate access on a record whose covariates are missing."""
-
-
 class NonFiniteInput(EstimationError):
     """NaN or infinity in a numeric input that must be finite."""
 
@@ -59,7 +55,7 @@ class EmptyArm(EstimationError):
 
 
 class MissingTrueX(EstimationError):
-    """Oracle estimation requested on data without true covariates."""
+    """True covariates requested (r set to one) where x_miss is missing."""
 
 
 class InsufficientCompleteCases(EstimationError):

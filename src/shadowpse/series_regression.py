@@ -126,8 +126,8 @@ def project_residual_orthogonality(
 ) -> float:
     """max_j |(1/n) sum_i w_i (v_i - fit_i) basis_ij| over the fit sample.
 
-    Zero for an unridged solve up to floating point; ridged solves are
-    allowed to drift by the penalty times the coefficient size.
+    Zero up to floating point for a weighted least squares fit, as every
+    mu and omega fit is: no series regression is ridged any more.
     """
     basis = design_matrix(reg.spec, inputs)
     v = np.asarray(responses, dtype=float)

@@ -1,16 +1,17 @@
 """Finite-dimensional sieve bases shared by every downstream fit.
 
-A power basis over standardized coordinates u = (x - center) / scale:
-intercept, per-coordinate monomials u_j^e for e = 1..degree, then all
-pairwise products u_i * u_j (i < j) when interactions are on.
+A power basis over standardized coordinates u = (x - center) / scale,
+with one highest power per coordinate: intercept, monomials u_j^e for
+e = 1..degrees[j], then the pairwise products u_i * u_j (i < j) of the
+coordinates of degree at least one when interactions are on.
 
-Binary coordinates are never raised above power one; the duplicate
-higher powers are dropped rather than kept as collinear columns.
+spec_for caps binary coordinates at power one, so an indicator's equal
+higher powers never enter as collinear columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
 
@@ -69,37 +70,33 @@ def detect_binary(points: np.ndarray) -> tuple[bool, ...]:
 class BasisSpec:
     """Immutable description of one sieve basis.
 
-    binary marks coordinates capped at power one; it defaults to no caps.
+    degrees[j] is the highest power of input coordinate j; a coordinate
+    of degree 0 adds no column and no interaction.
     """
 
-    degree: int
-    input_dim: int
+    degrees: tuple[int, ...]
     standardizer: Standardizer
     include_interactions: bool
-    binary: tuple[bool, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise DimensionMismatch("degree must be >= 0")
+        if any(d < 0 for d in self.degrees):
+            raise DimensionMismatch("degrees must be >= 0")
         if len(self.standardizer.center) != self.input_dim:
-            raise DimensionMismatch("standardizer dimension does not match input_dim")
-        if self.binary == ():
-            object.__setattr__(self, "binary", (False,) * self.input_dim)
-        if len(self.binary) != self.input_dim:
-            raise DimensionMismatch("binary mask dimension does not match input_dim")
+            raise DimensionMismatch("standardizer dimension does not match degrees")
 
-    def _coord_degrees(self) -> list[int]:
-        return [
-            min(self.degree, 1) if b else self.degree
-            for b in self.binary
-        ]
+    @property
+    def input_dim(self) -> int:
+        return len(self.degrees)
+
+    def _pairs(self) -> list[tuple[int, int]]:
+        """The coordinate pairs of the interaction columns, in column order."""
+        if not self.include_interactions:
+            return []
+        return list(combinations([j for j, d in enumerate(self.degrees) if d >= 1], 2))
 
     @property
     def dim(self) -> int:
-        d = 1 + sum(self._coord_degrees())
-        if self.include_interactions and self.degree >= 1:
-            d += len(list(combinations(range(self.input_dim), 2)))
-        return d
+        return 1 + sum(self.degrees) + len(self._pairs())
 
 
 def design_matrix(spec: BasisSpec, points: np.ndarray) -> np.ndarray:
@@ -114,19 +111,15 @@ def design_matrix(spec: BasisSpec, points: np.ndarray) -> np.ndarray:
     if not np.isfinite(pts).all():
         raise NonFiniteInput("design_matrix: non-finite input point")
     u = spec.standardizer.apply(pts)
-    n = u.shape[0]
-    degs = spec._coord_degrees()
 
-    cols = [np.ones(n)]
-    for j in range(spec.input_dim):
+    cols = [np.ones(u.shape[0])]
+    for j, degree in enumerate(spec.degrees):
         uj = u[:, j]
         p = uj.copy()
-        for _ in range(degs[j]):
+        for _ in range(degree):
             cols.append(p)
             p = p * uj
-    if spec.include_interactions and spec.degree >= 1:
-        for i, j in combinations(range(spec.input_dim), 2):
-            cols.append(u[:, i] * u[:, j])
+    cols.extend(u[:, i] * u[:, j] for i, j in spec._pairs())
     return np.column_stack(cols)
 
 
@@ -137,18 +130,16 @@ def spec_for(
 ) -> BasisSpec:
     """Fit a standardizer on points and build the matching BasisSpec.
 
-    Binary coordinates are detected from the data so indicator columns
-    are never raised above power one.
+    Every coordinate gets degree, except that binary coordinates, detected
+    from the data, are capped at power one.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     return BasisSpec(
-        degree=degree,
-        input_dim=pts.shape[1],
+        degrees=tuple(min(degree, 1) if b else degree for b in detect_binary(pts)),
         standardizer=fit_standardizer(pts),
         include_interactions=include_interactions,
-        binary=detect_binary(pts),
     )
 
 
@@ -202,13 +193,8 @@ class _SampleSpecBundle(SpecBundle):
 def _leading(spec: BasisSpec, dim: int) -> BasisSpec:
     """spec restricted to its first dim input coordinates."""
     std = spec.standardizer
-    return BasisSpec(
-        degree=spec.degree,
-        input_dim=dim,
-        standardizer=Standardizer(center=std.center[:dim], scale=std.scale[:dim]),
-        include_interactions=spec.include_interactions,
-        binary=spec.binary[:dim],
-    )
+    return replace(spec, degrees=spec.degrees[:dim],
+                   standardizer=Standardizer(center=std.center[:dim], scale=std.scale[:dim]))
 
 
 def build_spec_bundle(ds: Dataset, sieve: SieveOptions = SieveOptions()) -> SpecBundle:
@@ -220,7 +206,7 @@ def build_spec_bundle(ds: Dataset, sieve: SieveOptions = SieveOptions()) -> Spec
     runs of oracle, cca and mi never read them. The outcome-chain points
     of level k are the leading columns of those of level K+1, so one fit
     on the level K+1 points gives every u_k its centers, scales and
-    binary mask.
+    degrees.
 
     The outcome-chain bases (u) default to a coarser sieve than the
     conditioning and odds bases: the backward regression chain is fit by

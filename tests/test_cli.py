@@ -323,7 +323,7 @@ RAISABLE = {cls.__name__: cls for cls in _leaf_errors()}
 
 
 def test_every_error_class_has_an_expected_exit():
-    assert len(RAISABLE) == 12  # the EstimationError leaves
+    assert len(RAISABLE) == 11  # the EstimationError leaves
     assert SOLVER_ERRORS <= set(RAISABLE)
 
 

@@ -20,7 +20,7 @@ from shadowpse.errors import (
     DimensionMismatch,
     EmptyDataset,
     EmptyResult,
-    MissingCovariate,
+    MissingTrueX,
     NonFiniteInput,
 )
 from shadowpse.data_model import _parse_cell
@@ -140,7 +140,7 @@ def test_with_r_set_to_one():
     comp = full.with_r_set_to_one()
     assert comp.complete_mask.all()
     np.testing.assert_array_equal(comp.x_miss, full.x_miss)
-    with pytest.raises(MissingCovariate):
+    with pytest.raises(MissingTrueX):
         obs.with_r_set_to_one()
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -27,7 +29,7 @@ from support import one_mediator_dataset, rng_for, seq
 
 
 def intercept_only_spec(dim):
-    return BasisSpec(degree=0, input_dim=dim, include_interactions=True,
+    return BasisSpec(degrees=(0,) * dim, include_interactions=True,
                      standardizer=Standardizer.identity(dim))
 
 
@@ -93,12 +95,21 @@ def test_all_missing_is_degenerate():
         fit_gamma(allm, SampleDesigns(allm, bundle), GammaOptions())
 
 
-def test_projection_basis_must_dominate_odds_basis(obs600):
+def test_projection_basis_must_dominate_odds_basis(obs600, obs2000):
     bundle2 = build_spec_bundle(obs600, SieveOptions(degree=2))
     bundle1 = build_spec_bundle(obs600, SieveOptions(degree=1))
     with pytest.raises(ConfigError):
         fit_gamma(obs600, SampleDesigns(obs600, SpecBundle(p=bundle1.p, q=bundle2.q, u=bundle1.u)),
                   GammaOptions())
+    # a binary shadow variable is capped at power one in p, while q keeps
+    # x_miss at degree 3: the default bundle has too few moments
+    z = (obs2000.z > np.median(obs2000.z)).astype(float)
+    binary_z = replace(obs2000, z=z)
+    bundle = build_spec_bundle(binary_z)
+    with pytest.raises(ConfigError, match="dim 37 < odds basis dim 39") as err:
+        fit_gamma(binary_z, SampleDesigns(binary_z, bundle), GammaOptions())
+    assert f"p degrees {bundle.p.degrees}, q degrees {bundle.q.degrees}" in str(err.value)
+    assert "completeness" in str(err.value)
 
 
 def test_mcar_recovers_constant_odds():
@@ -244,11 +255,7 @@ def test_gradient_matches_finite_differences():
 
 
 def test_criterion_invariant_to_projection_reparametrisation(obs2000, bundle2000):
-    ident_p = BasisSpec(
-        degree=bundle2000.p.degree,
-        input_dim=bundle2000.p.input_dim,
-        standardizer=Standardizer.identity(bundle2000.p.input_dim),
-        include_interactions=True, binary=bundle2000.p.binary)
+    ident_p = replace(bundle2000.p, standardizer=Standardizer.identity(bundle2000.p.input_dim))
     pi = 0.05 * rng_for(38).standard_normal(bundle2000.q.dim)
     q_std = criterion_qn(pi, SampleDesigns(obs2000, bundle2000))
     q_raw = criterion_qn(pi, SampleDesigns(

@@ -1,5 +1,7 @@
 """Property tests: invariants checked over generated inputs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,13 +56,26 @@ def test_csv_round_trip_keeps_every_bit(ds, tmp_path_factory):
         assert got.tobytes() == want.tobytes()
 
 
-# How far a row permutation may move psi_hat and se. cca solves only
-# linear systems, so the drift is rounding (at most 4e-14 measured). sri
-# also descends on the odds criterion, which stops once a step cuts the
-# objective by less than ftol = 1e-14 relative: that pins the end point
-# only to about sqrt(ftol), and the summation order picks where in that
-# band it stops (up to 1.3e-8 measured over 20 draws at n = 600).
+# How far a row permutation or an affine rescale may move psi_hat and
+# se. cca solves only linear systems, so the drift is rounding (at most
+# 4e-14 measured). sri also descends on the odds criterion, which stops
+# once a step cuts the objective by less than ftol = 1e-14 relative:
+# that pins the end point only to about sqrt(ftol), and the summation
+# order picks where in that band it stops (up to 1.3e-8 measured over 20
+# draws at n = 600).
 PERMUTATION_DRIFT = {"cca": 1e-10, "sri": 1e-7}
+
+
+def assert_same_estimates(obs, other):
+    """sri and cca give psi_hat and se on other within PERMUTATION_DRIFT
+    of those on obs."""
+    for estimate in (sri_estimate, cca_estimate):
+        want, got = estimate(obs), estimate(other)
+        tol = PERMUTATION_DRIFT[want.method]
+        assert got.estimands.keys() == want.estimands.keys()
+        for name, rep in want.estimands.items():
+            assert abs(got.estimands[name].psi_hat - rep.psi_hat) <= tol, (want.method, name)
+            assert abs(got.estimands[name].se - rep.se) <= tol, (want.method, name)
 
 
 @pytest.mark.parametrize("draw", range(5))
@@ -69,14 +84,20 @@ def test_row_permutation_leaves_estimates_unchanged(draw):
     same records in another order: the estimators are functions of the
     empirical distribution, not of the row order."""
     _, obs = generate(DgpConfig(n=600, seed=seq(2, draw)))
-    shuffled = obs.subset(rng_for(3, draw).permutation(obs.n))
-    for estimate in (sri_estimate, cca_estimate):
-        want, got = estimate(obs), estimate(shuffled)
-        tol = PERMUTATION_DRIFT[want.method]
-        assert got.estimands.keys() == want.estimands.keys()
-        for name, rep in want.estimands.items():
-            assert abs(got.estimands[name].psi_hat - rep.psi_hat) <= tol, (want.method, name)
-            assert abs(got.estimands[name].se - rep.se) <= tol, (want.method, name)
+    assert_same_estimates(obs, obs.subset(rng_for(3, draw).permutation(obs.n)))
+
+
+@pytest.mark.parametrize("draw", range(5))
+def test_affine_rescale_leaves_estimates_unchanged(draw):
+    """An affine map of a continuous covariate, sign flips included,
+    leaves sri's and cca's psi_hat and se unchanged: every sieve basis
+    standardizes its coordinates, and a power basis in a*u + b spans the
+    same functions as one in u. NaN x_miss cells stay NaN."""
+    _, obs = generate(DgpConfig(n=600, seed=seq(2, draw)))
+    x_obs = obs.x_obs.copy()
+    x_obs[:, 0] = 3.7 * x_obs[:, 0] - 1.2
+    rescaled = replace(obs, z=0.25 * obs.z + 5.0, x_miss=-2.0 * obs.x_miss + 0.5, x_obs=x_obs)
+    assert_same_estimates(obs, rescaled)
 
 
 def test_total_effect_is_the_sum_of_its_paths(full2000, obs600):

@@ -24,7 +24,7 @@ from support import rng_for, seq
 
 
 def identity_spec(degree, dim=1):
-    return BasisSpec(degree=degree, input_dim=dim, include_interactions=True,
+    return BasisSpec(degrees=(degree,) * dim, include_interactions=True,
                      standardizer=Standardizer.identity(dim))
 
 

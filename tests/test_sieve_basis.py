@@ -1,3 +1,6 @@
+from dataclasses import replace
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -17,9 +20,9 @@ from shadowpse.simulation import DgpConfig, generate
 from support import rng_for, seq
 
 
-def identity_spec(degree, dim, include_interactions=True, **kw):
-    return BasisSpec(degree=degree, input_dim=dim, include_interactions=include_interactions,
-                     standardizer=Standardizer.identity(dim), **kw)
+def identity_spec(degrees, include_interactions=True):
+    return BasisSpec(degrees=tuple(degrees), include_interactions=include_interactions,
+                     standardizer=Standardizer.identity(len(degrees)))
 
 
 def at_point(spec, point):
@@ -27,47 +30,53 @@ def at_point(spec, point):
 
 
 def test_power_single_coordinate_values():
-    spec = identity_spec(3, 1)
+    spec = identity_spec((3,))
     np.testing.assert_allclose(at_point(spec, [2.0]),
                                [1.0, 2.0, 4.0, 8.0], rtol=0, atol=0)
 
 
 def test_power_degree_zero_is_intercept():
-    spec = identity_spec(0, 3)
+    spec = identity_spec((0, 0, 0))
     np.testing.assert_array_equal(at_point(spec, [4.0, 5.0, 6.0]), [1.0])
 
 
 def test_pairwise_interaction_values():
-    spec = identity_spec(1, 2)
+    spec = identity_spec((1, 1))
     np.testing.assert_array_equal(at_point(spec, [3.0, 5.0]),
                                   [1.0, 3.0, 5.0, 15.0])
 
 
 def test_binary_coordinate_capped_at_power_one():
-    spec = identity_spec(2, 2, binary=(False, True))
+    spec = identity_spec((2, 1))
     row = at_point(spec, [3.0, 1.0])
     np.testing.assert_array_equal(row, [1.0, 3.0, 9.0, 1.0, 3.0])
+    # a degree-0 coordinate adds no column and no interaction
+    row = at_point(identity_spec((2, 0, 1)), [3.0, 5.0, 7.0])
+    np.testing.assert_array_equal(row, [1.0, 3.0, 9.0, 7.0, 21.0])
 
 
 def test_dim_matches_design_and_coordinates():
     rng = rng_for(201)
     for dim in (1, 2, 3):
-        for degree in (0, 1, 2, 3, 4):
+        uniform = [(degree,) * dim for degree in (0, 1, 2, 3, 4)]
+        for degrees in uniform + list(product(range(3), repeat=dim)):
             for inter in (True, False):
-                spec = identity_spec(degree, dim, include_interactions=inter)
+                spec = identity_spec(degrees, include_interactions=inter)
                 pts = rng.random((7, dim))
                 mat = design_matrix(spec, pts)
                 assert mat.shape == (7, spec.dim)
+                assert spec.input_dim == dim
+    assert identity_spec((2, 0, 1)).dim == 5
 
 
 def test_power_dim_formula():
-    # continuous coordinates contribute `degree` monomials each, binary one,
-    # plus intercept and optional pairwise interaction columns
-    spec = identity_spec(3, 3)
+    # each coordinate contributes its degree in monomials, plus intercept
+    # and optional pairwise interaction columns
+    spec = identity_spec((3, 3, 3))
     assert spec.dim == 1 + 3 * 3 + 3
-    spec = identity_spec(3, 3, include_interactions=False)
+    spec = identity_spec((3, 3, 3), include_interactions=False)
     assert spec.dim == 1 + 3 * 3
-    spec = identity_spec(3, 3, binary=(False, True, False))
+    spec = identity_spec((3, 1, 3))
     assert spec.dim == 1 + 3 + 1 + 3 + 3
 
 
@@ -86,9 +95,7 @@ def test_standardization_affine_identity():
     spec = spec_for(pts, degree=3, include_interactions=True)
     std = spec.standardizer
     manual = (pts - std.center) / std.scale
-    ident = BasisSpec(degree=spec.degree, input_dim=spec.input_dim,
-                      include_interactions=spec.include_interactions,
-                      standardizer=Standardizer.identity(2), binary=spec.binary)
+    ident = replace(spec, standardizer=Standardizer.identity(2))
     np.testing.assert_array_equal(design_matrix(spec, pts), design_matrix(ident, manual))
 
 
@@ -125,7 +132,7 @@ def test_spec_for_detects_binary_and_standardizes():
     rng = rng_for(205)
     pts = np.column_stack([rng.random(50), (rng.random(50) < 0.5).astype(float)])
     spec = spec_for(pts, degree=3, include_interactions=True)
-    assert tuple(spec.binary) == (False, True)
+    assert spec.degrees == (3, 1)
     # binary column contributes exactly one monomial
     assert spec.dim == 1 + 3 + 1 + 1
 
@@ -144,11 +151,11 @@ def test_bundle_outcome_chain_knobs(obs2000):
     for k, spec in enumerate(b.u, start=1):
         direct = spec_for(obs2000.mu_points(k), 3, True)
         assert spec.dim == direct.dim
-        assert spec.degree == 3
+        assert spec.degrees == direct.degrees and max(spec.degrees) == 3
         assert spec.include_interactions
     coarse = build_spec_bundle(obs2000)
-    assert all(u.degree == 2 and not u.include_interactions for u in coarse.u)
-    assert coarse.q.degree == 3 and coarse.q.include_interactions
+    assert all(max(u.degrees) == 2 and not u.include_interactions for u in coarse.u)
+    assert max(coarse.q.degrees) == 3 and coarse.q.include_interactions
 
 
 @pytest.mark.parametrize("x_miss, x_obs", [(1, 2), (1, 0), (0, 1), (0, 0)])
@@ -167,19 +174,21 @@ def test_outcome_chain_specs_equal_per_level_fits(x_miss, x_obs, sieve, obs600):
 
 def test_bundle_degree_knob(obs2000):
     b = build_spec_bundle(obs2000, SieveOptions(degree=2, include_interactions=False))
-    assert b.q.degree == 2 and not b.q.include_interactions
-    assert b.p.degree == 2 and not b.p.include_interactions
+    assert max(b.q.degrees) == 2 and not b.q.include_interactions
+    assert max(b.p.degrees) == 2 and not b.p.include_interactions
 
 
 def test_spec_guards():
     from shadowpse.errors import DimensionMismatch, NonFiniteInput
 
     with pytest.raises(DimensionMismatch):
-        identity_spec(-1, 2)
+        identity_spec((-1, -1))
     with pytest.raises(DimensionMismatch):
-        BasisSpec(degree=2, input_dim=2, include_interactions=True,
+        identity_spec((2, -1))
+    with pytest.raises(DimensionMismatch):
+        BasisSpec(degrees=(2, 2), include_interactions=True,
                   standardizer=Standardizer.identity(3))
-    spec = identity_spec(2, 2)
+    spec = identity_spec((2, 2))
     with pytest.raises(DimensionMismatch):
         design_matrix(spec, np.zeros((3, 4)))
     with pytest.raises(NonFiniteInput):
