@@ -99,6 +99,7 @@ def _run_pipeline(
             "gamma_grad_norm": gamma_report.grad_norm,
             "gamma_converged": gamma_report.converged,
             "gamma_n_iter": gamma_report.n_iter,
+            "gamma_polish_steps": gamma_report.polish_steps,
             "gamma_messages": list(gamma_report.messages),
         }
     analyses = {}

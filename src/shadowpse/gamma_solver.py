@@ -14,11 +14,16 @@ every record. The estimator minimises the sample criterion
 over the exponential sieve gamma_pi = exp(cap * tanh(q(.)' pi / cap)),
 with Ehat the series projection onto the conditioning basis. The tanh
 soft clamp keeps evaluations inside (exp(-cap), exp(cap)) while staying
-smooth, so the analytic gradient is exact everywhere.
+smooth, so the analytic gradient and Hessian are exact everywhere.
 
-fit_gamma runs Levenberg-Marquardt once, from the marginal-ratio
-intercept start that also anchors the ridge, plus any requested
-restarts. Projections are applied through an orthonormal basis of the
+fit_gamma descends once, from the marginal-ratio intercept start that
+also anchors the ridge, plus any requested restarts. Each descent is
+Levenberg-Marquardt to a loose tolerance, then Newton steps on the
+exact Hessian of the penalised objective until its gradient norm is
+below POLISH_GTOL: the criterion keeps a non-zero residual at its
+minimum, so Levenberg-Marquardt alone converges only linearly, while
+the Newton polish converges quadratically and pins the end point.
+Projections are applied through an orthonormal basis of the
 conditioning design's column span, O(n l) per criterion evaluation
 with exact idempotence. That span and the odds design are the sample's
 SampleDesigns (series_regression): factored once per pipeline run and
@@ -31,12 +36,26 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 
 from .data_model import Dataset
-from .errors import ConfigError, DegenerateTarget, DimensionMismatch, LengthMismatch
+from .errors import (
+    ConfigError,
+    DegenerateTarget,
+    DimensionMismatch,
+    LengthMismatch,
+    UnsolvableSystem,
+)
 from .sieve_basis import BasisSpec, design_matrix
-from .series_regression import SampleDesigns, project_onto
+from .series_regression import SampleDesigns, lapack_errors, project_onto
+
+# Levenberg-Marquardt stops once the objective's relative decrease falls
+# below LM_FTOL; the Newton polish then runs until the gradient norm of
+# the penalised objective is at most POLISH_GTOL, or POLISH_MAX_STEPS.
+LM_FTOL = 1e-6
+POLISH_GTOL = 1e-11
+POLISH_MAX_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -105,8 +124,11 @@ class GammaFitReport:
 
     n_starts counts the descents: the one from the intercept start plus
     options.restarts perturbed ones. best_start is the index of the
-    winning descent and n_iter its nfev; q_n is the raw criterion at the
-    winner and grad_norm the penalised objective's gradient norm there.
+    winning descent, n_iter its Levenberg-Marquardt nfev and
+    polish_steps the exact-Hessian Newton steps it kept after that; q_n
+    is the raw criterion at the winner and grad_norm the penalised
+    objective's gradient norm there. A polish that stops above
+    POLISH_GTOL says why in messages.
     """
 
     q_n: float
@@ -116,6 +138,7 @@ class GammaFitReport:
     n_starts: int
     best_start: int
     clamp_frac: float
+    polish_steps: int
     messages: list[str] = field(default_factory=list)
 
 
@@ -137,12 +160,16 @@ class _GammaProblem:
         th = np.tanh(u / cap)
         return np.exp(cap * th), th
 
-    def residual(self, pi: np.ndarray, cap: float) -> np.ndarray:
-        """Projected moment vector; Q_n is its squared length over n."""
-        gam, _ = self.gamma_at(pi, cap)
+    def _moments(self, pi: np.ndarray, cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """gamma and tanh on the complete cases, and the moment vector S' t."""
+        gam, th = self.gamma_at(pi, cap)
         t = self.t_base.copy()
         t[self.cc] = gam
-        return self.span.T @ t
+        return gam, th, self.span.T @ t
+
+    def residual(self, pi: np.ndarray, cap: float) -> np.ndarray:
+        """Projected moment vector; Q_n is its squared length over n."""
+        return self._moments(pi, cap)[2]
 
     def residual_jac(self, pi: np.ndarray, cap: float) -> np.ndarray:
         gam, th = self.gamma_at(pi, cap)
@@ -150,14 +177,26 @@ class _GammaProblem:
         return (self.span_cc.T * d) @ self.qmat
 
     def value_and_grad(self, pi: np.ndarray, cap: float) -> tuple[float, np.ndarray]:
-        gam, th = self.gamma_at(pi, cap)
-        t = self.t_base.copy()
-        t[self.cc] = gam
-        w = self.span.T @ t
+        gam, th, w = self._moments(pi, cap)
         qn = float(w @ w) / self.n
         ht_cc = (self.span @ w)[self.cc]
         grad = (2.0 / self.n) * (self.qmat.T @ (gam * (1.0 - th * th) * ht_cc))
         return qn, grad
+
+    def hessian(self, pi: np.ndarray, cap: float) -> np.ndarray:
+        """Exact Hessian of Q_n: (2/n) (J'J + Q' diag((S_cc R) g'') Q).
+
+        R = S' t is the moment vector and J = S_cc' diag(g') Q its
+        Jacobian; with s = 1 - th^2 the derivatives of gamma in the
+        linear index are g' = gamma s and g'' = gamma s (s - 2 th / cap).
+        """
+        gam, th, w = self._moments(pi, cap)
+        s = 1.0 - th * th
+        d1 = gam * s
+        d2 = d1 * (s - 2.0 * th / cap)
+        jac = (self.span_cc.T * d1) @ self.qmat
+        curv = (self.span_cc @ w) * d2
+        return (2.0 / self.n) * (jac.T @ jac + (self.qmat.T * curv) @ self.qmat)
 
 
 def _intercept_start(ds: Dataset, spec_q: BasisSpec, cap: float) -> Optional[np.ndarray]:
@@ -176,34 +215,46 @@ def _intercept_start(ds: Dataset, spec_q: BasisSpec, cap: float) -> Optional[np.
 
 @dataclass
 class _Descent:
-    """One Levenberg-Marquardt descent: penalised objective, raw Q_n,
-    the objective's gradient norm, nfev and the end point."""
+    """One descent: penalised objective, raw Q_n, the objective's
+    gradient norm, Levenberg-Marquardt nfev, the Newton steps kept and
+    the end point. polish_stop says why the polish ended above
+    POLISH_GTOL, and is None when it reached it."""
 
     obj: float
     qn: float
     grad_norm: float
     nfev: int
+    polish_steps: int
     pi: np.ndarray
+    polish_stop: Optional[str]
 
 
 def _descend(prob: _GammaProblem, x0: np.ndarray, pi0: np.ndarray,
              options: GammaOptions) -> _Descent:
-    """Levenberg-Marquardt (MINPACK lmder) on the penalised objective from x0.
+    """Levenberg-Marquardt, then an exact-Hessian Newton polish, from x0.
 
-    Gauss-Newton on the projected moment vector: the criterion is a
-    finite sum of squares. Convergence is linear, not quadratic: the
-    penalised criterion keeps a non-zero residual at its minimum, so the
-    dropped second-order term does not vanish there (at n = 1e3 a descent
-    takes 25-27 evaluations, the gradient halving per step). The penalty
-    rows sqrt(lam) (pi - pi0) are always stacked under the moment rows, as
-    zero rows when penalty=0, so the residual has at least as many rows
-    as unknowns even when the conditioning span is rank-deficient.
+    The first phase is MINPACK lmder on the stacked residual, Gauss-Newton
+    on the projected moment vector with the penalty rows sqrt(lam)
+    (pi - pi0) always stacked under the moment rows (zero rows when
+    penalty=0, so the residual has at least as many rows as unknowns
+    even when the conditioning span is rank-deficient). It runs to
+    LM_FTOL only: the penalised criterion keeps a non-zero residual at
+    its minimum, so the second-order term Gauss-Newton drops does not
+    vanish there and the descent converges linearly.
+    The second phase takes Newton steps on the exact Hessian plus
+    2 lam I until the gradient norm is at most POLISH_GTOL, or for
+    POLISH_MAX_STEPS steps. A step is kept when the objective falls, or
+    when it stays within 8 ulps of it and the gradient norm falls: near
+    the optimum the objective moves below its own rounding. A Hessian
+    that is not positive definite, or a step that is not kept, ends the
+    polish at the current point.
     """
     cap = options.linear_cap
     sqrt_n = np.sqrt(prob.n)
     lam = options.penalty / prob.n
     sqrt_lam = np.sqrt(lam)
-    penalty_jac = sqrt_lam * np.eye(len(x0))
+    eye = np.eye(len(x0))
+    penalty_jac = sqrt_lam * eye
 
     def residual(p: np.ndarray) -> np.ndarray:
         return np.concatenate([prob.residual(p, cap) / sqrt_n, sqrt_lam * (p - pi0)])
@@ -211,20 +262,45 @@ def _descend(prob: _GammaProblem, x0: np.ndarray, pi0: np.ndarray,
     def jacobian(p: np.ndarray) -> np.ndarray:
         return np.vstack([prob.residual_jac(p, cap) / sqrt_n, penalty_jac])
 
+    def objective(p: np.ndarray) -> tuple[float, float, np.ndarray, float]:
+        qn, grad = prob.value_and_grad(p, cap)
+        d = p - pi0
+        grad = grad + 2.0 * lam * d
+        return qn + lam * float(d @ d), qn, grad, float(np.sqrt(grad @ grad))
+
     res = scipy.optimize.least_squares(
         residual,
         x0,
         jac=jacobian,
         method="lm",
         xtol=1e-14,
-        ftol=1e-14,
+        ftol=LM_FTOL,
         gtol=1e-14,
         max_nfev=options.max_iter,
     )
-    qn, grad = prob.value_and_grad(res.x, cap)
-    obj = qn + lam * float((res.x - pi0) @ (res.x - pi0))
-    grad_obj = grad + 2.0 * lam * (res.x - pi0)
-    return _Descent(obj, qn, float(np.sqrt(grad_obj @ grad_obj)), int(res.nfev), res.x)
+    pi = res.x
+    obj, qn, grad, gnorm = objective(pi)
+    steps, stop = 0, None
+    while gnorm > POLISH_GTOL:
+        if steps == POLISH_MAX_STEPS:
+            stop = f"step limit {POLISH_MAX_STEPS} reached"
+            break
+        try:
+            with lapack_errors("odds Newton step"):
+                step = scipy.linalg.solve(prob.hessian(pi, cap) + 2.0 * lam * eye, grad,
+                                          assume_a="pos")
+        except UnsolvableSystem:
+            stop = "Hessian not positive definite"
+            break
+        trial = pi - step
+        t_obj, t_qn, t_grad, t_gnorm = objective(trial)
+        ulps = 8.0 * np.finfo(float).eps * abs(obj)
+        if not (t_obj < obj or (t_obj <= obj + ulps and t_gnorm < gnorm)):
+            stop = "Newton step did not lower the objective"
+            break
+        pi, obj, qn, grad, gnorm = trial, t_obj, t_qn, t_grad, t_gnorm
+        steps += 1
+    return _Descent(obj, qn, gnorm, int(res.nfev), steps, pi, stop)
 
 
 def fit_gamma(
@@ -234,14 +310,16 @@ def fit_gamma(
 ) -> tuple[GammaModel, GammaFitReport]:
     """Minimise Q_n plus the n-vanishing ridge by one descent from pi0.
 
-    Levenberg-Marquardt starts from the penalty anchor pi0, the
+    The descent (Levenberg-Marquardt, then the exact-Hessian Newton
+    polish; see _descend) starts from the penalty anchor pi0, the
     marginal-ratio intercept start, or from zero when the marginal
     ratio lies beyond the soft clamp.
     options.restarts random perturbations of that descent's end point
     each descend again; the winner has the lowest objective, then the
     lowest gradient norm, then the first index. The report counts the
     first descent plus the restarts, best_start indexes into them (0 is
-    the descent from pi0) and n_iter is the winning descent's nfev. The
+    the descent from pi0), n_iter is the winning descent's
+    Levenberg-Marquardt nfev and polish_steps its Newton steps. The
     reported q_n is always the raw criterion; grad_norm refers to the
     objective actually minimised.
     """
@@ -262,7 +340,7 @@ def fit_gamma(
         model = GammaModel(spec_q=None, pi=None, linear_cap=cap, is_zero=True)
         report = GammaFitReport(
             q_n=0.0, grad_norm=0.0, n_iter=0, converged=True,
-            n_starts=0, best_start=-1, clamp_frac=0.0,
+            n_starts=0, best_start=-1, clamp_frac=0.0, polish_steps=0,
             messages=["no incomplete records; gamma is identically zero"],
         )
         return model, report
@@ -287,6 +365,9 @@ def fit_gamma(
     clamp_frac = float(np.mean(np.abs(th) > 0.9))
     if clamp_frac > 0:
         messages.append(f"soft clamp active on {clamp_frac:.1%} of complete cases")
+    if win.polish_stop is not None:
+        messages.append(f"Newton polish stopped at gradient norm {win.grad_norm:.3e}, "
+                        f"above {POLISH_GTOL:.0e}: {win.polish_stop}")
     converged = win.grad_norm <= options.grad_tol
     if not converged:
         messages.append(f"gradient norm {win.grad_norm:.3e} above tolerance {options.grad_tol:.1e}")
@@ -294,7 +375,7 @@ def fit_gamma(
     report = GammaFitReport(
         q_n=win.qn, grad_norm=win.grad_norm, n_iter=win.nfev, converged=converged,
         n_starts=len(results), best_start=best, clamp_frac=clamp_frac,
-        messages=messages,
+        polish_steps=win.polish_steps, messages=messages,
     )
     return model, report
 

@@ -55,8 +55,8 @@ def test_full_data_reduction_all_methods_agree(comp2000):
 
 def test_sri_reports_gamma_diagnostics(obs600):
     res = sri_estimate(obs600)
-    assert sorted(res.extras) == ["gamma_converged", "gamma_grad_norm",
-                                  "gamma_messages", "gamma_n_iter", "gamma_q_n"]
+    assert sorted(res.extras) == ["gamma_converged", "gamma_grad_norm", "gamma_messages",
+                                  "gamma_n_iter", "gamma_polish_steps", "gamma_q_n"]
     assert res.extras["gamma_q_n"] >= 0.0
     assert set(res.profiles) == {(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)}
     for est in ESTIMAND_NAMES:

@@ -66,7 +66,7 @@ def test_estimate_output_schema(est_run):
         assert rep["ci_lo"] <= rep["psi_hat"] <= rep["ci_hi"]
         assert {"profile_a", "profile_b"} <= set(rep["diagnostics"])
     assert sorted(doc["profiles"]) == ["000", "001", "011", "111"]
-    assert {"gamma_converged", "gamma_q_n"} <= set(doc["warnings"])
+    assert {"gamma_converged", "gamma_polish_steps", "gamma_q_n"} <= set(doc["warnings"])
     assert doc["validation"]["n"] == 2000
 
 

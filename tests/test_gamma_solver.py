@@ -8,6 +8,7 @@ from shadowpse.data_model import Dataset, DatasetDims
 from shadowpse.errors import ConfigError, DegenerateTarget, EstimationError, LengthMismatch
 from shadowpse import gamma_solver
 from shadowpse.gamma_solver import (
+    POLISH_GTOL,
     GammaOptions,
     _GammaProblem,
     _descend,
@@ -252,6 +253,54 @@ def test_gradient_matches_finite_differences():
             fd[j] = (up - dn) / (2.0 * h)
         rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
         assert rel <= 1e-5
+
+
+def test_hessian_matches_finite_differences_of_gradient():
+    """A small cap makes the tanh curvature term -2 th / cap matter."""
+    full, obs = generate(DgpConfig(n=300, seed=seq(12)))
+    bundle = build_spec_bundle(obs, SieveOptions(degree=1, include_interactions=False))
+    designs = SampleDesigns(obs, bundle)
+    prob = _GammaProblem(designs)
+    rng = rng_for(12, 1)
+    cap, h = 2.0, 1e-6
+    for _ in range(10):
+        pi = 0.5 * rng.standard_normal(bundle.q.dim)
+        hess = prob.hessian(pi, cap)
+        fd = np.zeros_like(hess)
+        for j in range(len(pi)):
+            e = np.zeros_like(pi)
+            e[j] = h
+            up = prob.value_and_grad(pi + e, cap)[1]
+            dn = prob.value_and_grad(pi - e, cap)[1]
+            fd[:, j] = (up - dn) / (2.0 * h)
+        assert np.max(np.abs(np.tanh(designs.q @ pi / cap))) > 0.5
+        np.testing.assert_allclose(hess, hess.T, rtol=0.0, atol=1e-14)
+        rel = np.linalg.norm(hess - fd) / np.linalg.norm(fd)
+        assert rel <= 1e-6
+
+
+def test_polish_reaches_its_gradient_tolerance():
+    full, obs = generate(DgpConfig(n=1000, seed=seq(13)))
+    designs = SampleDesigns(obs, build_spec_bundle(obs))
+    _, report = fit_gamma(obs, designs, GammaOptions())
+    assert report.grad_norm <= POLISH_GTOL
+    assert report.polish_steps >= 1
+    assert not any("Newton polish" in msg for msg in report.messages)
+
+
+@pytest.mark.parametrize("patch, reason", [
+    (lambda mp: mp.setattr(gamma_solver, "POLISH_MAX_STEPS", 0), "step limit 0 reached"),
+    (lambda mp: mp.setattr(_GammaProblem, "hessian", lambda self, pi, cap: -np.eye(len(pi))),
+     "Hessian not positive definite"),
+])
+def test_polish_that_stops_early_says_why(monkeypatch, obs600, patch, reason):
+    designs = SampleDesigns(obs600, build_spec_bundle(obs600))
+    patch(monkeypatch)
+    _, report = fit_gamma(obs600, designs, GammaOptions())
+    assert report.polish_steps == 0
+    assert report.grad_norm > POLISH_GTOL
+    assert [msg for msg in report.messages if "Newton polish" in msg] == [
+        f"Newton polish stopped at gradient norm {report.grad_norm:.3e}, above 1e-11: {reason}"]
 
 
 def test_criterion_invariant_to_projection_reparametrisation(obs2000, bundle2000):
