@@ -12,10 +12,9 @@ are NaN rows aligned with R = 0.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, TextIO
 
 import numpy as np
 
@@ -399,8 +398,10 @@ def read_descriptor(path: str) -> tuple[int, dict]:
     return k, columns
 
 
-def _load_table(body: str, header: list[str], idx: dict, columns: dict) -> Optional[np.ndarray]:
-    """Every cell of the records as one float table, by one np.loadtxt call.
+def _load_table(records: TextIO, header: list[str], idx: dict,
+                columns: dict) -> Optional[np.ndarray]:
+    """Every cell of the records as one float table, by one np.loadtxt
+    call on the open file, from its position on.
 
     Only the x_miss columns read missing tokens, as NaN, and columns the
     descriptor does not declare are not parsed. None when loadtxt
@@ -413,7 +414,7 @@ def _load_table(body: str, header: list[str], idx: dict, columns: dict) -> Optio
     converters = {j: _unread_cell for j in range(len(header)) if j not in declared}
     converters.update({idx[name]: _missing_as_nan for name in columns["x_miss"]})
     try:
-        table = np.loadtxt(io.StringIO(body), dtype=float, delimiter=",", comments=None,
+        table = np.loadtxt(records, dtype=float, delimiter=",", comments=None,
                            quotechar='"', ndmin=2, converters=converters)
     except ValueError:
         return None
@@ -428,8 +429,9 @@ def _load_table(body: str, header: list[str], idx: dict, columns: dict) -> Optio
     return table
 
 
-def _read_cells(body: str, header: list[str], idx: dict, columns: dict) -> np.ndarray:
-    """The table of _load_table, read by the csv module cell by cell.
+def _read_cells(records: TextIO, header: list[str], idx: dict, columns: dict) -> np.ndarray:
+    """The table of _load_table, read by the csv module cell by cell
+    from the open file's position on.
 
     Raises the error that names the row or column at fault. The checks
     run in a fixed order, so a file with several faults always names
@@ -437,7 +439,7 @@ def _read_cells(body: str, header: list[str], idx: dict, columns: dict) -> np.nd
     x_miss, x_obs and mediator blocks, column by column. Columns the
     descriptor does not declare stay NaN.
     """
-    rows = [row for row in csv.reader(io.StringIO(body, newline="")) if row]
+    rows = [row for row in csv.reader(records) if row]
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise DimensionMismatch(f"row {i + 2}: {len(row)} cells for {len(header)} columns")
@@ -464,33 +466,36 @@ def read_csv(data_path: str, descriptor_path: str) -> Dataset:
 
     Column order in the file is free; columns are matched by name.
     Blank lines are skipped. The records are parsed by one np.loadtxt
-    call, which reads a missing token (empty, na or nan in any case) as
-    NaN in the x_miss columns only. A file that loadtxt rejects, or one
-    with a NaN in an always-observed column or an r or a value that is
-    fractional or outside the integer range, is read again cell by cell
-    through the csv module, which raises the error naming the row or
+    call on the open file, so no copy of the text is held; it reads a
+    missing token (empty, na or nan in any case) as NaN in the x_miss
+    columns only. A file that loadtxt rejects, or one with a NaN in an
+    always-observed column or an r or a value that is fractional or
+    outside the integer range, is read again from the first record, cell
+    by cell, through the csv module, which raises the error naming the row or
     column at fault (or returns the same table when float() reads every
     cell, as it does "1_000"). Columns the descriptor does not declare
     are never parsed.
     """
     k, columns = read_descriptor(descriptor_path)
     with open(data_path, newline="") as fh:
+        # readline, not iteration, so that tell() can mark where the records start
+        lines = iter(fh.readline, "")
         try:
-            header = next(csv.reader(fh))
+            header = [h.strip() for h in next(csv.reader(lines))]
         except StopIteration:
             raise EmptyDataset(f"{data_path} is empty")
-        body = fh.read()
-    header = [h.strip() for h in header]
-    idx = {name: i for i, name in enumerate(header)}
-    for name in header_order(columns):
-        if name not in idx:
-            raise DimensionMismatch(f"column {name!r} declared but absent from {data_path}")
-    if not body.strip("\r\n"):
-        raise EmptyDataset(f"{data_path} has a header but no records")
-
-    table = _load_table(body, header, idx, columns)
-    if table is None:
-        table = _read_cells(body, header, idx, columns)
+        idx = {name: i for i, name in enumerate(header)}
+        for name in header_order(columns):
+            if name not in idx:
+                raise DimensionMismatch(f"column {name!r} declared but absent from {data_path}")
+        records = fh.tell()
+        if not any(line.strip("\r\n") for line in lines):
+            raise EmptyDataset(f"{data_path} has a header but no records")
+        fh.seek(records)
+        table = _load_table(fh, header, idx, columns)
+        if table is None:
+            fh.seek(records)
+            table = _read_cells(fh, header, idx, columns)
 
     def column(name: str) -> np.ndarray:
         return np.ascontiguousarray(table[:, idx[name]])

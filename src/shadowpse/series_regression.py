@@ -4,7 +4,9 @@ orthonormal_span returns an orthonormal basis of a design's column
 space from two passes over its Gram matrix (CholeskyQR2); projections
 built from it are exactly idempotent and invariant to invertible
 reparameterisations of the columns, which the odds-function criterion
-and the influence-function pieces rely on.
+and the influence-function pieces rely on. Both passes overwrite one
+buffer in row blocks: a copy of the argument, or for the conditioning
+span of SampleDesigns the design matrix itself.
 span_least_squares solves weighted least squares on a design through
 that span: the normal equations reduce to a system with one row per
 span column, so a design whose span is built needs no second large
@@ -46,6 +48,8 @@ from .sieve_basis import BasisSpec, SpecBundle, design_matrix
 # Gram eigenvalues at or below the largest times this are treated as zero
 # by orthonormal_span: a singular-value ratio of about 3e-7
 SPAN_EIG_RTOL = 1e-13
+# rows per block when a Gram pass overwrites its matrix in place
+SPAN_BLOCK_ROWS = 8192
 
 
 @contextmanager
@@ -140,8 +144,8 @@ def project_residual_orthogonality(
     return float(np.max(np.abs(basis.T @ resid)) / max(len(v), 1))
 
 
-def _gram_pass(m: np.ndarray) -> np.ndarray:
-    """m V diag(w)^(-1/2) over the eigenpairs (w, V) of m' m whose
+def _gram_map(m: np.ndarray) -> np.ndarray:
+    """V diag(w)^(-1/2) over the eigenpairs (w, V) of m' m whose
     eigenvalue lies above SPAN_EIG_RTOL times the largest."""
     gram = m.T @ m
     if not np.isfinite(gram).all():
@@ -149,7 +153,34 @@ def _gram_pass(m: np.ndarray) -> np.ndarray:
     with lapack_errors("orthonormal span"):
         w, v = np.linalg.eigh(gram)
     keep = w > max(w[-1], 0.0) * SPAN_EIG_RTOL
-    return m @ (v[:, keep] / np.sqrt(w[keep]))
+    return v[:, keep] / np.sqrt(w[keep])
+
+
+def _span_in_place(m: np.ndarray) -> np.ndarray:
+    """orthonormal_span(m), written over m itself.
+
+    Each pass overwrites m block by block, m[rows] = m[rows] @ T, so the
+    matrix, the first pass and the span never coexist. Each row of the
+    product is the same sum as in m @ T; the blocks are near-equal, so
+    none is a lone row, which numpy would hand to gemv instead of gemm.
+    A pass that drops columns moves the columns it keeps to a fresh
+    array, laid out as m @ T would be.
+    """
+    if m.size == 0:
+        return np.zeros((m.shape[0], 0))
+    n = len(m)
+    count = -(-n // SPAN_BLOCK_ROWS)
+    bounds = [n * i // count for i in range(count + 1)]
+    for _ in range(2):
+        t = _gram_map(m)
+        k = t.shape[1]
+        for start, stop in zip(bounds, bounds[1:]):
+            m[start:stop, :k] = m[start:stop] @ t
+        if k < m.shape[1]:
+            m = np.ascontiguousarray(m[:, :k])
+        if k == 0:
+            break
+    return m
 
 
 def orthonormal_span(matrix: np.ndarray) -> np.ndarray:
@@ -161,14 +192,9 @@ def orthonormal_span(matrix: np.ndarray) -> np.ndarray:
     most SPAN_EIG_RTOL times the largest; the second pass repeats it on
     that result, which restores orthonormality to rounding level for a
     well-conditioned matrix. The rank is the number of columns kept.
+    Both passes run on one copy of matrix, which is left as it was.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.size == 0:
-        return np.zeros((m.shape[0], 0))
-    first = _gram_pass(m)
-    if first.shape[1] == 0:
-        return first
-    return _gram_pass(first)
+    return _span_in_place(np.array(matrix, dtype=float))
 
 
 def project_onto(span: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -242,6 +268,13 @@ class SampleDesigns:
     of the run reads the same ones. Rows are complete cases except for
     the conditioning span, which covers every record.
 
+    The conditioning span is the largest array of a run: at n = 1e5 and
+    the default sieve it is 31 MB. It is built over the buffer its
+    design was written into, and it is the one copy held. Its
+    complete-case rows, p_span_cc, are copied on each read and kept by
+    their reader only: the odds fit for its descent and
+    representer_system for the product p_span_cc' q.
+
     fits(odds) is the memo of the nuisance fits made under one vector
     of odds values, shared by every profile of the run. A profile
     (a_1..a_{K+1}) reads mu_k under ("mu", k, (a_k..a_{K+1})), the
@@ -283,13 +316,15 @@ class SampleDesigns:
 
     @cached_property
     def p_span(self) -> np.ndarray:
-        """Orthonormal basis of the conditioning design's column span."""
-        pmat = design_matrix(self.bundle.p, self.ds.conditioning_points())
-        return _frozen(orthonormal_span(pmat))
+        """Orthonormal basis of the conditioning design's column span,
+        built over the design's own buffer."""
+        return _frozen(_span_in_place(design_matrix(self.bundle.p, self.ds.conditioning_points())))
 
-    @cached_property
+    @property
     def p_span_cc(self) -> np.ndarray:
-        """The complete-case rows of p_span."""
+        """The complete-case rows of p_span, copied anew on each read and
+        held by no one here: the odds fit and representer_system each
+        take them once and drop them when done."""
         return _frozen(self.p_span[self.ds.complete_mask])
 
     @cached_property

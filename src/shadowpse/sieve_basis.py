@@ -100,7 +100,13 @@ class BasisSpec:
 
 
 def design_matrix(spec: BasisSpec, points: np.ndarray) -> np.ndarray:
-    """Evaluate the basis at each row of points; returns (n, spec.dim)."""
+    """Evaluate the basis at each row of points; returns (n, spec.dim).
+
+    The columns are written into one preallocated array, in column
+    order: the intercept, then per coordinate u, then each higher power
+    as the previous power times u, then the pair products. The caller
+    owns the array, so a span may be built over it in place.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -112,15 +118,19 @@ def design_matrix(spec: BasisSpec, points: np.ndarray) -> np.ndarray:
         raise NonFiniteInput("design_matrix: non-finite input point")
     u = spec.standardizer.apply(pts)
 
-    cols = [np.ones(u.shape[0])]
+    out = np.empty((u.shape[0], spec.dim))
+    out[:, 0] = 1.0
+    col = 1
     for j, degree in enumerate(spec.degrees):
-        uj = u[:, j]
-        p = uj.copy()
-        for _ in range(degree):
-            cols.append(p)
-            p = p * uj
-    cols.extend(u[:, i] * u[:, j] for i, j in spec._pairs())
-    return np.column_stack(cols)
+        if degree:
+            out[:, col] = u[:, j]
+            for c in range(col + 1, col + degree):
+                np.multiply(out[:, c - 1], u[:, j], out=out[:, c])
+        col += degree
+    for i, j in spec._pairs():
+        np.multiply(u[:, i], u[:, j], out=out[:, col])
+        col += 1
+    return out
 
 
 def spec_for(

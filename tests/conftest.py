@@ -16,6 +16,13 @@ def pair2000():
 
 
 @pytest.fixture(scope="session")
+def obs20000():
+    """Observed draw at n=20000, tall enough that a span is built over
+    its design in several row blocks."""
+    return generate(DgpConfig(n=20000, seed=seq(3)))[1]
+
+
+@pytest.fixture(scope="session")
 def obs2000(pair2000):
     return pair2000[1]
 

@@ -6,6 +6,8 @@ run). The two Monte Carlo fixtures dominate the runtime; expect a few
 minutes on a single core.
 """
 
+import os
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -53,14 +55,14 @@ def check(ok, label, detail):
 def mc_main():
     return run_monte_carlo(DgpConfig(n=1000), reps=1000,
                            methods=["oracle", "sri"],
-                           master_seed=MASTER_SEED)
+                           master_seed=MASTER_SEED, workers=os.cpu_count())
 
 
 @pytest.fixture(scope="module")
 def mc_large():
     return run_monte_carlo(DgpConfig(n=2000), reps=150,
                            methods=["cca", "mi"],
-                           master_seed=MASTER_SEED)
+                           master_seed=MASTER_SEED, workers=os.cpu_count())
 
 
 def test_criterion_1_oracle_calibration(mc_main):

@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -420,6 +421,23 @@ def test_fractional_integer_cell_names_its_column(cell, column, path, tmp_path):
     with pytest.raises(DimensionMismatch) as info:
         read_csv(str(data), str(desc))
     assert str(info.value) == f"row 7: non-integer value {cell!r} in column {column!r}"
+
+
+def test_read_csv_peaks_under_one_and_a_half_file_sizes(obs20000, tmp_path):
+    """loadtxt reads the open file, so no copy of the text is held:
+    tracemalloc's peak, which counts every numpy array and Python
+    string, stays under 1.5 times the file's size."""
+    data, desc = tmp_path / "d.csv", tmp_path / "d.json"
+    write_csv(obs20000, str(data))
+    write_descriptor(obs20000, str(desc))
+    read_csv(str(data), str(desc))
+    tracemalloc.start()
+    try:
+        read_csv(str(data), str(desc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * data.stat().st_size
 
 
 def test_header_only_file_warns_nothing(tmp_path, recwarn):

@@ -3,6 +3,7 @@ shared across stages and profiles without changing any result."""
 
 import hashlib
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -40,12 +41,14 @@ def record_calls(monkeypatch, original, record) -> list:
 
 
 def count_spans(monkeypatch) -> list:
-    """Record (shape, content digest) of every orthonormal_span argument."""
+    """Record (shape, content digest) of every matrix a span is built
+    over: orthonormal_span and the conditioning span both pass through
+    _span_in_place, and the digest is taken before it writes."""
     def digest(args, kwargs):
-        matrix = np.ascontiguousarray(kwargs["matrix"] if "matrix" in kwargs else args[0])
+        matrix = np.ascontiguousarray(args[0])
         return matrix.shape, hashlib.sha256(matrix.tobytes()).hexdigest()
 
-    return record_calls(monkeypatch, series_regression.orthonormal_span, digest)
+    return record_calls(monkeypatch, series_regression._span_in_place, digest)
 
 
 def count_odds_evaluations(monkeypatch) -> list:
@@ -108,6 +111,56 @@ def constant_x_miss(ds: Dataset) -> Dataset:
     out = ds.subset(np.ones(ds.n, dtype=bool))
     out.x_miss = np.where(ds.complete_mask[:, None], 0.5, np.nan)
     return out
+
+
+def whole_matrix_span(mat: np.ndarray) -> np.ndarray:
+    """CholeskyQR2 as two whole-matrix products m @ T, each T from the
+    eigenpairs of m' m above SPAN_EIG_RTOL times the largest."""
+    m = mat
+    for _ in range(2):
+        w, v = np.linalg.eigh(m.T @ m)
+        keep = w > max(w[-1], 0.0) * series_regression.SPAN_EIG_RTOL
+        m = m @ (v[:, keep] / np.sqrt(w[keep]))
+    return m
+
+
+@pytest.mark.parametrize("n, deficient", [(2000, False), (20000, False), (20000, True)])
+def test_conditioning_span_built_in_place_matches_fresh_spans(n, deficient, obs2000, obs20000):
+    """p_span, built over its design's buffer in row blocks, is byte-equal
+    to orthonormal_span of a fresh design and to whole-matrix products;
+    p_span_cc is its complete-case rows, copied anew on each read."""
+    ds = obs2000 if n == 2000 else obs20000
+    if deficient:  # a constant z zeroes every p column built from it
+        ds = ds.subset(np.ones(ds.n, dtype=bool))
+        ds.z = np.full_like(ds.z, 0.3)
+    designs = SampleDesigns(ds, build_spec_bundle(ds))
+    design = sieve_basis.design_matrix(designs.bundle.p, ds.conditioning_points())
+    span = designs.p_span
+    assert (n > series_regression.SPAN_BLOCK_ROWS) == (n == 20000)
+    assert (span.shape[1] < design.shape[1]) == deficient
+    for want in (series_regression.orthonormal_span(design), whole_matrix_span(design)):
+        assert span.shape == want.shape
+        assert span.tobytes() == want.tobytes()
+    span_cc = designs.p_span_cc
+    assert span_cc.tobytes() == span[ds.complete_mask].tobytes()
+    assert not span_cc.flags.writeable
+    assert designs.p_span_cc is not span_cc
+
+
+def test_second_sri_estimate_peaks_under_three_and_a_half_designs(obs20000):
+    """tracemalloc's peak over a repeated sri_estimate, which counts every
+    numpy array, stays at most 3.5 conditioning designs of n x p.dim
+    doubles: the span is built over its design, and no copy of its
+    complete-case rows outlives its reader."""
+    p_dim = build_spec_bundle(obs20000).p.dim
+    sri_estimate(obs20000)
+    tracemalloc.start()
+    try:
+        sri_estimate(obs20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * obs20000.n * p_dim * 8
 
 
 def test_fit_ranks_are_real_on_rank_deficient_designs(obs600):

@@ -215,6 +215,18 @@ def test_orthonormal_span_matches_svd_span(make, shape):
                                rtol=0.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("make", [conditioning_design_1000, quadratic_design_2000,
+                                  lambda: np.column_stack([quadratic_design_2000()] * 2)],
+                         ids=["1000x39", "2000x11", "rank-deficient"])
+def test_orthonormal_span_leaves_its_argument_unchanged(make):
+    mat = make()
+    assert mat.flags.writeable
+    before = mat.copy()
+    span = orthonormal_span(mat)
+    assert not np.shares_memory(span, mat)
+    assert mat.tobytes() == before.tobytes()
+
+
 def test_orthonormal_span_degenerate_matrices():
     base = rng_for(316).standard_normal((40, 4))
     duplicated = orthonormal_span(np.column_stack([base, base[:, :2], base]))

@@ -108,6 +108,38 @@ def test_design_matrix_does_not_mutate_points():
     np.testing.assert_array_equal(pts, before)
 
 
+def column_stack_design(spec, points):
+    """design_matrix as a list of columns joined by np.column_stack: the
+    intercept, per coordinate u then each power as the previous one
+    times u, then the pair products."""
+    u = spec.standardizer.apply(np.asarray(points, dtype=float).reshape(len(points), -1))
+    cols = [np.ones(len(u))]
+    for j, degree in enumerate(spec.degrees):
+        power = u[:, j].copy()
+        for _ in range(degree):
+            cols.append(power)
+            power = power * u[:, j]
+    cols.extend(u[:, i] * u[:, j] for i, j in spec._pairs())
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 301])
+@pytest.mark.parametrize("inter", [True, False])
+@pytest.mark.parametrize("degrees", [(3,), (0,), (3, 0, 2), (0, 0), (3, 1, 1, 3),
+                                     (4, 1, 0, 2, 3)])
+def test_design_matrix_equals_column_stack_reference(degrees, inter, rows):
+    """Byte for byte, on standardized points with binary coordinates
+    capped at power one by spec_for and on degrees that include 0."""
+    pts = rng_for(206, len(degrees), rows).standard_normal((rows, len(degrees)))
+    pts[:, [d == 1 for d in degrees]] = pts[:, [d == 1 for d in degrees]] > 0
+    spec = spec_for(pts, degree=max(degrees), include_interactions=inter)
+    spec = replace(spec, degrees=tuple(min(d, c) for d, c in zip(degrees, spec.degrees)))
+    got, want = design_matrix(spec, pts), column_stack_design(spec, pts)
+    assert got.shape == want.shape == (rows, spec.dim)
+    assert got.dtype == want.dtype and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
 def test_fit_standardizer_values():
     std = fit_standardizer(np.array([[0.0], [1.0]]))
     np.testing.assert_allclose(std.center, [0.5])
