@@ -27,7 +27,7 @@ import numpy as np
 from .data_model import Dataset, complete_cases
 from .errors import ConfigError, InsufficientCompleteCases
 from .estimator import TreatmentProfile, named_estimand, validate_profile
-from .gamma_solver import GammaModel, GammaOptions, fit_gamma
+from .gamma_solver import GammaOptions, fit_gamma
 from .inference import InferenceReport, analyze_profile, variance_and_ci, z_critical
 from .series_regression import SampleDesigns, lapack_errors
 from .sieve_basis import SieveOptions, build_spec_bundle
@@ -69,10 +69,6 @@ def resolve_estimands(ds_k: int, estimands: Optional[Sequence[EstimandSpec]]) ->
     return out
 
 
-def _zero_gamma() -> GammaModel:
-    return GammaModel(spec_q=None, pi=None, linear_cap=10.0, is_zero=True)
-
-
 def _run_pipeline(
     ds: Dataset,
     estimands: dict,
@@ -84,16 +80,18 @@ def _run_pipeline(
     """The sieve pipeline; gamma_options=None sets the odds to zero,
     otherwise the odds are fitted on ds and their report goes to extras.
 
-    Each distinct profile is analysed once; a contrast psi_a - psi_b
-    takes the difference of its two profiles' influence values. Every
-    stage reads the sample's designs from one SampleDesigns, which is
-    dropped when the run returns."""
+    The odds values are worked out once, one per record, and handed to
+    every stage with the sample's designs from one SampleDesigns, which
+    is dropped when the run returns. Each distinct profile is analysed
+    once; a contrast psi_a - psi_b takes the difference of its two
+    profiles' influence values."""
     designs = SampleDesigns(ds, build_spec_bundle(ds, sieve))
     extras = {}
     if gamma_options is None:
-        gamma = _zero_gamma()
+        odds = np.zeros(ds.n)
     else:
-        gamma, gamma_report = fit_gamma(ds, designs, gamma_options)
+        gamma, gamma_report = fit_gamma(designs, gamma_options)
+        odds = gamma.values(designs)
         extras = {
             "gamma_q_n": gamma_report.q_n,
             "gamma_grad_norm": gamma_report.grad_norm,
@@ -102,12 +100,13 @@ def _run_pipeline(
             "gamma_polish_steps": gamma_report.polish_steps,
             "gamma_messages": list(gamma_report.messages),
         }
+    odds.flags.writeable = False  # so designs.fits knows it by identity
     analyses = {}
     reports = {}
     for name, (pa, pb) in estimands.items():
         for prof in (pa, pb):
             if prof not in analyses:
-                analyses[prof] = analyze_profile(ds, gamma, prof, designs, level)
+                analyses[prof] = analyze_profile(designs, odds, prof, level)
         a, b = analyses[pa], analyses[pb]
         diag = {"profile_a": list(pa), "profile_b": list(pb),
                 "psi_a": a.psi_hat, "psi_b": b.psi_hat}
@@ -187,7 +186,7 @@ def mi_estimate(
     on the completed data. Pooled variance is W + (1 + 1/m) B.
     """
     if m < 2:
-        raise InsufficientCompleteCases("multiple imputation needs m >= 2")
+        raise ConfigError("multiple imputation needs m >= 2")
     wanted = resolve_estimands(ds.k, estimands)
     cc_mask = ds.complete_mask
     design = np.hstack([np.ones((ds.n, 1)), ds.conditioning_points()])

@@ -10,22 +10,23 @@ fits Y on (x, m_1..m_K) with weights 1{A = a_{K+1}} R (1 + gamma_hat),
 and each mu_k fits the previous fit's predictions on (x, m_1..m_{k-1})
 with weights 1{A = a_k} R (1 + gamma_hat). The (1 + gamma_hat) factor
 reweights complete cases back to the full population.
+
+Each stage takes the run's SampleDesigns, which carry the dataset, and
+the odds values gamma_hat: one entry per record, 0.0 at r = 0, worked
+out once per run by the pipeline (baselines).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .data_model import Dataset
 from .errors import DimensionMismatch
-from .gamma_solver import GammaModel
 from .series_regression import SampleDesigns, SeriesRegressor
 
 TreatmentProfile = tuple[int, ...]
-GammaLike = Union[GammaModel, np.ndarray]
 
 
 def validate_profile(profile: Sequence[int], k: int) -> TreatmentProfile:
@@ -58,52 +59,32 @@ def named_estimand(name: str, k: int) -> tuple[TreatmentProfile, TreatmentProfil
     raise DimensionMismatch(f"unknown estimand {name!r} for K={k}")
 
 
-def gamma_values_for(designs: SampleDesigns, gamma: GammaLike) -> np.ndarray:
-    """Per-record odds values; accepts a model or a precomputed vector.
-
-    A model is evaluated once per designs object and the values reused.
-    """
-    if isinstance(gamma, GammaModel):
-        return designs.odds_values(gamma)
-    vals = np.asarray(gamma, dtype=float)
-    if vals.shape != (designs.ds.n,):
-        raise DimensionMismatch("gamma values must align with the dataset")
-    return vals
-
-
 @dataclass
 class NuisanceFits:
     """Backward chain mu_1..mu_{K+1} for one profile.
 
     mu[k-1] is the fit for mu_k and values[k-1] its fitted values on the
-    complete cases; gamma holds whatever was passed in (model or raw
-    values) so downstream stages reuse the same weights.
+    complete cases.
     """
 
     profile: TreatmentProfile
     mu: list[SeriesRegressor]
     values: list[np.ndarray]
-    gamma: GammaLike
 
 
-def fit_mu_chain(
-    ds: Dataset,
-    gamma: GammaLike,
-    profile: Sequence[int],
-    designs: SampleDesigns,
-) -> NuisanceFits:
+def fit_mu_chain(designs: SampleDesigns, odds: np.ndarray,
+                 profile: Sequence[int]) -> NuisanceFits:
     """Fit the K+1 weighted regressions, outcome level first; each mu_k
     is shared through designs.fits with every profile of the same suffix,
     and each is solved through the span of u(k) against
     designs.arm_lstsq(k, a_k, odds), the one small weighted system per
     (k, a_k) that the omega_k fits on that arm read too."""
-    designs.check(ds)
+    ds = designs.ds
     prof = validate_profile(profile, ds.k)
     u_specs = designs.bundle.u
     if len(u_specs) != ds.k + 1:
         raise DimensionMismatch(f"need {ds.k + 1} mu bases, got {len(u_specs)}")
-    gvals = gamma_values_for(designs, gamma)
-    memo = designs.fits(gvals)
+    memo = designs.fits(odds)
 
     mu: list[SeriesRegressor] = [None] * (ds.k + 1)  # type: ignore[list-item]
     values: list[np.ndarray] = [None] * (ds.k + 1)  # type: ignore[list-item]
@@ -111,20 +92,20 @@ def fit_mu_chain(
     for k in range(ds.k + 1, 0, -1):
         key = ("mu", k, prof[k - 1:])
         if key not in memo:
-            system = designs.arm_lstsq(k, prof[k - 1], gvals)
+            system = designs.arm_lstsq(k, prof[k - 1], odds)
             reg = system.regressor(u_specs[k - 1], system.solve(response))
             # next level regresses mu_k evaluated at (x, m_1..m_{k-1})
             memo[key] = (reg, designs.u(k) @ reg.coef)
         mu[k - 1], values[k - 1] = memo[key]
         response = values[k - 1]
-    return NuisanceFits(profile=prof, mu=mu, values=values, gamma=gamma)
+    return NuisanceFits(profile=prof, mu=mu, values=values)
 
 
-def estimate_psi(ds: Dataset, fits: NuisanceFits, designs: SampleDesigns) -> float:
-    """Average the reweighted mu_1 predictions over the whole sample."""
-    designs.check(ds)
-    gvals = gamma_values_for(designs, fits.gamma)
+def estimate_psi(designs: SampleDesigns, odds: np.ndarray, fits: NuisanceFits) -> float:
+    """Average the reweighted mu_1 predictions over the whole sample;
+    odds are the values the chain was fitted under."""
+    ds = designs.ds
     cc = ds.complete_mask
     plugin = np.zeros(ds.n)
-    plugin[cc] = (1.0 + gvals[cc]) * fits.values[0]
+    plugin[cc] = (1.0 + odds[cc]) * fits.values[0]
     return float(plugin.mean())

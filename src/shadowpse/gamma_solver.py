@@ -304,7 +304,6 @@ def _descend(prob: _GammaProblem, x0: np.ndarray, pi0: np.ndarray,
 
 
 def fit_gamma(
-    ds: Dataset,
     designs: SampleDesigns,
     options: GammaOptions = GammaOptions(),
 ) -> tuple[GammaModel, GammaFitReport]:
@@ -323,7 +322,7 @@ def fit_gamma(
     reported q_n is always the raw criterion; grad_norm refers to the
     objective actually minimised.
     """
-    designs.check(ds)
+    ds = designs.ds
     spec_q, spec_p = designs.bundle.q, designs.bundle.p
     if spec_p.dim < spec_q.dim:
         raise ConfigError(
@@ -380,20 +379,16 @@ def fit_gamma(
     return model, report
 
 
-def weak_norm_sq(
-    values_a: np.ndarray,
-    values_b: np.ndarray,
-    ds: Dataset,
-    designs: SampleDesigns,
-) -> float:
+def weak_norm_sq(values_a: np.ndarray, values_b: np.ndarray, designs: SampleDesigns) -> float:
     """Squared weak norm (1/n) || Ehat{ R (g_a - g_b) | W } ||^2.
 
-    values_* are per-record evaluations aligned with ds (entries at
-    r = 0 are ignored through the multiplication by r). The weak norm
-    is the natural convergence metric for the odds function: it only
-    sees differences through the conditioning projection.
+    values_* are per-record evaluations aligned with the designs'
+    dataset (entries at r = 0 are ignored through the multiplication by
+    r). The weak norm is the natural convergence metric for the odds
+    function: it only sees differences through the conditioning
+    projection.
     """
-    designs.check(ds)
+    ds = designs.ds
     va = np.asarray(values_a, dtype=float)
     vb = np.asarray(values_b, dtype=float)
     if va.shape != (ds.n,) or vb.shape != (ds.n,):

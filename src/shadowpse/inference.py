@@ -30,18 +30,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data_model import Dataset
 from .errors import DimensionMismatch, LengthMismatch
 from .estimator import (
-    GammaLike,
     NuisanceFits,
     TreatmentProfile,
     estimate_psi,
     fit_mu_chain,
-    gamma_values_for,
     validate_profile,
 )
-from .gamma_solver import GammaModel
 from .series_regression import FitDiagnostics, SampleDesigns, SeriesRegressor, project_onto
 
 OMEGA_FLOOR = 1e-3
@@ -60,7 +56,7 @@ class OmegaFits:
 
     identically_one[k-1] marks levels where a_k = a_{k-1} and omega_k
     is exactly one by construction (no fit is stored or consulted).
-    Raw evaluations are floored at `floor`: the ratios are positive by
+    Raw evaluations are floored at OMEGA_FLOOR: the ratios are positive by
     definition but sieve fits can dip negative in sparse regions.
     cumulative[k-1] stores the floored product omega_1..omega_k pushed
     back onto the k-th mu basis, so the phi augmentation terms stay
@@ -74,14 +70,13 @@ class OmegaFits:
     identically_one: list[bool]
     cumulative: list[SeriesRegressor]
     cumulative_values: list[np.ndarray]
-    floor: float
     floor_events: int
     moment_residual_sup: float
 
 
 def _fit_omega(
     designs: SampleDesigns, k: int, arm_level: int, target: np.ndarray,
-    gvals: np.ndarray,
+    odds: np.ndarray,
 ) -> tuple[SeriesRegressor, float, np.ndarray]:
     """omega_k, its moment residual sup and its raw values on the
     complete cases.
@@ -90,8 +85,8 @@ def _fit_omega(
     span' ((1 + gamma) target) has the matrix of the mu_k fits on arm
     a_k, so it is solved against their designs.arm_lstsq(k, a_k, odds).
     """
-    system = designs.arm_lstsq(k, arm_level, gvals)
-    rhs = system.span.T @ ((1.0 + gvals[designs.ds.complete_mask]) * target)
+    system = designs.arm_lstsq(k, arm_level, odds)
+    rhs = system.span.T @ ((1.0 + odds[designs.ds.complete_mask]) * target)
     coef = system.pinv @ rhs
     resid = system.reduced @ coef - rhs
     resid_sup = float(np.max(np.abs(system.span @ resid))) if resid.size else 0.0
@@ -99,13 +94,7 @@ def _fit_omega(
     return reg, resid_sup, designs.u(k) @ coef
 
 
-def fit_omegas(
-    ds: Dataset,
-    gamma: GammaLike,
-    profile: Sequence[int],
-    designs: SampleDesigns,
-    floor: float = OMEGA_FLOOR,
-) -> OmegaFits:
+def fit_omegas(designs: SampleDesigns, odds: np.ndarray, profile: Sequence[int]) -> OmegaFits:
     """Fit each omega_k from its conditional moment restriction.
 
     omega_1 solves E[(1+gamma)(1{A=a_1} w(X) - 1) | R=1, X] = 0 and, for
@@ -119,10 +108,9 @@ def fit_omegas(
     The cumulative fits are unweighted least squares on the k-th mu
     basis, solved through designs.u_lstsq(k).
     """
-    designs.check(ds)
+    ds = designs.ds
     prof = validate_profile(profile, ds.k)
-    gvals = gamma_values_for(designs, gamma)
-    memo = designs.fits(gvals)
+    memo = designs.fits(odds)
     cc = ds.complete_mask
     a_cc = ds.a[cc]
 
@@ -139,7 +127,7 @@ def fit_omegas(
         key = ("omega", k, prof[k - 2:k] if k >= 2 else prof[:1])
         if key not in memo:
             target = np.ones(len(a_cc)) if k == 1 else (a_cc == prof[k - 2]).astype(float)
-            memo[key] = _fit_omega(designs, k, prof[k - 1], target, gvals)
+            memo[key] = _fit_omega(designs, k, prof[k - 1], target, odds)
         reg, sup, vals = memo[key]
         resid_sup = max(resid_sup, sup)
         omega.append(reg)
@@ -154,9 +142,9 @@ def fit_omegas(
     for k in range(1, ds.k + 2):
         vals = raw_vals[k - 1]
         if not ident[k - 1]:
-            floor_events += int((vals < floor).sum())
-            vals = np.maximum(vals, floor)
-        key = ("cumulative", floor, k, prof[:k])
+            floor_events += int((vals < OMEGA_FLOOR).sum())
+            vals = np.maximum(vals, OMEGA_FLOOR)
+        key = ("cumulative", k, prof[:k])
         if key not in memo:
             product = running * vals
             lstsq = designs.u_lstsq(k)
@@ -171,7 +159,6 @@ def fit_omegas(
         identically_one=ident,
         cumulative=cumulative,
         cumulative_values=cumulative_values,
-        floor=floor,
         floor_events=floor_events,
         moment_residual_sup=resid_sup,
     )
@@ -192,8 +179,7 @@ def _phi_terms(
     return phi
 
 
-def phi_values(ds: Dataset, fits: NuisanceFits, omegas: OmegaFits,
-               designs: SampleDesigns) -> np.ndarray:
+def phi_values(designs: SampleDesigns, fits: NuisanceFits, omegas: OmegaFits) -> np.ndarray:
     """Augmented outcome phi for every record; zero placeholders at r=0.
 
     phi = mu_1(x)
@@ -202,9 +188,9 @@ def phi_values(ds: Dataset, fits: NuisanceFits, omegas: OmegaFits,
 
     with the floored products re-projected onto the mu bases.
     """
-    designs.check(ds)
     if fits.profile != omegas.profile:
         raise DimensionMismatch("mu chain and omega fits target different profiles")
+    ds = designs.ds
     cc = ds.complete_mask
     out = np.zeros(ds.n)
     out[cc] = _phi_terms(ds.y[cc], ds.a[cc], fits.values, omegas.cumulative_values,
@@ -212,8 +198,7 @@ def phi_values(ds: Dataset, fits: NuisanceFits, omegas: OmegaFits,
     return out
 
 
-def fit_representer(ds: Dataset, phi: np.ndarray,
-                    designs: SampleDesigns) -> tuple[SeriesRegressor, float]:
+def fit_representer(designs: SampleDesigns, phi: np.ndarray) -> tuple[SeriesRegressor, float]:
     """Minimise (1/2n)||Ehat{R rho | W}|| ^2 - (1/n) sum R phi rho.
 
     rho ranges over the linear span of the odds basis, so the first-order
@@ -226,7 +211,7 @@ def fit_representer(ds: Dataset, phi: np.ndarray,
     the right-hand side depends on phi: the factored system is the
     run's designs.representer_system, shared by every profile.
     """
-    designs.check(ds)
+    ds = designs.ds
     if np.asarray(phi).shape != (ds.n,):
         raise LengthMismatch("phi must align with the dataset")
     cc = ds.complete_mask
@@ -244,24 +229,22 @@ def fit_representer(ds: Dataset, phi: np.ndarray,
 
 
 def influence_values(
-    ds: Dataset,
-    gamma: GammaLike,
+    designs: SampleDesigns,
+    odds: np.ndarray,
     psi_hat: float,
     phi: np.ndarray,
     rho: Optional[SeriesRegressor],
-    designs: SampleDesigns,
 ) -> np.ndarray:
     """Per-record influence values; mean near zero by construction.
 
-    rho=None is the complete-data shortcut: with gamma identically zero
+    rho=None is the complete-data shortcut: with odds identically zero
     and no incomplete records the correction factor R gamma - 1 + R is
     exactly zero, so the representer term drops out.
     """
-    designs.check(ds)
-    gvals = gamma_values_for(designs, gamma)
+    ds = designs.ds
     r = ds.r.astype(float)
-    t = r * gvals - (1.0 - r)
-    term1 = r * (1.0 + gvals) * phi
+    t = r * odds - (1.0 - r)
+    term1 = r * (1.0 + odds) * phi
     if rho is None:
         if np.any(t != 0.0):
             raise DimensionMismatch("representer required when R gamma - 1 + R is not identically zero")
@@ -329,33 +312,33 @@ class ProfileAnalysis:
     omegas: OmegaFits
     phi: np.ndarray
     rho: Optional[SeriesRegressor]
-    rho_criterion: float
     if_values: np.ndarray
     report: InferenceReport
 
 
 def analyze_profile(
-    ds: Dataset,
-    gamma: GammaLike,
-    profile: Sequence[int],
     designs: SampleDesigns,
+    odds: np.ndarray,
+    profile: Sequence[int],
     level: float = 0.95,
 ) -> ProfileAnalysis:
-    """Full single-profile pipeline: chain, omegas, phi, representer, IF."""
-    prof = validate_profile(profile, ds.k)
-    fits = fit_mu_chain(ds, gamma, prof, designs)
-    psi_hat = estimate_psi(ds, fits, designs)
-    omegas = fit_omegas(ds, gamma, prof, designs)
-    phi = phi_values(ds, fits, omegas, designs)
+    """Full single-profile pipeline: chain, omegas, phi, representer, IF,
+    all on the run's designs under its odds values.
 
-    skip_rho = (
-        isinstance(gamma, GammaModel) and gamma.is_zero and bool(ds.complete_mask.all())
-    )
-    if skip_rho:
+    With no incomplete records and zero odds the factor R odds - 1 + R
+    is identically zero, so the representer is neither fitted nor read.
+    """
+    prof = validate_profile(profile, designs.ds.k)
+    fits = fit_mu_chain(designs, odds, prof)
+    psi_hat = estimate_psi(designs, odds, fits)
+    omegas = fit_omegas(designs, odds, prof)
+    phi = phi_values(designs, fits, omegas)
+
+    if designs.ds.complete_mask.all() and not odds.any():
         rho, rho_value = None, 0.0
     else:
-        rho, rho_value = fit_representer(ds, phi, designs)
-    ifv = influence_values(ds, gamma, psi_hat, phi, rho, designs)
+        rho, rho_value = fit_representer(designs, phi)
+    ifv = influence_values(designs, odds, psi_hat, phi, rho)
     diag = {
         "profile": list(prof),
         "if_mean": float(ifv.mean()),
@@ -366,5 +349,5 @@ def analyze_profile(
     report = variance_and_ci(psi_hat, ifv, level, diag)
     return ProfileAnalysis(
         profile=prof, psi_hat=psi_hat, fits=fits, omegas=omegas, phi=phi,
-        rho=rho, rho_criterion=rho_value, if_values=ifv, report=report,
+        rho=rho, if_values=ifv, report=report,
     )

@@ -17,10 +17,11 @@ LAPACK failure in any of these raises UnsolvableSystem.
 
 SampleDesigns is where the sample designs of one pipeline run are
 built: the conditioning span, the odds design, each outcome-chain
-design, its span and the least squares through that span, the odds
-values and the representer's factored normal equations. Each is built
-on first use and at most once, then read by every stage and every
-profile. It also holds the run's nuisance fits under the current odds,
+design, its span and the least squares through that span, and the
+representer's factored normal equations. Each is built on first use
+and at most once, then read by every stage and every profile. It
+carries the run's dataset, so a stage takes the designs and no dataset
+besides. It also holds the run's nuisance fits under the current odds,
 so profiles that share a fit make it once, and one weighted span system
 per (level k, arm a_k), shared by the mu_k and omega_k fits on that arm.
 """
@@ -262,9 +263,10 @@ class SampleDesigns:
     """The designs of one (dataset, bundle) pair, each built at most once.
 
     One pipeline run builds one of these and hands it to every stage in
-    place of the basis specs. Each design is built on first use, so a
-    run that fits no odds and no representer never factors the
-    conditioning design. The arrays are read-only, since every profile
+    place of the dataset and the basis specs; the run's odds values are
+    worked out once by the pipeline and handed down beside it. Each
+    design is built on first use, so a run that fits no odds and no
+    representer never factors the conditioning design. The arrays are read-only, since every profile
     of the run reads the same ones. Rows are complete cases except for
     the conditioning span, which covers every record.
 
@@ -280,7 +282,7 @@ class SampleDesigns:
     (a_1..a_{K+1}) reads mu_k under ("mu", k, (a_k..a_{K+1})), the
     non-identity omega_k under ("omega", k, (a_{k-1}, a_k)), with
     ("omega", 1, (a_1,)) for omega_1, and the cumulative omega product
-    up to level k under ("cumulative", floor, k, (a_1..a_k)), so the
+    up to level k under ("cumulative", k, (a_1..a_k)), so the
     four default profiles of a K = 2 run make 9 mu, 4 omega and 9
     cumulative fits where fitting each profile alone makes 12, 6 and 12.
     The mu and cumulative entries keep the fitted values on the complete
@@ -304,15 +306,8 @@ class SampleDesigns:
         self._u: dict[int, np.ndarray] = {}
         self._u_span: dict[int, np.ndarray] = {}
         self._u_lstsq: dict[int, SpanLeastSquares] = {}
-        self._odds_model = None
-        self._odds: Optional[np.ndarray] = None
         self._fits_odds: Optional[np.ndarray] = None
         self._fits: dict = {}
-
-    def check(self, ds: Dataset) -> None:
-        """Raise unless these designs were built from ds."""
-        if ds is not self.ds:
-            raise DimensionMismatch("designs were built for another dataset")
 
     @cached_property
     def p_span(self) -> np.ndarray:
@@ -367,13 +362,6 @@ class SampleDesigns:
             memo[key] = span_least_squares(self.u_span(k), self.u(k), weights)
         return memo[key]
 
-    def odds_values(self, model) -> np.ndarray:
-        """model.values(self), evaluated once for the last model asked for."""
-        if model is not self._odds_model:
-            self._odds = _frozen(model.values(self))
-            self._odds_model = model
-        return self._odds
-
     @cached_property
     def representer_system(self) -> RidgeSystem:
         """The representer's normal equations under representer_ridge(n).
@@ -386,11 +374,14 @@ class SampleDesigns:
         return ridge_system(_frozen(self.p_span_cc.T @ self.q), representer_ridge(self.ds.n))
 
     def fits(self, odds: np.ndarray) -> dict:
-        """The memo of nuisance fits made under the odds values `odds`.
+        """The memo of nuisance fits made under the odds values `odds`,
+        one per record.
 
         A call with other odds values than the last starts an empty
         memo, so no fit is read under odds it was not made with.
         """
+        if odds.shape != (self.ds.n,):
+            raise DimensionMismatch("odds values must align with the designs' dataset")
         same = odds is self._fits_odds or (
             self._fits_odds is not None
             and np.array_equal(odds, self._fits_odds, equal_nan=True)

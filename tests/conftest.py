@@ -45,7 +45,7 @@ def bundle2000(obs2000):
 @pytest.fixture(scope="session")
 def gamma2000(obs2000, bundle2000):
     """Fitted odds model and report on the shared n=2000 draw."""
-    return fit_gamma(obs2000, SampleDesigns(obs2000, bundle2000), GammaOptions())
+    return fit_gamma(SampleDesigns(obs2000, bundle2000), GammaOptions())
 
 
 @pytest.fixture(scope="session")

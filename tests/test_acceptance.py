@@ -123,9 +123,9 @@ def test_criterion_5a_chain_residual_orthogonality():
     for i in range(50):
         full, obs = generate(DgpConfig(n=250, seed=seq(8, i)))
         designs = SampleDesigns(obs, build_spec_bundle(obs))
-        model, _ = fit_gamma(obs, designs, GammaOptions())
+        model, _ = fit_gamma(designs, GammaOptions())
         profile = (0, 1, 1) if i % 2 else (1, 0, 1)
-        fits = fit_mu_chain(obs, model, profile, designs)
+        fits = fit_mu_chain(designs, model.values(designs), profile)
         cc = obs.complete_mask
         growth = 1.0 + model.values(designs)[cc]
         resp = obs.y[cc]
@@ -134,7 +134,7 @@ def test_criterion_5a_chain_residual_orthogonality():
             worst_mu = max(worst_mu, project_residual_orthogonality(
                 fits.mu[k - 1], obs.mu_points(k), resp, w))
             resp = predict_many(fits.mu[k - 1], obs.mu_points(k))
-        omegas = fit_omegas(obs, model, profile, designs)
+        omegas = fit_omegas(designs, model.values(designs), profile)
         worst_omega = max(worst_omega, omegas.moment_residual_sup)
     ok = worst_mu <= 1e-6 and worst_omega <= 1e-6
     check(ok, "criterion 5a (normal-equation orthogonality, 50 instances)",
@@ -177,7 +177,7 @@ def test_criterion_5c_mcar_recovers_constant_odds():
     r = (rng.random(n) < 0.7).astype(int)
     ds = one_mediator_dataset(n, x, a, m1, y, r=r, z=z)
     bundle = build_spec_bundle(ds, SieveOptions(degree=1, include_interactions=False))
-    model, report = fit_gamma(ds, SampleDesigns(ds, bundle), GammaOptions())
+    model, report = fit_gamma(SampleDesigns(ds, bundle), GammaOptions())
     vals = model.values_at(ds.regressor_points())
     frac = float(np.mean(np.abs(vals - 3.0 / 7.0) <= 0.05))
     ok = report.converged and frac >= 0.9
@@ -221,7 +221,7 @@ def test_criterion_5f_representer_closed_form():
     ds = obs.subset(mask)
     bundle = build_spec_bundle(ds, SieveOptions(degree=1, include_interactions=False))
     phi = np.where(ds.r == 1, ds.y, 0.0)
-    rho, value = fit_representer(ds, phi, SampleDesigns(ds, bundle))
+    rho, value = fit_representer(SampleDesigns(ds, bundle), phi)
 
     eps = rho.diagnostics.gram_diag_ridge
     smat = design_matrix(bundle.q, ds.regressor_points())
@@ -252,9 +252,9 @@ def test_criterion_5g_weak_norm_shrinks():
         for i in range(50):
             full, obs = generate(DgpConfig(n=n, seed=seq(4, n, i)))
             designs = SampleDesigns(obs, build_spec_bundle(obs))
-            model, _ = fit_gamma(obs, designs, GammaOptions())
+            model, _ = fit_gamma(designs, GammaOptions())
             truth = true_gamma_values(full, DgpConfig(n=n))
-            vals.append(weak_norm_sq(model.values(designs), truth, obs, designs))
+            vals.append(weak_norm_sq(model.values(designs), truth, designs))
         meds[n] = float(np.median(vals))
     ok = meds[4000] < meds[1000]
     check(ok, "criterion 5g (projected odds error shrinks with n)",

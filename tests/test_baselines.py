@@ -98,9 +98,9 @@ def test_each_profile_analysed_once(monkeypatch, obs600):
     calls = []
     original = baselines.analyze_profile
 
-    def counting(ds, gamma, profile, *args, **kwargs):
+    def counting(designs, odds, profile, *args, **kwargs):
         calls.append(profile)
-        return original(ds, gamma, profile, *args, **kwargs)
+        return original(designs, odds, profile, *args, **kwargs)
 
     monkeypatch.setattr(baselines, "analyze_profile", counting)
     res = sri_estimate(obs600)
@@ -125,7 +125,7 @@ def test_cca_needs_complete_cases():
 
 
 def test_mi_guards(obs600):
-    with pytest.raises(InsufficientCompleteCases):
+    with pytest.raises(ConfigError):
         mi_estimate(obs600, m=1)
     # five complete cases cannot support the eight-column imputer design
     keep = np.zeros(obs600.n, dtype=bool)

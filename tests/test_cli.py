@@ -535,6 +535,34 @@ for j in range(ds.dims.x_miss): pass
     assert found == []
 
 
+def _takes_ds_and_designs(tree):
+    """(name, line) of every public function or method with both a ds
+    and a designs parameter."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            args = node.args
+            params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            if {"ds", "designs"} <= params:
+                yield node.name, node.lineno
+
+
+def test_no_function_takes_a_dataset_beside_its_designs():
+    """A SampleDesigns carries its dataset, so no public function takes
+    both: a stage reads designs.ds, and cannot be handed designs built
+    for another dataset."""
+    flagged = """
+def f(ds, designs): pass
+def _g(ds, designs): pass
+class C:
+    def h(self, *, ds, designs): pass
+def k(ds, bundle): pass
+"""
+    assert list(_takes_ds_and_designs(ast.parse(flagged))) == [("f", 2), ("h", 5)]
+    found = [f"{path.name}:{line} {name}" for path in sorted(SRC.glob("*.py"))
+             for name, line in _takes_ds_and_designs(ast.parse(path.read_text()))]
+    assert found == []
+
+
 def _public_definitions(tree):
     """(name, line) of every public module-level function and class."""
     return [(node.name, node.lineno) for node in tree.body

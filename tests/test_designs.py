@@ -14,7 +14,7 @@ from shadowpse import inference, series_regression, sieve_basis
 from shadowpse.baselines import cca_estimate, mi_estimate, sri_estimate
 from shadowpse.data_model import Dataset, complete_cases
 from shadowpse.errors import DimensionMismatch
-from shadowpse.estimator import fit_mu_chain, gamma_values_for, named_estimand
+from shadowpse.estimator import fit_mu_chain, named_estimand
 from shadowpse.gamma_solver import GammaModel
 from shadowpse.inference import analyze_profile, fit_omegas, fit_representer
 from shadowpse.series_regression import SampleDesigns
@@ -91,17 +91,20 @@ def test_shared_designs_match_fresh_designs_bit_for_bit(obs2000, bundle2000, gam
                        for prof in named_estimand(name, 2)})
     assert len(profiles) == 4
     shared = SampleDesigns(obs2000, bundle2000)
+    odds = model.values(shared)
     for prof in profiles:
-        a = analyze_profile(obs2000, model, prof, shared)
-        b = analyze_profile(obs2000, model, prof, SampleDesigns(obs2000, bundle2000))
+        a = analyze_profile(shared, odds, prof)
+        b = analyze_profile(SampleDesigns(obs2000, bundle2000), odds, prof)
         assert a.psi_hat == b.psi_hat
         assert a.if_values.tobytes() == b.if_values.tobytes()
         assert a.report.to_dict() == b.report.to_dict()
 
 
 def test_designs_must_match_the_dataset(obs600, obs2000, bundle2000):
+    """Odds values with one entry per record of another dataset are
+    refused by the designs they are read with."""
     with pytest.raises(DimensionMismatch):
-        fit_mu_chain(obs600, np.zeros(obs600.n), (1, 1, 1), SampleDesigns(obs2000, bundle2000))
+        fit_mu_chain(SampleDesigns(obs2000, bundle2000), np.zeros(obs600.n), (1, 1, 1))
 
 
 def constant_x_miss(ds: Dataset) -> Dataset:
@@ -168,14 +171,14 @@ def test_fit_ranks_are_real_on_rank_deficient_designs(obs600):
     designs = SampleDesigns(ds, build_spec_bundle(ds))
     gamma = np.where(ds.r == 1, 0.5 + 0.1 * np.tanh(ds.y), 0.0)
 
-    omegas = fit_omegas(ds, gamma, (0, 1, 1), designs)
+    omegas = fit_omegas(designs, gamma, (0, 1, 1))
     for k, reg in enumerate(omegas.cumulative, start=1):
         rank = np.linalg.matrix_rank(designs.u(k))
         assert rank < reg.spec.dim
         assert reg.diagnostics.rank == rank
 
     phi = np.where(ds.r == 1, ds.y, 0.0)
-    rho, _ = fit_representer(ds, phi, designs)
+    rho, _ = fit_representer(designs, phi)
     rank = np.linalg.matrix_rank(designs.p_span_cc.T @ designs.q)
     assert rank < rho.spec.dim
     assert rho.diagnostics.rank == rank
@@ -248,34 +251,21 @@ def test_fits_never_outlive_their_odds(odds, obs2000, bundle2000, gamma2000):
     SampleDesigns per odds gives, byte for byte."""
     flat = np.where(obs2000.r == 1, 0.5, 0.0)
     tilted = np.where(obs2000.r == 1, 0.5 + 0.1 * np.tanh(obs2000.y), 0.0)
+    shared = SampleDesigns(obs2000, bundle2000)
     if odds == "zero then model":
-        pair = (GammaModel(spec_q=None, pi=None, linear_cap=10.0, is_zero=True), gamma2000[0])
+        pair = (np.zeros(obs2000.n), gamma2000[0].values(shared))
     elif odds == "array then array":
         pair = (flat, tilted)
     else:
         pair = (flat.copy(),) * 2
-    shared = SampleDesigns(obs2000, bundle2000)
-    for gamma in pair:
+    for values in pair:
         fresh = SampleDesigns(obs2000, bundle2000)
         for prof in DEFAULT_PROFILES:
-            got = analyze_profile(obs2000, gamma, prof, shared)
-            want = analyze_profile(obs2000, gamma, prof, fresh)
+            got = analyze_profile(shared, values, prof)
+            want = analyze_profile(fresh, values, prof)
             assert analysis_bytes(got) == analysis_bytes(want)
         if odds == "one array changed in place":
-            gamma[:] = tilted
-
-
-def test_cumulative_fits_follow_the_floor(obs2000, bundle2000, gamma2000):
-    model, _ = gamma2000
-    shared = SampleDesigns(obs2000, bundle2000)
-    for floor in (inference.OMEGA_FLOOR, 1.5):
-        got = fit_omegas(obs2000, model, (0, 1, 1), shared, floor=floor)
-        want = fit_omegas(obs2000, model, (0, 1, 1), SampleDesigns(obs2000, bundle2000),
-                          floor=floor)
-        assert got.floor_events == want.floor_events
-        assert [reg.coef.tobytes() for reg in got.cumulative] == [
-            reg.coef.tobytes() for reg in want.cumulative]
-    assert got.floor_events > 0
+            values[:] = tilted
 
 
 def fresh_representer(designs: SampleDesigns, phi: np.ndarray):
@@ -310,8 +300,8 @@ def test_representer_system_is_factored_once_per_run(monkeypatch, obs2000):
     fit = inference.fit_representer
     solved = []
 
-    def recording(ds, phi, designs, *args, **kwargs):
-        out = fit(ds, phi, designs, *args, **kwargs)
+    def recording(designs, phi, *args, **kwargs):
+        out = fit(designs, phi, *args, **kwargs)
         solved.append((phi, designs, out))
         return out
 
@@ -328,31 +318,30 @@ def test_representer_system_is_factored_once_per_run(monkeypatch, obs2000):
         assert rho.diagnostics.rank == rank
 
 
-def standalone_chain(ds: Dataset, designs: SampleDesigns, gvals: np.ndarray, prof) -> list:
+def standalone_chain(designs: SampleDesigns, odds: np.ndarray, prof) -> list:
     """The mu_k coefficients of one profile, each from np.linalg.lstsq on
     its sqrt(w)-weighted design."""
+    ds = designs.ds
     cc = ds.complete_mask
     coefs = [None] * (ds.k + 1)
     response = ds.y[cc]
     for k in range(ds.k + 1, 0, -1):
-        sw = np.sqrt(np.where(ds.a[cc] == prof[k - 1], 1.0 + gvals[cc], 0.0))
+        sw = np.sqrt(np.where(ds.a[cc] == prof[k - 1], 1.0 + odds[cc], 0.0))
         coefs[k - 1], _, _, _ = np.linalg.lstsq(designs.u(k) * sw[:, None], response * sw,
                                                 rcond=None)
         response = designs.u(k) @ coefs[k - 1]
     return coefs
 
 
-def assert_pure(ds: Dataset, gamma, profiles) -> list:
+def assert_pure(designs: SampleDesigns, odds: np.ndarray, profiles) -> list:
     """Every shared mu fit of the profiles agrees with np.linalg.lstsq on
     its weighted design to 1e-10 relative, and every cumulative fit with
     np.linalg.lstsq on u(k) to 1e-12 relative, with lstsq's rank.
     Returns the lstsq ranks of the cumulative fits."""
-    designs = SampleDesigns(ds, build_spec_bundle(ds))
-    gvals = gamma_values_for(designs, gamma)
     ranks = []
     for prof in profiles:
-        analysis = analyze_profile(ds, gamma, prof, designs)
-        want = standalone_chain(ds, designs, gvals, prof)
+        analysis = analyze_profile(designs, odds, prof)
+        want = standalone_chain(designs, odds, prof)
         for reg, coef in zip(analysis.fits.mu, want):
             assert np.max(np.abs(reg.coef - coef)) <= 1e-10 * np.max(np.abs(coef))
         omegas = analysis.omegas
@@ -360,7 +349,7 @@ def assert_pure(ds: Dataset, gamma, profiles) -> list:
         for k, reg in enumerate(omegas.cumulative, start=1):
             omega = omegas.omega[k - 1]
             if omega is not None:
-                product = product * np.maximum(designs.u(k) @ omega.coef, omegas.floor)
+                product = product * np.maximum(designs.u(k) @ omega.coef, inference.OMEGA_FLOOR)
             coef, _, rank, _ = np.linalg.lstsq(designs.u(k), product, rcond=None)
             assert np.max(np.abs(reg.coef - coef)) <= 1e-12 * np.max(np.abs(coef))
             assert reg.diagnostics.rank == rank
@@ -372,18 +361,16 @@ def assert_pure(ds: Dataset, gamma, profiles) -> list:
 def test_shared_factors_are_pure(method, obs2000, gamma2000):
     """Solving the mu fits and the cumulative fits through the spans
     gives the least-squares fits."""
-    if method == "sri":
-        ds, gamma = obs2000, gamma2000[0]
-    else:
-        ds = complete_cases(obs2000)
-        gamma = GammaModel(spec_q=None, pi=None, linear_cap=10.0, is_zero=True)
-    ranks = assert_pure(ds, gamma, DEFAULT_PROFILES)
+    ds = obs2000 if method == "sri" else complete_cases(obs2000)
+    designs = SampleDesigns(ds, build_spec_bundle(ds))
+    odds = gamma2000[0].values(designs) if method == "sri" else np.zeros(ds.n)
+    ranks = assert_pure(designs, odds, DEFAULT_PROFILES)
     assert len(ranks) == 3 * len(DEFAULT_PROFILES)
 
 
 def test_shared_factors_are_pure_on_rank_deficient_designs(obs600):
     ds = constant_x_miss(obs600)
     gamma = np.where(ds.r == 1, 0.5 + 0.1 * np.tanh(ds.y), 0.0)
-    ranks = assert_pure(ds, gamma, DEFAULT_PROFILES)
+    ranks = assert_pure(SampleDesigns(ds, build_spec_bundle(ds)), gamma, DEFAULT_PROFILES)
     dims = [spec.dim for spec in build_spec_bundle(ds).u]
     assert all(rank < dims[i % len(dims)] for i, rank in enumerate(ranks))

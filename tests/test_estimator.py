@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from shadowpse.baselines import sri_estimate
-from shadowpse.errors import DimensionMismatch, EmptyArm, LengthMismatch
+from shadowpse.errors import DimensionMismatch, EmptyArm
 from shadowpse.estimator import (
     estimate_psi,
     fit_mu_chain,
-    gamma_values_for,
     named_estimand,
     validate_profile,
 )
@@ -42,14 +41,6 @@ def test_validate_profile():
         validate_profile((1, 2, 0), 2)
 
 
-def test_gamma_values_for_accepts_model_or_vector(obs600, gamma2000):
-    designs = SampleDesigns(obs600, build_spec_bundle(obs600))
-    vec = np.linspace(0.0, 1.0, obs600.n)
-    np.testing.assert_array_equal(gamma_values_for(designs, vec), vec)
-    with pytest.raises((DimensionMismatch, LengthMismatch)):
-        gamma_values_for(designs, np.zeros(10))
-
-
 def test_constant_outcome_and_constant_odds_scaling():
     rng = rng_for(37)
     n = 200
@@ -58,17 +49,17 @@ def test_constant_outcome_and_constant_odds_scaling():
     m1 = x + rng.standard_normal(n)
     ds = one_mediator_dataset(n, x, a, m1, np.full(n, 3.25))
     designs = SampleDesigns(ds, build_spec_bundle(ds, SieveOptions(degree=2)))
-    fits = fit_mu_chain(ds, np.zeros(n), (1, 0), designs)
-    assert abs(estimate_psi(ds, fits, designs) - 3.25) <= 1e-12
-    fits_c = fit_mu_chain(ds, np.full(n, 0.4), (1, 0), designs)
-    assert abs(estimate_psi(ds, fits_c, designs) - 1.4 * 3.25) <= 1e-12
+    fits = fit_mu_chain(designs, np.zeros(n), (1, 0))
+    assert abs(estimate_psi(designs, np.zeros(n), fits) - 3.25) <= 1e-12
+    fits_c = fit_mu_chain(designs, np.full(n, 0.4), (1, 0))
+    assert abs(estimate_psi(designs, np.full(n, 0.4), fits_c) - 1.4 * 3.25) <= 1e-12
 
 
 def test_linear_chain_equals_per_arm_least_squares(comp600):
     designs = SampleDesigns(comp600, build_spec_bundle(
         comp600, SieveOptions(mu_degree=1, mu_interactions=False)))
     profile = (1, 0, 1)
-    fits = fit_mu_chain(comp600, np.zeros(comp600.n), profile, designs)
+    fits = fit_mu_chain(designs, np.zeros(comp600.n), profile)
     resp = comp600.y.copy()
     for k in (3, 2, 1):
         pts = comp600.mu_points(k)
@@ -79,7 +70,7 @@ def test_linear_chain_equals_per_arm_least_squares(comp600):
         mine = predict_many(fits.mu[k - 1], pts)
         np.testing.assert_allclose(mine, direct, atol=1e-10)
         resp = mine
-    assert abs(estimate_psi(comp600, fits, designs) - direct.mean()) <= 1e-10
+    assert abs(estimate_psi(designs, np.zeros(comp600.n), fits) - direct.mean()) <= 1e-10
 
 
 def test_chain_orthogonality_under_estimated_odds():
@@ -87,11 +78,12 @@ def test_chain_orthogonality_under_estimated_odds():
     for i in range(8):
         full, obs = generate(DgpConfig(n=250, seed=seq(8, i)))
         designs = SampleDesigns(obs, build_spec_bundle(obs))
-        model, _ = fit_gamma(obs, designs, GammaOptions())
+        model, _ = fit_gamma(designs, GammaOptions())
+        odds = model.values(designs)
         profile = (0, 1, 1) if i % 2 else (1, 0, 1)
-        fits = fit_mu_chain(obs, model, profile, designs)
+        fits = fit_mu_chain(designs, odds, profile)
         cc = obs.complete_mask
-        growth = 1.0 + model.values(designs)[cc]
+        growth = 1.0 + odds[cc]
         resp = obs.y[cc]
         for k in (3, 2, 1):
             w = np.where(obs.a[cc] == profile[k - 1], growth, 0.0)
@@ -108,14 +100,14 @@ def test_psi_recovers_truth_with_known_odds():
         designs = SampleDesigns(obs, build_spec_bundle(obs))
         gamma = np.where(obs.r == 0, 0.0,
                          true_gamma_values(full, DgpConfig(n=2000)))
-        fits = fit_mu_chain(obs, gamma, (1, 1, 1), designs)
-        points.append(estimate_psi(obs, fits, designs))
+        fits = fit_mu_chain(designs, gamma, (1, 1, 1))
+        points.append(estimate_psi(designs, gamma, fits))
     assert abs(float(np.mean(points)) - TRUE_PSI["111"]) <= 0.05
 
 
-def psi_contrast(ds, gamma, designs, pa, pb):
-    return (estimate_psi(ds, fit_mu_chain(ds, gamma, pa, designs), designs)
-            - estimate_psi(ds, fit_mu_chain(ds, gamma, pb, designs), designs))
+def psi_contrast(designs, odds, pa, pb):
+    return (estimate_psi(designs, odds, fit_mu_chain(designs, odds, pa))
+            - estimate_psi(designs, odds, fit_mu_chain(designs, odds, pb)))
 
 
 def test_contrast_zero_for_equal_profiles(obs600):
@@ -128,13 +120,12 @@ def test_contrast_zero_for_equal_profiles(obs600):
 
 def test_duplication_invariance(obs600):
     designs = SampleDesigns(obs600, build_spec_bundle(obs600))
-    model, _ = fit_gamma(obs600, designs, GammaOptions())
+    model, _ = fit_gamma(designs, GammaOptions())
     gv = model.values(designs)
-    single = psi_contrast(obs600, gv, designs, (1, 1, 1), (0, 0, 0))
+    single = psi_contrast(designs, gv, (1, 1, 1), (0, 0, 0))
     doubled_ds = tile_dataset(obs600, 2)
     doubled_designs = SampleDesigns(doubled_ds, build_spec_bundle(doubled_ds))
-    doubled = psi_contrast(doubled_ds, np.tile(gv, 2), doubled_designs,
-                           (1, 1, 1), (0, 0, 0))
+    doubled = psi_contrast(doubled_designs, np.tile(gv, 2), (1, 1, 1), (0, 0, 0))
     assert abs(single - doubled) <= 1e-10
 
 
@@ -147,4 +138,4 @@ def test_empty_arm_raises():
     ds = one_mediator_dataset(n, x, np.zeros(n, dtype=int), m1, y)
     designs = SampleDesigns(ds, build_spec_bundle(ds, SieveOptions(degree=1)))
     with pytest.raises(EmptyArm):
-        fit_mu_chain(ds, np.zeros(n), (1, 1), designs)
+        fit_mu_chain(designs, np.zeros(n), (1, 1))

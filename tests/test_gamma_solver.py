@@ -79,7 +79,7 @@ def test_toy_criterion_matches_hand_arithmetic():
 
 def test_complete_data_returns_zero_model(comp600):
     designs = SampleDesigns(comp600, build_spec_bundle(comp600))
-    model, report = fit_gamma(comp600, designs, GammaOptions())
+    model, report = fit_gamma(designs, GammaOptions())
     assert model.is_zero
     assert report.q_n == 0.0
     assert report.converged
@@ -93,14 +93,14 @@ def test_all_missing_is_degenerate():
     bundle = build_spec_bundle(ds)
     allm = ds.subset(ds.r == 0)
     with pytest.raises(DegenerateTarget):
-        fit_gamma(allm, SampleDesigns(allm, bundle), GammaOptions())
+        fit_gamma(SampleDesigns(allm, bundle), GammaOptions())
 
 
 def test_projection_basis_must_dominate_odds_basis(obs600, obs2000):
     bundle2 = build_spec_bundle(obs600, SieveOptions(degree=2))
     bundle1 = build_spec_bundle(obs600, SieveOptions(degree=1))
     with pytest.raises(ConfigError):
-        fit_gamma(obs600, SampleDesigns(obs600, SpecBundle(p=bundle1.p, q=bundle2.q, u=bundle1.u)),
+        fit_gamma(SampleDesigns(obs600, SpecBundle(p=bundle1.p, q=bundle2.q, u=bundle1.u)),
                   GammaOptions())
     # a binary shadow variable is capped at power one in p, while q keeps
     # x_miss at degree 3: the default bundle has too few moments
@@ -108,7 +108,7 @@ def test_projection_basis_must_dominate_odds_basis(obs600, obs2000):
     binary_z = replace(obs2000, z=z)
     bundle = build_spec_bundle(binary_z)
     with pytest.raises(ConfigError, match="dim 37 < odds basis dim 39") as err:
-        fit_gamma(binary_z, SampleDesigns(binary_z, bundle), GammaOptions())
+        fit_gamma(SampleDesigns(binary_z, bundle), GammaOptions())
     assert f"p degrees {bundle.p.degrees}, q degrees {bundle.q.degrees}" in str(err.value)
     assert "completeness" in str(err.value)
 
@@ -116,7 +116,7 @@ def test_projection_basis_must_dominate_odds_basis(obs600, obs2000):
 def test_mcar_recovers_constant_odds():
     ds = mcar_dataset()
     bundle = build_spec_bundle(ds, SieveOptions(degree=1, include_interactions=False))
-    model, report = fit_gamma(ds, SampleDesigns(ds, bundle), GammaOptions())
+    model, report = fit_gamma(SampleDesigns(ds, bundle), GammaOptions())
     assert report.converged
     vals = model.values_at(ds.regressor_points())
     frac = float(np.mean(np.abs(vals - 3.0 / 7.0) <= 0.05))
@@ -142,7 +142,7 @@ def test_fit_dominates_every_start():
         full, obs = generate(DgpConfig(n=1500, seed=seq(31, i)))
         bundle = build_spec_bundle(obs)
         designs = SampleDesigns(obs, bundle)
-        model, report = fit_gamma(obs, designs, GammaOptions())
+        model, report = fit_gamma(designs, GammaOptions())
         starts = [np.zeros(bundle.q.dim), _intercept_start(obs, bundle.q, 10.0)]
         for start in starts:
             assert start is not None
@@ -160,7 +160,7 @@ def test_fit_runs_one_descent_plus_restarts(monkeypatch, obs2000, bundle2000, re
         return lsq(*args, **kwargs)
 
     monkeypatch.setattr(gamma_solver.scipy.optimize, "least_squares", counting)
-    _, report = fit_gamma(obs2000, SampleDesigns(obs2000, bundle2000),
+    _, report = fit_gamma(SampleDesigns(obs2000, bundle2000),
                           GammaOptions(restarts=restarts, seed=4))
     assert len(calls) == 1 + restarts
     assert report.n_starts == 1 + restarts
@@ -172,7 +172,7 @@ def test_single_descent_matches_best_of_every_start():
         full, obs = generate(DgpConfig(n=1000, seed=seq(32, i)))
         bundle = build_spec_bundle(obs)
         designs = SampleDesigns(obs, bundle)
-        model, report = fit_gamma(obs, designs, opts)
+        model, report = fit_gamma(designs, opts)
         prob = _GammaProblem(designs)
         pi0 = _intercept_start(obs, bundle.q, opts.linear_cap)
         starts = [np.zeros(bundle.q.dim), pi0]
@@ -181,6 +181,27 @@ def test_single_descent_matches_best_of_every_start():
         obj = report.q_n + lam * float((model.pi - pi0) @ (model.pi - pi0))
         assert abs(obj - best.obj) <= 1e-12 * best.obj
         np.testing.assert_allclose(model.pi, best.pi, rtol=0.0, atol=1e-6)
+
+
+def test_intercept_descent_misses_the_lower_basin_in_one_small_draw():
+    """Over the Monte Carlo harness's 100 draws at n = 250 (master seed
+    ENTROPY, reps 0-99), the descent from the intercept start ends at a
+    higher objective than the descent from zero, both anchored at the
+    intercept start, in rep 51 alone: the basin count of the single
+    descent fit_gamma makes, which a change to its start or its descent
+    would move."""
+    opts = GammaOptions()
+    worse = []
+    for i in range(100):
+        _, obs = generate(DgpConfig(n=250), rng=rng_for(i))
+        bundle = build_spec_bundle(obs)
+        prob = _GammaProblem(SampleDesigns(obs, bundle))
+        pi0 = _intercept_start(obs, bundle.q, opts.linear_cap)
+        from_intercept = _descend(prob, pi0, pi0, opts).obj
+        from_zero = _descend(prob, np.zeros(bundle.q.dim), pi0, opts).obj
+        if from_intercept > from_zero * (1.0 + 1e-10):
+            worse.append(i)
+    assert worse == [51]
 
 
 def trf_descent(prob, x0, pi0, opts):
@@ -228,7 +249,7 @@ def test_zero_penalty_on_rank_deficient_conditioning_span():
     designs = SampleDesigns(ds, build_spec_bundle(ds))
     assert designs.p_span.shape[1] < designs.bundle.q.dim
     try:
-        _, report = fit_gamma(ds, designs, GammaOptions(penalty=0.0))
+        _, report = fit_gamma(designs, GammaOptions(penalty=0.0))
     except EstimationError:
         return
     assert np.isfinite(report.q_n)
@@ -282,7 +303,7 @@ def test_hessian_matches_finite_differences_of_gradient():
 def test_polish_reaches_its_gradient_tolerance():
     full, obs = generate(DgpConfig(n=1000, seed=seq(13)))
     designs = SampleDesigns(obs, build_spec_bundle(obs))
-    _, report = fit_gamma(obs, designs, GammaOptions())
+    _, report = fit_gamma(designs, GammaOptions())
     assert report.grad_norm <= POLISH_GTOL
     assert report.polish_steps >= 1
     assert not any("Newton polish" in msg for msg in report.messages)
@@ -296,7 +317,7 @@ def test_polish_reaches_its_gradient_tolerance():
 def test_polish_that_stops_early_says_why(monkeypatch, obs600, patch, reason):
     designs = SampleDesigns(obs600, build_spec_bundle(obs600))
     patch(monkeypatch)
-    _, report = fit_gamma(obs600, designs, GammaOptions())
+    _, report = fit_gamma(designs, GammaOptions())
     assert report.polish_steps == 0
     assert report.grad_norm > POLISH_GTOL
     assert [msg for msg in report.messages if "Newton polish" in msg] == [
@@ -316,12 +337,12 @@ def test_weak_norm_properties(obs600):
     designs = SampleDesigns(obs600, build_spec_bundle(obs600))
     rng = rng_for(312)
     g = rng.random(obs600.n)
-    assert weak_norm_sq(g, g, obs600, designs) == 0.0
+    assert weak_norm_sq(g, g, designs) == 0.0
     g2 = rng.random(obs600.n)
     diff = obs600.r * (g - g2)
-    assert weak_norm_sq(g, g2, obs600, designs) <= float(np.mean(diff ** 2)) + 1e-12
+    assert weak_norm_sq(g, g2, designs) <= float(np.mean(diff ** 2)) + 1e-12
     with pytest.raises(LengthMismatch):
-        weak_norm_sq(g[:-1], g2, obs600, designs)
+        weak_norm_sq(g[:-1], g2, designs)
 
 
 def test_weak_norm_shrinks_with_sample_size():
@@ -331,9 +352,9 @@ def test_weak_norm_shrinks_with_sample_size():
         for i in range(50):
             full, obs = generate(DgpConfig(n=n, seed=seq(4, n, i)))
             designs = SampleDesigns(obs, build_spec_bundle(obs))
-            model, _ = fit_gamma(obs, designs, GammaOptions())
+            model, _ = fit_gamma(designs, GammaOptions())
             truth = true_gamma_values(full, DgpConfig(n=n))
-            vals.append(weak_norm_sq(model.values(designs), truth, obs, designs))
+            vals.append(weak_norm_sq(model.values(designs), truth, designs))
         meds[n] = float(np.median(vals))
     assert meds[4000] < meds[1000]
 
@@ -341,8 +362,8 @@ def test_weak_norm_shrinks_with_sample_size():
 def test_restarts_are_deterministic(obs600):
     designs = SampleDesigns(obs600, build_spec_bundle(obs600))
     opts = GammaOptions(restarts=2, seed=4)
-    m1, r1 = fit_gamma(obs600, designs, opts)
-    m2, r2 = fit_gamma(obs600, designs, opts)
+    m1, r1 = fit_gamma(designs, opts)
+    m2, r2 = fit_gamma(designs, opts)
     np.testing.assert_array_equal(m1.pi, m2.pi)
     assert r1.n_starts == r2.n_starts == 3
     assert r1.best_start == r2.best_start
@@ -351,14 +372,14 @@ def test_restarts_are_deterministic(obs600):
 def test_zero_penalty_path_runs(obs600):
     designs = SampleDesigns(obs600, build_spec_bundle(
         obs600, SieveOptions(degree=1, include_interactions=False)))
-    model, report = fit_gamma(obs600, designs, GammaOptions(penalty=0.0))
+    model, report = fit_gamma(designs, GammaOptions(penalty=0.0))
     assert report.q_n >= 0.0
     assert np.isfinite(model.values(designs)).all()
 
 
 def test_model_values_zero_on_missing_rows(obs600, gamma2000):
     designs = SampleDesigns(obs600, build_spec_bundle(obs600))
-    model, _ = fit_gamma(obs600, designs, GammaOptions())
+    model, _ = fit_gamma(designs, GammaOptions())
     vals = model.values(designs)
     np.testing.assert_array_equal(vals[obs600.r == 0], 0.0)
     assert np.all(vals[obs600.r == 1] > 0.0)

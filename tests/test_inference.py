@@ -3,8 +3,9 @@ import pytest
 import scipy.optimize
 
 from shadowpse.errors import DimensionMismatch
-from shadowpse.gamma_solver import GammaModel, GammaOptions, fit_gamma
+from shadowpse.gamma_solver import GammaOptions, fit_gamma
 from shadowpse.inference import (
+    OMEGA_FLOOR,
     InferenceReport,
     analyze_profile,
     fit_omegas,
@@ -30,10 +31,6 @@ from shadowpse.simulation import DgpConfig, generate
 from support import one_mediator_dataset, rng_for, seq, tile_dataset
 
 
-def zero_gamma():
-    return GammaModel(spec_q=None, pi=None, linear_cap=10.0, is_zero=True)
-
-
 def test_z_critical_values():
     assert abs(z_critical(0.95) - 1.959963984540054) <= 1e-9
     assert abs(z_critical(0.90) - 1.6448536269514722) <= 1e-9
@@ -44,11 +41,13 @@ def test_z_critical_values():
 
 def test_omega_identically_one_pattern(obs2000, bundle2000, gamma2000):
     model, _ = gamma2000
-    om = fit_omegas(obs2000, model, (1, 1, 1), SampleDesigns(obs2000, bundle2000))
+    designs = SampleDesigns(obs2000, bundle2000)
+    odds = model.values(designs)
+    om = fit_omegas(designs, odds, (1, 1, 1))
     assert om.identically_one == [False, True, True]
     assert om.omega[1] is None and om.omega[2] is None
     assert om.moment_residual_sup <= 1e-6
-    om_mixed = fit_omegas(obs2000, model, (1, 0, 1), SampleDesigns(obs2000, bundle2000))
+    om_mixed = fit_omegas(designs, odds, (1, 0, 1))
     assert om_mixed.identically_one == [False, False, False]
     assert om_mixed.moment_residual_sup <= 1e-6
 
@@ -63,7 +62,7 @@ def test_omega_recovers_inverse_propensity():
     y = m1 + rng.standard_normal(n)
     ds = one_mediator_dataset(n, x, a, m1, y)
     bundle = build_spec_bundle(ds, SieveOptions(degree=2))
-    om = fit_omegas(ds, np.zeros(n), (1, 1), SampleDesigns(ds, bundle))
+    om = fit_omegas(SampleDesigns(ds, bundle), np.zeros(n), (1, 1))
     vals = predict_many(om.omega[0], ds.mu_points(1))
     assert float(np.mean(np.abs(vals - 2.0) <= 0.1)) >= 0.9
     assert om.moment_residual_sup <= 1e-6
@@ -78,9 +77,9 @@ def test_omega_floor_engages_when_arm_support_vanishes():
     y = m1 + rng.standard_normal(n)
     ds = one_mediator_dataset(n, x, a, m1, y)
     bundle = build_spec_bundle(ds, SieveOptions(degree=3))
-    om = fit_omegas(ds, np.zeros(n), (1, 1), SampleDesigns(ds, bundle))
+    om = fit_omegas(SampleDesigns(ds, bundle), np.zeros(n), (1, 1))
     assert om.floor_events > 0
-    assert om.floor == 1e-3
+    assert OMEGA_FLOOR == 1e-3
 
 
 def phi_at_row(ds, i, fits, omegas):
@@ -106,8 +105,8 @@ def phi_at_row(ds, i, fits, omegas):
 
 def test_phi_values_matches_per_record_path(obs600):
     designs = SampleDesigns(obs600, build_spec_bundle(obs600))
-    model, _ = fit_gamma(obs600, designs, GammaOptions())
-    analysis = analyze_profile(obs600, model, (1, 0, 1), designs)
+    model, _ = fit_gamma(designs, GammaOptions())
+    analysis = analyze_profile(designs, model.values(designs), (1, 0, 1))
     for i in np.flatnonzero(obs600.complete_mask)[:25]:
         got = phi_at_row(obs600, i, analysis.fits, analysis.omegas)
         assert abs(got - analysis.phi[i]) <= 1e-10
@@ -118,14 +117,14 @@ def test_reweighted_phi_mean_reproduces_psi(obs2000, bundle2000, gamma2000):
     designs = SampleDesigns(obs2000, bundle2000)
     gvals = model.values(designs)
     for profile in ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)):
-        analysis = analyze_profile(obs2000, model, profile, designs)
+        analysis = analyze_profile(designs, gvals, profile)
         lhs = float(np.mean(obs2000.r * (1.0 + gvals) * analysis.phi))
         assert abs(lhs - analysis.psi_hat) <= 1e-8
 
 
 def test_representer_zero_target(obs600):
     designs = SampleDesigns(obs600, build_spec_bundle(obs600))
-    rho, value = fit_representer(obs600, np.zeros(obs600.n), designs)
+    rho, value = fit_representer(designs, np.zeros(obs600.n))
     np.testing.assert_allclose(rho.coef, 0.0, atol=1e-12)
     assert value == 0.0
 
@@ -137,7 +136,7 @@ def test_representer_matches_brute_force_minimiser():
     ds = obs.subset(mask)
     bundle = build_spec_bundle(ds, SieveOptions(degree=1, include_interactions=False))
     phi = np.where(ds.r == 1, ds.y, 0.0)
-    rho, value = fit_representer(ds, phi, SampleDesigns(ds, bundle))
+    rho, value = fit_representer(SampleDesigns(ds, bundle), phi)
     assert value <= 0.0
 
     # independent reconstruction of the ridged quadratic objective
@@ -160,7 +159,7 @@ def test_representer_matches_brute_force_minimiser():
 
 def test_influence_complete_data_reduction(comp600):
     designs = SampleDesigns(comp600, build_spec_bundle(comp600))
-    analysis = analyze_profile(comp600, zero_gamma(), (1, 1, 1), designs)
+    analysis = analyze_profile(designs, np.zeros(comp600.n), (1, 1, 1))
     assert analysis.rho is None
     assert abs(float(analysis.if_values.mean())) <= 1e-10
     assert analysis.report.se > 0.0
@@ -168,18 +167,18 @@ def test_influence_complete_data_reduction(comp600):
 
 def test_influence_requires_representer_when_data_incomplete(obs600, gamma2000):
     designs = SampleDesigns(obs600, build_spec_bundle(obs600))
-    model, _ = fit_gamma(obs600, designs, GammaOptions())
+    model, _ = fit_gamma(designs, GammaOptions())
     phi = np.where(obs600.r == 1, obs600.y, 0.0)
     with pytest.raises(DimensionMismatch):
-        influence_values(obs600, model, 0.0, phi, None, designs)
+        influence_values(designs, model.values(designs), 0.0, phi, None)
 
 
 def test_influence_mean_small_under_fitted_odds():
     for i in range(6):
         full, obs = generate(DgpConfig(n=2000, seed=seq(5, i)))
         designs = SampleDesigns(obs, build_spec_bundle(obs))
-        model, _ = fit_gamma(obs, designs, GammaOptions())
-        analysis = analyze_profile(obs, model, (1, 1, 1), designs)
+        model, _ = fit_gamma(designs, GammaOptions())
+        analysis = analyze_profile(designs, model.values(designs), (1, 1, 1))
         ifv = analysis.if_values
         ratio = abs(ifv.mean()) / (ifv.std(ddof=1) / np.sqrt(obs.n))
         assert ratio <= 0.5
@@ -217,14 +216,14 @@ def fixed_ridge_report(ds, gvals, ridge: float) -> InferenceReport:
     the representer solved at the given relative ridge rather than at
     the rule's ridge for ds.n."""
     designs = SampleDesigns(ds, build_spec_bundle(ds))
-    fits = fit_mu_chain(ds, gvals, (1, 1, 1), designs)
-    psi_hat = estimate_psi(ds, fits, designs)
-    phi = phi_values(ds, fits, fit_omegas(ds, gvals, (1, 1, 1), designs), designs)
+    fits = fit_mu_chain(designs, gvals, (1, 1, 1))
+    psi_hat = estimate_psi(designs, gvals, fits)
+    phi = phi_values(designs, fits, fit_omegas(designs, gvals, (1, 1, 1)))
     system = ridge_system(designs.p_span_cc.T @ designs.q, ridge)
     coef = system.solve(designs.q.T @ phi[ds.complete_mask])
     diag = FitDiagnostics(int(ds.complete_mask.sum()), coef.size, system.rank, system.eps)
     rho = SeriesRegressor(designs.bundle.q, coef, diag)
-    return variance_and_ci(psi_hat, influence_values(ds, gvals, psi_hat, phi, rho, designs))
+    return variance_and_ci(psi_hat, influence_values(designs, gvals, psi_hat, phi, rho))
 
 
 def test_interval_width_halves_under_fourfold_duplication(obs600):
@@ -232,10 +231,10 @@ def test_interval_width_halves_under_fourfold_duplication(obs600):
     it is and halves the se. The representer's own ridge depends on n,
     so the property is stated at a ridge held fixed across both."""
     designs = SampleDesigns(obs600, build_spec_bundle(obs600))
-    model, _ = fit_gamma(obs600, designs, GammaOptions())
+    model, _ = fit_gamma(designs, GammaOptions())
     gv = model.values(designs)
     base = fixed_ridge_report(obs600, gv, 1e-2)
-    assert base.se == analyze_profile(obs600, gv, (1, 1, 1), designs).report.se
+    assert base.se == analyze_profile(designs, gv, (1, 1, 1)).report.se
     big = fixed_ridge_report(tile_dataset(obs600, 4), np.tile(gv, 4), 1e-2)
     assert abs(big.se / base.se - 0.5) <= 1e-10
     assert abs(big.psi_hat - base.psi_hat) <= 1e-10
@@ -250,8 +249,8 @@ def test_representer_ridge_rule():
 
 def test_report_schema(obs600):
     designs = SampleDesigns(obs600, build_spec_bundle(obs600))
-    model, _ = fit_gamma(obs600, designs, GammaOptions())
-    analysis = analyze_profile(obs600, model, (0, 1, 1), designs)
+    model, _ = fit_gamma(designs, GammaOptions())
+    analysis = analyze_profile(designs, model.values(designs), (0, 1, 1))
     doc = analysis.report.to_dict()
     assert sorted(doc) == ["ci_hi", "ci_lo", "diagnostics", "level", "n",
                            "psi_hat", "se", "sigma2"]

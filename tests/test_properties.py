@@ -12,7 +12,7 @@ from shadowpse.baselines import cca_estimate, mi_estimate, oracle_estimate, sri_
 from shadowpse.data_model import Dataset, DatasetDims, read_csv, write_csv, write_descriptor
 from shadowpse.simulation import DgpConfig, generate
 
-from support import rng_for, seq
+from support import one_mediator_dataset, rng_for, seq
 
 EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
             1.7976931348623157e308]
@@ -99,12 +99,28 @@ def test_affine_rescale_leaves_estimates_unchanged(draw):
     assert_same_estimates(obs, rescaled)
 
 
+def mnar_one_mediator_dataset(n: int) -> Dataset:
+    """K = 1 draw whose x is missing more often the larger it is, with a
+    noisy copy of x as the shadow variable."""
+    rng = rng_for(41)
+    x = rng.random(n)
+    z = x + 0.3 * rng.standard_normal(n)
+    a = (rng.random(n) < 0.5).astype(int)
+    m1 = x + a + rng.standard_normal(n)
+    y = m1 + a + x + rng.standard_normal(n)
+    r = (rng.random(n) < 0.9 - 0.5 * x).astype(int)
+    return one_mediator_dataset(n, x, a, m1, y, r=r, z=z)
+
+
 def test_total_effect_is_the_sum_of_its_paths(full2000, obs600):
-    """te = nde + nie_1 + nie_2 for every method: the three contrasts
-    telescope from psi(1,1,1) down to psi(0,0,0)."""
+    """te = nde + nie_1 + ... + nie_K for every method, at K = 2 and at
+    K = 1: the contrasts telescope from psi(1,..,1) down to psi(0,..,0)."""
     full600 = full2000.subset(np.arange(full2000.n) < 600)
+    k1 = mnar_one_mediator_dataset(800)
     results = [sri_estimate(obs600), cca_estimate(obs600), mi_estimate(obs600),
-               oracle_estimate(full600)]
+               oracle_estimate(full600), sri_estimate(k1), cca_estimate(k1), mi_estimate(k1)]
+    assert results[4].extras["gamma_converged"]
     for res in results:
         est = {name: rep.psi_hat for name, rep in res.estimands.items()}
-        assert abs(est["te"] - (est["nde"] + est["nie_1"] + est["nie_2"])) <= 1e-12, res.method
+        paths = sum(value for name, value in est.items() if name != "te")
+        assert abs(est["te"] - paths) <= 1e-12, res.method
