@@ -146,10 +146,9 @@ class Dataset:
         cols.append(self.y[:, None])
         return np.hstack(cols)
 
-    def regressor_points(self, mask: Optional[np.ndarray] = None) -> np.ndarray:
-        """(x, a, m_1..m_K, y) over rows in mask (default: complete cases)."""
-        if mask is None:
-            mask = self.complete_mask
+    def regressor_points(self) -> np.ndarray:
+        """(x, a, m_1..m_K, y) over the complete cases."""
+        mask = self.complete_mask
         cols = [self.x_miss[mask], self.x_obs[mask], self.a[mask, None].astype(float)]
         cols.extend(mk[mask] for mk in self.m)
         cols.append(self.y[mask, None])

@@ -88,7 +88,7 @@ def fit_mu_chain(designs: SampleDesigns, odds: np.ndarray,
 
     mu: list[SeriesRegressor] = [None] * (ds.k + 1)  # type: ignore[list-item]
     values: list[np.ndarray] = [None] * (ds.k + 1)  # type: ignore[list-item]
-    response = ds.y[ds.complete_mask]
+    response = designs.y_cc
     for k in range(ds.k + 1, 0, -1):
         key = ("mu", k, prof[k - 1:])
         if key not in memo:
@@ -104,8 +104,5 @@ def fit_mu_chain(designs: SampleDesigns, odds: np.ndarray,
 def estimate_psi(designs: SampleDesigns, odds: np.ndarray, fits: NuisanceFits) -> float:
     """Average the reweighted mu_1 predictions over the whole sample;
     odds are the values the chain was fitted under."""
-    ds = designs.ds
-    cc = ds.complete_mask
-    plugin = np.zeros(ds.n)
-    plugin[cc] = (1.0 + odds[cc]) * fits.values[0]
+    plugin = designs.on_records((1.0 + designs.odds_cc(odds)) * fits.values[0])
     return float(plugin.mean())

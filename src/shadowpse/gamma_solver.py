@@ -24,10 +24,9 @@ below POLISH_GTOL: the criterion keeps a non-zero residual at its
 minimum, so Levenberg-Marquardt alone converges only linearly, while
 the Newton polish converges quadratically and pins the end point.
 Projections are applied through an orthonormal basis of the
-conditioning design's column span, O(n l) per criterion evaluation
-with exact idempotence. That span and the odds design are the sample's
-SampleDesigns (series_regression): factored once per pipeline run and
-shared with the representer and the influence values.
+conditioning design's column span, built once per pipeline run by
+SampleDesigns (series_regression) with the complete cases as its
+leading rows; the criterion reads those rows in place, in row blocks.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ from .errors import (
     LengthMismatch,
     UnsolvableSystem,
 )
-from .sieve_basis import BasisSpec, design_matrix
-from .series_regression import SampleDesigns, lapack_errors, project_onto
+from .sieve_basis import BasisSpec, design_matrix, row_blocks
+from .series_regression import SampleDesigns, lapack_errors
 
 # Levenberg-Marquardt stops once the objective's relative decrease falls
 # below LM_FTOL; the Newton polish then runs until the gradient norm of
@@ -108,14 +107,11 @@ class GammaModel:
         multiplies these values by r, so the placeholder is never read.
         The model must use the designs' odds basis.
         """
-        ds = designs.ds
-        out = np.zeros(ds.n)
         if self.is_zero:
-            return out
+            return np.zeros(designs.ds.n)
         if self.spec_q != designs.bundle.q:
             raise DimensionMismatch("odds model and designs use different odds bases")
-        out[ds.complete_mask] = self._on_design(designs.q)
-        return out
+        return designs.on_records(self._on_design(designs.q))
 
 
 @dataclass
@@ -143,44 +139,49 @@ class GammaFitReport:
 
 
 class _GammaProblem:
-    """Prebuilt matrices for repeated criterion evaluations on one sample."""
+    """Prebuilt matrices for repeated criterion evaluations on one sample.
+
+    The moment vector S' t (t = gamma at r = 1, -1 at r = 0) is
+    S_cc' gamma + c: S_cc is the conditioning span's leading block and
+    c = -S_miss' 1. Jacobian and Hessian sum over row blocks. The last
+    point evaluated is kept, as the Jacobian and the Hessian are asked
+    for where the residual or the gradient was just taken.
+    """
 
     def __init__(self, designs: SampleDesigns):
-        ds = designs.ds
-        self.n = ds.n
-        self.cc = ds.complete_mask
+        self.n = designs.ds.n
         self.qmat = designs.q
-        self.span = designs.p_span
         self.span_cc = designs.p_span_cc
-        self.rank_deficit = designs.bundle.p.dim - self.span.shape[1]
-        self.t_base = -(1.0 - ds.r.astype(float))  # -1 at r=0, 0 at r=1
-
-    def gamma_at(self, pi: np.ndarray, cap: float) -> tuple[np.ndarray, np.ndarray]:
-        u = self.qmat @ pi
-        th = np.tanh(u / cap)
-        return np.exp(cap * th), th
+        self.offset = -designs.p_span[designs.n_cc:].sum(axis=0)
+        self.rank_deficit = designs.bundle.p.dim - designs.p_span.shape[1]
+        self.blocks = row_blocks(designs.n_cc)
+        self._last: Optional[tuple] = None
 
     def _moments(self, pi: np.ndarray, cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """gamma and tanh on the complete cases, and the moment vector S' t."""
-        gam, th = self.gamma_at(pi, cap)
-        t = self.t_base.copy()
-        t[self.cc] = gam
-        return gam, th, self.span.T @ t
+        last = self._last
+        if last is None or last[0] != cap or not np.array_equal(last[1], pi):
+            th = np.tanh((self.qmat @ pi) / cap)
+            gam = np.exp(cap * th)
+            last = self._last = (cap, pi.copy(), gam, th, self.span_cc.T @ gam + self.offset)
+        return last[2:]
 
     def residual(self, pi: np.ndarray, cap: float) -> np.ndarray:
         """Projected moment vector; Q_n is its squared length over n."""
         return self._moments(pi, cap)[2]
 
     def residual_jac(self, pi: np.ndarray, cap: float) -> np.ndarray:
-        gam, th = self.gamma_at(pi, cap)
+        gam, th, _ = self._moments(pi, cap)
         d = gam * (1.0 - th * th)
-        return (self.span_cc.T * d) @ self.qmat
+        jac = np.zeros((self.span_cc.shape[1], self.qmat.shape[1]))
+        for rows in self.blocks:
+            jac += (self.span_cc[rows].T * d[rows]) @ self.qmat[rows]
+        return jac
 
     def value_and_grad(self, pi: np.ndarray, cap: float) -> tuple[float, np.ndarray]:
         gam, th, w = self._moments(pi, cap)
         qn = float(w @ w) / self.n
-        ht_cc = (self.span @ w)[self.cc]
-        grad = (2.0 / self.n) * (self.qmat.T @ (gam * (1.0 - th * th) * ht_cc))
+        grad = (2.0 / self.n) * (self.qmat.T @ (gam * (1.0 - th * th) * (self.span_cc @ w)))
         return qn, grad
 
     def hessian(self, pi: np.ndarray, cap: float) -> np.ndarray:
@@ -189,14 +190,20 @@ class _GammaProblem:
         R = S' t is the moment vector and J = S_cc' diag(g') Q its
         Jacobian; with s = 1 - th^2 the derivatives of gamma in the
         linear index are g' = gamma s and g'' = gamma s (s - 2 th / cap).
+        One pass over the row blocks sums J and the curvature term.
         """
         gam, th, w = self._moments(pi, cap)
         s = 1.0 - th * th
         d1 = gam * s
         d2 = d1 * (s - 2.0 * th / cap)
-        jac = (self.span_cc.T * d1) @ self.qmat
-        curv = (self.span_cc @ w) * d2
-        return (2.0 / self.n) * (jac.T @ jac + (self.qmat.T * curv) @ self.qmat)
+        dim = self.qmat.shape[1]
+        jac = np.zeros((self.span_cc.shape[1], dim))
+        curvature = np.zeros((dim, dim))
+        for rows in self.blocks:
+            span, qmat = self.span_cc[rows], self.qmat[rows]
+            jac += (span.T * d1[rows]) @ qmat
+            curvature += (qmat.T * ((span @ w) * d2[rows])) @ qmat
+        return (2.0 / self.n) * (jac.T @ jac + curvature)
 
 
 def _intercept_start(ds: Dataset, spec_q: BasisSpec, cap: float) -> Optional[np.ndarray]:
@@ -331,18 +338,14 @@ def fit_gamma(
             "would be underdetermined: a shadow variable capped at low degree gives too "
             "few moments to identify odds this rich in x_miss (completeness fails)"
         )
-    n0 = int((ds.r == 0).sum())
-    if n0 == ds.n:
+    if designs.n_cc == 0:
         raise DegenerateTarget("no complete cases: odds function is not estimable")
     cap = options.linear_cap
-    if n0 == 0:
-        model = GammaModel(spec_q=None, pi=None, linear_cap=cap, is_zero=True)
-        report = GammaFitReport(
-            q_n=0.0, grad_norm=0.0, n_iter=0, converged=True,
-            n_starts=0, best_start=-1, clamp_frac=0.0, polish_steps=0,
-            messages=["no incomplete records; gamma is identically zero"],
-        )
-        return model, report
+    if designs.n_cc == ds.n:
+        report = GammaFitReport(q_n=0.0, grad_norm=0.0, n_iter=0, converged=True, n_starts=0,
+                                best_start=-1, clamp_frac=0.0, polish_steps=0,
+                                messages=["no incomplete records; gamma is identically zero"])
+        return GammaModel(spec_q=None, pi=None, linear_cap=cap, is_zero=True), report
 
     prob = _GammaProblem(designs)
     messages = []
@@ -360,7 +363,7 @@ def fit_gamma(
 
     best = min(range(len(results)), key=lambda i: (results[i].obj, results[i].grad_norm, i))
     win = results[best]
-    _, th = prob.gamma_at(win.pi, cap)
+    _, th, _ = prob._moments(win.pi, cap)
     clamp_frac = float(np.mean(np.abs(th) > 0.9))
     if clamp_frac > 0:
         messages.append(f"soft clamp active on {clamp_frac:.1%} of complete cases")
@@ -393,5 +396,5 @@ def weak_norm_sq(values_a: np.ndarray, values_b: np.ndarray, designs: SampleDesi
     vb = np.asarray(values_b, dtype=float)
     if va.shape != (ds.n,) or vb.shape != (ds.n,):
         raise LengthMismatch("weak_norm_sq: values must align with the dataset")
-    proj = project_onto(designs.p_span, ds.r * (va - vb))
+    proj = designs.p_span @ (designs.p_span_cc.T @ designs.complete(va - vb))
     return float(proj @ proj) / ds.n

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, LengthMismatch
+from .errors import DimensionMismatch, LengthMismatch, NonFiniteInput
 from .estimator import (
     NuisanceFits,
     TreatmentProfile,
@@ -38,7 +38,7 @@ from .estimator import (
     fit_mu_chain,
     validate_profile,
 )
-from .series_regression import FitDiagnostics, SampleDesigns, SeriesRegressor, project_onto
+from .series_regression import FitDiagnostics, SampleDesigns, SeriesRegressor
 
 OMEGA_FLOOR = 1e-3
 
@@ -86,7 +86,7 @@ def _fit_omega(
     a_k, so it is solved against their designs.arm_lstsq(k, a_k, odds).
     """
     system = designs.arm_lstsq(k, arm_level, odds)
-    rhs = system.span.T @ ((1.0 + odds[designs.ds.complete_mask]) * target)
+    rhs = system.span.T @ ((1.0 + designs.odds_cc(odds)) * target)
     coef = system.pinv @ rhs
     resid = system.reduced @ coef - rhs
     resid_sup = float(np.max(np.abs(system.span @ resid))) if resid.size else 0.0
@@ -111,8 +111,7 @@ def fit_omegas(designs: SampleDesigns, odds: np.ndarray, profile: Sequence[int])
     ds = designs.ds
     prof = validate_profile(profile, ds.k)
     memo = designs.fits(odds)
-    cc = ds.complete_mask
-    a_cc = ds.a[cc]
+    a_cc = designs.a_cc
 
     omega: list[Optional[SeriesRegressor]] = []
     ident: list[bool] = []
@@ -122,7 +121,7 @@ def fit_omegas(designs: SampleDesigns, odds: np.ndarray, profile: Sequence[int])
         if k >= 2 and prof[k - 1] == prof[k - 2]:
             omega.append(None)
             ident.append(True)
-            raw_vals.append(np.ones(int(cc.sum())))
+            raw_vals.append(np.ones(designs.n_cc))
             continue
         key = ("omega", k, prof[k - 2:k] if k >= 2 else prof[:1])
         if key not in memo:
@@ -138,7 +137,7 @@ def fit_omegas(designs: SampleDesigns, odds: np.ndarray, profile: Sequence[int])
     floor_events = 0
     cumulative: list[SeriesRegressor] = []
     cumulative_values: list[np.ndarray] = []
-    running = np.ones(int(cc.sum()))
+    running = np.ones(designs.n_cc)
     for k in range(1, ds.k + 2):
         vals = raw_vals[k - 1]
         if not ident[k - 1]:
@@ -190,12 +189,8 @@ def phi_values(designs: SampleDesigns, fits: NuisanceFits, omegas: OmegaFits) ->
     """
     if fits.profile != omegas.profile:
         raise DimensionMismatch("mu chain and omega fits target different profiles")
-    ds = designs.ds
-    cc = ds.complete_mask
-    out = np.zeros(ds.n)
-    out[cc] = _phi_terms(ds.y[cc], ds.a[cc], fits.values, omegas.cumulative_values,
-                         fits.profile)
-    return out
+    return designs.on_records(_phi_terms(designs.y_cc, designs.a_cc, fits.values,
+                                         omegas.cumulative_values, fits.profile))
 
 
 def fit_representer(designs: SampleDesigns, phi: np.ndarray) -> tuple[SeriesRegressor, float]:
@@ -214,17 +209,14 @@ def fit_representer(designs: SampleDesigns, phi: np.ndarray) -> tuple[SeriesRegr
     ds = designs.ds
     if np.asarray(phi).shape != (ds.n,):
         raise LengthMismatch("phi must align with the dataset")
-    cc = ds.complete_mask
     spec_q = designs.bundle.q
     system = designs.representer_system
-    rhs = designs.q.T @ phi[cc]
+    rhs = designs.q.T @ designs.complete(phi)
     coef = system.solve(rhs)
     proj = system.design @ coef
     value = 0.5 * float(proj @ proj) / ds.n - float(rhs @ coef) / ds.n
-    diag = FitDiagnostics(
-        n_used=int(cc.sum()), dim=spec_q.dim, rank=system.rank,
-        gram_diag_ridge=system.eps,
-    )
+    diag = FitDiagnostics(n_used=designs.n_cc, dim=spec_q.dim, rank=system.rank,
+                          gram_diag_ridge=system.eps)
     return SeriesRegressor(spec=spec_q, coef=coef, diagnostics=diag), value
 
 
@@ -249,11 +241,8 @@ def influence_values(
         if np.any(t != 0.0):
             raise DimensionMismatch("representer required when R gamma - 1 + R is not identically zero")
         return term1 - psi_hat
-    cc = ds.complete_mask
-    rho_r = np.zeros(ds.n)
-    rho_r[cc] = designs.q @ rho.coef
-    erho = project_onto(designs.p_span, r * rho_r)
-    return term1 - psi_hat - erho * t
+    erho = designs.p_span @ (designs.p_span_cc.T @ (designs.q @ rho.coef))
+    return term1 - psi_hat - designs.on_records(erho) * t
 
 
 @dataclass
@@ -288,10 +277,13 @@ def variance_and_ci(
     level: float = 0.95,
     diagnostics: Optional[dict] = None,
 ) -> InferenceReport:
-    """sigma2 = (1/n) sum IF_i^2; CI = psi_hat -+ z sigma / sqrt(n)."""
+    """sigma2 = (1/n) sum IF_i^2; CI = psi_hat -+ z sigma / sqrt(n).
+    Raises NonFiniteInput when sigma2 is not finite (an overflow)."""
     ifv = np.asarray(if_values, dtype=float)
     n = len(ifv)
     sigma2 = float(ifv @ ifv) / n
+    if not np.isfinite(sigma2):
+        raise NonFiniteInput(f"influence-function variance is not finite: {sigma2}")
     se = float(np.sqrt(sigma2 / n))
     z = z_critical(level)
     return InferenceReport(
@@ -334,7 +326,7 @@ def analyze_profile(
     omegas = fit_omegas(designs, odds, prof)
     phi = phi_values(designs, fits, omegas)
 
-    if designs.ds.complete_mask.all() and not odds.any():
+    if designs.n_cc == designs.ds.n and not odds.any():
         rho, rho_value = None, 0.0
     else:
         rho, rho_value = fit_representer(designs, phi)

@@ -15,15 +15,9 @@ RidgeSystem holds ridged normal equations (gram + eps I) x = rhs with
 one Cholesky factor, made once and read by every right-hand side. A
 LAPACK failure in any of these raises UnsolvableSystem.
 
-SampleDesigns is where the sample designs of one pipeline run are
-built: the conditioning span, the odds design, each outcome-chain
-design, its span and the least squares through that span, and the
-representer's factored normal equations. Each is built on first use
-and at most once, then read by every stage and every profile. It
-carries the run's dataset, so a stage takes the designs and no dataset
-besides. It also holds the run's nuisance fits under the current odds,
-so profiles that share a fit make it once, and one weighted span system
-per (level k, arm a_k), shared by the mu_k and omega_k fits on that arm.
+SampleDesigns builds the sample designs of one pipeline run, each at
+most once and in one row order with the complete cases first, and
+holds the run's nuisance fits under the current odds.
 """
 
 from __future__ import annotations
@@ -44,13 +38,11 @@ from .errors import (
     NonFiniteInput,
     UnsolvableSystem,
 )
-from .sieve_basis import BasisSpec, SpecBundle, design_matrix
+from .sieve_basis import BasisSpec, SpecBundle, design_matrix, row_blocks
 
 # Gram eigenvalues at or below the largest times this are treated as zero
 # by orthonormal_span: a singular-value ratio of about 3e-7
 SPAN_EIG_RTOL = 1e-13
-# rows per block when a Gram pass overwrites its matrix in place
-SPAN_BLOCK_ROWS = 8192
 
 
 @contextmanager
@@ -160,23 +152,19 @@ def _gram_map(m: np.ndarray) -> np.ndarray:
 def _span_in_place(m: np.ndarray) -> np.ndarray:
     """orthonormal_span(m), written over m itself.
 
-    Each pass overwrites m block by block, m[rows] = m[rows] @ T, so the
-    matrix, the first pass and the span never coexist. Each row of the
-    product is the same sum as in m @ T; the blocks are near-equal, so
-    none is a lone row, which numpy would hand to gemv instead of gemm.
-    A pass that drops columns moves the columns it keeps to a fresh
-    array, laid out as m @ T would be.
+    Each pass overwrites m in row blocks, m[rows] = m[rows] @ T, so the
+    matrix, the first pass and the span never coexist; each row is the
+    same sum as in m @ T. A pass that drops columns moves the kept ones
+    to a fresh array, laid out as m @ T would be.
     """
     if m.size == 0:
         return np.zeros((m.shape[0], 0))
-    n = len(m)
-    count = -(-n // SPAN_BLOCK_ROWS)
-    bounds = [n * i // count for i in range(count + 1)]
+    blocks = row_blocks(len(m))
     for _ in range(2):
         t = _gram_map(m)
         k = t.shape[1]
-        for start, stop in zip(bounds, bounds[1:]):
-            m[start:stop, :k] = m[start:stop] @ t
+        for rows in blocks:
+            m[rows, :k] = m[rows] @ t
         if k < m.shape[1]:
             m = np.ascontiguousarray(m[:, :k])
         if k == 0:
@@ -196,13 +184,6 @@ def orthonormal_span(matrix: np.ndarray) -> np.ndarray:
     Both passes run on one copy of matrix, which is left as it was.
     """
     return _span_in_place(np.array(matrix, dtype=float))
-
-
-def project_onto(span: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of values onto the span (hat-matrix action)."""
-    if span.shape[1] == 0:
-        return np.zeros_like(values, dtype=float)
-    return span @ (span.T @ values)
 
 
 @dataclass
@@ -263,19 +244,19 @@ class SampleDesigns:
     """The designs of one (dataset, bundle) pair, each built at most once.
 
     One pipeline run builds one of these and hands it to every stage in
-    place of the dataset and the basis specs; the run's odds values are
-    worked out once by the pipeline and handed down beside it. Each
-    design is built on first use, so a run that fits no odds and no
-    representer never factors the conditioning design. The arrays are read-only, since every profile
-    of the run reads the same ones. Rows are complete cases except for
-    the conditioning span, which covers every record.
+    place of the dataset and the basis specs, with the run's odds values
+    beside it. Each design is built on first use, so a run that fits no
+    odds and no representer never factors the conditioning design; the
+    arrays are read-only, since every profile of the run reads them.
 
-    The conditioning span is the largest array of a run: at n = 1e5 and
-    the default sieve it is 31 MB. It is built over the buffer its
-    design was written into, and it is the one copy held. Its
-    complete-case rows, p_span_cc, are copied on each read and kept by
-    their reader only: the odds fit for its descent and
-    representer_system for the product p_span_cc' q.
+    Rows come in one stable order, complete cases first: the odds and
+    outcome-chain designs hold the complete cases in dataset order, and
+    the conditioning span (31 MB at n = 1e5, built over its design's
+    buffer) every record, those first. So p_span_cc is a leading view of
+    p_span, and y_cc, a_cc and odds_cc(odds) are gathered here once.
+    Per-record vectors stay in dataset order; complete and on_records
+    move values between the orders. With no incomplete record the order
+    is the identity, and neither copies.
 
     fits(odds) is the memo of the nuisance fits made under one vector
     of odds values, shared by every profile of the run. A profile
@@ -303,24 +284,42 @@ class SampleDesigns:
     def __init__(self, ds: Dataset, bundle: SpecBundle):
         self.ds = ds
         self.bundle = bundle
+        self.n_cc = int(np.count_nonzero(ds.complete_mask))
+        # the records in row order, or None for the identity order
+        self._order = None if self.n_cc == ds.n else np.argsort(~ds.complete_mask, kind="stable")
+        self.y_cc, self.a_cc = self.complete(ds.y), self.complete(ds.a)
         self._u: dict[int, np.ndarray] = {}
         self._u_span: dict[int, np.ndarray] = {}
         self._u_lstsq: dict[int, SpanLeastSquares] = {}
         self._fits_odds: Optional[np.ndarray] = None
+        self._odds_cc: Optional[np.ndarray] = None
         self._fits: dict = {}
+
+    def complete(self, values: np.ndarray) -> np.ndarray:
+        """The complete-case entries of a per-record vector, read-only."""
+        return _frozen(values.view() if self._order is None else values[self._order[:self.n_cc]])
+
+    def on_records(self, rows: np.ndarray) -> np.ndarray:
+        """Values on the leading rows of the row order (the complete cases,
+        or every row of p_span) in dataset order, zero at other records."""
+        if self._order is None:
+            return rows
+        out = np.zeros(self.ds.n)
+        out[self._order[:len(rows)]] = rows
+        return out
 
     @cached_property
     def p_span(self) -> np.ndarray:
-        """Orthonormal basis of the conditioning design's column span,
-        built over the design's own buffer."""
-        return _frozen(_span_in_place(design_matrix(self.bundle.p, self.ds.conditioning_points())))
+        """Orthonormal basis of the conditioning design's column span, in
+        row order, built over the design's own buffer."""
+        points = self.ds.conditioning_points()
+        points = points if self._order is None else points[self._order]
+        return _frozen(_span_in_place(design_matrix(self.bundle.p, points)))
 
     @property
     def p_span_cc(self) -> np.ndarray:
-        """The complete-case rows of p_span, copied anew on each read and
-        held by no one here: the odds fit and representer_system each
-        take them once and drop them when done."""
-        return _frozen(self.p_span[self.ds.complete_mask])
+        """The complete-case rows of p_span: its leading block, a view."""
+        return self.p_span[:self.n_cc]
 
     @cached_property
     def q(self) -> np.ndarray:
@@ -354,11 +353,10 @@ class SampleDesigns:
         memo = self.fits(odds)
         key = ("system", k, level)
         if key not in memo:
-            cc = self.ds.complete_mask
-            arm = self.ds.a[cc] == level
+            arm = self.a_cc == level
             if not arm.any():
                 raise EmptyArm(f"no complete cases with a={level} at level {k}")
-            weights = _frozen(np.where(arm, 1.0 + odds[cc], 0.0))
+            weights = _frozen(np.where(arm, 1.0 + self._odds_cc, 0.0))
             memo[key] = span_least_squares(self.u_span(k), self.u(k), weights)
         return memo[key]
 
@@ -366,20 +364,16 @@ class SampleDesigns:
     def representer_system(self) -> RidgeSystem:
         """The representer's normal equations under representer_ridge(n).
 
-        Its design is the projected odds design p_span_cc' q, which no
-        odds values or profile enter, so every profile of the run solves
-        against the same Gram matrix, ridge eps, rank and Cholesky
-        factor and pays only for its right-hand side.
+        Its design, the projected odds design p_span_cc' q, involves no
+        odds values or profile, so every profile of the run solves
+        against one Gram matrix, ridge eps, rank and Cholesky factor.
         """
         return ridge_system(_frozen(self.p_span_cc.T @ self.q), representer_ridge(self.ds.n))
 
     def fits(self, odds: np.ndarray) -> dict:
-        """The memo of nuisance fits made under the odds values `odds`,
-        one per record.
-
-        A call with other odds values than the last starts an empty
-        memo, so no fit is read under odds it was not made with.
-        """
+        """The memo of nuisance fits made under the odds values `odds`, one
+        per record. A call with other odds values than the last starts an
+        empty memo, so no fit is read under odds it was not made with."""
         if odds.shape != (self.ds.n,):
             raise DimensionMismatch("odds values must align with the designs' dataset")
         same = odds is self._fits_odds or (
@@ -389,4 +383,10 @@ class SampleDesigns:
         if not same:
             self._fits = {}
             self._fits_odds = odds if not odds.flags.writeable else _frozen(odds.copy())
+            self._odds_cc = self.complete(self._fits_odds)
         return self._fits
+
+    def odds_cc(self, odds: np.ndarray) -> np.ndarray:
+        """The complete-case entries of `odds`, gathered once per vector."""
+        self.fits(odds)
+        return self._odds_cc

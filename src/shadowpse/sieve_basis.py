@@ -20,6 +20,9 @@ import numpy as np
 from .data_model import Dataset
 from .errors import DimensionMismatch, EmptyResult, NonFiniteInput
 
+# rows per block when a tall array is filled, overwritten or summed over
+SPAN_BLOCK_ROWS = 2048
+
 @dataclass(frozen=True)
 class Standardizer:
     """Per-coordinate affine map u = (x - center) / scale."""
@@ -59,11 +62,7 @@ def detect_binary(points: np.ndarray) -> tuple[bool, ...]:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    out = []
-    for j in range(pts.shape[1]):
-        col = pts[:, j]
-        out.append(bool(np.isin(col[np.isfinite(col)], (0.0, 1.0)).all()))
-    return tuple(out)
+    return tuple(bool(np.isin(col[np.isfinite(col)], (0.0, 1.0)).all()) for col in pts.T)
 
 
 @dataclass(frozen=True)
@@ -99,13 +98,21 @@ class BasisSpec:
         return 1 + sum(self.degrees) + len(self._pairs())
 
 
+def row_blocks(n: int) -> list[slice]:
+    """Near-equal blocks of at most SPAN_BLOCK_ROWS of n rows, none a lone row."""
+    count = max(-(-n // SPAN_BLOCK_ROWS), 1)
+    bounds = [n * i // count for i in range(count + 1)]
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
 def design_matrix(spec: BasisSpec, points: np.ndarray) -> np.ndarray:
     """Evaluate the basis at each row of points; returns (n, spec.dim).
 
-    The columns are written into one preallocated array, in column
-    order: the intercept, then per coordinate u, then each higher power
-    as the previous power times u, then the pair products. The caller
-    owns the array, so a span may be built over it in place.
+    The columns are written into one preallocated array in column order,
+    one row block at a time so a block stays in cache: the intercept,
+    then per coordinate u, then each higher power as the previous power
+    times u, then the pair products. The caller owns the array, so a
+    span may be built over it in place.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -116,20 +123,21 @@ def design_matrix(spec: BasisSpec, points: np.ndarray) -> np.ndarray:
         )
     if not np.isfinite(pts).all():
         raise NonFiniteInput("design_matrix: non-finite input point")
-    u = spec.standardizer.apply(pts)
 
-    out = np.empty((u.shape[0], spec.dim))
-    out[:, 0] = 1.0
-    col = 1
-    for j, degree in enumerate(spec.degrees):
-        if degree:
-            out[:, col] = u[:, j]
-            for c in range(col + 1, col + degree):
-                np.multiply(out[:, c - 1], u[:, j], out=out[:, c])
-        col += degree
-    for i, j in spec._pairs():
-        np.multiply(u[:, i], u[:, j], out=out[:, col])
-        col += 1
+    out = np.empty((pts.shape[0], spec.dim))
+    for rows in row_blocks(pts.shape[0]):
+        u = spec.standardizer.apply(pts[rows])
+        out[rows, 0] = 1.0
+        col = 1
+        for j, degree in enumerate(spec.degrees):
+            if degree:
+                out[rows, col] = u[:, j]
+                for c in range(col + 1, col + degree):
+                    np.multiply(out[rows, c - 1], u[:, j], out=out[rows, c])
+            col += degree
+        for i, j in spec._pairs():
+            np.multiply(u[:, i], u[:, j], out=out[rows, col])
+            col += 1
     return out
 
 

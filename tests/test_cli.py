@@ -1,6 +1,7 @@
 import ast
 import inspect
 import json
+from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,7 +11,7 @@ import pytest
 
 from shadowpse import baselines, cli, simulation
 from shadowpse.data_model import write_csv, write_descriptor
-from shadowpse.errors import ConfigError, EstimationError, UnsolvableSystem
+from shadowpse.errors import ConfigError, EstimationError, NonFiniteInput, UnsolvableSystem
 from shadowpse.simulation import DgpConfig, generate
 
 from support import seq
@@ -306,6 +307,23 @@ def test_option_flag_reaches_the_estimator(flags, key, value, path, data_files,
     assert attrgetter(path)(SimpleNamespace(**bound.arguments)) == value
 
 
+def test_overflowing_variance_is_a_data_error(tmp_path):
+    """Scaled by 1e153, y gives finite estimates whose influence values'
+    sum of squares overflows: the oracle raises NonFiniteInput where it
+    returned se = inf, and the CLI exits 3."""
+    full, _ = generate(DgpConfig(n=600, seed=seq(40)))
+    big = replace(full, y=full.y * 1e153)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteInput):
+        baselines.oracle_estimate(big)
+    data, desc = tmp_path / "big.csv", tmp_path / "big.json"
+    write_csv(big, str(data))
+    write_descriptor(big, str(desc))
+    with np.errstate(over="ignore"):
+        rc = cli.main(["estimate", "--method", "oracle", "--data", str(data),
+                       "--descriptor", str(desc)])
+    assert rc == 3
+
+
 def _leaf_errors(cls=EstimationError):
     for sub in cls.__subclasses__():
         yield from (_leaf_errors(sub) if sub.__subclasses__() else [sub])
@@ -560,6 +578,43 @@ def k(ds, bundle): pass
     assert list(_takes_ds_and_designs(ast.parse(flagged))) == [("f", 2), ("h", 5)]
     found = [f"{path.name}:{line} {name}" for path in sorted(SRC.glob("*.py"))
              for name, line in _takes_ds_and_designs(ast.parse(path.read_text()))]
+    assert found == []
+
+
+# Where complete_mask may be read: the dataset's module, the bases fitted
+# on the complete cases, SampleDesigns and the imputer of mi.
+COMPLETE_MASK_READERS = {"data_model.py": None, "sieve_basis.py": None,
+                         "series_regression.py": {"SampleDesigns"},
+                         "baselines.py": {"_impute_once", "mi_estimate"}}
+
+
+def _complete_mask_reads(tree, allowed):
+    """(top-level definition, line) of every read of .complete_mask
+    outside the top-level definitions named in allowed."""
+    for top in tree.body:
+        name = getattr(top, "name", None)
+        if name not in allowed:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "complete_mask":
+                    yield name, node.lineno
+
+
+def test_only_the_designs_gather_the_complete_cases():
+    """Every stage reaches the complete cases through SampleDesigns, as
+    the leading block of its row order and the vectors it gathers once;
+    no other code reads complete_mask."""
+    flagged = """
+def f(ds): return ds.complete_mask
+class SampleDesigns:
+    def g(self): return self.ds.complete_mask
+n_cc = ds.complete_mask.sum()
+"""
+    assert list(_complete_mask_reads(ast.parse(flagged), {"SampleDesigns"})) == [
+        ("f", 2), (None, 5)]
+    found = [f"{path.name}:{line} {name}" for path in sorted(SRC.glob("*.py"))
+             if COMPLETE_MASK_READERS.get(path.name, set()) is not None
+             for name, line in _complete_mask_reads(
+                 ast.parse(path.read_text()), COMPLETE_MASK_READERS.get(path.name, set()))]
     assert found == []
 
 

@@ -15,7 +15,7 @@ from shadowpse.baselines import cca_estimate, mi_estimate, sri_estimate
 from shadowpse.data_model import Dataset, complete_cases
 from shadowpse.errors import DimensionMismatch
 from shadowpse.estimator import fit_mu_chain, named_estimand
-from shadowpse.gamma_solver import GammaModel
+from shadowpse.gamma_solver import GammaModel, fit_gamma
 from shadowpse.inference import analyze_profile, fit_omegas, fit_representer
 from shadowpse.series_regression import SampleDesigns
 from shadowpse.sieve_basis import build_spec_bundle
@@ -129,25 +129,27 @@ def whole_matrix_span(mat: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("n, deficient", [(2000, False), (20000, False), (20000, True)])
 def test_conditioning_span_built_in_place_matches_fresh_spans(n, deficient, obs2000, obs20000):
-    """p_span, built over its design's buffer in row blocks, is byte-equal
-    to orthonormal_span of a fresh design and to whole-matrix products;
-    p_span_cc is its complete-case rows, copied anew on each read."""
+    """p_span, built over its design's buffer in row blocks with the
+    complete cases first, is byte-equal to orthonormal_span of a fresh
+    design in that row order and to whole-matrix products; p_span_cc is
+    its leading block, a read-only view holding the complete cases' rows."""
     ds = obs2000 if n == 2000 else obs20000
     if deficient:  # a constant z zeroes every p column built from it
         ds = ds.subset(np.ones(ds.n, dtype=bool))
         ds.z = np.full_like(ds.z, 0.3)
     designs = SampleDesigns(ds, build_spec_bundle(ds))
-    design = sieve_basis.design_matrix(designs.bundle.p, ds.conditioning_points())
+    order = np.argsort(ds.r == 0, kind="stable")
+    design = sieve_basis.design_matrix(designs.bundle.p, ds.conditioning_points()[order])
     span = designs.p_span
-    assert (n > series_regression.SPAN_BLOCK_ROWS) == (n == 20000)
+    assert (n > sieve_basis.SPAN_BLOCK_ROWS) == (n == 20000)
     assert (span.shape[1] < design.shape[1]) == deficient
     for want in (series_regression.orthonormal_span(design), whole_matrix_span(design)):
         assert span.shape == want.shape
         assert span.tobytes() == want.tobytes()
     span_cc = designs.p_span_cc
-    assert span_cc.tobytes() == span[ds.complete_mask].tobytes()
+    assert span_cc.tobytes() == span[ds.r[order] == 1].tobytes()
+    assert np.shares_memory(span_cc, span)
     assert not span_cc.flags.writeable
-    assert designs.p_span_cc is not span_cc
 
 
 def test_second_sri_estimate_peaks_under_three_and_a_half_designs(obs20000):
@@ -164,6 +166,24 @@ def test_second_sri_estimate_peaks_under_three_and_a_half_designs(obs20000):
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * obs20000.n * p_dim * 8
+
+
+def test_odds_fit_reads_the_conditioning_span_in_place(obs20000):
+    """With the designs built, the tracemalloc peak of fit_gamma stays
+    under half the bytes of p_span_cc: the fit reads the complete-case
+    rows as a view, and sums its Jacobian and Hessian products over row
+    blocks, so it makes no array of a row per complete case and a column
+    per basis function."""
+    designs = SampleDesigns(obs20000, build_spec_bundle(obs20000))
+    span_cc = designs.p_span_cc
+    assert designs.q.shape[0] == len(span_cc)
+    tracemalloc.start()
+    try:
+        fit_gamma(designs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < span_cc.nbytes / 2
 
 
 def test_fit_ranks_are_real_on_rank_deficient_designs(obs600):

@@ -6,7 +6,6 @@ from shadowpse.series_regression import (
     SeriesRegressor,
     orthonormal_span,
     predict_many,
-    project_onto,
     project_residual_orthogonality,
     ridge_system,
     span_least_squares,
@@ -21,6 +20,11 @@ from shadowpse.sieve_basis import (
 from shadowpse.simulation import DgpConfig, generate
 
 from support import rng_for, seq
+
+
+def project(span, values):
+    """Orthogonal projection of values onto the span's columns."""
+    return span @ (span.T @ values)
 
 
 def identity_spec(degree, dim=1):
@@ -161,8 +165,8 @@ def test_orthonormal_span_projection_invariance():
     mat = rng.standard_normal((50, 6))
     t_mat = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)  # invertible
     v = rng.standard_normal(50)
-    p1 = project_onto(orthonormal_span(mat), v)
-    p2 = project_onto(orthonormal_span(mat @ t_mat), v)
+    p1 = project(orthonormal_span(mat), v)
+    p2 = project(orthonormal_span(mat @ t_mat), v)
     np.testing.assert_allclose(p1, p2, atol=1e-8)
     span = orthonormal_span(mat)
     np.testing.assert_allclose(span.T @ span, np.eye(span.shape[1]), atol=1e-10)
@@ -180,8 +184,8 @@ def test_projection_idempotence():
     rng = rng_for(311)
     span = orthonormal_span(rng.standard_normal((40, 5)))
     v = rng.standard_normal(40)
-    once = project_onto(span, v)
-    np.testing.assert_allclose(project_onto(span, once), once, atol=1e-10)
+    once = project(span, v)
+    np.testing.assert_allclose(project(span, once), once, atol=1e-10)
 
 
 def svd_span(mat, rtol=1e-12):
@@ -232,7 +236,7 @@ def test_orthonormal_span_degenerate_matrices():
     duplicated = orthonormal_span(np.column_stack([base, base[:, :2], base]))
     assert duplicated.shape == (40, 4)
     np.testing.assert_allclose(duplicated.T @ duplicated, np.eye(4), atol=1e-12)
-    np.testing.assert_allclose(project_onto(duplicated, base), base, atol=1e-12)
+    np.testing.assert_allclose(project(duplicated, base), base, atol=1e-12)
     assert orthonormal_span(np.zeros((40, 3))).shape == (40, 0)
     assert orthonormal_span(np.zeros((40, 0))).shape == (40, 0)
     assert orthonormal_span(np.zeros((0, 3))).shape == (0, 0)

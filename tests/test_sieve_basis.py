@@ -6,6 +6,7 @@ import pytest
 
 from shadowpse.data_model import Dataset, DatasetDims
 from shadowpse.sieve_basis import (
+    SPAN_BLOCK_ROWS,
     BasisSpec,
     SieveOptions,
     Standardizer,
@@ -123,13 +124,16 @@ def column_stack_design(spec, points):
     return np.column_stack(cols)
 
 
-@pytest.mark.parametrize("rows", [1, 2, 301])
+@pytest.mark.parametrize("rows", [1, 2, 301, SPAN_BLOCK_ROWS - 1, SPAN_BLOCK_ROWS,
+                                  SPAN_BLOCK_ROWS + 1, 2 * SPAN_BLOCK_ROWS + 7])
 @pytest.mark.parametrize("inter", [True, False])
 @pytest.mark.parametrize("degrees", [(3,), (0,), (3, 0, 2), (0, 0), (3, 1, 1, 3),
                                      (4, 1, 0, 2, 3)])
 def test_design_matrix_equals_column_stack_reference(degrees, inter, rows):
     """Byte for byte, on standardized points with binary coordinates
-    capped at power one by spec_for and on degrees that include 0."""
+    capped at power one by spec_for and on degrees that include 0, at
+    row counts that fill one block, a block and a row, and several
+    blocks."""
     pts = rng_for(206, len(degrees), rows).standard_normal((rows, len(degrees)))
     pts[:, [d == 1 for d in degrees]] = pts[:, [d == 1 for d in degrees]] > 0
     spec = spec_for(pts, degree=max(degrees), include_interactions=inter)
