@@ -51,6 +51,7 @@ from .inference import (
     variance_and_ci,
 )
 from .series_regression import (
+    RunFits,
     SampleDesigns,
     SeriesRegressor,
     predict_many,

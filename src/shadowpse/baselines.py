@@ -29,7 +29,7 @@ from .errors import ConfigError, InsufficientCompleteCases
 from .estimator import TreatmentProfile, named_estimand, validate_profile
 from .gamma_solver import GammaOptions, fit_gamma
 from .inference import InferenceReport, analyze_profile, variance_and_ci, z_critical
-from .series_regression import SampleDesigns, lapack_errors
+from .series_regression import RunFits, SampleDesigns, lapack_errors
 from .sieve_basis import SieveOptions, build_spec_bundle
 
 EstimandSpec = Union[str, tuple[Sequence[int], Sequence[int]]]
@@ -79,19 +79,21 @@ def _run_pipeline(
 ) -> MethodResult:
     """The sieve pipeline; gamma_options=None sets the odds to zero,
     otherwise the odds are fitted on ds and their report goes to extras.
+    A confidence level outside (0, 1) raises ConfigError before any fit.
 
-    The odds values are worked out once, one per record, and handed to
-    every stage with the sample's designs from one SampleDesigns, which
-    is dropped when the run returns. Each distinct profile is analysed
-    once; a contrast psi_a - psi_b takes the difference of its two
-    profiles' influence values."""
+    The odds values are worked out once, one per complete case, and
+    bound with the sample's designs in one RunFits, which every stage
+    reads and which is dropped when the run returns. Each distinct
+    profile is analysed once; a contrast psi_a - psi_b takes the
+    difference of its two profiles' influence values."""
+    z_critical(level)
     designs = SampleDesigns(ds, build_spec_bundle(ds, sieve))
     extras = {}
     if gamma_options is None:
-        odds = np.zeros(ds.n)
+        odds_cc = np.zeros(designs.n_cc)
     else:
         gamma, gamma_report = fit_gamma(designs, gamma_options)
-        odds = gamma.values(designs)
+        odds_cc = gamma.values(designs)
         extras = {
             "gamma_q_n": gamma_report.q_n,
             "gamma_grad_norm": gamma_report.grad_norm,
@@ -100,13 +102,13 @@ def _run_pipeline(
             "gamma_polish_steps": gamma_report.polish_steps,
             "gamma_messages": list(gamma_report.messages),
         }
-    odds.flags.writeable = False  # so designs.fits knows it by identity
+    run = RunFits(designs, odds_cc)
     analyses = {}
     reports = {}
     for name, (pa, pb) in estimands.items():
         for prof in (pa, pb):
             if prof not in analyses:
-                analyses[prof] = analyze_profile(designs, odds, prof, level)
+                analyses[prof] = analyze_profile(run, prof)
         a, b = analyses[pa], analyses[pb]
         diag = {"profile_a": list(pa), "profile_b": list(pb),
                 "psi_a": a.psi_hat, "psi_b": b.psi_hat}
@@ -187,6 +189,7 @@ def mi_estimate(
     """
     if m < 2:
         raise ConfigError("multiple imputation needs m >= 2")
+    z = z_critical(level)
     wanted = resolve_estimands(ds.k, estimands)
     cc_mask = ds.complete_mask
     design = np.hstack([np.ones((ds.n, 1)), ds.conditioning_points()])
@@ -217,7 +220,6 @@ def mi_estimate(
         for prof, psi in res.profiles.items():
             psi_acc.setdefault(prof, []).append(psi)
 
-    z = z_critical(level)
     reports = {}
     for name in wanted:
         pts = np.asarray(points[name])

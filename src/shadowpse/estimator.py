@@ -11,9 +11,11 @@ and each mu_k fits the previous fit's predictions on (x, m_1..m_{k-1})
 with weights 1{A = a_k} R (1 + gamma_hat). The (1 + gamma_hat) factor
 reweights complete cases back to the full population.
 
-Each stage takes the run's SampleDesigns, which carry the dataset, and
-the odds values gamma_hat: one entry per record, 0.0 at r = 0, worked
-out once per run by the pipeline (baselines).
+Each stage takes the run's RunFits: the sample's designs, which carry
+the dataset, bound to the odds values gamma_hat, one per complete case,
+which the pipeline (baselines) works out once per run. Only complete
+cases enter the sum, so psi_hat averages their reweighted predictions
+over all n records.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch
-from .series_regression import SampleDesigns, SeriesRegressor
+from .series_regression import RunFits, SeriesRegressor
 
 TreatmentProfile = tuple[int, ...]
 
@@ -72,37 +74,36 @@ class NuisanceFits:
     values: list[np.ndarray]
 
 
-def fit_mu_chain(designs: SampleDesigns, odds: np.ndarray,
-                 profile: Sequence[int]) -> NuisanceFits:
+def fit_mu_chain(run: RunFits, profile: Sequence[int]) -> NuisanceFits:
     """Fit the K+1 weighted regressions, outcome level first; each mu_k
-    is shared through designs.fits with every profile of the same suffix,
+    is shared through run.memo with every profile of the same suffix,
     and each is solved through the span of u(k) against
-    designs.arm_lstsq(k, a_k, odds), the one small weighted system per
-    (k, a_k) that the omega_k fits on that arm read too."""
+    run.arm_lstsq(k, a_k), the one small weighted system per (k, a_k)
+    that the omega_k fits on that arm read too."""
+    designs = run.designs
     ds = designs.ds
     prof = validate_profile(profile, ds.k)
     u_specs = designs.bundle.u
     if len(u_specs) != ds.k + 1:
         raise DimensionMismatch(f"need {ds.k + 1} mu bases, got {len(u_specs)}")
-    memo = designs.fits(odds)
 
     mu: list[SeriesRegressor] = [None] * (ds.k + 1)  # type: ignore[list-item]
     values: list[np.ndarray] = [None] * (ds.k + 1)  # type: ignore[list-item]
     response = designs.y_cc
     for k in range(ds.k + 1, 0, -1):
         key = ("mu", k, prof[k - 1:])
-        if key not in memo:
-            system = designs.arm_lstsq(k, prof[k - 1], odds)
+        if key not in run.memo:
+            system = run.arm_lstsq(k, prof[k - 1])
             reg = system.regressor(u_specs[k - 1], system.solve(response))
             # next level regresses mu_k evaluated at (x, m_1..m_{k-1})
-            memo[key] = (reg, designs.u(k) @ reg.coef)
-        mu[k - 1], values[k - 1] = memo[key]
+            run.memo[key] = (reg, designs.u(k) @ reg.coef)
+        mu[k - 1], values[k - 1] = run.memo[key]
         response = values[k - 1]
     return NuisanceFits(profile=prof, mu=mu, values=values)
 
 
-def estimate_psi(designs: SampleDesigns, odds: np.ndarray, fits: NuisanceFits) -> float:
+def estimate_psi(run: RunFits, fits: NuisanceFits) -> float:
     """Average the reweighted mu_1 predictions over the whole sample;
-    odds are the values the chain was fitted under."""
-    plugin = designs.on_records((1.0 + designs.odds_cc(odds)) * fits.values[0])
-    return float(plugin.mean())
+    fits is a chain fitted under run's odds."""
+    plugin = (1.0 + run.odds_cc) * fits.values[0]
+    return float(plugin.sum() / run.designs.ds.n)

@@ -101,17 +101,17 @@ class GammaModel:
         return self._on_design(design_matrix(self.spec_q, points))
 
     def values(self, designs: SampleDesigns) -> np.ndarray:
-        """Per-record gamma with 0.0 placeholders at r = 0.
+        """gamma on the complete cases, in the designs' row order.
 
-        Incomplete records have no evaluable covariates; every consumer
-        multiplies these values by r, so the placeholder is never read.
-        The model must use the designs' odds basis.
+        Incomplete records have no evaluable covariates, and the
+        estimator reads the odds only where r = 1. The model must use
+        the designs' odds basis.
         """
         if self.is_zero:
-            return np.zeros(designs.ds.n)
+            return np.zeros(designs.n_cc)
         if self.spec_q != designs.bundle.q:
             raise DimensionMismatch("odds model and designs use different odds bases")
-        return designs.on_records(self._on_design(designs.q))
+        return self._on_design(designs.q)
 
 
 @dataclass
@@ -385,16 +385,14 @@ def fit_gamma(
 def weak_norm_sq(values_a: np.ndarray, values_b: np.ndarray, designs: SampleDesigns) -> float:
     """Squared weak norm (1/n) || Ehat{ R (g_a - g_b) | W } ||^2.
 
-    values_* are per-record evaluations aligned with the designs'
-    dataset (entries at r = 0 are ignored through the multiplication by
-    r). The weak norm is the natural convergence metric for the odds
-    function: it only sees differences through the conditioning
-    projection.
+    values_* are evaluations on the complete cases, in the designs' row
+    order, as GammaModel.values gives them. The weak norm is the natural
+    convergence metric for the odds function: it only sees differences
+    through the conditioning projection.
     """
-    ds = designs.ds
     va = np.asarray(values_a, dtype=float)
     vb = np.asarray(values_b, dtype=float)
-    if va.shape != (ds.n,) or vb.shape != (ds.n,):
-        raise LengthMismatch("weak_norm_sq: values must align with the dataset")
-    proj = designs.p_span @ (designs.p_span_cc.T @ designs.complete(va - vb))
-    return float(proj @ proj) / ds.n
+    if va.shape != (designs.n_cc,) or vb.shape != (designs.n_cc,):
+        raise LengthMismatch("weak_norm_sq: values must have one entry per complete case")
+    proj = designs.p_span @ (designs.p_span_cc.T @ (va - vb))
+    return float(proj @ proj) / designs.ds.n

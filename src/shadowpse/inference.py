@@ -10,6 +10,9 @@ treatment-density ratios omega_k, and rho a representer fitted over the
 linear span of the odds-function basis. Incomplete records contribute
 through the formula literally: the first term vanishes with R_i = 0 and
 the last factor becomes -1, so their covariates are never touched.
+phi is a complete-case vector and the influence values come in the
+designs' row order, complete cases first; their only readers, the
+contrast differences and the variance, do not depend on the order.
 
 Recovering rho is ill-posed: at the default sieve 8-9 of the 39 Gram
 eigenvalues lie below 1e-2 of their mean at every n, so a fixed relative
@@ -30,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, LengthMismatch, NonFiniteInput
+from .errors import ConfigError, DimensionMismatch, LengthMismatch, NonFiniteInput
 from .estimator import (
     NuisanceFits,
     TreatmentProfile,
@@ -38,7 +41,7 @@ from .estimator import (
     fit_mu_chain,
     validate_profile,
 )
-from .series_regression import FitDiagnostics, SampleDesigns, SeriesRegressor
+from .series_regression import FitDiagnostics, RunFits, SampleDesigns, SeriesRegressor
 
 OMEGA_FLOOR = 1e-3
 
@@ -46,7 +49,7 @@ OMEGA_FLOOR = 1e-3
 def z_critical(level: float) -> float:
     """Two-sided normal critical value, e.g. 1.959964 at level 0.95."""
     if not 0.0 < level < 1.0:
-        raise DimensionMismatch(f"confidence level must be in (0,1), got {level}")
+        raise ConfigError(f"confidence level must be in (0,1), got {level}")
     return NormalDist().inv_cdf(0.5 + level / 2.0)
 
 
@@ -54,8 +57,8 @@ def z_critical(level: float) -> float:
 class OmegaFits:
     """Treatment-density ratios omega_1..omega_{K+1} for one profile.
 
-    identically_one[k-1] marks levels where a_k = a_{k-1} and omega_k
-    is exactly one by construction (no fit is stored or consulted).
+    omega[k-1] is None at levels where a_k = a_{k-1}: there omega_k is
+    exactly one by construction, and no fit is stored or consulted.
     Raw evaluations are floored at OMEGA_FLOOR: the ratios are positive by
     definition but sieve fits can dip negative in sparse regions.
     cumulative[k-1] stores the floored product omega_1..omega_k pushed
@@ -67,7 +70,6 @@ class OmegaFits:
 
     profile: TreatmentProfile
     omega: list[Optional[SeriesRegressor]]
-    identically_one: list[bool]
     cumulative: list[SeriesRegressor]
     cumulative_values: list[np.ndarray]
     floor_events: int
@@ -75,26 +77,25 @@ class OmegaFits:
 
 
 def _fit_omega(
-    designs: SampleDesigns, k: int, arm_level: int, target: np.ndarray,
-    odds: np.ndarray,
+    run: RunFits, k: int, arm_level: int, target: np.ndarray,
 ) -> tuple[SeriesRegressor, float, np.ndarray]:
     """omega_k, its moment residual sup and its raw values on the
     complete cases.
 
     The moment system span' diag(1{A = a_k} (1 + gamma)) u(k) c =
     span' ((1 + gamma) target) has the matrix of the mu_k fits on arm
-    a_k, so it is solved against their designs.arm_lstsq(k, a_k, odds).
+    a_k, so it is solved against their run.arm_lstsq(k, a_k).
     """
-    system = designs.arm_lstsq(k, arm_level, odds)
-    rhs = system.span.T @ ((1.0 + designs.odds_cc(odds)) * target)
+    system = run.arm_lstsq(k, arm_level)
+    rhs = system.span.T @ ((1.0 + run.odds_cc) * target)
     coef = system.pinv @ rhs
     resid = system.reduced @ coef - rhs
     resid_sup = float(np.max(np.abs(system.span @ resid))) if resid.size else 0.0
-    reg = system.regressor(designs.bundle.u[k - 1], coef)
-    return reg, resid_sup, designs.u(k) @ coef
+    reg = system.regressor(run.designs.bundle.u[k - 1], coef)
+    return reg, resid_sup, run.designs.u(k) @ coef
 
 
-def fit_omegas(designs: SampleDesigns, odds: np.ndarray, profile: Sequence[int]) -> OmegaFits:
+def fit_omegas(run: RunFits, profile: Sequence[int]) -> OmegaFits:
     """Fit each omega_k from its conditional moment restriction.
 
     omega_1 solves E[(1+gamma)(1{A=a_1} w(X) - 1) | R=1, X] = 0 and, for
@@ -103,34 +104,31 @@ def fit_omegas(designs: SampleDesigns, odds: np.ndarray, profile: Sequence[int])
     the k-th mu basis over complete cases, giving a small linear system
     whose matrix is that of the mu_k fits on arm a_k.
 
-    The omega and cumulative fits are shared through designs.fits with
+    The omega and cumulative fits are shared through run.memo with
     every profile of the same levels; floor events count per profile.
     The cumulative fits are unweighted least squares on the k-th mu
     basis, solved through designs.u_lstsq(k).
     """
+    designs, memo = run.designs, run.memo
     ds = designs.ds
     prof = validate_profile(profile, ds.k)
-    memo = designs.fits(odds)
     a_cc = designs.a_cc
 
     omega: list[Optional[SeriesRegressor]] = []
-    ident: list[bool] = []
     raw_vals: list[np.ndarray] = []
     resid_sup = 0.0
     for k in range(1, ds.k + 2):
         if k >= 2 and prof[k - 1] == prof[k - 2]:
             omega.append(None)
-            ident.append(True)
             raw_vals.append(np.ones(designs.n_cc))
             continue
         key = ("omega", k, prof[k - 2:k] if k >= 2 else prof[:1])
         if key not in memo:
             target = np.ones(len(a_cc)) if k == 1 else (a_cc == prof[k - 2]).astype(float)
-            memo[key] = _fit_omega(designs, k, prof[k - 1], target, odds)
+            memo[key] = _fit_omega(run, k, prof[k - 1], target)
         reg, sup, vals = memo[key]
         resid_sup = max(resid_sup, sup)
         omega.append(reg)
-        ident.append(False)
         raw_vals.append(vals)
 
     # cumulative products, floored then pushed back into the k-th basis span
@@ -140,7 +138,7 @@ def fit_omegas(designs: SampleDesigns, odds: np.ndarray, profile: Sequence[int])
     running = np.ones(designs.n_cc)
     for k in range(1, ds.k + 2):
         vals = raw_vals[k - 1]
-        if not ident[k - 1]:
+        if omega[k - 1] is not None:
             floor_events += int((vals < OMEGA_FLOOR).sum())
             vals = np.maximum(vals, OMEGA_FLOOR)
         key = ("cumulative", k, prof[:k])
@@ -155,7 +153,6 @@ def fit_omegas(designs: SampleDesigns, odds: np.ndarray, profile: Sequence[int])
     return OmegaFits(
         profile=prof,
         omega=omega,
-        identically_one=ident,
         cumulative=cumulative,
         cumulative_values=cumulative_values,
         floor_events=floor_events,
@@ -163,23 +160,8 @@ def fit_omegas(designs: SampleDesigns, odds: np.ndarray, profile: Sequence[int])
     )
 
 
-def _phi_terms(
-    y: np.ndarray,
-    a: np.ndarray,
-    mu_vals: list[np.ndarray],
-    cum_vals: list[np.ndarray],
-    profile: TreatmentProfile,
-) -> np.ndarray:
-    kk = len(profile) - 1
-    phi = mu_vals[0].copy()
-    for k in range(1, kk + 1):
-        phi += (a == profile[k - 1]) * cum_vals[k - 1] * (mu_vals[k] - mu_vals[k - 1])
-    phi += (a == profile[kk]) * cum_vals[kk] * (y - mu_vals[kk])
-    return phi
-
-
 def phi_values(designs: SampleDesigns, fits: NuisanceFits, omegas: OmegaFits) -> np.ndarray:
-    """Augmented outcome phi for every record; zero placeholders at r=0.
+    """Augmented outcome phi on the complete cases, in row order.
 
     phi = mu_1(x)
         + sum_k 1{a=a_k} prod_{j<=k} omega_j (mu_{k+1} - mu_k)
@@ -189,8 +171,14 @@ def phi_values(designs: SampleDesigns, fits: NuisanceFits, omegas: OmegaFits) ->
     """
     if fits.profile != omegas.profile:
         raise DimensionMismatch("mu chain and omega fits target different profiles")
-    return designs.on_records(_phi_terms(designs.y_cc, designs.a_cc, fits.values,
-                                         omegas.cumulative_values, fits.profile))
+    prof, a = fits.profile, designs.a_cc
+    mu_vals, cum_vals = fits.values, omegas.cumulative_values
+    kk = len(prof) - 1
+    phi = mu_vals[0].copy()
+    for k in range(1, kk + 1):
+        phi += (a == prof[k - 1]) * cum_vals[k - 1] * (mu_vals[k] - mu_vals[k - 1])
+    phi += (a == prof[kk]) * cum_vals[kk] * (designs.y_cc - mu_vals[kk])
+    return phi
 
 
 def fit_representer(designs: SampleDesigns, phi: np.ndarray) -> tuple[SeriesRegressor, float]:
@@ -207,11 +195,11 @@ def fit_representer(designs: SampleDesigns, phi: np.ndarray) -> tuple[SeriesRegr
     run's designs.representer_system, shared by every profile.
     """
     ds = designs.ds
-    if np.asarray(phi).shape != (ds.n,):
-        raise LengthMismatch("phi must align with the dataset")
+    if np.shape(phi) != (designs.n_cc,):
+        raise LengthMismatch("phi must have one entry per complete case")
     spec_q = designs.bundle.q
     system = designs.representer_system
-    rhs = designs.q.T @ designs.complete(phi)
+    rhs = designs.q.T @ phi
     coef = system.solve(rhs)
     proj = system.design @ coef
     value = 0.5 * float(proj @ proj) / ds.n - float(rhs @ coef) / ds.n
@@ -221,28 +209,29 @@ def fit_representer(designs: SampleDesigns, phi: np.ndarray) -> tuple[SeriesRegr
 
 
 def influence_values(
-    designs: SampleDesigns,
-    odds: np.ndarray,
+    run: RunFits,
     psi_hat: float,
     phi: np.ndarray,
     rho: Optional[SeriesRegressor],
 ) -> np.ndarray:
-    """Per-record influence values; mean near zero by construction.
+    """Per-record influence values in row order, complete cases first;
+    mean near zero by construction.
 
     rho=None is the complete-data shortcut: with odds identically zero
     and no incomplete records the correction factor R gamma - 1 + R is
     exactly zero, so the representer term drops out.
     """
-    ds = designs.ds
-    r = ds.r.astype(float)
-    t = r * odds - (1.0 - r)
-    term1 = r * (1.0 + odds) * phi
+    designs = run.designs
+    n, n_cc = designs.ds.n, designs.n_cc
+    term1 = np.zeros(n)
+    term1[:n_cc] = (1.0 + run.odds_cc) * phi
     if rho is None:
-        if np.any(t != 0.0):
+        if n_cc < n or run.odds_cc.any():
             raise DimensionMismatch("representer required when R gamma - 1 + R is not identically zero")
         return term1 - psi_hat
+    t = np.concatenate([run.odds_cc, np.full(n - n_cc, -1.0)])
     erho = designs.p_span @ (designs.p_span_cc.T @ (designs.q @ rho.coef))
-    return term1 - psi_hat - designs.on_records(erho) * t
+    return term1 - psi_hat - erho * t
 
 
 @dataclass
@@ -298,48 +287,33 @@ def variance_and_ci(
 
 @dataclass
 class ProfileAnalysis:
-    profile: TreatmentProfile
     psi_hat: float
     fits: NuisanceFits
     omegas: OmegaFits
     phi: np.ndarray
     rho: Optional[SeriesRegressor]
     if_values: np.ndarray
-    report: InferenceReport
 
 
-def analyze_profile(
-    designs: SampleDesigns,
-    odds: np.ndarray,
-    profile: Sequence[int],
-    level: float = 0.95,
-) -> ProfileAnalysis:
+def analyze_profile(run: RunFits, profile: Sequence[int]) -> ProfileAnalysis:
     """Full single-profile pipeline: chain, omegas, phi, representer, IF,
     all on the run's designs under its odds values.
 
     With no incomplete records and zero odds the factor R odds - 1 + R
     is identically zero, so the representer is neither fitted nor read.
     """
+    designs = run.designs
     prof = validate_profile(profile, designs.ds.k)
-    fits = fit_mu_chain(designs, odds, prof)
-    psi_hat = estimate_psi(designs, odds, fits)
-    omegas = fit_omegas(designs, odds, prof)
+    fits = fit_mu_chain(run, prof)
+    psi_hat = estimate_psi(run, fits)
+    omegas = fit_omegas(run, prof)
     phi = phi_values(designs, fits, omegas)
 
-    if designs.n_cc == designs.ds.n and not odds.any():
-        rho, rho_value = None, 0.0
+    if designs.n_cc == designs.ds.n and not run.odds_cc.any():
+        rho = None
     else:
-        rho, rho_value = fit_representer(designs, phi)
-    ifv = influence_values(designs, odds, psi_hat, phi, rho)
-    diag = {
-        "profile": list(prof),
-        "if_mean": float(ifv.mean()),
-        "omega_floor_events": omegas.floor_events,
-        "omega_moment_residual_sup": omegas.moment_residual_sup,
-        "rho_criterion": rho_value,
-    }
-    report = variance_and_ci(psi_hat, ifv, level, diag)
+        rho, _ = fit_representer(designs, phi)
     return ProfileAnalysis(
-        profile=prof, psi_hat=psi_hat, fits=fits, omegas=omegas, phi=phi,
-        rho=rho, if_values=ifv, report=report,
+        psi_hat=psi_hat, fits=fits, omegas=omegas, phi=phi, rho=rho,
+        if_values=influence_values(run, psi_hat, phi, rho),
     )

@@ -16,8 +16,9 @@ one Cholesky factor, made once and read by every right-hand side. A
 LAPACK failure in any of these raises UnsolvableSystem.
 
 SampleDesigns builds the sample designs of one pipeline run, each at
-most once and in one row order with the complete cases first, and
-holds the run's nuisance fits under the current odds.
+most once and in one row order with the complete cases first. RunFits
+binds them to the run's odds values, once, and holds the nuisance fits
+made under those odds.
 """
 
 from __future__ import annotations
@@ -243,38 +244,27 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 class SampleDesigns:
     """The designs of one (dataset, bundle) pair, each built at most once.
 
-    One pipeline run builds one of these and hands it to every stage in
-    place of the dataset and the basis specs, with the run's odds values
-    beside it. Each design is built on first use, so a run that fits no
-    odds and no representer never factors the conditioning design; the
-    arrays are read-only, since every profile of the run reads them.
+    One pipeline run builds one of these and hands it, inside its
+    RunFits, to every stage in place of the dataset and the basis specs.
+    Each design is built on first use, so a run that fits no odds and no
+    representer never factors the conditioning design; the arrays are
+    read-only, since every profile of the run reads them. Nothing here
+    depends on the odds.
 
     Rows come in one stable order, complete cases first: the odds and
     outcome-chain designs hold the complete cases in dataset order, and
     the conditioning span (31 MB at n = 1e5, built over its design's
     buffer) every record, those first. So p_span_cc is a leading view of
-    p_span, and y_cc, a_cc and odds_cc(odds) are gathered here once.
-    Per-record vectors stay in dataset order; complete and on_records
-    move values between the orders. With no incomplete record the order
-    is the identity, and neither copies.
+    p_span, and y_cc and a_cc are gathered here once. Every per-record
+    vector of a run keeps this order: the odds values and phi hold the
+    complete cases, and the influence values the complete cases first.
+    With no incomplete record the order is the identity, and nothing is
+    gathered.
 
-    fits(odds) is the memo of the nuisance fits made under one vector
-    of odds values, shared by every profile of the run. A profile
-    (a_1..a_{K+1}) reads mu_k under ("mu", k, (a_k..a_{K+1})), the
-    non-identity omega_k under ("omega", k, (a_{k-1}, a_k)), with
-    ("omega", 1, (a_1,)) for omega_1, and the cumulative omega product
-    up to level k under ("cumulative", k, (a_1..a_k)), so the
-    four default profiles of a K = 2 run make 9 mu, 4 omega and 9
-    cumulative fits where fitting each profile alone makes 12, 6 and 12.
-    The mu and cumulative entries keep the fitted values on the complete
-    cases with the fit, so no profile computes them again.
-
-    arm_lstsq(k, a_k, odds) is the weighted least squares on u(k) with
-    weights 1{A = a_k} (1 + odds), solved through u_span(k) and held in
-    fits(odds) under ("system", k, a_k). Every mu_k and omega_k fit on
-    arm a_k solves against it: 6 systems for the 9 mu and 4 omega fits
-    above. u_lstsq(k) is the unweighted one the cumulative fits solve
-    against. No fit factors a matrix with a row per complete case.
+    u_lstsq(k) is the unweighted least squares on u(k) that the
+    cumulative omega fits solve against; the weighted ones are the run's
+    (RunFits.arm_lstsq). No fit factors a matrix with a row per complete
+    case.
 
     representer_system holds the representer's normal equations under
     the ridge representer_ridge(n) that the sample size sets, factored
@@ -287,26 +277,14 @@ class SampleDesigns:
         self.n_cc = int(np.count_nonzero(ds.complete_mask))
         # the records in row order, or None for the identity order
         self._order = None if self.n_cc == ds.n else np.argsort(~ds.complete_mask, kind="stable")
-        self.y_cc, self.a_cc = self.complete(ds.y), self.complete(ds.a)
+        self.y_cc, self.a_cc = self._complete(ds.y), self._complete(ds.a)
         self._u: dict[int, np.ndarray] = {}
         self._u_span: dict[int, np.ndarray] = {}
         self._u_lstsq: dict[int, SpanLeastSquares] = {}
-        self._fits_odds: Optional[np.ndarray] = None
-        self._odds_cc: Optional[np.ndarray] = None
-        self._fits: dict = {}
 
-    def complete(self, values: np.ndarray) -> np.ndarray:
+    def _complete(self, values: np.ndarray) -> np.ndarray:
         """The complete-case entries of a per-record vector, read-only."""
         return _frozen(values.view() if self._order is None else values[self._order[:self.n_cc]])
-
-    def on_records(self, rows: np.ndarray) -> np.ndarray:
-        """Values on the leading rows of the row order (the complete cases,
-        or every row of p_span) in dataset order, zero at other records."""
-        if self._order is None:
-            return rows
-        out = np.zeros(self.ds.n)
-        out[self._order[:len(rows)]] = rows
-        return out
 
     @cached_property
     def p_span(self) -> np.ndarray:
@@ -346,20 +324,6 @@ class SampleDesigns:
             self._u_lstsq[k] = span_least_squares(self.u_span(k), self.u(k))
         return self._u_lstsq[k]
 
-    def arm_lstsq(self, k: int, level: int, odds: np.ndarray) -> SpanLeastSquares:
-        """Least squares on u(k) over the complete cases with a = level,
-        weighted by 1 + odds, through u_span(k): one small system per
-        (k, level) under the odds values `odds`, held in fits(odds)."""
-        memo = self.fits(odds)
-        key = ("system", k, level)
-        if key not in memo:
-            arm = self.a_cc == level
-            if not arm.any():
-                raise EmptyArm(f"no complete cases with a={level} at level {k}")
-            weights = _frozen(np.where(arm, 1.0 + self._odds_cc, 0.0))
-            memo[key] = span_least_squares(self.u_span(k), self.u(k), weights)
-        return memo[key]
-
     @cached_property
     def representer_system(self) -> RidgeSystem:
         """The representer's normal equations under representer_ridge(n).
@@ -370,23 +334,49 @@ class SampleDesigns:
         """
         return ridge_system(_frozen(self.p_span_cc.T @ self.q), representer_ridge(self.ds.n))
 
-    def fits(self, odds: np.ndarray) -> dict:
-        """The memo of nuisance fits made under the odds values `odds`, one
-        per record. A call with other odds values than the last starts an
-        empty memo, so no fit is read under odds it was not made with."""
-        if odds.shape != (self.ds.n,):
-            raise DimensionMismatch("odds values must align with the designs' dataset")
-        same = odds is self._fits_odds or (
-            self._fits_odds is not None
-            and np.array_equal(odds, self._fits_odds, equal_nan=True)
-        )
-        if not same:
-            self._fits = {}
-            self._fits_odds = odds if not odds.flags.writeable else _frozen(odds.copy())
-            self._odds_cc = self.complete(self._fits_odds)
-        return self._fits
 
-    def odds_cc(self, odds: np.ndarray) -> np.ndarray:
-        """The complete-case entries of `odds`, gathered once per vector."""
-        self.fits(odds)
-        return self._odds_cc
+class RunFits:
+    """One pipeline run: its designs, its odds values and the nuisance
+    fits made under them.
+
+    The run works out its odds values once, one per complete case in
+    the designs' row order, and binds them here: the vector is frozen,
+    so every fit in memo was made under it. Every stage that reads the
+    odds takes this object.
+
+    memo is shared by every profile of the run. A profile
+    (a_1..a_{K+1}) reads mu_k under ("mu", k, (a_k..a_{K+1})), the
+    non-identity omega_k under ("omega", k, (a_{k-1}, a_k)), with
+    ("omega", 1, (a_1,)) for omega_1, and the cumulative omega product
+    up to level k under ("cumulative", k, (a_1..a_k)), so the four
+    default profiles of a K = 2 run make 9 mu, 4 omega and 9 cumulative
+    fits where fitting each profile alone makes 12, 6 and 12. The mu and
+    cumulative entries keep the fitted values on the complete cases with
+    the fit, so no profile computes them again.
+
+    arm_lstsq(k, a_k) is the weighted least squares on u(k) with weights
+    1{A = a_k} (1 + odds), solved through u_span(k) and held in memo
+    under ("system", k, a_k). Every mu_k and omega_k fit on arm a_k
+    solves against it: 6 systems for the 9 mu and 4 omega fits above.
+    """
+
+    def __init__(self, designs: SampleDesigns, odds_cc: np.ndarray):
+        if np.shape(odds_cc) != (designs.n_cc,):
+            raise DimensionMismatch("odds values must have one entry per complete case")
+        self.designs = designs
+        self.odds_cc = _frozen(np.asarray(odds_cc, dtype=float))
+        self.memo: dict = {}
+
+    def arm_lstsq(self, k: int, level: int) -> SpanLeastSquares:
+        """Least squares on u(k) over the complete cases with a = level,
+        weighted by 1 + odds, through u_span(k): one small system per
+        (k, level), held in memo."""
+        key = ("system", k, level)
+        if key not in self.memo:
+            designs = self.designs
+            arm = designs.a_cc == level
+            if not arm.any():
+                raise EmptyArm(f"no complete cases with a={level} at level {k}")
+            weights = _frozen(np.where(arm, 1.0 + self.odds_cc, 0.0))
+            self.memo[key] = span_least_squares(designs.u_span(k), designs.u(k), weights)
+        return self.memo[key]

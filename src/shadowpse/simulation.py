@@ -31,6 +31,7 @@ from . import baselines
 from .data_model import Dataset, DatasetDims
 from .errors import ConfigError, EstimationError
 from .estimator import TreatmentProfile, named_estimand
+from .inference import z_critical
 
 # ---- structural configuration -----------------------------------------
 
@@ -385,12 +386,13 @@ def run_monte_carlo(
     with one BLAS thread each: the replications' products are small, so
     more BLAS threads than cores only contend (a fork pool inheriting
     the default thread count ran slower than one process). An unknown
-    method, or an estimand the truth table lacks, raises ConfigError
-    before any replication runs.
+    method, a confidence level outside (0, 1), or an estimand the truth
+    table lacks raises ConfigError before any replication runs.
     """
     unknown = [m for m in methods if m not in baselines.METHODS]
     if unknown:
         raise ConfigError(f"unknown methods {unknown}; choose from {', '.join(baselines.METHODS)}")
+    z_critical(options.level)
     if truth is None:
         truth = true_effects(config, big_n=truth_big_n)
     missing = [e for e in estimands if e not in truth.contrasts]

@@ -23,6 +23,7 @@ from shadowpse.gamma_solver import (
 )
 from shadowpse.inference import fit_omegas, fit_representer
 from shadowpse.series_regression import (
+    RunFits,
     SampleDesigns,
     orthonormal_span,
     predict_many,
@@ -125,16 +126,17 @@ def test_criterion_5a_chain_residual_orthogonality():
         designs = SampleDesigns(obs, build_spec_bundle(obs))
         model, _ = fit_gamma(designs, GammaOptions())
         profile = (0, 1, 1) if i % 2 else (1, 0, 1)
-        fits = fit_mu_chain(designs, model.values(designs), profile)
+        run = RunFits(designs, model.values(designs))
+        fits = fit_mu_chain(run, profile)
         cc = obs.complete_mask
-        growth = 1.0 + model.values(designs)[cc]
+        growth = 1.0 + run.odds_cc
         resp = obs.y[cc]
         for k in (3, 2, 1):
             w = np.where(obs.a[cc] == profile[k - 1], growth, 0.0)
             worst_mu = max(worst_mu, project_residual_orthogonality(
                 fits.mu[k - 1], obs.mu_points(k), resp, w))
             resp = predict_many(fits.mu[k - 1], obs.mu_points(k))
-        omegas = fit_omegas(designs, model.values(designs), profile)
+        omegas = fit_omegas(run, profile)
         worst_omega = max(worst_omega, omegas.moment_residual_sup)
     ok = worst_mu <= 1e-6 and worst_omega <= 1e-6
     check(ok, "criterion 5a (normal-equation orthogonality, 50 instances)",
@@ -220,14 +222,14 @@ def test_criterion_5f_representer_closed_form():
     mask[:20] = True
     ds = obs.subset(mask)
     bundle = build_spec_bundle(ds, SieveOptions(degree=1, include_interactions=False))
-    phi = np.where(ds.r == 1, ds.y, 0.0)
+    phi = ds.y[ds.complete_mask]
     rho, value = fit_representer(SampleDesigns(ds, bundle), phi)
 
     eps = rho.diagnostics.gram_diag_ridge
     smat = design_matrix(bundle.q, ds.regressor_points())
     span = orthonormal_span(design_matrix(bundle.p, ds.conditioning_points()))
     gmat = span[ds.complete_mask].T @ smat
-    rhs = smat.T @ phi[ds.complete_mask]
+    rhs = smat.T @ phi
     hess = gmat.T @ gmat + eps * np.eye(bundle.q.dim)
     res = scipy.optimize.minimize(
         lambda c: 0.5 * c @ hess @ c - rhs @ c,
@@ -253,7 +255,7 @@ def test_criterion_5g_weak_norm_shrinks():
             full, obs = generate(DgpConfig(n=n, seed=seq(4, n, i)))
             designs = SampleDesigns(obs, build_spec_bundle(obs))
             model, _ = fit_gamma(designs, GammaOptions())
-            truth = true_gamma_values(full, DgpConfig(n=n))
+            truth = true_gamma_values(full, DgpConfig(n=n))[obs.complete_mask]
             vals.append(weak_norm_sq(model.values(designs), truth, designs))
         meds[n] = float(np.median(vals))
     ok = meds[4000] < meds[1000]

@@ -3,6 +3,7 @@ import pytest
 
 from shadowpse import baselines, cli
 from shadowpse.baselines import (
+    MethodOptions,
     MethodResult,
     cca_estimate,
     mi_estimate,
@@ -98,9 +99,9 @@ def test_each_profile_analysed_once(monkeypatch, obs600):
     calls = []
     original = baselines.analyze_profile
 
-    def counting(designs, odds, profile, *args, **kwargs):
+    def counting(run, profile):
         calls.append(profile)
-        return original(designs, odds, profile, *args, **kwargs)
+        return original(run, profile)
 
     monkeypatch.setattr(baselines, "analyze_profile", counting)
     res = sri_estimate(obs600)
@@ -160,6 +161,25 @@ def test_mi_moves_point_estimates_off_complete_cases(obs2000):
 def test_run_method_rejects_unknown_name(obs600):
     with pytest.raises(ConfigError):
         run_method("sir", obs600)
+
+
+@pytest.mark.parametrize("method", ["sri", "oracle", "cca", "mi"])
+def test_bad_level_is_a_config_error_before_any_fit(method, monkeypatch, full2000, obs600):
+    """A confidence level outside (0, 1) raises ConfigError (exit 2)
+    before any basis is built or any odds fitted."""
+    built = []
+    for name in ("build_spec_bundle", "fit_gamma"):
+        original = getattr(baselines, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            built.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, name, counting)
+    with pytest.raises(ConfigError):
+        run_method(method, full2000 if method == "oracle" else obs600,
+                   options=MethodOptions(level=1.5))
+    assert built == []
 
 
 def test_dispatch_calls_estimators_through_module_names(monkeypatch, obs600, tmp_path):

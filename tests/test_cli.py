@@ -581,6 +581,44 @@ def k(ds, bundle): pass
     assert found == []
 
 
+def _odds_outside_the_run(tree):
+    """(name, line) of every function or method outside class RunFits
+    that takes an odds parameter (named odds or odds_*), or designs beside
+    run."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef) and top.name == "RunFits":
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                if ({"designs", "run"} <= params
+                        or any(p == "odds" or p.startswith("odds_") for p in params)):
+                    yield node.name, node.lineno
+
+
+def test_the_odds_are_bound_once_per_run():
+    """Only RunFits takes the odds values: every stage that reads them
+    takes the run, and no stage takes the designs beside the run, so no
+    stage can be handed odds or designs of another run."""
+    flagged = """
+def f(designs, odds, profile): pass
+def _g(run, k, odds_cc=None): pass
+def h(run, designs): pass
+class C:
+    def m(self, *, odds): pass
+class RunFits:
+    def __init__(self, designs, odds_cc): pass
+def ok(run, profile, oddsratio): pass
+def fine(designs, phi): pass
+"""
+    assert list(_odds_outside_the_run(ast.parse(flagged))) == [
+        ("f", 2), ("_g", 3), ("h", 4), ("m", 6)]
+    found = [f"{path.name}:{line} {name}" for path in sorted(SRC.glob("*.py"))
+             for name, line in _odds_outside_the_run(ast.parse(path.read_text()))]
+    assert found == []
+
+
 # Where complete_mask may be read: the dataset's module, the bases fitted
 # on the complete cases, SampleDesigns and the imputer of mi.
 COMPLETE_MASK_READERS = {"data_model.py": None, "sieve_basis.py": None,

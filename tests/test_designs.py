@@ -14,10 +14,10 @@ from shadowpse import inference, series_regression, sieve_basis
 from shadowpse.baselines import cca_estimate, mi_estimate, sri_estimate
 from shadowpse.data_model import Dataset, complete_cases
 from shadowpse.errors import DimensionMismatch
-from shadowpse.estimator import fit_mu_chain, named_estimand
+from shadowpse.estimator import named_estimand
 from shadowpse.gamma_solver import GammaModel, fit_gamma
 from shadowpse.inference import analyze_profile, fit_omegas, fit_representer
-from shadowpse.series_regression import SampleDesigns
+from shadowpse.series_regression import RunFits, SampleDesigns
 from shadowpse.sieve_basis import build_spec_bundle
 
 DEFAULT_PROFILES = [(1, 1, 1), (0, 0, 0), (0, 0, 1), (0, 1, 1)]
@@ -90,21 +90,25 @@ def test_shared_designs_match_fresh_designs_bit_for_bit(obs2000, bundle2000, gam
     profiles = sorted({prof for name in ("nde", "nie_1", "nie_2", "te")
                        for prof in named_estimand(name, 2)})
     assert len(profiles) == 4
-    shared = SampleDesigns(obs2000, bundle2000)
-    odds = model.values(shared)
+    designs = SampleDesigns(obs2000, bundle2000)
+    odds = model.values(designs)
+    shared = RunFits(designs, odds)
     for prof in profiles:
-        a = analyze_profile(shared, odds, prof)
-        b = analyze_profile(SampleDesigns(obs2000, bundle2000), odds, prof)
+        a = analyze_profile(shared, prof)
+        b = analyze_profile(RunFits(SampleDesigns(obs2000, bundle2000), odds), prof)
         assert a.psi_hat == b.psi_hat
         assert a.if_values.tobytes() == b.if_values.tobytes()
-        assert a.report.to_dict() == b.report.to_dict()
 
 
 def test_designs_must_match_the_dataset(obs600, obs2000, bundle2000):
-    """Odds values with one entry per record of another dataset are
-    refused by the designs they are read with."""
+    """Odds values with one entry per complete case of another dataset
+    are refused by the run they are bound to, before any stage reads
+    them."""
+    n_cc = int(obs600.complete_mask.sum())
     with pytest.raises(DimensionMismatch):
-        fit_mu_chain(SampleDesigns(obs2000, bundle2000), np.zeros(obs600.n), (1, 1, 1))
+        RunFits(SampleDesigns(obs2000, bundle2000), np.zeros(n_cc))
+    with pytest.raises(DimensionMismatch):
+        RunFits(SampleDesigns(obs2000, bundle2000), np.zeros(obs2000.n))
 
 
 def constant_x_miss(ds: Dataset) -> Dataset:
@@ -189,16 +193,15 @@ def test_odds_fit_reads_the_conditioning_span_in_place(obs20000):
 def test_fit_ranks_are_real_on_rank_deficient_designs(obs600):
     ds = constant_x_miss(obs600)
     designs = SampleDesigns(ds, build_spec_bundle(ds))
-    gamma = np.where(ds.r == 1, 0.5 + 0.1 * np.tanh(ds.y), 0.0)
+    gamma = 0.5 + 0.1 * np.tanh(designs.y_cc)
 
-    omegas = fit_omegas(designs, gamma, (0, 1, 1))
+    omegas = fit_omegas(RunFits(designs, gamma), (0, 1, 1))
     for k, reg in enumerate(omegas.cumulative, start=1):
         rank = np.linalg.matrix_rank(designs.u(k))
         assert rank < reg.spec.dim
         assert reg.diagnostics.rank == rank
 
-    phi = np.where(ds.r == 1, ds.y, 0.0)
-    rho, _ = fit_representer(designs, phi)
+    rho, _ = fit_representer(designs, designs.y_cc)
     rank = np.linalg.matrix_rank(designs.p_span_cc.T @ designs.q)
     assert rank < rho.spec.dim
     assert rho.diagnostics.rank == rank
@@ -261,31 +264,35 @@ def analysis_bytes(analysis) -> bytes:
     arrays += [reg.coef for reg in analysis.omegas.cumulative]
     arrays += [reg.coef for reg in analysis.omegas.omega if reg is not None]
     return b"".join(np.ascontiguousarray(arr).tobytes() for arr in arrays) + repr(
-        analysis.report.to_dict()).encode()
+        analysis.psi_hat).encode()
 
 
 @pytest.mark.parametrize("odds", ["zero then model", "array then array",
                                   "one array changed in place"])
 def test_fits_never_outlive_their_odds(odds, obs2000, bundle2000, gamma2000):
-    """One SampleDesigns asked with two odds in turn gives what a fresh
-    SampleDesigns per odds gives, byte for byte."""
-    flat = np.where(obs2000.r == 1, 0.5, 0.0)
-    tilted = np.where(obs2000.r == 1, 0.5 + 0.1 * np.tanh(obs2000.y), 0.0)
+    """Runs under two odds in turn on one SampleDesigns give what a fresh
+    SampleDesigns per run gives, byte for byte: the designs hold nothing
+    made under the odds. A run freezes its odds, so they cannot change
+    under its fits."""
     shared = SampleDesigns(obs2000, bundle2000)
+    flat = np.full(shared.n_cc, 0.5)
+    tilted = 0.5 + 0.1 * np.tanh(shared.y_cc)
     if odds == "zero then model":
-        pair = (np.zeros(obs2000.n), gamma2000[0].values(shared))
+        pair = (np.zeros(shared.n_cc), gamma2000[0].values(shared))
     elif odds == "array then array":
         pair = (flat, tilted)
     else:
         pair = (flat.copy(),) * 2
     for values in pair:
-        fresh = SampleDesigns(obs2000, bundle2000)
+        run = RunFits(shared, values)
+        fresh = RunFits(SampleDesigns(obs2000, bundle2000), values)
         for prof in DEFAULT_PROFILES:
-            got = analyze_profile(shared, values, prof)
-            want = analyze_profile(fresh, values, prof)
+            got = analyze_profile(run, prof)
+            want = analyze_profile(fresh, prof)
             assert analysis_bytes(got) == analysis_bytes(want)
         if odds == "one array changed in place":
-            values[:] = tilted
+            with pytest.raises(ValueError):
+                values[:] = tilted
 
 
 def fresh_representer(designs: SampleDesigns, phi: np.ndarray):
@@ -294,7 +301,7 @@ def fresh_representer(designs: SampleDesigns, phi: np.ndarray):
     the projected odds design."""
     n = designs.ds.n
     gmat = designs.p_span_cc.T @ designs.q
-    rhs = designs.q.T @ phi[designs.ds.complete_mask]
+    rhs = designs.q.T @ phi
     gram = gmat.T @ gmat
     ridge = series_regression.representer_ridge(n)
     eps = ridge * max(float(np.trace(gram)) / gram.shape[0], 1.0)
@@ -339,14 +346,14 @@ def test_representer_system_is_factored_once_per_run(monkeypatch, obs2000):
 
 
 def standalone_chain(designs: SampleDesigns, odds: np.ndarray, prof) -> list:
-    """The mu_k coefficients of one profile, each from np.linalg.lstsq on
-    its sqrt(w)-weighted design."""
+    """The mu_k coefficients of one profile under complete-case odds,
+    each from np.linalg.lstsq on its sqrt(w)-weighted design."""
     ds = designs.ds
     cc = ds.complete_mask
     coefs = [None] * (ds.k + 1)
     response = ds.y[cc]
     for k in range(ds.k + 1, 0, -1):
-        sw = np.sqrt(np.where(ds.a[cc] == prof[k - 1], 1.0 + odds[cc], 0.0))
+        sw = np.sqrt(np.where(ds.a[cc] == prof[k - 1], 1.0 + odds, 0.0))
         coefs[k - 1], _, _, _ = np.linalg.lstsq(designs.u(k) * sw[:, None], response * sw,
                                                 rcond=None)
         response = designs.u(k) @ coefs[k - 1]
@@ -359,8 +366,9 @@ def assert_pure(designs: SampleDesigns, odds: np.ndarray, profiles) -> list:
     np.linalg.lstsq on u(k) to 1e-12 relative, with lstsq's rank.
     Returns the lstsq ranks of the cumulative fits."""
     ranks = []
+    run = RunFits(designs, odds)
     for prof in profiles:
-        analysis = analyze_profile(designs, odds, prof)
+        analysis = analyze_profile(run, prof)
         want = standalone_chain(designs, odds, prof)
         for reg, coef in zip(analysis.fits.mu, want):
             assert np.max(np.abs(reg.coef - coef)) <= 1e-10 * np.max(np.abs(coef))
@@ -383,14 +391,14 @@ def test_shared_factors_are_pure(method, obs2000, gamma2000):
     gives the least-squares fits."""
     ds = obs2000 if method == "sri" else complete_cases(obs2000)
     designs = SampleDesigns(ds, build_spec_bundle(ds))
-    odds = gamma2000[0].values(designs) if method == "sri" else np.zeros(ds.n)
+    odds = gamma2000[0].values(designs) if method == "sri" else np.zeros(designs.n_cc)
     ranks = assert_pure(designs, odds, DEFAULT_PROFILES)
     assert len(ranks) == 3 * len(DEFAULT_PROFILES)
 
 
 def test_shared_factors_are_pure_on_rank_deficient_designs(obs600):
     ds = constant_x_miss(obs600)
-    gamma = np.where(ds.r == 1, 0.5 + 0.1 * np.tanh(ds.y), 0.0)
-    ranks = assert_pure(SampleDesigns(ds, build_spec_bundle(ds)), gamma, DEFAULT_PROFILES)
+    designs = SampleDesigns(ds, build_spec_bundle(ds))
+    ranks = assert_pure(designs, 0.5 + 0.1 * np.tanh(designs.y_cc), DEFAULT_PROFILES)
     dims = [spec.dim for spec in build_spec_bundle(ds).u]
     assert all(rank < dims[i % len(dims)] for i, rank in enumerate(ranks))

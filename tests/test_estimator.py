@@ -11,6 +11,7 @@ from shadowpse.estimator import (
 )
 from shadowpse.gamma_solver import GammaOptions, fit_gamma
 from shadowpse.series_regression import (
+    RunFits,
     SampleDesigns,
     predict_many,
     project_residual_orthogonality,
@@ -49,17 +50,18 @@ def test_constant_outcome_and_constant_odds_scaling():
     m1 = x + rng.standard_normal(n)
     ds = one_mediator_dataset(n, x, a, m1, np.full(n, 3.25))
     designs = SampleDesigns(ds, build_spec_bundle(ds, SieveOptions(degree=2)))
-    fits = fit_mu_chain(designs, np.zeros(n), (1, 0))
-    assert abs(estimate_psi(designs, np.zeros(n), fits) - 3.25) <= 1e-12
-    fits_c = fit_mu_chain(designs, np.full(n, 0.4), (1, 0))
-    assert abs(estimate_psi(designs, np.full(n, 0.4), fits_c) - 1.4 * 3.25) <= 1e-12
+    run = RunFits(designs, np.zeros(n))
+    assert abs(estimate_psi(run, fit_mu_chain(run, (1, 0))) - 3.25) <= 1e-12
+    run_c = RunFits(designs, np.full(n, 0.4))
+    assert abs(estimate_psi(run_c, fit_mu_chain(run_c, (1, 0))) - 1.4 * 3.25) <= 1e-12
 
 
 def test_linear_chain_equals_per_arm_least_squares(comp600):
     designs = SampleDesigns(comp600, build_spec_bundle(
         comp600, SieveOptions(mu_degree=1, mu_interactions=False)))
     profile = (1, 0, 1)
-    fits = fit_mu_chain(designs, np.zeros(comp600.n), profile)
+    run = RunFits(designs, np.zeros(comp600.n))
+    fits = fit_mu_chain(run, profile)
     resp = comp600.y.copy()
     for k in (3, 2, 1):
         pts = comp600.mu_points(k)
@@ -70,7 +72,7 @@ def test_linear_chain_equals_per_arm_least_squares(comp600):
         mine = predict_many(fits.mu[k - 1], pts)
         np.testing.assert_allclose(mine, direct, atol=1e-10)
         resp = mine
-    assert abs(estimate_psi(designs, np.zeros(comp600.n), fits) - direct.mean()) <= 1e-10
+    assert abs(estimate_psi(run, fits) - direct.mean()) <= 1e-10
 
 
 def test_chain_orthogonality_under_estimated_odds():
@@ -81,9 +83,9 @@ def test_chain_orthogonality_under_estimated_odds():
         model, _ = fit_gamma(designs, GammaOptions())
         odds = model.values(designs)
         profile = (0, 1, 1) if i % 2 else (1, 0, 1)
-        fits = fit_mu_chain(designs, odds, profile)
+        fits = fit_mu_chain(RunFits(designs, odds), profile)
         cc = obs.complete_mask
-        growth = 1.0 + odds[cc]
+        growth = 1.0 + odds
         resp = obs.y[cc]
         for k in (3, 2, 1):
             w = np.where(obs.a[cc] == profile[k - 1], growth, 0.0)
@@ -98,16 +100,13 @@ def test_psi_recovers_truth_with_known_odds():
     for i in range(200):
         full, obs = generate(DgpConfig(n=2000, seed=seq(6, i)))
         designs = SampleDesigns(obs, build_spec_bundle(obs))
-        gamma = np.where(obs.r == 0, 0.0,
-                         true_gamma_values(full, DgpConfig(n=2000)))
-        fits = fit_mu_chain(designs, gamma, (1, 1, 1))
-        points.append(estimate_psi(designs, gamma, fits))
+        run = RunFits(designs, true_gamma_values(full, DgpConfig(n=2000))[obs.complete_mask])
+        points.append(estimate_psi(run, fit_mu_chain(run, (1, 1, 1))))
     assert abs(float(np.mean(points)) - TRUE_PSI["111"]) <= 0.05
 
 
-def psi_contrast(designs, odds, pa, pb):
-    return (estimate_psi(designs, odds, fit_mu_chain(designs, odds, pa))
-            - estimate_psi(designs, odds, fit_mu_chain(designs, odds, pb)))
+def psi_contrast(run, pa, pb):
+    return estimate_psi(run, fit_mu_chain(run, pa)) - estimate_psi(run, fit_mu_chain(run, pb))
 
 
 def test_contrast_zero_for_equal_profiles(obs600):
@@ -122,10 +121,10 @@ def test_duplication_invariance(obs600):
     designs = SampleDesigns(obs600, build_spec_bundle(obs600))
     model, _ = fit_gamma(designs, GammaOptions())
     gv = model.values(designs)
-    single = psi_contrast(designs, gv, (1, 1, 1), (0, 0, 0))
+    single = psi_contrast(RunFits(designs, gv), (1, 1, 1), (0, 0, 0))
     doubled_ds = tile_dataset(obs600, 2)
     doubled_designs = SampleDesigns(doubled_ds, build_spec_bundle(doubled_ds))
-    doubled = psi_contrast(doubled_designs, np.tile(gv, 2), (1, 1, 1), (0, 0, 0))
+    doubled = psi_contrast(RunFits(doubled_designs, np.tile(gv, 2)), (1, 1, 1), (0, 0, 0))
     assert abs(single - doubled) <= 1e-10
 
 
@@ -138,4 +137,4 @@ def test_empty_arm_raises():
     ds = one_mediator_dataset(n, x, np.zeros(n, dtype=int), m1, y)
     designs = SampleDesigns(ds, build_spec_bundle(ds, SieveOptions(degree=1)))
     with pytest.raises(EmptyArm):
-        fit_mu_chain(designs, np.zeros(n), (1, 1))
+        fit_mu_chain(RunFits(designs, np.zeros(n)), (1, 1))

@@ -336,11 +336,12 @@ def test_criterion_invariant_to_projection_reparametrisation(obs2000, bundle2000
 def test_weak_norm_properties(obs600):
     designs = SampleDesigns(obs600, build_spec_bundle(obs600))
     rng = rng_for(312)
-    g = rng.random(obs600.n)
+    cc = obs600.complete_mask
+    g = rng.random(obs600.n)[cc]
     assert weak_norm_sq(g, g, designs) == 0.0
-    g2 = rng.random(obs600.n)
-    diff = obs600.r * (g - g2)
-    assert weak_norm_sq(g, g2, designs) <= float(np.mean(diff ** 2)) + 1e-12
+    g2 = rng.random(obs600.n)[cc]
+    diff = g - g2
+    assert weak_norm_sq(g, g2, designs) <= float(np.sum(diff ** 2)) / obs600.n + 1e-12
     with pytest.raises(LengthMismatch):
         weak_norm_sq(g[:-1], g2, designs)
 
@@ -353,7 +354,7 @@ def test_weak_norm_shrinks_with_sample_size():
             full, obs = generate(DgpConfig(n=n, seed=seq(4, n, i)))
             designs = SampleDesigns(obs, build_spec_bundle(obs))
             model, _ = fit_gamma(designs, GammaOptions())
-            truth = true_gamma_values(full, DgpConfig(n=n))
+            truth = true_gamma_values(full, DgpConfig(n=n))[obs.complete_mask]
             vals.append(weak_norm_sq(model.values(designs), truth, designs))
         meds[n] = float(np.median(vals))
     assert meds[4000] < meds[1000]
@@ -377,9 +378,12 @@ def test_zero_penalty_path_runs(obs600):
     assert np.isfinite(model.values(designs)).all()
 
 
-def test_model_values_zero_on_missing_rows(obs600, gamma2000):
+def test_model_values_are_the_complete_cases_odds(obs600):
+    """GammaModel.values holds one positive entry per complete case: the
+    model evaluated at their regressor points."""
     designs = SampleDesigns(obs600, build_spec_bundle(obs600))
     model, _ = fit_gamma(designs, GammaOptions())
     vals = model.values(designs)
-    np.testing.assert_array_equal(vals[obs600.r == 0], 0.0)
-    assert np.all(vals[obs600.r == 1] > 0.0)
+    assert vals.shape == (designs.n_cc,) and designs.n_cc < obs600.n
+    assert np.all(vals > 0.0)
+    np.testing.assert_array_equal(vals, model.values_at(obs600.regressor_points()))

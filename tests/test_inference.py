@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from shadowpse.errors import DimensionMismatch
+from shadowpse.baselines import sri_estimate
+from shadowpse.errors import ConfigError, DimensionMismatch
 from shadowpse.gamma_solver import GammaOptions, fit_gamma
 from shadowpse.inference import (
     OMEGA_FLOOR,
@@ -18,6 +19,7 @@ from shadowpse.inference import (
 from shadowpse.estimator import estimate_psi, fit_mu_chain
 from shadowpse.series_regression import (
     FitDiagnostics,
+    RunFits,
     SampleDesigns,
     SeriesRegressor,
     orthonormal_span,
@@ -35,20 +37,19 @@ def test_z_critical_values():
     assert abs(z_critical(0.95) - 1.959963984540054) <= 1e-9
     assert abs(z_critical(0.90) - 1.6448536269514722) <= 1e-9
     for bad in (0.0, 1.0, -0.2, 1.7):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ConfigError):
             z_critical(bad)
 
 
 def test_omega_identically_one_pattern(obs2000, bundle2000, gamma2000):
     model, _ = gamma2000
     designs = SampleDesigns(obs2000, bundle2000)
-    odds = model.values(designs)
-    om = fit_omegas(designs, odds, (1, 1, 1))
-    assert om.identically_one == [False, True, True]
-    assert om.omega[1] is None and om.omega[2] is None
+    run = RunFits(designs, model.values(designs))
+    om = fit_omegas(run, (1, 1, 1))
+    assert [reg is None for reg in om.omega] == [False, True, True]
     assert om.moment_residual_sup <= 1e-6
-    om_mixed = fit_omegas(designs, odds, (1, 0, 1))
-    assert om_mixed.identically_one == [False, False, False]
+    om_mixed = fit_omegas(run, (1, 0, 1))
+    assert [reg is None for reg in om_mixed.omega] == [False, False, False]
     assert om_mixed.moment_residual_sup <= 1e-6
 
 
@@ -62,7 +63,7 @@ def test_omega_recovers_inverse_propensity():
     y = m1 + rng.standard_normal(n)
     ds = one_mediator_dataset(n, x, a, m1, y)
     bundle = build_spec_bundle(ds, SieveOptions(degree=2))
-    om = fit_omegas(SampleDesigns(ds, bundle), np.zeros(n), (1, 1))
+    om = fit_omegas(RunFits(SampleDesigns(ds, bundle), np.zeros(n)), (1, 1))
     vals = predict_many(om.omega[0], ds.mu_points(1))
     assert float(np.mean(np.abs(vals - 2.0) <= 0.1)) >= 0.9
     assert om.moment_residual_sup <= 1e-6
@@ -77,7 +78,7 @@ def test_omega_floor_engages_when_arm_support_vanishes():
     y = m1 + rng.standard_normal(n)
     ds = one_mediator_dataset(n, x, a, m1, y)
     bundle = build_spec_bundle(ds, SieveOptions(degree=3))
-    om = fit_omegas(SampleDesigns(ds, bundle), np.zeros(n), (1, 1))
+    om = fit_omegas(RunFits(SampleDesigns(ds, bundle), np.zeros(n)), (1, 1))
     assert om.floor_events > 0
     assert OMEGA_FLOOR == 1e-3
 
@@ -106,25 +107,26 @@ def phi_at_row(ds, i, fits, omegas):
 def test_phi_values_matches_per_record_path(obs600):
     designs = SampleDesigns(obs600, build_spec_bundle(obs600))
     model, _ = fit_gamma(designs, GammaOptions())
-    analysis = analyze_profile(designs, model.values(designs), (1, 0, 1))
-    for i in np.flatnonzero(obs600.complete_mask)[:25]:
+    analysis = analyze_profile(RunFits(designs, model.values(designs)), (1, 0, 1))
+    for j, i in enumerate(np.flatnonzero(obs600.complete_mask)[:25]):
         got = phi_at_row(obs600, i, analysis.fits, analysis.omegas)
-        assert abs(got - analysis.phi[i]) <= 1e-10
+        assert abs(got - analysis.phi[j]) <= 1e-10
 
 
 def test_reweighted_phi_mean_reproduces_psi(obs2000, bundle2000, gamma2000):
     model, _ = gamma2000
     designs = SampleDesigns(obs2000, bundle2000)
     gvals = model.values(designs)
+    run = RunFits(designs, gvals)
     for profile in ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)):
-        analysis = analyze_profile(designs, gvals, profile)
-        lhs = float(np.mean(obs2000.r * (1.0 + gvals) * analysis.phi))
+        analysis = analyze_profile(run, profile)
+        lhs = float(np.sum((1.0 + gvals) * analysis.phi)) / obs2000.n
         assert abs(lhs - analysis.psi_hat) <= 1e-8
 
 
 def test_representer_zero_target(obs600):
     designs = SampleDesigns(obs600, build_spec_bundle(obs600))
-    rho, value = fit_representer(designs, np.zeros(obs600.n))
+    rho, value = fit_representer(designs, np.zeros(designs.n_cc))
     np.testing.assert_allclose(rho.coef, 0.0, atol=1e-12)
     assert value == 0.0
 
@@ -135,7 +137,7 @@ def test_representer_matches_brute_force_minimiser():
     mask[:20] = True
     ds = obs.subset(mask)
     bundle = build_spec_bundle(ds, SieveOptions(degree=1, include_interactions=False))
-    phi = np.where(ds.r == 1, ds.y, 0.0)
+    phi = ds.y[ds.complete_mask]
     rho, value = fit_representer(SampleDesigns(ds, bundle), phi)
     assert value <= 0.0
 
@@ -144,7 +146,7 @@ def test_representer_matches_brute_force_minimiser():
     smat = design_matrix(bundle.q, ds.regressor_points())
     span = orthonormal_span(design_matrix(bundle.p, ds.conditioning_points()))
     gmat = span[ds.complete_mask].T @ smat
-    rhs = smat.T @ phi[ds.complete_mask]
+    rhs = smat.T @ phi
     hess = gmat.T @ gmat + eps * np.eye(bundle.q.dim)
     res = scipy.optimize.minimize(
         lambda c: 0.5 * c @ hess @ c - rhs @ c,
@@ -159,18 +161,17 @@ def test_representer_matches_brute_force_minimiser():
 
 def test_influence_complete_data_reduction(comp600):
     designs = SampleDesigns(comp600, build_spec_bundle(comp600))
-    analysis = analyze_profile(designs, np.zeros(comp600.n), (1, 1, 1))
+    analysis = analyze_profile(RunFits(designs, np.zeros(comp600.n)), (1, 1, 1))
     assert analysis.rho is None
     assert abs(float(analysis.if_values.mean())) <= 1e-10
-    assert analysis.report.se > 0.0
+    assert variance_and_ci(analysis.psi_hat, analysis.if_values).se > 0.0
 
 
 def test_influence_requires_representer_when_data_incomplete(obs600, gamma2000):
     designs = SampleDesigns(obs600, build_spec_bundle(obs600))
     model, _ = fit_gamma(designs, GammaOptions())
-    phi = np.where(obs600.r == 1, obs600.y, 0.0)
     with pytest.raises(DimensionMismatch):
-        influence_values(designs, model.values(designs), 0.0, phi, None)
+        influence_values(RunFits(designs, model.values(designs)), 0.0, designs.y_cc, None)
 
 
 def test_influence_mean_small_under_fitted_odds():
@@ -178,7 +179,7 @@ def test_influence_mean_small_under_fitted_odds():
         full, obs = generate(DgpConfig(n=2000, seed=seq(5, i)))
         designs = SampleDesigns(obs, build_spec_bundle(obs))
         model, _ = fit_gamma(designs, GammaOptions())
-        analysis = analyze_profile(designs, model.values(designs), (1, 1, 1))
+        analysis = analyze_profile(RunFits(designs, model.values(designs)), (1, 1, 1))
         ifv = analysis.if_values
         ratio = abs(ifv.mean()) / (ifv.std(ddof=1) / np.sqrt(obs.n))
         assert ratio <= 0.5
@@ -212,31 +213,34 @@ def test_contrast_variance_properties():
 
 
 def fixed_ridge_report(ds, gvals, ridge: float) -> InferenceReport:
-    """The (1, 1, 1) profile's report as analyze_profile builds it, with
-    the representer solved at the given relative ridge rather than at
-    the rule's ridge for ds.n."""
+    """The (1, 1, 1) profile's interval as analyze_profile's values give
+    it, with the representer solved at the given relative ridge rather
+    than at the rule's ridge for ds.n."""
     designs = SampleDesigns(ds, build_spec_bundle(ds))
-    fits = fit_mu_chain(designs, gvals, (1, 1, 1))
-    psi_hat = estimate_psi(designs, gvals, fits)
-    phi = phi_values(designs, fits, fit_omegas(designs, gvals, (1, 1, 1)))
+    run = RunFits(designs, gvals)
+    fits = fit_mu_chain(run, (1, 1, 1))
+    psi_hat = estimate_psi(run, fits)
+    phi = phi_values(designs, fits, fit_omegas(run, (1, 1, 1)))
     system = ridge_system(designs.p_span_cc.T @ designs.q, ridge)
-    coef = system.solve(designs.q.T @ phi[ds.complete_mask])
-    diag = FitDiagnostics(int(ds.complete_mask.sum()), coef.size, system.rank, system.eps)
+    coef = system.solve(designs.q.T @ phi)
+    diag = FitDiagnostics(designs.n_cc, coef.size, system.rank, system.eps)
     rho = SeriesRegressor(designs.bundle.q, coef, diag)
-    return variance_and_ci(psi_hat, influence_values(designs, gvals, psi_hat, phi, rho))
+    return variance_and_ci(psi_hat, influence_values(run, psi_hat, phi, rho))
 
 
-def test_interval_width_halves_under_fourfold_duplication(obs600):
-    """At one fixed ridge, tiling the sample four times leaves psi_hat as
-    it is and halves the se. The representer's own ridge depends on n,
-    so the property is stated at a ridge held fixed across both."""
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_se_shrinks_by_root_k_under_k_fold_tiling(k, obs600):
+    """At one fixed ridge, tiling the sample k times leaves psi_hat as it
+    is and divides the se by sqrt(k). The representer's own ridge depends
+    on n, so the property is stated at a ridge held fixed across both."""
     designs = SampleDesigns(obs600, build_spec_bundle(obs600))
     model, _ = fit_gamma(designs, GammaOptions())
     gv = model.values(designs)
     base = fixed_ridge_report(obs600, gv, 1e-2)
-    assert base.se == analyze_profile(designs, gv, (1, 1, 1)).report.se
-    big = fixed_ridge_report(tile_dataset(obs600, 4), np.tile(gv, 4), 1e-2)
-    assert abs(big.se / base.se - 0.5) <= 1e-10
+    analysis = analyze_profile(RunFits(designs, gv), (1, 1, 1))
+    assert base.se == variance_and_ci(analysis.psi_hat, analysis.if_values).se
+    big = fixed_ridge_report(tile_dataset(obs600, k), np.tile(gv, k), 1e-2)
+    assert abs(big.se / base.se - 1.0 / np.sqrt(k)) <= 1e-10
     assert abs(big.psi_hat - base.psi_hat) <= 1e-10
 
 
@@ -248,14 +252,11 @@ def test_representer_ridge_rule():
 
 
 def test_report_schema(obs600):
-    designs = SampleDesigns(obs600, build_spec_bundle(obs600))
-    model, _ = fit_gamma(designs, GammaOptions())
-    analysis = analyze_profile(designs, model.values(designs), (0, 1, 1))
-    doc = analysis.report.to_dict()
+    """Each estimand's report holds its interval and names the contrast's
+    two profiles and their psi values."""
+    rep = sri_estimate(obs600, ["nie_2"]).estimands["nie_2"]
+    assert isinstance(rep, InferenceReport)
+    doc = rep.to_dict()
     assert sorted(doc) == ["ci_hi", "ci_lo", "diagnostics", "level", "n",
                            "psi_hat", "se", "sigma2"]
-    diag = doc["diagnostics"]
-    for key in ("profile", "if_mean", "omega_floor_events",
-                "omega_moment_residual_sup", "rho_criterion"):
-        assert key in diag
-    assert isinstance(analysis.report, InferenceReport)
+    assert sorted(doc["diagnostics"]) == ["profile_a", "profile_b", "psi_a", "psi_b"]

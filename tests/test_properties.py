@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from shadowpse.baselines import cca_estimate, mi_estimate, oracle_estimate, sri_estimate
 from shadowpse.data_model import Dataset, DatasetDims, read_csv, write_csv, write_descriptor
+from shadowpse.errors import EmptyArm, EmptyResult, InsufficientCompleteCases
 from shadowpse.simulation import DgpConfig, generate
 
 from support import one_mediator_dataset, rng_for, seq
@@ -124,3 +125,61 @@ def test_total_effect_is_the_sum_of_its_paths(full2000, obs600):
         est = {name: rep.psi_hat for name, rep in res.estimands.items()}
         paths = sum(value for name, value in est.items() if name != "te")
         assert abs(est["te"] - paths) <= 1e-12, res.method
+
+
+def degenerate_draw(case: str) -> tuple[Dataset, Dataset]:
+    """(full, observed) n = 300 draw made degenerate in one way; the full
+    data changes with the observed data wherever the oracle would see it."""
+    full, obs = generate(DgpConfig(n=300, seed=seq(27, 1)))
+    if case == "empty complete-case arm":  # a = 1 only where x_miss is missing
+        a = np.where(obs.complete_mask, 0, 1)
+        return replace(full, a=a), replace(obs, a=a)
+    if case == "all missing":
+        return full, replace(obs, r=np.zeros_like(obs.r), x_miss=np.full_like(obs.x_miss, np.nan))
+    if case == "none missing":
+        return full, replace(obs, r=np.ones_like(obs.r), x_miss=full.x_miss)
+    if case == "constant x_obs column":
+        x_obs = obs.x_obs.copy()
+        x_obs[:, 0] = 0.5
+        return replace(full, x_obs=x_obs), replace(obs, x_obs=x_obs)
+    if case == "n below the basis dimension":
+        keep = np.arange(obs.n) < 25
+        return full.subset(keep), obs.subset(keep)
+    if case == "z duplicates x_obs[:, 0]":
+        z = obs.x_obs[:, :1].copy()
+        return replace(full, z=z), replace(obs, z=z)
+    assert case == "constant y"
+    y = np.full(obs.n, 1.5)
+    return replace(full, y=y), replace(obs, y=y)
+
+
+# The calls on degenerate draws that end in a typed error, and its class;
+# every other call returns finite estimates.
+DEGENERATE_ERRORS = {
+    ("empty complete-case arm", "sri"): EmptyArm,
+    ("empty complete-case arm", "cca"): EmptyArm,
+    ("all missing", "sri"): EmptyResult,
+    ("all missing", "cca"): EmptyResult,
+    ("all missing", "mi"): InsufficientCompleteCases,
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", [
+    "empty complete-case arm", "all missing", "none missing", "constant x_obs column",
+    "n below the basis dimension", "z duplicates x_obs[:, 0]", "constant y"])
+def test_degenerate_inputs_give_finite_estimates_or_a_typed_error(case):
+    """sri, cca, mi (m = 3) and the oracle each return finite psi_hat and
+    se, or raise the EstimationError that DEGENERATE_ERRORS names, on a
+    degenerate draw; no warning is raised on the way."""
+    full, obs = degenerate_draw(case)
+    runs = {"sri": lambda: sri_estimate(obs), "cca": lambda: cca_estimate(obs),
+            "mi": lambda: mi_estimate(obs, m=3, seed=5), "oracle": lambda: oracle_estimate(full)}
+    for method, run in runs.items():
+        error = DEGENERATE_ERRORS.get((case, method))
+        if error is not None:
+            with pytest.raises(error):
+                run()
+            continue
+        got = [(rep.psi_hat, rep.se) for rep in run().estimands.values()]
+        assert got and np.isfinite(got).all(), (method, got)
