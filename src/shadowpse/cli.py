@@ -23,6 +23,7 @@ from .baselines import METHODS, MethodOptions, run_method
 from .data_model import read_csv, validate
 from .errors import ConfigError, EstimationError
 from .gamma_solver import GammaOptions
+from .inference import z_critical
 from .sieve_basis import SieveOptions
 from .simulation import STANDARD_ESTIMANDS, DgpConfig, run_monte_carlo, true_effects
 
@@ -100,8 +101,7 @@ def _resolve(args: argparse.Namespace) -> dict:
                        ("degree", 0), ("mu_degree", 0)):
         if cfg[key] < least:
             raise ConfigError(f"{key} must be at least {least}, got {cfg[key]}")
-    if not 0.0 < cfg["level"] < 1.0:
-        raise ConfigError(f"level must be in (0, 1), got {cfg['level']}")
+    z_critical(cfg["level"])
     return cfg
 
 

@@ -77,9 +77,9 @@ class NuisanceFits:
 def fit_mu_chain(run: RunFits, profile: Sequence[int]) -> NuisanceFits:
     """Fit the K+1 weighted regressions, outcome level first; each mu_k
     is shared through run.memo with every profile of the same suffix,
-    and each is solved through the span of u(k) against
-    run.arm_lstsq(k, a_k), the one small weighted system per (k, a_k)
-    that the omega_k fits on that arm read too."""
+    and each is solved against run.arm_lstsq(k, a_k), the one small
+    weighted system per (k, a_k) that the omega_k fits on that arm read
+    too; its fitted values come from the run's one outcome-chain span."""
     designs = run.designs
     ds = designs.ds
     prof = validate_profile(profile, ds.k)
@@ -96,7 +96,7 @@ def fit_mu_chain(run: RunFits, profile: Sequence[int]) -> NuisanceFits:
             system = run.arm_lstsq(k, prof[k - 1])
             reg = system.regressor(u_specs[k - 1], system.solve(response))
             # next level regresses mu_k evaluated at (x, m_1..m_{k-1})
-            run.memo[key] = (reg, designs.u(k) @ reg.coef)
+            run.memo[key] = (reg, system.fitted(reg.coef))
         mu[k - 1], values[k - 1] = run.memo[key]
         response = values[k - 1]
     return NuisanceFits(profile=prof, mu=mu, values=values)

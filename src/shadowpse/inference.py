@@ -27,7 +27,7 @@ projection, each fit reduces to one small linear solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from statistics import NormalDist
 from typing import Optional, Sequence
 
@@ -49,7 +49,7 @@ OMEGA_FLOOR = 1e-3
 def z_critical(level: float) -> float:
     """Two-sided normal critical value, e.g. 1.959964 at level 0.95."""
     if not 0.0 < level < 1.0:
-        raise ConfigError(f"confidence level must be in (0,1), got {level}")
+        raise ConfigError(f"level must be in (0, 1), got {level}")
     return NormalDist().inv_cdf(0.5 + level / 2.0)
 
 
@@ -82,17 +82,18 @@ def _fit_omega(
     """omega_k, its moment residual sup and its raw values on the
     complete cases.
 
-    The moment system span' diag(1{A = a_k} (1 + gamma)) u(k) c =
-    span' ((1 + gamma) target) has the matrix of the mu_k fits on arm
-    a_k, so it is solved against their run.arm_lstsq(k, a_k).
+    The moment system S_k' diag(1{A = a_k} (1 + gamma)) U_k c =
+    S_k' ((1 + gamma) target), with S_k the orthonormal basis of level
+    k, has the matrix of the mu_k fits on arm a_k, so it is solved
+    against their run.arm_lstsq(k, a_k).
     """
     system = run.arm_lstsq(k, arm_level)
-    rhs = system.span.T @ ((1.0 + run.odds_cc) * target)
+    rhs = system.project((1.0 + run.odds_cc) * target)
     coef = system.pinv @ rhs
-    resid = system.reduced @ coef - rhs
-    resid_sup = float(np.max(np.abs(system.span @ resid))) if resid.size else 0.0
+    resid = system.span @ (system.rotation @ (system.reduced @ coef - rhs))
+    resid_sup = float(np.max(np.abs(resid))) if resid.size else 0.0
     reg = system.regressor(run.designs.bundle.u[k - 1], coef)
-    return reg, resid_sup, run.designs.u(k) @ coef
+    return reg, resid_sup, system.fitted(coef)
 
 
 def fit_omegas(run: RunFits, profile: Sequence[int]) -> OmegaFits:
@@ -107,7 +108,7 @@ def fit_omegas(run: RunFits, profile: Sequence[int]) -> OmegaFits:
     The omega and cumulative fits are shared through run.memo with
     every profile of the same levels; floor events count per profile.
     The cumulative fits are unweighted least squares on the k-th mu
-    basis, solved through designs.u_lstsq(k).
+    basis, solved through designs.chain[k-1].
     """
     designs, memo = run.designs, run.memo
     ds = designs.ds
@@ -144,9 +145,9 @@ def fit_omegas(run: RunFits, profile: Sequence[int]) -> OmegaFits:
         key = ("cumulative", k, prof[:k])
         if key not in memo:
             product = running * vals
-            lstsq = designs.u_lstsq(k)
+            lstsq = designs.chain[k - 1]
             reg = lstsq.regressor(designs.bundle.u[k - 1], lstsq.solve(product))
-            memo[key] = (reg, product, designs.u(k) @ reg.coef)
+            memo[key] = (reg, product, lstsq.fitted(reg.coef))
         reg, running, fitted = memo[key]
         cumulative.append(reg)
         cumulative_values.append(fitted)
@@ -230,7 +231,7 @@ def influence_values(
             raise DimensionMismatch("representer required when R gamma - 1 + R is not identically zero")
         return term1 - psi_hat
     t = np.concatenate([run.odds_cc, np.full(n - n_cc, -1.0)])
-    erho = designs.p_span @ (designs.p_span_cc.T @ (designs.q @ rho.coef))
+    erho = designs.p_span @ (designs.representer_system.design @ rho.coef)
     return term1 - psi_hat - erho * t
 
 
@@ -248,16 +249,7 @@ class InferenceReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "psi_hat": self.psi_hat,
-            "sigma2": self.sigma2,
-            "se": self.se,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-            "level": self.level,
-            "n": self.n,
-            "diagnostics": self.diagnostics,
-        }
+        return asdict(self)
 
 
 def variance_and_ci(

@@ -6,11 +6,11 @@ built from it are exactly idempotent and invariant to invertible
 reparameterisations of the columns, which the odds-function criterion
 and the influence-function pieces rely on. Both passes overwrite one
 buffer in row blocks: a copy of the argument, or for the conditioning
-span of SampleDesigns the design matrix itself.
-span_least_squares solves weighted least squares on a design through
-that span: the normal equations reduce to a system with one row per
-span column, so a design whose span is built needs no second large
-factorisation, and each right-hand side costs two thin products.
+and outcome-chain spans of SampleDesigns the design matrix itself.
+span_least_squares solves least squares on a design S R held in the
+span S of a wider design: the normal equations reduce to a system with
+one row per column of R's own span, so every outcome-chain level reads
+the top level's one span, and a right-hand side costs two thin products.
 RidgeSystem holds ridged normal equations (gram + eps I) x = rhs with
 one Cholesky factor, made once and read by every right-hand side. A
 LAPACK failure in any of these raises UnsolvableSystem.
@@ -39,7 +39,7 @@ from .errors import (
     NonFiniteInput,
     UnsolvableSystem,
 )
-from .sieve_basis import BasisSpec, SpecBundle, design_matrix, row_blocks
+from .sieve_basis import BasisSpec, SpecBundle, design_matrix, nested_columns, row_blocks
 
 # Gram eigenvalues at or below the largest times this are treated as zero
 # by orthonormal_span: a singular-value ratio of about 3e-7
@@ -74,13 +74,12 @@ class SeriesRegressor:
 class RidgeSystem:
     """The ridged normal equations of one design, for many right-hand sides.
 
-    gram is design' design and eps the Tikhonov ridge, the given ridge
-    times the mean Gram eigenvalue (at least one); rank is the design's
+    eps is the Tikhonov ridge, the given ridge times the mean eigenvalue
+    of gram = design' design (at least one); rank is the design's
     numerical rank and factor the Cholesky factor of gram + eps I.
     """
 
     design: np.ndarray
-    gram: np.ndarray
     eps: float
     rank: int
     factor: tuple
@@ -103,7 +102,7 @@ def ridge_system(design: np.ndarray, ridge: float) -> RidgeSystem:
     with lapack_errors(f"ridged system at eps {eps}"):
         rank = int(np.linalg.matrix_rank(design))
         factor = scipy.linalg.cho_factor(gram + eps * np.eye(gram.shape[0]), lower=True)
-    return RidgeSystem(design=design, gram=gram, eps=eps, rank=rank, factor=factor)
+    return RidgeSystem(design=design, eps=eps, rank=rank, factor=factor)
 
 
 def representer_ridge(n: int) -> float:
@@ -138,10 +137,9 @@ def project_residual_orthogonality(
     return float(np.max(np.abs(basis.T @ resid)) / max(len(v), 1))
 
 
-def _gram_map(m: np.ndarray) -> np.ndarray:
-    """V diag(w)^(-1/2) over the eigenpairs (w, V) of m' m whose
-    eigenvalue lies above SPAN_EIG_RTOL times the largest."""
-    gram = m.T @ m
+def _gram_map(gram: np.ndarray) -> np.ndarray:
+    """V diag(w)^(-1/2) over the eigenpairs (w, V) of the Gram matrix
+    gram whose eigenvalue lies above SPAN_EIG_RTOL times the largest."""
     if not np.isfinite(gram).all():
         raise UnsolvableSystem("orthonormal span: non-finite design")
     with lapack_errors("orthonormal span"):
@@ -150,27 +148,32 @@ def _gram_map(m: np.ndarray) -> np.ndarray:
     return v[:, keep] / np.sqrt(w[keep])
 
 
-def _span_in_place(m: np.ndarray) -> np.ndarray:
-    """orthonormal_span(m), written over m itself.
+def _span_in_place(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """orthonormal_span(m), written over m itself, and R = span' m.
 
     Each pass overwrites m in row blocks, m[rows] = m[rows] @ T, so the
     matrix, the first pass and the span never coexist; each row is the
     same sum as in m @ T. A pass that drops columns moves the kept ones
-    to a fresh array, laid out as m @ T would be.
+    to a fresh array, laid out as m @ T would be. With span = m T_1 T_2,
+    R = T_2' T_1' (m' m) comes from the first pass's Gram matrix, so m
+    need not outlive its span.
     """
     if m.size == 0:
-        return np.zeros((m.shape[0], 0))
+        return np.zeros((m.shape[0], 0)), np.zeros((0, m.shape[1]))
     blocks = row_blocks(len(m))
-    for _ in range(2):
-        t = _gram_map(m)
+    coupling = gram = m.T @ m
+    for second in (False, True):
+        t = _gram_map(gram)
         k = t.shape[1]
         for rows in blocks:
             m[rows, :k] = m[rows] @ t
         if k < m.shape[1]:
             m = np.ascontiguousarray(m[:, :k])
-        if k == 0:
+        coupling = t.T @ coupling
+        if k == 0 or second:
             break
-    return m
+        gram = m.T @ m
+    return m, coupling
 
 
 def orthonormal_span(matrix: np.ndarray) -> np.ndarray:
@@ -184,34 +187,55 @@ def orthonormal_span(matrix: np.ndarray) -> np.ndarray:
     well-conditioned matrix. The rank is the number of columns kept.
     Both passes run on one copy of matrix, which is left as it was.
     """
-    return _span_in_place(np.array(matrix, dtype=float))
+    return _span_in_place(np.array(matrix, dtype=float))[0]
 
 
 @dataclass
 class SpanLeastSquares:
-    """Weighted minimum-norm least squares on a design through an
-    orthonormal basis `span` of its column space.
+    """Weighted minimum-norm least squares on a design U_k = S R_k held in
+    the orthonormal span S of a wider design U = S R.
 
-    The design is span @ R with R = span' design of full row rank, so
-    the normal equations design' W (design c - v) = 0 hold exactly when
-    span' W (design c - v) = 0, with W = diag(weights) (the identity
-    when weights is None). That system's matrix, reduced = span' W
-    design, has one row per span column; c = pinv(reduced) @ span' W v
-    is the minimum-norm solution. The pseudo-inverse drops singular
-    values at or below np.linalg.lstsq's default cutoff
-    eps * max(design rows, columns) * s_max, and rank counts the rest,
-    as lstsq's rank does.
+    R = S' U, and U_k's columns are a subset of U's, so R_k = R[:, cols_k]
+    (coupling). With M_k = orthonormal_span(R_k) (rotation), S M_k is an
+    orthonormal basis of U_k's span, so the normal equations
+    U_k' W (U_k c - v) = 0 hold exactly when M_k' S' W (S R_k c - v) = 0,
+    W = diag(weights) (the identity when weights is None). That system's
+    matrix, reduced = M_k' (S' W S) R_k, needs only gram = S' W S;
+    c = pinv(reduced) @ M_k' S' W v is the minimum-norm solution. The
+    pseudo-inverse drops singular values at or below np.linalg.lstsq's
+    cutoff eps * max(U_k rows, columns) * s_max, and rank counts the
+    rest, as lstsq's rank does. Every fitted vector is S (R_k c).
     """
 
     span: np.ndarray
-    weights: Optional[np.ndarray]
-    reduced: np.ndarray
-    pinv: np.ndarray
-    rank: int
+    coupling: np.ndarray
+    rotation: np.ndarray
+    weights: Optional[np.ndarray] = None
+    gram: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        self.reduced = _frozen(self.rotation.T @ (
+            self.coupling if self.gram is None else self.gram @ self.coupling))
+        with lapack_errors("reduced least-squares design"):
+            u_mat, s, vt = np.linalg.svd(self.reduced, full_matrices=False)
+        cutoff = np.finfo(float).eps * max(len(self.span), self.coupling.shape[1])
+        self.rank = rank = int((s > cutoff * (s[0] if s.size else 0.0)).sum())
+        self.pinv = _frozen((vt[:rank].T / s[:rank]) @ u_mat[:, :rank].T)
+
+    def project(self, values: np.ndarray) -> np.ndarray:
+        """The coordinates M_k' S' values of values in the basis S M_k."""
+        return self.rotation.T @ (self.span.T @ values)
 
     def solve(self, values: np.ndarray) -> np.ndarray:
-        weighted = values if self.weights is None else self.weights * values
-        return self.pinv @ (self.span.T @ weighted)
+        return self.pinv @ self.project(values if self.weights is None else self.weights * values)
+
+    def fitted(self, coef: np.ndarray) -> np.ndarray:
+        """U_k coef, as S (R_k coef)."""
+        return self.span @ (self.coupling @ coef)
+
+    def weighted(self, weights: np.ndarray, gram: np.ndarray) -> "SpanLeastSquares":
+        """The same design under row weights, with gram = S' diag(weights) S."""
+        return SpanLeastSquares(self.span, self.coupling, self.rotation, weights, gram)
 
     def regressor(self, spec: BasisSpec, coef: np.ndarray) -> SeriesRegressor:
         """The fit with coefficients coef, over the rows of positive weight."""
@@ -220,20 +244,9 @@ class SpanLeastSquares:
         return SeriesRegressor(spec=spec, coef=coef, diagnostics=diag)
 
 
-def span_least_squares(
-    span: np.ndarray, design: np.ndarray, weights: Optional[np.ndarray] = None
-) -> SpanLeastSquares:
-    """The SpanLeastSquares of design, given an orthonormal basis of its
-    span and nonnegative row weights (None for unit weights)."""
-    weighted_span = span.T if weights is None else span.T * weights
-    reduced = weighted_span @ design
-    with lapack_errors("reduced least-squares design"):
-        u_mat, s, vt = np.linalg.svd(reduced, full_matrices=False)
-    cutoff = np.finfo(float).eps * max(design.shape) * (s[0] if s.size else 0.0)
-    rank = int((s > cutoff).sum())
-    pinv = (vt[:rank].T / s[:rank]) @ u_mat[:, :rank].T
-    return SpanLeastSquares(span=span, weights=weights, reduced=_frozen(reduced),
-                            pinv=_frozen(pinv), rank=rank)
+def span_least_squares(span: np.ndarray, coupling: np.ndarray) -> SpanLeastSquares:
+    """The unweighted SpanLeastSquares of the design span @ coupling."""
+    return SpanLeastSquares(span, coupling, orthonormal_span(coupling))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -261,10 +274,11 @@ class SampleDesigns:
     With no incomplete record the order is the identity, and nothing is
     gathered.
 
-    u_lstsq(k) is the unweighted least squares on u(k) that the
-    cumulative omega fits solve against; the weighted ones are the run's
-    (RunFits.arm_lstsq). No fit factors a matrix with a row per complete
-    case.
+    Each outcome-chain design is a column subset of level K+1's U
+    (sieve_basis.nested_columns), so only U is built, and its span S
+    over its buffer: chain[k-1], the unweighted least squares of level
+    k, reads S and R = S' U. No fit factors a matrix with a row per
+    complete case.
 
     representer_system holds the representer's normal equations under
     the ridge representer_ridge(n) that the sample size sets, factored
@@ -278,9 +292,6 @@ class SampleDesigns:
         # the records in row order, or None for the identity order
         self._order = None if self.n_cc == ds.n else np.argsort(~ds.complete_mask, kind="stable")
         self.y_cc, self.a_cc = self._complete(ds.y), self._complete(ds.a)
-        self._u: dict[int, np.ndarray] = {}
-        self._u_span: dict[int, np.ndarray] = {}
-        self._u_lstsq: dict[int, SpanLeastSquares] = {}
 
     def _complete(self, values: np.ndarray) -> np.ndarray:
         """The complete-case entries of a per-record vector, read-only."""
@@ -292,7 +303,7 @@ class SampleDesigns:
         row order, built over the design's own buffer."""
         points = self.ds.conditioning_points()
         points = points if self._order is None else points[self._order]
-        return _frozen(_span_in_place(design_matrix(self.bundle.p, points)))
+        return _frozen(_span_in_place(design_matrix(self.bundle.p, points))[0])
 
     @property
     def p_span_cc(self) -> np.ndarray:
@@ -304,25 +315,15 @@ class SampleDesigns:
         """The odds design."""
         return _frozen(design_matrix(self.bundle.q, self.ds.regressor_points()))
 
-    def u(self, k: int) -> np.ndarray:
-        """The design of the k-th outcome-chain basis, k = 1..K+1."""
-        if k not in self._u:
-            self._u[k] = _frozen(design_matrix(self.bundle.u[k - 1], self.ds.mu_points(k)))
-        return self._u[k]
-
-    def u_span(self, k: int) -> np.ndarray:
-        """Orthonormal basis of the column span of u(k)."""
-        if k not in self._u_span:
-            self._u_span[k] = _frozen(orthonormal_span(self.u(k)))
-        return self._u_span[k]
-
-    def u_lstsq(self, k: int) -> SpanLeastSquares:
-        """Least squares on u(k) through u_span(k), which already spans
-        u(k): one small pseudo-inverse per run, then each fit is two thin
-        products."""
-        if k not in self._u_lstsq:
-            self._u_lstsq[k] = span_least_squares(self.u_span(k), self.u(k))
-        return self._u_lstsq[k]
+    @cached_property
+    def chain(self) -> tuple[SpanLeastSquares, ...]:
+        """chain[k-1]: the unweighted least squares on the level-k
+        outcome-chain design, k = 1..K+1, each through the one span of
+        the level K+1 design."""
+        top = self.bundle.u[-1]
+        span, coupling = _span_in_place(design_matrix(top, self.ds.mu_points(self.ds.k + 1)))
+        return tuple(span_least_squares(_frozen(span), _frozen(coupling[:, nested_columns(top, u)]))
+                     for u in self.bundle.u)
 
     @cached_property
     def representer_system(self) -> RidgeSystem:
@@ -354,10 +355,11 @@ class RunFits:
     cumulative entries keep the fitted values on the complete cases with
     the fit, so no profile computes them again.
 
-    arm_lstsq(k, a_k) is the weighted least squares on u(k) with weights
-    1{A = a_k} (1 + odds), solved through u_span(k) and held in memo
-    under ("system", k, a_k). Every mu_k and omega_k fit on arm a_k
-    solves against it: 6 systems for the 9 mu and 4 omega fits above.
+    arm_lstsq(k, a_k), in memo under ("system", k, a_k), is the least
+    squares on level k with weights 1{A = a_k} (1 + odds) that every
+    mu_k and omega_k fit on arm a_k solves against: 6 systems for the 9
+    mu and 4 omega fits above, from one weighted Gram matrix S' W S of
+    the chain span per arm, in memo under ("arm", a_k).
     """
 
     def __init__(self, designs: SampleDesigns, odds_cc: np.ndarray):
@@ -368,15 +370,15 @@ class RunFits:
         self.memo: dict = {}
 
     def arm_lstsq(self, k: int, level: int) -> SpanLeastSquares:
-        """Least squares on u(k) over the complete cases with a = level,
-        weighted by 1 + odds, through u_span(k): one small system per
-        (k, level), held in memo."""
-        key = ("system", k, level)
+        """Least squares on level k over the complete cases with a = level,
+        weighted by 1 + odds: one small system per (k, level), held in memo."""
+        arm, key = ("arm", level), ("system", k, level)
+        if arm not in self.memo:
+            if not (self.designs.a_cc == level).any():
+                raise EmptyArm(f"no complete cases with a={level}")
+            weights = _frozen(np.where(self.designs.a_cc == level, 1.0 + self.odds_cc, 0.0))
+            span = self.designs.chain[-1].span
+            self.memo[arm] = (weights, _frozen((span.T * weights) @ span))
         if key not in self.memo:
-            designs = self.designs
-            arm = designs.a_cc == level
-            if not arm.any():
-                raise EmptyArm(f"no complete cases with a={level} at level {k}")
-            weights = _frozen(np.where(arm, 1.0 + self.odds_cc, 0.0))
-            self.memo[key] = span_least_squares(designs.u_span(k), designs.u(k), weights)
+            self.memo[key] = self.designs.chain[k - 1].weighted(*self.memo[arm])
         return self.memo[key]

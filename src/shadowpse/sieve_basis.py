@@ -215,6 +215,17 @@ def _leading(spec: BasisSpec, dim: int) -> BasisSpec:
                    standardizer=Standardizer(center=std.center[:dim], scale=std.scale[:dim]))
 
 
+def nested_columns(top: BasisSpec, spec: BasisSpec) -> np.ndarray:
+    """The indices of spec's design columns among top's, for spec equal
+    to top restricted to its leading coordinates: such a design is an
+    exact column subset of top's on the same points. The intercept and
+    powers come first, so without interactions the indices are a prefix."""
+    if _leading(top, spec.input_dim) != spec:
+        raise DimensionMismatch("spec is not top restricted to its leading coordinates")
+    pairs = [1 + sum(top.degrees) + top._pairs().index(p) for p in spec._pairs()]
+    return np.array([*range(1 + sum(spec.degrees)), *pairs])
+
+
 def build_spec_bundle(ds: Dataset, sieve: SieveOptions = SieveOptions()) -> SpecBundle:
     """Standardizers are fit on the sample each basis will see.
 
@@ -224,7 +235,8 @@ def build_spec_bundle(ds: Dataset, sieve: SieveOptions = SieveOptions()) -> Spec
     runs of oracle, cca and mi never read them. The outcome-chain points
     of level k are the leading columns of those of level K+1, so one fit
     on the level K+1 points gives every u_k its centers, scales and
-    degrees.
+    degrees, and each u_k design is a column subset of u_{K+1}'s
+    (nested_columns).
 
     The outcome-chain bases (u) default to a coarser sieve than the
     conditioning and odds bases: the backward regression chain is fit by
@@ -236,11 +248,5 @@ def build_spec_bundle(ds: Dataset, sieve: SieveOptions = SieveOptions()) -> Spec
         raise EmptyResult("no complete cases")
     # the point matrices default to the complete-case rows
     chain = spec_for(ds.mu_points(ds.k + 1), sieve.mu_degree, sieve.mu_interactions)
-    u = []
-    for k in range(1, ds.k + 2):
-        width = ds.dims.x + sum(ds.dims.m[:k - 1])
-        # numpy sums a lone column pairwise but the columns of a wider
-        # block row by row, so a one-column level keeps its own fit
-        u.append(_leading(chain, width) if width != 1 else
-                 spec_for(ds.mu_points(k), sieve.mu_degree, sieve.mu_interactions))
-    return _SampleSpecBundle(ds, sieve, tuple(u))
+    u = tuple(_leading(chain, ds.dims.x + sum(ds.dims.m[:k - 1])) for k in range(1, ds.k + 2))
+    return _SampleSpecBundle(ds, sieve, u)

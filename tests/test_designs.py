@@ -4,7 +4,7 @@ shared across stages and profiles without changing any result."""
 import hashlib
 import sys
 import tracemalloc
-from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,9 @@ from shadowpse.estimator import named_estimand
 from shadowpse.gamma_solver import GammaModel, fit_gamma
 from shadowpse.inference import analyze_profile, fit_omegas, fit_representer
 from shadowpse.series_regression import RunFits, SampleDesigns
-from shadowpse.sieve_basis import build_spec_bundle
+from shadowpse.sieve_basis import SieveOptions, build_spec_bundle
+
+from support import rng_for
 
 DEFAULT_PROFILES = [(1, 1, 1), (0, 0, 0), (0, 0, 1), (0, 1, 1)]
 
@@ -64,6 +66,9 @@ def count_odds_evaluations(monkeypatch) -> list:
 
 
 def test_sri_factors_each_design_once(monkeypatch, obs2000, bundle2000):
+    """One tall span per design: the conditioning design over every
+    record and the level K+1 outcome-chain design over the complete
+    cases; every lower level's basis is derived from the latter's."""
     spans = count_spans(monkeypatch)
     odds = count_odds_evaluations(monkeypatch)
     sri_estimate(obs2000)
@@ -71,18 +76,17 @@ def test_sri_factors_each_design_once(monkeypatch, obs2000, bundle2000):
     conditioning = [s for s in spans if s[0] == (obs2000.n, bundle2000.p.dim)]
     assert len(conditioning) == 1
     n_cc = int(obs2000.complete_mask.sum())
-    chain = Counter(digest for shape, digest in spans if shape[0] == n_cc)
-    assert chain and max(chain.values()) == 1
+    assert [shape for shape, _ in spans if shape[0] == n_cc] == [(n_cc, bundle2000.u[-1].dim)]
     assert len(odds) == 1
 
 
 def test_cca_never_factors_the_conditioning_design(monkeypatch, obs2000):
     cc = complete_cases(obs2000)
-    p_dim = build_spec_bundle(cc).p.dim
+    bundle = build_spec_bundle(cc)
     spans = count_spans(monkeypatch)
     cca_estimate(obs2000)
-    assert spans
-    assert not [s for s in spans if s[0][1] == p_dim]
+    assert [shape for shape, _ in spans if shape[0] == cc.n] == [(cc.n, bundle.u[-1].dim)]
+    assert not [s for s in spans if s[0][1] == bundle.p.dim]
 
 
 def test_shared_designs_match_fresh_designs_bit_for_bit(obs2000, bundle2000, gamma2000):
@@ -118,6 +122,11 @@ def constant_x_miss(ds: Dataset) -> Dataset:
     out = ds.subset(np.ones(ds.n, dtype=bool))
     out.x_miss = np.where(ds.complete_mask[:, None], 0.5, np.nan)
     return out
+
+
+def fresh_u(designs: SampleDesigns, k: int) -> np.ndarray:
+    """The level-k outcome-chain design, built on its own."""
+    return sieve_basis.design_matrix(designs.bundle.u[k - 1], designs.ds.mu_points(k))
 
 
 def whole_matrix_span(mat: np.ndarray) -> np.ndarray:
@@ -172,6 +181,23 @@ def test_second_sri_estimate_peaks_under_three_and_a_half_designs(obs20000):
     assert peak <= 3.5 * obs20000.n * p_dim * 8
 
 
+def test_second_cca_estimate_peaks_under_eight_chain_designs(obs20000):
+    """tracemalloc's peak over a repeated cca_estimate stays under 8 level
+    K+1 outcome-chain designs of n_cc x dim doubles: the run keeps one
+    span of that design, built over its buffer, and no per-level design
+    or span."""
+    dim = build_spec_bundle(obs20000).u[-1].dim
+    n_cc = int(obs20000.complete_mask.sum())
+    cca_estimate(obs20000)
+    tracemalloc.start()
+    try:
+        cca_estimate(obs20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n_cc * dim * 8
+
+
 def test_odds_fit_reads_the_conditioning_span_in_place(obs20000):
     """With the designs built, the tracemalloc peak of fit_gamma stays
     under half the bytes of p_span_cc: the fit reads the complete-case
@@ -197,7 +223,7 @@ def test_fit_ranks_are_real_on_rank_deficient_designs(obs600):
 
     omegas = fit_omegas(RunFits(designs, gamma), (0, 1, 1))
     for k, reg in enumerate(omegas.cumulative, start=1):
-        rank = np.linalg.matrix_rank(designs.u(k))
+        rank = np.linalg.matrix_rank(fresh_u(designs, k))
         assert rank < reg.spec.dim
         assert reg.diagnostics.rank == rank
 
@@ -207,15 +233,78 @@ def test_fit_ranks_are_real_on_rank_deficient_designs(obs600):
     assert rho.diagnostics.rank == rank
 
 
+def reshaped(ds: Dataset, x_miss: int, x_obs: int, m: tuple) -> Dataset:
+    """ds with its x_miss, x_obs and mediator blocks cut or widened to the
+    given widths; a widened block gets seeded normal columns, and an
+    added x_miss column is missing where x_miss is."""
+    rng = rng_for(2801, x_miss, x_obs, *m)
+
+    def block(cols: np.ndarray, width: int, missing: bool = False) -> np.ndarray:
+        extra = rng.standard_normal((ds.n, max(width - cols.shape[1], 0)))
+        if missing:
+            extra[~ds.complete_mask] = np.nan
+        return np.hstack([cols[:, :width], extra])
+
+    dims = replace(ds.dims, x_miss=x_miss, x_obs=x_obs, m=m)
+    return replace(ds, x_miss=block(ds.x_miss, x_miss, True), x_obs=block(ds.x_obs, x_obs),
+                   m=tuple(block(mk, width) for mk, width in zip(ds.m, m)), dims=dims)
+
+
+@pytest.mark.parametrize("case", ["default", "interactions", "one-coordinate x",
+                                  "vector blocks", "constant x_miss"])
+def test_level_spans_derived_from_the_top_span_match_fresh_spans(case, obs600):
+    """Each level's basis S M_k, derived from the one span S of the level
+    K+1 outcome-chain design, projects like orthonormal_span of the
+    level's own fresh design, within 1e-12, has its rank (matrix_rank of
+    the fresh design), and S (R_k c) is the fresh design times c."""
+    ds, sieve = obs600, SieveOptions()
+    if case == "interactions":  # a lower level's columns are a subset, not a prefix
+        sieve = SieveOptions(mu_degree=3, mu_interactions=True)
+    elif case == "one-coordinate x":
+        ds = reshaped(obs600, 1, 0, obs600.dims.m)
+    elif case == "vector blocks":
+        ds = reshaped(obs600, 2, obs600.dims.x_obs, (2, 1))
+    elif case == "constant x_miss":
+        ds = constant_x_miss(obs600)
+    designs = SampleDesigns(ds, build_spec_bundle(ds, sieve))
+    values = rng_for(2802).standard_normal((designs.n_cc, 3))
+    prefixes = []
+    for k, level in enumerate(designs.chain, start=1):
+        fresh = fresh_u(designs, k)
+        rank = np.linalg.matrix_rank(fresh)
+        want = series_regression.orthonormal_span(fresh)
+        basis = level.span @ level.rotation
+        assert basis.shape == want.shape == (designs.n_cc, rank)
+        assert level.rank == rank
+        got, expected = basis @ (basis.T @ values), want @ (want.T @ values)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        fitted = fresh @ rng_for(2803, k).standard_normal(fresh.shape[1])
+        coef = np.linalg.lstsq(fresh, fitted, rcond=None)[0]
+        assert np.max(np.abs(level.fitted(coef) - fitted)) <= 1e-12 * np.max(np.abs(fitted))
+        cols = sieve_basis.nested_columns(designs.bundle.u[-1], designs.bundle.u[k - 1])
+        prefixes.append(list(cols) == list(range(len(cols))))
+    assert all(prefixes) == (case != "interactions")
+    if case == "constant x_miss":
+        assert all(level.rank < level.coupling.shape[1] for level in designs.chain)
+
+
 @pytest.mark.parametrize("estimate", [sri_estimate, cca_estimate])
 def test_each_nuisance_is_fitted_once_per_run(estimate, monkeypatch, obs2000):
     """The default estimands read four profiles; their mu chains share 9
-    distinct fits and their omegas 4, all solved against 6 weighted span
-    systems (one per level and arm), and their 9 cumulative products
-    against 3 unweighted ones (one per level). No SVD or least-squares
-    solve runs on a matrix with a row per complete case."""
-    systems = record_calls(monkeypatch, series_regression.span_least_squares,
-                           lambda a, kw: (a[2] if len(a) > 2 else kw.get("weights")) is not None)
+    distinct fits and their omegas 4, all solved against 6 weighted
+    systems (one per level and arm) made from 2 weighted Gram matrices
+    of the chain span (one per arm), and their 9 cumulative products
+    against the 3 unweighted ones (one per level). No SVD or
+    least-squares solve runs on a matrix with a row per complete case."""
+    levels = record_calls(monkeypatch, series_regression.span_least_squares, lambda a, kw: None)
+    weighted = series_regression.SpanLeastSquares.weighted
+    grams = []
+
+    def counting_weighted(self, weights, gram):
+        grams.append(id(gram))
+        return weighted(self, weights, gram)
+
+    monkeypatch.setattr(series_regression.SpanLeastSquares, "weighted", counting_weighted)
     omegas = record_calls(monkeypatch, inference._fit_omega, lambda a, kw: None)
     solve = series_regression.SpanLeastSquares.solve
     solves = []
@@ -237,8 +326,8 @@ def test_each_nuisance_is_fitted_once_per_run(estimate, monkeypatch, obs2000):
     res = estimate(obs2000)
     assert sorted(res.profiles) == sorted(DEFAULT_PROFILES)
     n_cc = int(obs2000.complete_mask.sum())
-    assert (systems.count(True), solves.count(True), len(omegas)) == (6, 9, 4)
-    assert (systems.count(False), solves.count(False)) == (3, 9)
+    assert (len(grams), len(set(grams)), solves.count(True), len(omegas)) == (6, 2, 9, 4)
+    assert (len(levels), solves.count(False)) == (3, 9)
     assert rows and n_cc not in rows
 
 
@@ -354,9 +443,9 @@ def standalone_chain(designs: SampleDesigns, odds: np.ndarray, prof) -> list:
     response = ds.y[cc]
     for k in range(ds.k + 1, 0, -1):
         sw = np.sqrt(np.where(ds.a[cc] == prof[k - 1], 1.0 + odds, 0.0))
-        coefs[k - 1], _, _, _ = np.linalg.lstsq(designs.u(k) * sw[:, None], response * sw,
-                                                rcond=None)
-        response = designs.u(k) @ coefs[k - 1]
+        design = fresh_u(designs, k)
+        coefs[k - 1], _, _, _ = np.linalg.lstsq(design * sw[:, None], response * sw, rcond=None)
+        response = design @ coefs[k - 1]
     return coefs
 
 
@@ -373,12 +462,12 @@ def assert_pure(designs: SampleDesigns, odds: np.ndarray, profiles) -> list:
         for reg, coef in zip(analysis.fits.mu, want):
             assert np.max(np.abs(reg.coef - coef)) <= 1e-10 * np.max(np.abs(coef))
         omegas = analysis.omegas
-        product = np.ones(len(designs.u(1)))
+        product = np.ones(designs.n_cc)
         for k, reg in enumerate(omegas.cumulative, start=1):
-            omega = omegas.omega[k - 1]
+            omega, design = omegas.omega[k - 1], fresh_u(designs, k)
             if omega is not None:
-                product = product * np.maximum(designs.u(k) @ omega.coef, inference.OMEGA_FLOOR)
-            coef, _, rank, _ = np.linalg.lstsq(designs.u(k), product, rcond=None)
+                product = product * np.maximum(design @ omega.coef, inference.OMEGA_FLOOR)
+            coef, _, rank, _ = np.linalg.lstsq(design, product, rcond=None)
             assert np.max(np.abs(reg.coef - coef)) <= 1e-12 * np.max(np.abs(coef))
             assert reg.diagnostics.rank == rank
             ranks.append(int(rank))

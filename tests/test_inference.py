@@ -41,6 +41,12 @@ def test_z_critical_values():
             z_critical(bad)
 
 
+def test_z_critical_names_the_level_as_the_cli_does():
+    """One range check serves the library and the CLI's --level."""
+    with pytest.raises(ConfigError, match=r"^level must be in \(0, 1\), got 1.5$"):
+        z_critical(1.5)
+
+
 def test_omega_identically_one_pattern(obs2000, bundle2000, gamma2000):
     model, _ = gamma2000
     designs = SampleDesigns(obs2000, bundle2000)

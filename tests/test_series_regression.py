@@ -4,6 +4,7 @@ import pytest
 from shadowpse.errors import LengthMismatch, NonFiniteInput, UnsolvableSystem
 from shadowpse.series_regression import (
     SeriesRegressor,
+    _span_in_place,
     orthonormal_span,
     predict_many,
     project_residual_orthogonality,
@@ -33,15 +34,23 @@ def identity_spec(degree, dim=1):
 
 
 def span_fit(spec, basis, values, weights=None) -> SeriesRegressor:
-    """Weighted least squares of values on basis, solved through its span,
-    checked against np.linalg.lstsq on the sqrt(w)-weighted design: the
-    same minimum-norm coefficients to 1e-10 relative and the same rank."""
-    system = span_least_squares(orthonormal_span(basis), basis, weights)
+    """Weighted least squares of values on basis, solved through its span
+    S and R = S' basis as SampleDesigns solves the top outcome-chain
+    level, checked against np.linalg.lstsq on the sqrt(w)-weighted
+    design: the same minimum-norm coefficients to 1e-10 relative, the
+    same rank, and fitted values S (R c) equal to basis @ c."""
+    span, coupling = _span_in_place(np.array(basis, dtype=float))
+    system = span_least_squares(span, coupling)
+    if weights is not None:
+        system = system.weighted(weights, (span.T * weights) @ span)
     reg = system.regressor(spec, system.solve(values))
     sw = np.ones(len(basis)) if weights is None else np.sqrt(weights)
     coef, _, rank, _ = np.linalg.lstsq(basis * sw[:, None], values * sw, rcond=None)
     assert np.max(np.abs(reg.coef - coef)) <= 1e-10 * max(np.max(np.abs(coef)), 1.0)
     assert reg.diagnostics.rank == rank
+    fitted = basis @ reg.coef
+    scale = max(np.max(np.abs(fitted)), 1.0)
+    assert np.max(np.abs(system.fitted(reg.coef) - fitted)) <= 1e-10 * scale
     return reg
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from shadowpse.data_model import Dataset, DatasetDims
+from shadowpse.errors import DimensionMismatch
 from shadowpse.sieve_basis import (
     SPAN_BLOCK_ROWS,
     BasisSpec,
@@ -14,6 +15,7 @@ from shadowpse.sieve_basis import (
     design_matrix,
     detect_binary,
     fit_standardizer,
+    nested_columns,
     spec_for,
 )
 from shadowpse.simulation import DgpConfig, generate
@@ -198,14 +200,39 @@ def test_bundle_outcome_chain_knobs(obs2000):
 @pytest.mark.parametrize("sieve", [SieveOptions(), SieveOptions(mu_degree=3, mu_interactions=True)])
 def test_outcome_chain_specs_equal_per_level_fits(x_miss, x_obs, sieve, obs600):
     """Each u_k sliced from the one level K+1 fit equals spec_for on the
-    level k points, standardizer and binary mask bit for bit."""
+    level k points, degrees bit for bit and standardizer to rounding:
+    numpy sums a lone column pairwise but the columns of a wider block
+    row by row, so a one-coordinate level's mean and sd may differ from
+    its own fit's in the last bits. Every other level matches exactly."""
     ds = Dataset(r=obs600.r, z=obs600.z, x_miss=obs600.x_miss[:, :x_miss],
                  x_obs=obs600.x_obs[:, :x_obs], a=obs600.a, m=obs600.m, y=obs600.y,
                  dims=DatasetDims(z=obs600.dims.z, x_miss=x_miss, x_obs=x_obs,
                                   m=obs600.dims.m))
     bundle = build_spec_bundle(ds, sieve)
-    assert list(bundle.u) == [spec_for(ds.mu_points(k), sieve.mu_degree, sieve.mu_interactions)
-                              for k in range(1, ds.k + 2)]
+    for k, spec in enumerate(bundle.u, start=1):
+        own = spec_for(ds.mu_points(k), sieve.mu_degree, sieve.mu_interactions)
+        if spec.input_dim != 1:
+            assert spec == own
+            continue
+        assert (spec.degrees, spec.include_interactions) == (own.degrees, own.include_interactions)
+        for got, want in ((spec.standardizer.center, own.standardizer.center),
+                          (spec.standardizer.scale, own.standardizer.scale)):
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("sieve", [SieveOptions(), SieveOptions(mu_degree=3, mu_interactions=True)])
+def test_nested_columns_pick_each_level_design_out_of_the_top_one(sieve, obs600):
+    """Every u_k design is the level K+1 design's nested_columns, bit for
+    bit: a prefix without interactions, a subset with them. A spec that is
+    not the top one cut to its leading coordinates is refused."""
+    bundle = build_spec_bundle(obs600, sieve)
+    top = design_matrix(bundle.u[-1], obs600.mu_points(obs600.k + 1))
+    for k, spec in enumerate(bundle.u, start=1):
+        cols = nested_columns(bundle.u[-1], spec)
+        assert top[:, cols].tobytes() == design_matrix(spec, obs600.mu_points(k)).tobytes()
+        assert (list(cols) == list(range(spec.dim))) == (k == obs600.k + 1 or not sieve.mu_interactions)
+    with pytest.raises(DimensionMismatch):
+        nested_columns(bundle.u[-1], replace(bundle.u[0], include_interactions=not sieve.mu_interactions))
 
 
 def test_bundle_degree_knob(obs2000):
