@@ -53,8 +53,6 @@ from .inference import (
 from .series_regression import (
     RunFits,
     SampleDesigns,
-    SeriesRegressor,
-    predict_many,
     project_residual_orthogonality,
 )
 from .sieve_basis import (

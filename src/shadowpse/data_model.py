@@ -291,7 +291,7 @@ def header_order(columns: dict) -> list[str]:
 
 def write_descriptor(ds: Dataset, path: str) -> None:
     doc = {"k": ds.k, "columns": ds.columns}
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -327,7 +327,7 @@ def write_csv(ds: Dataset, path: str) -> None:
     Cells are formatted column by column, _CHUNK_ROWS records at a time,
     with one write per chunk.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header_order(ds.columns))
         for start in range(0, ds.n, _CHUNK_ROWS):
             rows = slice(start, start + _CHUNK_ROWS)
@@ -383,8 +383,11 @@ def _whole(vals: np.ndarray) -> np.ndarray:
 
 
 def read_descriptor(path: str) -> tuple[int, dict]:
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise DimensionMismatch(f"descriptor {path}: not valid JSON: {exc}") from exc
     try:
         k = int(doc["k"])
         columns = doc["columns"]
@@ -473,28 +476,34 @@ def read_csv(data_path: str, descriptor_path: str) -> Dataset:
     by cell, through the csv module, which raises the error naming the row or
     column at fault (or returns the same table when float() reads every
     cell, as it does "1_000"). Columns the descriptor does not declare
-    are never parsed.
+    are never parsed, and may repeat a name; a declared name may not.
+    The file must be UTF-8 text.
     """
     k, columns = read_descriptor(descriptor_path)
-    with open(data_path, newline="") as fh:
-        # readline, not iteration, so that tell() can mark where the records start
-        lines = iter(fh.readline, "")
-        try:
-            header = [h.strip() for h in next(csv.reader(lines))]
-        except StopIteration:
-            raise EmptyDataset(f"{data_path} is empty")
-        idx = {name: i for i, name in enumerate(header)}
-        for name in header_order(columns):
-            if name not in idx:
-                raise DimensionMismatch(f"column {name!r} declared but absent from {data_path}")
-        records = fh.tell()
-        if not any(line.strip("\r\n") for line in lines):
-            raise EmptyDataset(f"{data_path} has a header but no records")
-        fh.seek(records)
-        table = _load_table(fh, header, idx, columns)
-        if table is None:
+    try:
+        with open(data_path, newline="", encoding="utf-8") as fh:
+            # readline, not iteration, so that tell() can mark where the records start
+            lines = iter(fh.readline, "")
+            try:
+                header = [h.strip() for h in next(csv.reader(lines))]
+            except StopIteration:
+                raise EmptyDataset(f"{data_path} is empty")
+            idx = {name: i for i, name in enumerate(header)}
+            for name in header_order(columns):
+                if name not in idx:
+                    raise DimensionMismatch(f"column {name!r} declared but absent from {data_path}")
+                if header.count(name) > 1:
+                    raise DimensionMismatch(f"column {name!r} is repeated in {data_path}")
+            records = fh.tell()
+            if not any(line.strip("\r\n") for line in lines):
+                raise EmptyDataset(f"{data_path} has a header but no records")
             fh.seek(records)
-            table = _read_cells(fh, header, idx, columns)
+            table = _load_table(fh, header, idx, columns)
+            if table is None:
+                fh.seek(records)
+                table = _read_cells(fh, header, idx, columns)
+    except UnicodeDecodeError as exc:
+        raise DimensionMismatch(f"{data_path}: not UTF-8 text: {exc}") from exc
 
     def column(name: str) -> np.ndarray:
         return np.ascontiguousarray(table[:, idx[name]])

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch
-from .series_regression import RunFits, SeriesRegressor
+from .series_regression import RunFits, _frozen
 
 TreatmentProfile = tuple[int, ...]
 
@@ -65,12 +65,12 @@ def named_estimand(name: str, k: int) -> tuple[TreatmentProfile, TreatmentProfil
 class NuisanceFits:
     """Backward chain mu_1..mu_{K+1} for one profile.
 
-    mu[k-1] is the fit for mu_k and values[k-1] its fitted values on the
-    complete cases.
+    mu[k-1] is mu_k's coefficient vector in the basis bundle.u[k-1] and
+    values[k-1] its fitted values on the complete cases, both read-only.
     """
 
     profile: TreatmentProfile
-    mu: list[SeriesRegressor]
+    mu: list[np.ndarray]
     values: list[np.ndarray]
 
 
@@ -83,20 +83,19 @@ def fit_mu_chain(run: RunFits, profile: Sequence[int]) -> NuisanceFits:
     designs = run.designs
     ds = designs.ds
     prof = validate_profile(profile, ds.k)
-    u_specs = designs.bundle.u
-    if len(u_specs) != ds.k + 1:
-        raise DimensionMismatch(f"need {ds.k + 1} mu bases, got {len(u_specs)}")
+    if len(designs.bundle.u) != ds.k + 1:
+        raise DimensionMismatch(f"need {ds.k + 1} mu bases, got {len(designs.bundle.u)}")
 
-    mu: list[SeriesRegressor] = [None] * (ds.k + 1)  # type: ignore[list-item]
+    mu: list[np.ndarray] = [None] * (ds.k + 1)  # type: ignore[list-item]
     values: list[np.ndarray] = [None] * (ds.k + 1)  # type: ignore[list-item]
     response = designs.y_cc
     for k in range(ds.k + 1, 0, -1):
         key = ("mu", k, prof[k - 1:])
         if key not in run.memo:
             system = run.arm_lstsq(k, prof[k - 1])
-            reg = system.regressor(u_specs[k - 1], system.solve(response))
+            coef = system.solve(response)
             # next level regresses mu_k evaluated at (x, m_1..m_{k-1})
-            run.memo[key] = (reg, system.fitted(reg.coef))
+            run.memo[key] = (_frozen(coef), _frozen(system.fitted(coef)))
         mu[k - 1], values[k - 1] = run.memo[key]
         response = values[k - 1]
     return NuisanceFits(profile=prof, mu=mu, values=values)

@@ -41,7 +41,7 @@ from .estimator import (
     fit_mu_chain,
     validate_profile,
 )
-from .series_regression import FitDiagnostics, RunFits, SampleDesigns, SeriesRegressor
+from .series_regression import RunFits, SampleDesigns, _frozen
 
 OMEGA_FLOOR = 1e-3
 
@@ -57,20 +57,21 @@ def z_critical(level: float) -> float:
 class OmegaFits:
     """Treatment-density ratios omega_1..omega_{K+1} for one profile.
 
-    omega[k-1] is None at levels where a_k = a_{k-1}: there omega_k is
-    exactly one by construction, and no fit is stored or consulted.
+    omega[k-1] is omega_k's coefficient vector in the basis bundle.u[k-1],
+    or None at levels where a_k = a_{k-1}: there omega_k is exactly one
+    by construction, and no fit is stored or consulted.
     Raw evaluations are floored at OMEGA_FLOOR: the ratios are positive by
     definition but sieve fits can dip negative in sparse regions.
-    cumulative[k-1] stores the floored product omega_1..omega_k pushed
-    back onto the k-th mu basis, so the phi augmentation terms stay
-    orthogonal to the fitted chain and the reweighted mean of phi
-    reproduces psi_hat exactly; cumulative_values[k-1] are its fitted
-    values on the complete cases.
+    cumulative[k-1] holds the coefficients of the floored product
+    omega_1..omega_k pushed back onto the k-th mu basis, so the phi
+    augmentation terms stay orthogonal to the fitted chain and the
+    reweighted mean of phi reproduces psi_hat exactly; cumulative_values[k-1]
+    are its fitted values on the complete cases. All are read-only.
     """
 
     profile: TreatmentProfile
-    omega: list[Optional[SeriesRegressor]]
-    cumulative: list[SeriesRegressor]
+    omega: list[Optional[np.ndarray]]
+    cumulative: list[np.ndarray]
     cumulative_values: list[np.ndarray]
     floor_events: int
     moment_residual_sup: float
@@ -78,9 +79,9 @@ class OmegaFits:
 
 def _fit_omega(
     run: RunFits, k: int, arm_level: int, target: np.ndarray,
-) -> tuple[SeriesRegressor, float, np.ndarray]:
-    """omega_k, its moment residual sup and its raw values on the
-    complete cases.
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """omega_k's coefficients in the k-th mu basis, its moment residual
+    sup and its raw values on the complete cases.
 
     The moment system S_k' diag(1{A = a_k} (1 + gamma)) U_k c =
     S_k' ((1 + gamma) target), with S_k the orthonormal basis of level
@@ -92,8 +93,7 @@ def _fit_omega(
     coef = system.pinv @ rhs
     resid = system.span @ (system.rotation @ (system.reduced @ coef - rhs))
     resid_sup = float(np.max(np.abs(resid))) if resid.size else 0.0
-    reg = system.regressor(run.designs.bundle.u[k - 1], coef)
-    return reg, resid_sup, system.fitted(coef)
+    return _frozen(coef), resid_sup, _frozen(system.fitted(coef))
 
 
 def fit_omegas(run: RunFits, profile: Sequence[int]) -> OmegaFits:
@@ -115,7 +115,7 @@ def fit_omegas(run: RunFits, profile: Sequence[int]) -> OmegaFits:
     prof = validate_profile(profile, ds.k)
     a_cc = designs.a_cc
 
-    omega: list[Optional[SeriesRegressor]] = []
+    omega: list[Optional[np.ndarray]] = []
     raw_vals: list[np.ndarray] = []
     resid_sup = 0.0
     for k in range(1, ds.k + 2):
@@ -127,14 +127,14 @@ def fit_omegas(run: RunFits, profile: Sequence[int]) -> OmegaFits:
         if key not in memo:
             target = np.ones(len(a_cc)) if k == 1 else (a_cc == prof[k - 2]).astype(float)
             memo[key] = _fit_omega(run, k, prof[k - 1], target)
-        reg, sup, vals = memo[key]
+        coef, sup, vals = memo[key]
         resid_sup = max(resid_sup, sup)
-        omega.append(reg)
+        omega.append(coef)
         raw_vals.append(vals)
 
     # cumulative products, floored then pushed back into the k-th basis span
     floor_events = 0
-    cumulative: list[SeriesRegressor] = []
+    cumulative: list[np.ndarray] = []
     cumulative_values: list[np.ndarray] = []
     running = np.ones(designs.n_cc)
     for k in range(1, ds.k + 2):
@@ -146,10 +146,10 @@ def fit_omegas(run: RunFits, profile: Sequence[int]) -> OmegaFits:
         if key not in memo:
             product = running * vals
             lstsq = designs.chain[k - 1]
-            reg = lstsq.regressor(designs.bundle.u[k - 1], lstsq.solve(product))
-            memo[key] = (reg, product, lstsq.fitted(reg.coef))
-        reg, running, fitted = memo[key]
-        cumulative.append(reg)
+            coef = lstsq.solve(product)
+            memo[key] = (_frozen(coef), _frozen(product), _frozen(lstsq.fitted(coef)))
+        coef, running, fitted = memo[key]
+        cumulative.append(coef)
         cumulative_values.append(fitted)
     return OmegaFits(
         profile=prof,
@@ -182,41 +182,40 @@ def phi_values(designs: SampleDesigns, fits: NuisanceFits, omegas: OmegaFits) ->
     return phi
 
 
-def fit_representer(designs: SampleDesigns, phi: np.ndarray) -> tuple[SeriesRegressor, float]:
+def fit_representer(designs: SampleDesigns, phi: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimise (1/2n)||Ehat{R rho | W}|| ^2 - (1/n) sum R phi rho.
 
     rho ranges over the linear span of the odds basis, so the first-order
     condition is a convex quadratic, ill-posed as the module docstring
     says. Its Tikhonov ridge is representer_ridge(n) times the mean Gram
     eigenvalue (at least one), so it shrinks with n above n = 1000 and
-    its bias falls faster than the se. The returned criterion value is
-    at most zero (zero is feasible). The recorded rank is that of the
-    projected odds design, whose Gram matrix the system solves. Only
-    the right-hand side depends on phi: the factored system is the
-    run's designs.representer_system, shared by every profile.
+    its bias falls faster than the se. Returns rho's coefficients in the
+    odds basis designs.bundle.q and the criterion value, at most zero
+    (zero is feasible). Only the right-hand side depends on phi: the
+    factored system is the run's designs.representer_system, shared by
+    every profile, and its rank (that of the projected odds design) and
+    eps are the fit's.
     """
     ds = designs.ds
     if np.shape(phi) != (designs.n_cc,):
         raise LengthMismatch("phi must have one entry per complete case")
-    spec_q = designs.bundle.q
     system = designs.representer_system
     rhs = designs.q.T @ phi
     coef = system.solve(rhs)
     proj = system.design @ coef
     value = 0.5 * float(proj @ proj) / ds.n - float(rhs @ coef) / ds.n
-    diag = FitDiagnostics(n_used=designs.n_cc, dim=spec_q.dim, rank=system.rank,
-                          gram_diag_ridge=system.eps)
-    return SeriesRegressor(spec=spec_q, coef=coef, diagnostics=diag), value
+    return coef, value
 
 
 def influence_values(
     run: RunFits,
     psi_hat: float,
     phi: np.ndarray,
-    rho: Optional[SeriesRegressor],
+    rho: Optional[np.ndarray],
 ) -> np.ndarray:
     """Per-record influence values in row order, complete cases first;
-    mean near zero by construction.
+    mean near zero by construction. rho is the representer's coefficient
+    vector in the odds basis, as fit_representer returns it.
 
     rho=None is the complete-data shortcut: with odds identically zero
     and no incomplete records the correction factor R gamma - 1 + R is
@@ -231,7 +230,7 @@ def influence_values(
             raise DimensionMismatch("representer required when R gamma - 1 + R is not identically zero")
         return term1 - psi_hat
     t = np.concatenate([run.odds_cc, np.full(n - n_cc, -1.0)])
-    erho = designs.p_span @ (designs.representer_system.design @ rho.coef)
+    erho = designs.p_span @ (designs.representer_system.design @ rho)
     return term1 - psi_hat - erho * t
 
 
@@ -283,7 +282,7 @@ class ProfileAnalysis:
     fits: NuisanceFits
     omegas: OmegaFits
     phi: np.ndarray
-    rho: Optional[SeriesRegressor]
+    rho: Optional[np.ndarray]
     if_values: np.ndarray
 
 

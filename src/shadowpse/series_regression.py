@@ -56,21 +56,6 @@ def lapack_errors(what: str):
 
 
 @dataclass
-class FitDiagnostics:
-    n_used: int
-    dim: int
-    rank: int
-    gram_diag_ridge: float  # 0.0 for a solve with no ridge
-
-
-@dataclass
-class SeriesRegressor:
-    spec: BasisSpec
-    coef: np.ndarray
-    diagnostics: FitDiagnostics
-
-
-@dataclass
 class RidgeSystem:
     """The ridged normal equations of one design, for many right-hand sides.
 
@@ -111,29 +96,26 @@ def representer_ridge(n: int) -> float:
     return 1e-2 * min(1.0, (1000 / n) ** 2)
 
 
-def predict_many(reg: SeriesRegressor, points: np.ndarray) -> np.ndarray:
-    return design_matrix(reg.spec, points) @ reg.coef
-
-
 def project_residual_orthogonality(
-    reg: SeriesRegressor,
+    spec: BasisSpec,
+    coef: np.ndarray,
     inputs: np.ndarray,
     responses: np.ndarray,
     weights: Optional[np.ndarray] = None,
 ) -> float:
-    """max_j |(1/n) sum_i w_i (v_i - fit_i) basis_ij| over the fit sample.
+    """max_j |(1/n) sum_i w_i (v_i - basis_i' coef) basis_ij| over the fit sample.
 
     Zero up to floating point for a weighted least squares fit, as every
     mu and omega fit is: no series regression is ridged any more.
     """
-    basis = design_matrix(reg.spec, inputs)
+    basis = design_matrix(spec, inputs)
     v = np.asarray(responses, dtype=float)
     w = np.ones(len(basis)) if weights is None else np.asarray(weights, dtype=float)
     if v.shape != (len(basis),) or w.shape != (len(basis),):
         raise LengthMismatch("responses and weights must align with the input rows")
     if not (np.isfinite(v).all() and np.isfinite(w).all()):
         raise NonFiniteInput("project_residual_orthogonality: non-finite input")
-    resid = (v - basis @ reg.coef) * w
+    resid = (v - basis @ coef) * w
     return float(np.max(np.abs(basis.T @ resid)) / max(len(v), 1))
 
 
@@ -204,7 +186,8 @@ class SpanLeastSquares:
     c = pinv(reduced) @ M_k' S' W v is the minimum-norm solution. The
     pseudo-inverse drops singular values at or below np.linalg.lstsq's
     cutoff eps * max(U_k rows, columns) * s_max, and rank counts the
-    rest, as lstsq's rank does. Every fitted vector is S (R_k c).
+    rest, as lstsq's rank does. Every fitted vector is S (R_k c). A fit
+    is just its coefficient vector c; its rank is this system's.
     """
 
     span: np.ndarray
@@ -236,12 +219,6 @@ class SpanLeastSquares:
     def weighted(self, weights: np.ndarray, gram: np.ndarray) -> "SpanLeastSquares":
         """The same design under row weights, with gram = S' diag(weights) S."""
         return SpanLeastSquares(self.span, self.coupling, self.rotation, weights, gram)
-
-    def regressor(self, spec: BasisSpec, coef: np.ndarray) -> SeriesRegressor:
-        """The fit with coefficients coef, over the rows of positive weight."""
-        n_used = len(self.span) if self.weights is None else int(np.count_nonzero(self.weights))
-        diag = FitDiagnostics(n_used=n_used, dim=spec.dim, rank=self.rank, gram_diag_ridge=0.0)
-        return SeriesRegressor(spec=spec, coef=coef, diagnostics=diag)
 
 
 def span_least_squares(span: np.ndarray, coupling: np.ndarray) -> SpanLeastSquares:
@@ -353,7 +330,8 @@ class RunFits:
     default profiles of a K = 2 run make 9 mu, 4 omega and 9 cumulative
     fits where fitting each profile alone makes 12, 6 and 12. The mu and
     cumulative entries keep the fitted values on the complete cases with
-    the fit, so no profile computes them again.
+    the coefficients, so no profile computes them again; every array in
+    them is read-only, so no profile writes into another's fits.
 
     arm_lstsq(k, a_k), in memo under ("system", k, a_k), is the least
     squares on level k with weights 1{A = a_k} (1 + odds) that every

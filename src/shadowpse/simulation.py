@@ -312,15 +312,7 @@ class McResult:
             "failures": {m: list(v) for m, v in self.failures.items()},
         }
         for (method, est), cell in self.cells.items():
-            out["cells"].setdefault(method, {})[est] = {
-                "bias": cell.bias,
-                "se": cell.se,
-                "cp": cell.cp,
-                "mcse_bias": cell.mcse_bias,
-                "mcse_cp": cell.mcse_cp,
-                "reps_used": cell.reps_used,
-                "n_fail": cell.n_fail,
-            }
+            out["cells"].setdefault(method, {})[est] = asdict(cell)
         return out
 
 

@@ -26,7 +26,6 @@ from shadowpse.series_regression import (
     RunFits,
     SampleDesigns,
     orthonormal_span,
-    predict_many,
     project_residual_orthogonality,
 )
 from shadowpse.sieve_basis import SieveOptions, build_spec_bundle, design_matrix
@@ -133,9 +132,10 @@ def test_criterion_5a_chain_residual_orthogonality():
         resp = obs.y[cc]
         for k in (3, 2, 1):
             w = np.where(obs.a[cc] == profile[k - 1], growth, 0.0)
+            spec = designs.bundle.u[k - 1]
             worst_mu = max(worst_mu, project_residual_orthogonality(
-                fits.mu[k - 1], obs.mu_points(k), resp, w))
-            resp = predict_many(fits.mu[k - 1], obs.mu_points(k))
+                spec, fits.mu[k - 1], obs.mu_points(k), resp, w))
+            resp = design_matrix(spec, obs.mu_points(k)) @ fits.mu[k - 1]
         omegas = fit_omegas(run, profile)
         worst_omega = max(worst_omega, omegas.moment_residual_sup)
     ok = worst_mu <= 1e-6 and worst_omega <= 1e-6
@@ -223,9 +223,10 @@ def test_criterion_5f_representer_closed_form():
     ds = obs.subset(mask)
     bundle = build_spec_bundle(ds, SieveOptions(degree=1, include_interactions=False))
     phi = ds.y[ds.complete_mask]
-    rho, value = fit_representer(SampleDesigns(ds, bundle), phi)
+    designs = SampleDesigns(ds, bundle)
+    rho, value = fit_representer(designs, phi)
 
-    eps = rho.diagnostics.gram_diag_ridge
+    eps = designs.representer_system.eps
     smat = design_matrix(bundle.q, ds.regressor_points())
     span = orthonormal_span(design_matrix(bundle.p, ds.conditioning_points()))
     gmat = span[ds.complete_mask].T @ smat
@@ -239,7 +240,7 @@ def test_criterion_5f_representer_closed_form():
         method="trust-exact",
         options={"gtol": 1e-13},
     )
-    diff = float(np.max(np.abs(res.x - rho.coef)))
+    diff = float(np.max(np.abs(res.x - rho)))
     ok = diff <= 1e-6 and value <= 0.0
     check(ok, "criterion 5f (representer matches brute-force minimiser)",
           f"max coefficient difference={diff:.2e} (tol 1e-6)")

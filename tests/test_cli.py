@@ -1,6 +1,7 @@
 import ast
 import inspect
 import json
+import re
 from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from shadowpse import baselines, cli, simulation
-from shadowpse.data_model import write_csv, write_descriptor
+from shadowpse.data_model import read_descriptor, write_csv, write_descriptor
 from shadowpse.errors import ConfigError, EstimationError, NonFiniteInput, UnsolvableSystem
 from shadowpse.simulation import DgpConfig, generate
 
@@ -180,6 +181,50 @@ def test_unparseable_cell_is_a_data_error(data_files, tmp_path, capsys):
     empty.write_text(lines[0] + "\n")
     assert cli.main(["validate", "--data", str(empty),
                      "--descriptor", desc]) == 3
+
+
+def _truncated_descriptor(data: str, desc: str, tmp_path) -> tuple[str, str]:
+    text = open(desc, encoding="utf-8").read()
+    bad = tmp_path / "bad.json"
+    bad.write_text(text[:len(text) // 2], encoding="utf-8")
+    return data, str(bad)
+
+
+def _non_utf8_cell(data: str, desc: str, tmp_path) -> tuple[str, str]:
+    """The last record's first x_miss cell replaced by the byte 0xff."""
+    lines = open(data, "rb").read().rstrip(b"\r\n").split(b"\r\n")
+    col = lines[0].decode().split(",").index(read_descriptor(desc)[1]["x_miss"][0])
+    cells = lines[-1].split(b",")
+    cells[col] = b"\xff"
+    lines[-1] = b",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    return str(bad), desc
+
+
+def _declared_column_twice(data: str, desc: str, tmp_path) -> tuple[str, str]:
+    """A second y column, whose values the reader must not take."""
+    lines = open(data, encoding="utf-8").read().splitlines()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([lines[0] + ",y"] + [line + ",9.0" for line in lines[1:]]) + "\n",
+                   encoding="utf-8")
+    return str(bad), desc
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_truncated_descriptor, r"descriptor \S+bad\.json: not valid JSON: "),
+    (_non_utf8_cell, r"\S+bad\.csv: not UTF-8 text: "),
+    (_declared_column_twice, r"column 'y' is repeated in \S+bad\.csv"),
+], ids=["truncated descriptor", "non-UTF-8 cell", "declared column twice"])
+def test_malformed_input_file_is_a_data_error(corrupt, message, data_files, tmp_path, capsys):
+    """A data or descriptor file the reader cannot take as it stands ends
+    in a DimensionMismatch naming the file or column, exit 3, with no
+    traceback."""
+    data, desc = corrupt(*data_files, tmp_path)
+    assert cli.main(["validate", "--data", data, "--descriptor", desc]) == 3
+    err = capsys.readouterr().err
+    assert re.match("data error: DimensionMismatch: " + message, err)
+    assert "Traceback" not in err
 
 
 def test_oracle_runs_on_full_data(full2000, tmp_path, capsys):

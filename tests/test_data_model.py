@@ -213,6 +213,18 @@ def _rewrite(path, header, rows):
     path.write_text("\n".join(",".join(row) for row in [header] + rows) + "\n")
 
 
+def test_declared_column_named_twice_raises(tmp_path):
+    """A declared name that appears twice in the header is ambiguous and
+    raises, naming the column; an undeclared one is never parsed, so it
+    may repeat."""
+    obs, header, rows, data, desc = _csv_pair(tmp_path, 116)
+    _rewrite(data, header + ["note", "note"], [row + ["a", "b"] for row in rows])
+    assert read_csv(str(data), str(desc)).y.tobytes() == obs.y.tobytes()
+    _rewrite(data, header + ["y"], [row + ["9.0"] for row in rows])
+    with pytest.raises(DimensionMismatch, match="column 'y' is repeated in "):
+        read_csv(str(data), str(desc))
+
+
 def test_csv_short_row_names_its_row(tmp_path):
     obs, header, rows, data, desc = _csv_pair(tmp_path, 107)
     rows[4] = rows[4][:-1]

@@ -222,15 +222,15 @@ def test_fit_ranks_are_real_on_rank_deficient_designs(obs600):
     gamma = 0.5 + 0.1 * np.tanh(designs.y_cc)
 
     omegas = fit_omegas(RunFits(designs, gamma), (0, 1, 1))
-    for k, reg in enumerate(omegas.cumulative, start=1):
+    for k, coef in enumerate(omegas.cumulative, start=1):
         rank = np.linalg.matrix_rank(fresh_u(designs, k))
-        assert rank < reg.spec.dim
-        assert reg.diagnostics.rank == rank
+        assert rank < designs.bundle.u[k - 1].dim == coef.size
+        assert designs.chain[k - 1].rank == rank
 
     rho, _ = fit_representer(designs, designs.y_cc)
     rank = np.linalg.matrix_rank(designs.p_span_cc.T @ designs.q)
-    assert rank < rho.spec.dim
-    assert rho.diagnostics.rank == rank
+    assert rank < designs.bundle.q.dim == rho.size
+    assert designs.representer_system.rank == rank
 
 
 def reshaped(ds: Dataset, x_miss: int, x_obs: int, m: tuple) -> Dataset:
@@ -349,9 +349,8 @@ def test_zero_odds_runs_fit_only_the_outcome_chain_bases(method, monkeypatch, ob
 def analysis_bytes(analysis) -> bytes:
     """Every array and figure of one profile analysis, as bytes."""
     arrays = [analysis.if_values, analysis.phi]
-    arrays += [reg.coef for reg in analysis.fits.mu]
-    arrays += [reg.coef for reg in analysis.omegas.cumulative]
-    arrays += [reg.coef for reg in analysis.omegas.omega if reg is not None]
+    arrays += analysis.fits.mu + analysis.omegas.cumulative
+    arrays += [coef for coef in analysis.omegas.omega if coef is not None]
     return b"".join(np.ascontiguousarray(arr).tobytes() for arr in arrays) + repr(
         analysis.psi_hat).encode()
 
@@ -382,6 +381,25 @@ def test_fits_never_outlive_their_odds(odds, obs2000, bundle2000, gamma2000):
         if odds == "one array changed in place":
             with pytest.raises(ValueError):
                 values[:] = tilted
+
+
+def test_shared_fits_are_read_only(obs2000, bundle2000, gamma2000):
+    """Every coefficient, fitted and product array in the run's memo is
+    read-only, and so is every fit a profile analysis returns from it:
+    no profile can write into the fits another profile reads."""
+    designs = SampleDesigns(obs2000, bundle2000)
+    run = RunFits(designs, gamma2000[0].values(designs))
+    for prof in DEFAULT_PROFILES:
+        analysis = analyze_profile(run, prof)
+        fits, omegas = analysis.fits, analysis.omegas
+        shared = fits.mu + fits.values + omegas.cumulative + omegas.cumulative_values
+        shared += [coef for coef in omegas.omega if coef is not None]
+        assert len(shared) == 12 + sum(coef is not None for coef in omegas.omega)
+        assert not any(arr.flags.writeable for arr in shared)
+    in_memo = [arr for key, entry in run.memo.items() if key[0] in ("mu", "omega", "cumulative")
+               for arr in entry if isinstance(arr, np.ndarray)]
+    assert len(in_memo) == 2 * 9 + 2 * 4 + 3 * 9
+    assert not any(arr.flags.writeable for arr in in_memo)
 
 
 def fresh_representer(designs: SampleDesigns, phi: np.ndarray):
@@ -429,47 +447,50 @@ def test_representer_system_is_factored_once_per_run(monkeypatch, obs2000):
     assert factored.count((dim_q, dim_q)) == 1
     for phi, designs, (rho, value) in solved:
         coef, want_value, rank = fresh_representer(designs, phi)
-        assert rho.coef.tobytes() == coef.tobytes()
+        assert rho.tobytes() == coef.tobytes()
         assert value == want_value
-        assert rho.diagnostics.rank == rank
+        assert designs.representer_system.rank == rank
 
 
 def standalone_chain(designs: SampleDesigns, odds: np.ndarray, prof) -> list:
-    """The mu_k coefficients of one profile under complete-case odds,
-    each from np.linalg.lstsq on its sqrt(w)-weighted design."""
+    """The mu_k coefficients and ranks of one profile under complete-case
+    odds, each from np.linalg.lstsq on its sqrt(w)-weighted design."""
     ds = designs.ds
     cc = ds.complete_mask
-    coefs = [None] * (ds.k + 1)
+    fits = [None] * (ds.k + 1)
     response = ds.y[cc]
     for k in range(ds.k + 1, 0, -1):
         sw = np.sqrt(np.where(ds.a[cc] == prof[k - 1], 1.0 + odds, 0.0))
         design = fresh_u(designs, k)
-        coefs[k - 1], _, _, _ = np.linalg.lstsq(design * sw[:, None], response * sw, rcond=None)
-        response = design @ coefs[k - 1]
-    return coefs
+        coef, _, rank, _ = np.linalg.lstsq(design * sw[:, None], response * sw, rcond=None)
+        fits[k - 1] = (coef, rank)
+        response = design @ coef
+    return fits
 
 
 def assert_pure(designs: SampleDesigns, odds: np.ndarray, profiles) -> list:
     """Every shared mu fit of the profiles agrees with np.linalg.lstsq on
     its weighted design to 1e-10 relative, and every cumulative fit with
-    np.linalg.lstsq on u(k) to 1e-12 relative, with lstsq's rank.
-    Returns the lstsq ranks of the cumulative fits."""
+    np.linalg.lstsq on u(k) to 1e-12 relative; each system the fits are
+    solved against has lstsq's rank. Returns the lstsq ranks of the
+    cumulative fits."""
     ranks = []
     run = RunFits(designs, odds)
     for prof in profiles:
         analysis = analyze_profile(run, prof)
         want = standalone_chain(designs, odds, prof)
-        for reg, coef in zip(analysis.fits.mu, want):
-            assert np.max(np.abs(reg.coef - coef)) <= 1e-10 * np.max(np.abs(coef))
+        for k, (got, (coef, rank)) in enumerate(zip(analysis.fits.mu, want), start=1):
+            assert np.max(np.abs(got - coef)) <= 1e-10 * np.max(np.abs(coef))
+            assert run.arm_lstsq(k, prof[k - 1]).rank == rank
         omegas = analysis.omegas
         product = np.ones(designs.n_cc)
-        for k, reg in enumerate(omegas.cumulative, start=1):
+        for k, got in enumerate(omegas.cumulative, start=1):
             omega, design = omegas.omega[k - 1], fresh_u(designs, k)
             if omega is not None:
-                product = product * np.maximum(design @ omega.coef, inference.OMEGA_FLOOR)
+                product = product * np.maximum(design @ omega, inference.OMEGA_FLOOR)
             coef, _, rank, _ = np.linalg.lstsq(design, product, rcond=None)
-            assert np.max(np.abs(reg.coef - coef)) <= 1e-12 * np.max(np.abs(coef))
-            assert reg.diagnostics.rank == rank
+            assert np.max(np.abs(got - coef)) <= 1e-12 * np.max(np.abs(coef))
+            assert designs.chain[k - 1].rank == rank
             ranks.append(int(rank))
     return ranks
 

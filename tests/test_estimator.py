@@ -13,10 +13,9 @@ from shadowpse.gamma_solver import GammaOptions, fit_gamma
 from shadowpse.series_regression import (
     RunFits,
     SampleDesigns,
-    predict_many,
     project_residual_orthogonality,
 )
-from shadowpse.sieve_basis import SieveOptions, build_spec_bundle
+from shadowpse.sieve_basis import SieveOptions, build_spec_bundle, design_matrix
 from shadowpse.simulation import DgpConfig, generate, true_gamma_values
 
 from support import TRUE_PSI, one_mediator_dataset, rng_for, seq, tile_dataset
@@ -69,7 +68,7 @@ def test_linear_chain_equals_per_arm_least_squares(comp600):
         design = np.column_stack([np.ones(int(arm.sum())), pts[arm]])
         coef, *_ = np.linalg.lstsq(design, resp[arm], rcond=None)
         direct = np.column_stack([np.ones(len(pts)), pts]) @ coef
-        mine = predict_many(fits.mu[k - 1], pts)
+        mine = design_matrix(designs.bundle.u[k - 1], pts) @ fits.mu[k - 1]
         np.testing.assert_allclose(mine, direct, atol=1e-10)
         resp = mine
     assert abs(estimate_psi(run, fits) - direct.mean()) <= 1e-10
@@ -89,9 +88,10 @@ def test_chain_orthogonality_under_estimated_odds():
         resp = obs.y[cc]
         for k in (3, 2, 1):
             w = np.where(obs.a[cc] == profile[k - 1], growth, 0.0)
+            spec = designs.bundle.u[k - 1]
             worst = max(worst, project_residual_orthogonality(
-                fits.mu[k - 1], obs.mu_points(k), resp, w))
-            resp = predict_many(fits.mu[k - 1], obs.mu_points(k))
+                spec, fits.mu[k - 1], obs.mu_points(k), resp, w))
+            resp = design_matrix(spec, obs.mu_points(k)) @ fits.mu[k - 1]
     assert worst <= 1e-6
 
 

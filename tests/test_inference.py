@@ -18,12 +18,9 @@ from shadowpse.inference import (
 )
 from shadowpse.estimator import estimate_psi, fit_mu_chain
 from shadowpse.series_regression import (
-    FitDiagnostics,
     RunFits,
     SampleDesigns,
-    SeriesRegressor,
     orthonormal_span,
-    predict_many,
     representer_ridge,
     ridge_system,
 )
@@ -52,10 +49,10 @@ def test_omega_identically_one_pattern(obs2000, bundle2000, gamma2000):
     designs = SampleDesigns(obs2000, bundle2000)
     run = RunFits(designs, model.values(designs))
     om = fit_omegas(run, (1, 1, 1))
-    assert [reg is None for reg in om.omega] == [False, True, True]
+    assert [coef is None for coef in om.omega] == [False, True, True]
     assert om.moment_residual_sup <= 1e-6
     om_mixed = fit_omegas(run, (1, 0, 1))
-    assert [reg is None for reg in om_mixed.omega] == [False, False, False]
+    assert [coef is None for coef in om_mixed.omega] == [False, False, False]
     assert om_mixed.moment_residual_sup <= 1e-6
 
 
@@ -70,7 +67,7 @@ def test_omega_recovers_inverse_propensity():
     ds = one_mediator_dataset(n, x, a, m1, y)
     bundle = build_spec_bundle(ds, SieveOptions(degree=2))
     om = fit_omegas(RunFits(SampleDesigns(ds, bundle), np.zeros(n)), (1, 1))
-    vals = predict_many(om.omega[0], ds.mu_points(1))
+    vals = design_matrix(bundle.u[0], ds.mu_points(1)) @ om.omega[0]
     assert float(np.mean(np.abs(vals - 2.0) <= 0.1)) >= 0.9
     assert om.moment_residual_sup <= 1e-6
 
@@ -89,15 +86,16 @@ def test_omega_floor_engages_when_arm_support_vanishes():
     assert OMEGA_FLOOR == 1e-3
 
 
-def phi_at_row(ds, i, fits, omegas):
-    """Reference phi of complete record i, evaluated one point at a time."""
+def phi_at_row(ds, u_specs, i, fits, omegas):
+    """Reference phi of complete record i, evaluated one point at a time
+    from the fits' coefficients in the mu bases u_specs."""
     prof = fits.profile
     kk = len(prof) - 1
     x = np.concatenate([ds.x_miss[i], ds.x_obs[i]])
     points = [np.concatenate([x] + [ds.m[j][i] for j in range(k)]) for k in range(kk + 1)]
 
-    def at(reg, k):
-        return float(design_matrix(reg.spec, points[k][None])[0] @ reg.coef)
+    def at(coef, k):
+        return float(design_matrix(u_specs[k], points[k][None])[0] @ coef)
 
     mu = [at(fits.mu[k], k) for k in range(kk + 1)]
     cum = [at(omegas.cumulative[k], k) for k in range(kk + 1)]
@@ -115,7 +113,7 @@ def test_phi_values_matches_per_record_path(obs600):
     model, _ = fit_gamma(designs, GammaOptions())
     analysis = analyze_profile(RunFits(designs, model.values(designs)), (1, 0, 1))
     for j, i in enumerate(np.flatnonzero(obs600.complete_mask)[:25]):
-        got = phi_at_row(obs600, i, analysis.fits, analysis.omegas)
+        got = phi_at_row(obs600, designs.bundle.u, i, analysis.fits, analysis.omegas)
         assert abs(got - analysis.phi[j]) <= 1e-10
 
 
@@ -133,7 +131,7 @@ def test_reweighted_phi_mean_reproduces_psi(obs2000, bundle2000, gamma2000):
 def test_representer_zero_target(obs600):
     designs = SampleDesigns(obs600, build_spec_bundle(obs600))
     rho, value = fit_representer(designs, np.zeros(designs.n_cc))
-    np.testing.assert_allclose(rho.coef, 0.0, atol=1e-12)
+    np.testing.assert_allclose(rho, 0.0, atol=1e-12)
     assert value == 0.0
 
 
@@ -144,11 +142,12 @@ def test_representer_matches_brute_force_minimiser():
     ds = obs.subset(mask)
     bundle = build_spec_bundle(ds, SieveOptions(degree=1, include_interactions=False))
     phi = ds.y[ds.complete_mask]
-    rho, value = fit_representer(SampleDesigns(ds, bundle), phi)
+    designs = SampleDesigns(ds, bundle)
+    rho, value = fit_representer(designs, phi)
     assert value <= 0.0
 
     # independent reconstruction of the ridged quadratic objective
-    eps = rho.diagnostics.gram_diag_ridge
+    eps = designs.representer_system.eps
     smat = design_matrix(bundle.q, ds.regressor_points())
     span = orthonormal_span(design_matrix(bundle.p, ds.conditioning_points()))
     gmat = span[ds.complete_mask].T @ smat
@@ -162,7 +161,7 @@ def test_representer_matches_brute_force_minimiser():
         method="trust-exact",
         options={"gtol": 1e-13},
     )
-    assert float(np.max(np.abs(res.x - rho.coef))) <= 1e-6
+    assert float(np.max(np.abs(res.x - rho))) <= 1e-6
 
 
 def test_influence_complete_data_reduction(comp600):
@@ -228,9 +227,7 @@ def fixed_ridge_report(ds, gvals, ridge: float) -> InferenceReport:
     psi_hat = estimate_psi(run, fits)
     phi = phi_values(designs, fits, fit_omegas(run, (1, 1, 1)))
     system = ridge_system(designs.p_span_cc.T @ designs.q, ridge)
-    coef = system.solve(designs.q.T @ phi)
-    diag = FitDiagnostics(designs.n_cc, coef.size, system.rank, system.eps)
-    rho = SeriesRegressor(designs.bundle.q, coef, diag)
+    rho = system.solve(designs.q.T @ phi)
     return variance_and_ci(psi_hat, influence_values(run, psi_hat, phi, rho))
 
 
