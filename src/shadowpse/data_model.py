@@ -57,26 +57,14 @@ class DatasetDims:
 
 
 def _default_columns(dims: DatasetDims) -> dict:
-    def block(prefix: str, count: int, start: int = 1) -> list[str]:
-        if count == 1 and prefix in ("z",):
-            return [prefix]
-        return [f"{prefix}{i}" for i in range(start, start + count)]
-
-    x_miss = [f"x{i}" for i in range(1, dims.x_miss + 1)]
-    x_obs = [f"x{i}" for i in range(dims.x_miss + 1, dims.x + 1)]
-    m_cols = []
-    for k, dm in enumerate(dims.m, start=1):
-        if dm == 1:
-            m_cols.append([f"m{k}"])
-        else:
-            m_cols.append([f"m{k}_{j}" for j in range(1, dm + 1)])
     return {
         "r": "r",
-        "z": block("z", dims.z),
-        "x_miss": x_miss,
-        "x_obs": x_obs,
+        "z": ["z"] if dims.z == 1 else [f"z{i}" for i in range(1, dims.z + 1)],
+        "x_miss": [f"x{i}" for i in range(1, dims.x_miss + 1)],
+        "x_obs": [f"x{i}" for i in range(dims.x_miss + 1, dims.x + 1)],
         "a": "a",
-        "m": m_cols,
+        "m": [[f"m{k}"] if dm == 1 else [f"m{k}_{j}" for j in range(1, dm + 1)]
+              for k, dm in enumerate(dims.m, start=1)],
         "y": "y",
     }
 
@@ -84,6 +72,9 @@ def _default_columns(dims: DatasetDims) -> dict:
 @dataclass
 class Dataset:
     """Column-wise dataset; the canonical storage for all estimators.
+
+    A dataset is its arrays: dims reads the block widths off them, and a
+    1-d block is read as one column.
 
     x_miss rows are NaN wherever the covariate block is missing. For
     observed data that coincides with r = 0; simulation can also build
@@ -98,7 +89,6 @@ class Dataset:
     a: np.ndarray
     m: tuple[np.ndarray, ...]
     y: np.ndarray
-    dims: DatasetDims
     columns: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -112,14 +102,6 @@ class Dataset:
         self.x_miss = _as_2d(self.x_miss, n, "x_miss")
         self.x_obs = _as_2d(self.x_obs, n, "x_obs")
         self.m = tuple(_as_2d(mk, n, f"m{k+1}") for k, mk in enumerate(self.m))
-        got = DatasetDims(
-            z=self.z.shape[1],
-            x_miss=self.x_miss.shape[1],
-            x_obs=self.x_obs.shape[1],
-            m=tuple(mk.shape[1] for mk in self.m),
-        )
-        if got != self.dims:
-            raise DimensionMismatch(f"declared dims {self.dims} but arrays give {got}")
         if not self.columns:
             self.columns = _default_columns(self.dims)
 
@@ -131,7 +113,13 @@ class Dataset:
 
     @property
     def k(self) -> int:
-        return self.dims.k
+        return len(self.m)
+
+    @property
+    def dims(self) -> DatasetDims:
+        """The block widths, read off the arrays."""
+        return DatasetDims(self.z.shape[1], self.x_miss.shape[1], self.x_obs.shape[1],
+                           tuple(mk.shape[1] for mk in self.m))
 
     @property
     def complete_mask(self) -> np.ndarray:
@@ -176,7 +164,6 @@ class Dataset:
             a=self.a[mask],
             m=tuple(mk[mask] for mk in self.m),
             y=self.y[mask],
-            dims=self.dims,
             columns=self.columns,
         )
 
@@ -382,7 +369,14 @@ def _whole(vals: np.ndarray) -> np.ndarray:
     return vals == np.floor(vals)
 
 
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(name, str) for name in value)
+
+
 def read_descriptor(path: str) -> tuple[int, dict]:
+    """(k, columns) of a descriptor: r, a and y each name a column, z,
+    x_miss and x_obs are lists of names and m is k of them. A field of
+    another type raises DimensionMismatch naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -395,6 +389,14 @@ def read_descriptor(path: str) -> tuple[int, dict]:
             columns[key]
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"descriptor {path}: missing or malformed field ({exc})")
+    for key in ("r", "a", "y"):
+        if not isinstance(columns[key], str):
+            raise DimensionMismatch(f"descriptor {path}: {key!r} must be a column name")
+    for key in ("z", "x_miss", "x_obs"):
+        if not _is_names(columns[key]):
+            raise DimensionMismatch(f"descriptor {path}: {key!r} must be a list of column names")
+    if not isinstance(columns["m"], list) or not all(map(_is_names, columns["m"])):
+        raise DimensionMismatch(f"descriptor {path}: 'm' must be a list of lists of column names")
     if len(columns["m"]) != k:
         raise DimensionMismatch(f"descriptor declares k={k} but {len(columns['m'])} mediator groups")
     return k, columns
@@ -511,12 +513,6 @@ def read_csv(data_path: str, descriptor_path: str) -> Dataset:
     def block(names: list[str]) -> np.ndarray:
         return np.ascontiguousarray(table[:, [idx[name] for name in names]])
 
-    dims = DatasetDims(
-        z=len(columns["z"]),
-        x_miss=len(columns["x_miss"]),
-        x_obs=len(columns["x_obs"]),
-        m=tuple(len(g) for g in columns["m"]),
-    )
     return Dataset(
         r=column(columns["r"]).astype(int),
         z=block(columns["z"]),
@@ -525,6 +521,5 @@ def read_csv(data_path: str, descriptor_path: str) -> Dataset:
         a=column(columns["a"]).astype(int),
         m=tuple(block(group) for group in columns["m"]),
         y=column(columns["y"]),
-        dims=dims,
         columns=columns,
     )

@@ -78,6 +78,12 @@ class GammaOptions:
     penalty: float = 1.0
 
 
+def _odds_link(qmat: np.ndarray, pi: np.ndarray, cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """exp(cap * tanh(q pi / cap)) on the rows of qmat, and the tanh."""
+    th = np.tanh((qmat @ pi) / cap)
+    return np.exp(cap * th), th
+
+
 @dataclass
 class GammaModel:
     """Fitted odds function; is_zero encodes gamma identically zero.
@@ -92,8 +98,7 @@ class GammaModel:
     is_zero: bool = False
 
     def _on_design(self, qmat: np.ndarray) -> np.ndarray:
-        c = self.linear_cap
-        return np.exp(c * np.tanh((qmat @ self.pi) / c))
+        return _odds_link(qmat, self.pi, self.linear_cap)[0]
 
     def values_at(self, points: np.ndarray) -> np.ndarray:
         if self.is_zero:
@@ -161,8 +166,7 @@ class _GammaProblem:
         """gamma and tanh on the complete cases, and the moment vector S' t."""
         last = self._last
         if last is None or last[0] != cap or not np.array_equal(last[1], pi):
-            th = np.tanh((self.qmat @ pi) / cap)
-            gam = np.exp(cap * th)
+            gam, th = _odds_link(self.qmat, pi, cap)
             last = self._last = (cap, pi.copy(), gam, th, self.span_cc.T @ gam + self.offset)
         return last[2:]
 

@@ -97,59 +97,48 @@ def _fit_omega(
 
 
 def fit_omegas(run: RunFits, profile: Sequence[int]) -> OmegaFits:
-    """Fit each omega_k from its conditional moment restriction.
+    """Fit each omega_k from its conditional moment restriction and
+    build the cumulative products, in one pass over the levels.
 
     omega_1 solves E[(1+gamma)(1{A=a_1} w(X) - 1) | R=1, X] = 0 and, for
     k >= 2, omega_k solves the same with target 1{A=a_{k-1}} and
     conditioning (X, M_1..M_{k-1}); both are projected onto the span of
     the k-th mu basis over complete cases, giving a small linear system
-    whose matrix is that of the mu_k fits on arm a_k.
-
-    The omega and cumulative fits are shared through run.memo with
-    every profile of the same levels; floor events count per profile.
-    The cumulative fits are unweighted least squares on the k-th mu
-    basis, solved through designs.chain[k-1].
+    whose matrix is that of the mu_k fits on arm a_k. Where a_k = a_{k-1}
+    omega_k is one and is not fitted. Each fitted omega_k is floored and
+    multiplied into the running product, which is then projected onto
+    the k-th mu basis by least squares through designs.chain[k-1]. All
+    fits are shared through run.memo with every profile of the same
+    levels; floor events count per profile.
     """
     designs, memo = run.designs, run.memo
-    ds = designs.ds
-    prof = validate_profile(profile, ds.k)
+    prof = validate_profile(profile, designs.ds.k)
     a_cc = designs.a_cc
-
     omega: list[Optional[np.ndarray]] = []
-    raw_vals: list[np.ndarray] = []
-    resid_sup = 0.0
-    for k in range(1, ds.k + 2):
-        if k >= 2 and prof[k - 1] == prof[k - 2]:
-            omega.append(None)
-            raw_vals.append(np.ones(designs.n_cc))
-            continue
-        key = ("omega", k, prof[k - 2:k] if k >= 2 else prof[:1])
-        if key not in memo:
-            target = np.ones(len(a_cc)) if k == 1 else (a_cc == prof[k - 2]).astype(float)
-            memo[key] = _fit_omega(run, k, prof[k - 1], target)
-        coef, sup, vals = memo[key]
-        resid_sup = max(resid_sup, sup)
-        omega.append(coef)
-        raw_vals.append(vals)
-
-    # cumulative products, floored then pushed back into the k-th basis span
-    floor_events = 0
     cumulative: list[np.ndarray] = []
     cumulative_values: list[np.ndarray] = []
+    floor_events, resid_sup = 0, 0.0
     running = np.ones(designs.n_cc)
-    for k in range(1, ds.k + 2):
-        vals = raw_vals[k - 1]
-        if omega[k - 1] is not None:
+    for k in range(1, len(prof) + 1):
+        coef = factor = None
+        if k == 1 or prof[k - 1] != prof[k - 2]:
+            key = ("omega", k, prof[max(k - 2, 0):k])
+            if key not in memo:
+                target = np.ones(designs.n_cc) if k == 1 else (a_cc == prof[k - 2]).astype(float)
+                memo[key] = _fit_omega(run, k, prof[k - 1], target)
+            coef, sup, vals = memo[key]
+            resid_sup = max(resid_sup, sup)
             floor_events += int((vals < OMEGA_FLOOR).sum())
-            vals = np.maximum(vals, OMEGA_FLOOR)
+            factor = np.maximum(vals, OMEGA_FLOOR)
+        omega.append(coef)
         key = ("cumulative", k, prof[:k])
         if key not in memo:
-            product = running * vals
+            product = running if factor is None else running * factor
             lstsq = designs.chain[k - 1]
-            coef = lstsq.solve(product)
-            memo[key] = (_frozen(coef), _frozen(product), _frozen(lstsq.fitted(coef)))
-        coef, running, fitted = memo[key]
-        cumulative.append(coef)
+            cum = lstsq.solve(product)
+            memo[key] = (_frozen(cum), _frozen(product), _frozen(lstsq.fitted(cum)))
+        cum, running, fitted = memo[key]
+        cumulative.append(cum)
         cumulative_values.append(fitted)
     return OmegaFits(
         profile=prof,

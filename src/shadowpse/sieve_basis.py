@@ -151,12 +151,9 @@ def spec_for(
     Every coordinate gets degree, except that binary coordinates, detected
     from the data, are capped at power one.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
     return BasisSpec(
-        degrees=tuple(min(degree, 1) if b else degree for b in detect_binary(pts)),
-        standardizer=fit_standardizer(pts),
+        degrees=tuple(min(degree, 1) if b else degree for b in detect_binary(points)),
+        standardizer=fit_standardizer(points),
         include_interactions=include_interactions,
     )
 

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import expit, ndtr
 
 from . import baselines
-from .data_model import Dataset, DatasetDims
+from .data_model import Dataset
 from .errors import ConfigError, EstimationError
 from .estimator import TreatmentProfile, named_estimand
 from .inference import z_critical
@@ -129,13 +129,15 @@ def _y_mean(c: YEq, a, x1, x2, x3, m1, m2):
     )
 
 
+def _miss_logit(c: MissEq, a, x1, x2, x3, eps3, eps4, eps5):
+    return (
+        c.icept + c.x1 * x1 + c.x2 * x2 + c.x3 * x3
+        + c.a_eps3 * a * eps3 + c.a_eps4 * a * eps4 + c.eps5 * eps5
+    )
+
+
 def _rng_for(seed_or_seq) -> np.random.Generator:
-    if isinstance(seed_or_seq, np.random.Generator):
-        return seed_or_seq
     return np.random.Generator(np.random.Philox(seed_or_seq))
-
-
-DIMS = DatasetDims(z=1, x_miss=1, x_obs=2, m=(1, 1))
 
 
 def generate(config: DgpConfig, rng: Optional[np.random.Generator] = None) -> tuple[Dataset, Dataset]:
@@ -162,21 +164,13 @@ def generate(config: DgpConfig, rng: Optional[np.random.Generator] = None) -> tu
     m1 = _m1_mean(config.m1, a, x1, x2, x3) + eps[:, 2]
     m2 = _m2_mean(config.m2, a, x1, x2, x3, m1) + eps[:, 3]
     y = _y_mean(config.y, a, x1, x2, x3, m1, m2) + eps[:, 4]
-    ms = config.miss
-    eta = (
-        ms.icept + ms.x1 * x1 + ms.x2 * x2 + ms.x3 * x3
-        + ms.a_eps3 * a * eps[:, 2] + ms.a_eps4 * a * eps[:, 3] + ms.eps5 * eps[:, 4]
-    )
+    eta = _miss_logit(config.miss, a, x1, x2, x3, eps[:, 2], eps[:, 3], eps[:, 4])
     r = (u_r < expit(eta)).astype(int)
 
     xo = np.column_stack([x2, x3])
-    full = Dataset(
-        r=r, z=z, x_miss=x1, x_obs=xo, a=a, m=(m1, m2), y=y, dims=DIMS,
-    )
+    full = Dataset(r=r, z=z, x_miss=x1, x_obs=xo, a=a, m=(m1, m2), y=y)
     xm_obs = np.where(r == 1, x1, np.nan)
-    observed = Dataset(
-        r=r, z=z, x_miss=xm_obs, x_obs=xo, a=a, m=(m1, m2), y=y, dims=DIMS,
-    )
+    observed = Dataset(r=r, z=z, x_miss=xm_obs, x_obs=xo, a=a, m=(m1, m2), y=y)
     return full, observed
 
 
@@ -193,12 +187,7 @@ def true_gamma_values(full: Dataset, config: DgpConfig) -> np.ndarray:
     eps3 = m1 - _m1_mean(config.m1, a, x1, x2, x3)
     eps4 = m2 - _m2_mean(config.m2, a, x1, x2, x3, m1)
     eps5 = full.y - _y_mean(config.y, a, x1, x2, x3, m1, m2)
-    ms = config.miss
-    eta = (
-        ms.icept + ms.x1 * x1 + ms.x2 * x2 + ms.x3 * x3
-        + ms.a_eps3 * a * eps3 + ms.a_eps4 * a * eps4 + ms.eps5 * eps5
-    )
-    return np.exp(-eta)
+    return np.exp(-_miss_logit(config.miss, a, x1, x2, x3, eps3, eps4, eps5))
 
 
 # ---- structural truth --------------------------------------------------

@@ -12,7 +12,7 @@ routes agree within four Monte-Carlo standard errors on every contrast;
 
 import numpy as np
 
-from shadowpse.data_model import Dataset, DatasetDims
+from shadowpse.data_model import Dataset
 
 ENTROPY = 20260814
 
@@ -36,7 +36,6 @@ def tile_dataset(ds: Dataset, k: int) -> Dataset:
         a=np.tile(ds.a, k),
         m=tuple(np.tile(mm, (k, 1)) for mm in ds.m),
         y=np.tile(ds.y, k),
-        dims=ds.dims,
     )
 
 
@@ -47,10 +46,7 @@ def one_mediator_dataset(n, x, a, m1, y, r=None, z=None) -> Dataset:
     if z is None:
         z = x
     x_miss = np.where(np.asarray(r) == 1, x, np.nan)
-    return Dataset(
-        r=r, z=z, x_miss=x_miss, x_obs=np.empty((n, 0)), a=a, m=(m1,), y=y,
-        dims=DatasetDims(z=1, x_miss=1, x_obs=0, m=(1,)),
-    )
+    return Dataset(r=r, z=z, x_miss=x_miss, x_obs=np.empty((n, 0)), a=a, m=(m1,), y=y)
 
 
 # Frozen Monte-Carlo truth of the benchmark generator (big_n=1e6, truth seed).

@@ -211,11 +211,26 @@ def _declared_column_twice(data: str, desc: str, tmp_path) -> tuple[str, str]:
     return str(bad), desc
 
 
+def _role_retyped(key: str, value):
+    """A corruption that sets the descriptor's role key to value."""
+    def corrupt(data: str, desc: str, tmp_path) -> tuple[str, str]:
+        doc = json.loads(open(desc, encoding="utf-8").read())
+        doc["columns"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        return data, str(bad)
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_truncated_descriptor, r"descriptor \S+bad\.json: not valid JSON: "),
     (_non_utf8_cell, r"\S+bad\.csv: not UTF-8 text: "),
     (_declared_column_twice, r"column 'y' is repeated in \S+bad\.csv"),
-], ids=["truncated descriptor", "non-UTF-8 cell", "declared column twice"])
+    (_role_retyped("m", 5), r"descriptor \S+bad\.json: 'm' must be a list of lists "),
+    (_role_retyped("y", ["y"]), r"descriptor \S+bad\.json: 'y' must be a column name"),
+    (_role_retyped("z", "z"), r"descriptor \S+bad\.json: 'z' must be a list of column names"),
+], ids=["truncated descriptor", "non-UTF-8 cell", "declared column twice",
+        "mediators a number", "outcome a list", "shadow a string"])
 def test_malformed_input_file_is_a_data_error(corrupt, message, data_files, tmp_path, capsys):
     """A data or descriptor file the reader cannot take as it stands ends
     in a DimensionMismatch naming the file or column, exit 3, with no

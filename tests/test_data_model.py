@@ -29,8 +29,6 @@ from shadowpse.simulation import DgpConfig, generate
 
 from support import one_mediator_dataset, rng_for, seq
 
-DIMS1 = DatasetDims(z=1, x_miss=1, x_obs=0, m=(1,))
-
 
 def small_mixed(n=8):
     rng = rng_for(101)
@@ -46,6 +44,12 @@ def test_dims_accessors():
     dims = DatasetDims(z=1, x_miss=2, x_obs=3, m=(1, 2))
     assert dims.k == 2
     assert dims.x == 5
+    ds = _hand_built(4, z=2, x_miss=1, x_obs=0, m=(2, 1))
+    assert ds.dims == DatasetDims(z=2, x_miss=1, x_obs=0, m=(2, 1))
+    assert ds.k == 2
+    with pytest.raises(TypeError):
+        Dataset(r=ds.r, z=ds.z, x_miss=ds.x_miss, x_obs=ds.x_obs, a=ds.a, m=ds.m, y=ds.y,
+                dims=ds.dims)
 
 
 def test_validate_benchmark_missing_rate():
@@ -127,13 +131,13 @@ def test_validate_structural_guards():
     with pytest.raises(DimensionMismatch):
         validate(Dataset(
             r=np.array([1, 0, 1, 1]), z=x, x_miss=x, x_obs=np.empty((n, 0)),
-            a=good["a"], m=(good["m1"],), y=good["y"], dims=DIMS1))
+            a=good["a"], m=(good["m1"],), y=good["y"]))
     xm = np.where(np.array([1, 0, 1, 1]) == 1, x, np.nan)
     xm[0] = np.nan
     with pytest.raises(DimensionMismatch):
         validate(Dataset(
             r=np.array([1, 0, 1, 1]), z=x, x_miss=xm, x_obs=np.empty((n, 0)),
-            a=good["a"], m=(good["m1"],), y=good["y"], dims=DIMS1))
+            a=good["a"], m=(good["m1"],), y=good["y"]))
 
 
 def test_with_r_set_to_one():
@@ -480,7 +484,6 @@ def _hand_built(n, z=1, x_miss=1, x_obs=1, m=(1,), fill=None):
     """Dataset with the given block widths: r alternates 1, 0 from the
     first record, x_miss is NaN on r = 0, cells come from fill (cycled)
     or a seeded normal draw."""
-    dims = DatasetDims(z=z, x_miss=x_miss, x_obs=x_obs, m=m)
     width = z + x_miss + x_obs + sum(m) + 1
     if fill is None:
         cells = rng_for(116, n, width).standard_normal((n, width))
@@ -491,7 +494,7 @@ def _hand_built(n, z=1, x_miss=1, x_obs=1, m=(1,), fill=None):
     zb, xm, xo, *mb, y = np.split(cells, cuts, axis=1)
     xm[r == 0] = np.nan
     return Dataset(r=r, z=zb, x_miss=xm, x_obs=xo, a=np.arange(n) % 3 == 0,
-                   m=tuple(mb), y=y[:, 0], dims=dims)
+                   m=tuple(mb), y=y[:, 0])
 
 
 def _partly_missing_x_miss():
@@ -505,7 +508,7 @@ def _quoted_name():
     ds = _hand_built(5, z=2)
     columns = dict(ds.columns, y='y, "final"', z=["z 1", "z\r\n2"])
     return Dataset(r=ds.r, z=ds.z, x_miss=ds.x_miss, x_obs=ds.x_obs, a=ds.a, m=ds.m,
-                   y=ds.y, dims=ds.dims, columns=columns)
+                   y=ds.y, columns=columns)
 
 
 EDGE_VALUES = [-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2, 1.0, -1e308, 2.5e-308]

@@ -245,9 +245,8 @@ def reshaped(ds: Dataset, x_miss: int, x_obs: int, m: tuple) -> Dataset:
             extra[~ds.complete_mask] = np.nan
         return np.hstack([cols[:, :width], extra])
 
-    dims = replace(ds.dims, x_miss=x_miss, x_obs=x_obs, m=m)
     return replace(ds, x_miss=block(ds.x_miss, x_miss, True), x_obs=block(ds.x_obs, x_obs),
-                   m=tuple(block(mk, width) for mk, width in zip(ds.m, m)), dims=dims)
+                   m=tuple(block(mk, width) for mk, width in zip(ds.m, m)))
 
 
 @pytest.mark.parametrize("case", ["default", "interactions", "one-coordinate x",

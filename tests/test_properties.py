@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from shadowpse.baselines import cca_estimate, mi_estimate, oracle_estimate, sri_estimate
-from shadowpse.data_model import Dataset, DatasetDims, read_csv, write_csv, write_descriptor
+from shadowpse.data_model import Dataset, read_csv, write_csv, write_descriptor
 from shadowpse.errors import EmptyArm, EmptyResult, InsufficientCompleteCases
 from shadowpse.simulation import DgpConfig, generate
 
@@ -25,18 +25,14 @@ FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False, width=64),
 def datasets(draw):
     """A dataset of random finite float64 blocks, x_miss NaN where r = 0."""
     n = draw(st.integers(1, 25))
-    dims = DatasetDims(z=draw(st.integers(1, 2)), x_miss=draw(st.integers(1, 2)),
-                       x_obs=draw(st.integers(0, 2)),
-                       m=tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))))
-    width = dims.z + dims.x + sum(dims.m) + 1
-    cells = draw(arrays(np.float64, (n, width), elements=FINITE))
+    widths = [draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(0, 2)),
+              *draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))]
+    cells = draw(arrays(np.float64, (n, sum(widths) + 1), elements=FINITE))
     r = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
     a = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
-    z, x_miss, x_obs, *m, y = np.split(
-        cells, np.cumsum([dims.z, dims.x_miss, dims.x_obs, *dims.m]), axis=1)
+    z, x_miss, x_obs, *m, y = np.split(cells, np.cumsum(widths), axis=1)
     x_miss[r == 0] = np.nan
-    return Dataset(r=r, z=z, x_miss=x_miss, x_obs=x_obs, a=a, m=tuple(m), y=y[:, 0],
-                   dims=dims)
+    return Dataset(r=r, z=z, x_miss=x_miss, x_obs=x_obs, a=a, m=tuple(m), y=y[:, 0])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -113,14 +109,28 @@ def mnar_one_mediator_dataset(n: int) -> Dataset:
     return one_mediator_dataset(n, x, a, m1, y, r=r, z=z)
 
 
+def three_mediators(ds: Dataset) -> Dataset:
+    """ds with m_2 widened to two columns and a third, two-column mediator
+    appended; the new columns are the same seeded normal draw for every
+    dataset of the same n."""
+    extra = rng_for(42, ds.n).standard_normal((ds.n, 3))
+    m1, m2 = ds.m
+    return replace(ds, m=(m1, np.hstack([m2, extra[:, :1]]), extra[:, 1:]), columns={})
+
+
 def test_total_effect_is_the_sum_of_its_paths(full2000, obs600):
-    """te = nde + nie_1 + ... + nie_K for every method, at K = 2 and at
-    K = 1: the contrasts telescope from psi(1,..,1) down to psi(0,..,0)."""
+    """te = nde + nie_1 + ... + nie_K for every method, at K = 2, at K = 1
+    and at K = 3 with vector mediator blocks: the contrasts telescope
+    from psi(1,..,1) down to psi(0,..,0)."""
     full600 = full2000.subset(np.arange(full2000.n) < 600)
     k1 = mnar_one_mediator_dataset(800)
+    k3, full_k3 = three_mediators(obs600), three_mediators(full600)
+    assert k3.dims.m == (1, 2, 2)
     results = [sri_estimate(obs600), cca_estimate(obs600), mi_estimate(obs600),
-               oracle_estimate(full600), sri_estimate(k1), cca_estimate(k1), mi_estimate(k1)]
+               oracle_estimate(full600), sri_estimate(k1), cca_estimate(k1), mi_estimate(k1),
+               sri_estimate(k3), cca_estimate(k3), mi_estimate(k3), oracle_estimate(full_k3)]
     assert results[4].extras["gamma_converged"]
+    assert set(results[-1].estimands) == {"nde", "nie_1", "nie_2", "nie_3", "te"}
     for res in results:
         est = {name: rep.psi_hat for name, rep in res.estimands.items()}
         paths = sum(value for name, value in est.items() if name != "te")

@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from shadowpse.data_model import Dataset, DatasetDims
+from shadowpse.data_model import Dataset
 from shadowpse.errors import DimensionMismatch
 from shadowpse.sieve_basis import (
     SPAN_BLOCK_ROWS,
@@ -205,9 +205,7 @@ def test_outcome_chain_specs_equal_per_level_fits(x_miss, x_obs, sieve, obs600):
     row by row, so a one-coordinate level's mean and sd may differ from
     its own fit's in the last bits. Every other level matches exactly."""
     ds = Dataset(r=obs600.r, z=obs600.z, x_miss=obs600.x_miss[:, :x_miss],
-                 x_obs=obs600.x_obs[:, :x_obs], a=obs600.a, m=obs600.m, y=obs600.y,
-                 dims=DatasetDims(z=obs600.dims.z, x_miss=x_miss, x_obs=x_obs,
-                                  m=obs600.dims.m))
+                 x_obs=obs600.x_obs[:, :x_obs], a=obs600.a, m=obs600.m, y=obs600.y)
     bundle = build_spec_bundle(ds, sieve)
     for k, spec in enumerate(bundle.u, start=1):
         own = spec_for(ds.mu_points(k), sieve.mu_degree, sieve.mu_interactions)
