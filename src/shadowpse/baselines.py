@@ -7,7 +7,9 @@ sri     odds fitted on the observed data
 oracle  use the true covariates (simulation only), odds set to zero
 cca     drop incomplete records, odds set to zero
 mi      multiple imputation with a linear-Gaussian imputer and
-        Rubin pooling, odds set to zero on each completed dataset
+        Rubin pooling, odds set to zero on each completed dataset; the
+        completed datasets run as one stack along a leading batch axis,
+        in batches of about _BATCH_BYTES of outcome-chain design
 
 run_method picks a method by name for the CLI and the Monte Carlo
 harness.
@@ -29,10 +31,13 @@ from .errors import ConfigError, InsufficientCompleteCases
 from .estimator import TreatmentProfile, named_estimand, validate_profile
 from .gamma_solver import GammaOptions, fit_gamma
 from .inference import InferenceReport, analyze_profile, variance_and_ci, z_critical
-from .series_regression import RunFits, SampleDesigns, lapack_errors
+from .series_regression import RunFits, SampleDesigns, _t, lapack_errors
 from .sieve_basis import SieveOptions, build_spec_bundle
 
 EstimandSpec = Union[str, tuple[Sequence[int], Sequence[int]]]
+
+# bytes of outcome-chain design per batch of completed datasets in mi
+_BATCH_BYTES = 1 << 20
 
 
 @dataclass
@@ -76,10 +81,13 @@ def _run_pipeline(
     sieve: SieveOptions,
     method: str,
     gamma_options: Optional[GammaOptions] = None,
+    points: Optional[np.ndarray] = None,
 ) -> MethodResult:
     """The sieve pipeline; gamma_options=None sets the odds to zero,
     otherwise the odds are fitted on ds and their report goes to extras.
     A confidence level outside (0, 1) raises ConfigError before any fit.
+    points, a stack (b, n, d) of level K+1 outcome-chain points, runs b
+    complete samples that differ from ds only there, giving b of each figure.
 
     The odds values are worked out once, one per complete case, and
     bound with the sample's designs in one RunFits, which every stage
@@ -87,7 +95,7 @@ def _run_pipeline(
     profile is analysed once; a contrast psi_a - psi_b takes the
     difference of its two profiles' influence values."""
     z_critical(level)
-    designs = SampleDesigns(ds, build_spec_bundle(ds, sieve))
+    designs = SampleDesigns(ds, build_spec_bundle(ds, sieve, points), points)
     extras = {}
     if gamma_options is None:
         odds_cc = np.zeros(designs.n_cc)
@@ -112,8 +120,7 @@ def _run_pipeline(
         a, b = analyses[pa], analyses[pb]
         diag = {"profile_a": list(pa), "profile_b": list(pb),
                 "psi_a": a.psi_hat, "psi_b": b.psi_hat}
-        contrast = 0.0 if pa == pb else a.psi_hat - b.psi_hat
-        reports[name] = variance_and_ci(contrast, a.if_values - b.if_values, level, diag)
+        reports[name] = variance_and_ci(a.psi_hat - b.psi_hat, a.if_values - b.if_values, level, diag)
     profiles = {prof: analysis.psi_hat for prof, analysis in analyses.items()}
     return MethodResult(method=method, estimands=reports, profiles=profiles, extras=extras)
 
@@ -154,24 +161,6 @@ def cca_estimate(
     return _run_pipeline(cc, wanted, level, sieve, "cca")
 
 
-def _impute_once(
-    ds: Dataset,
-    design_miss: np.ndarray,
-    beta: np.ndarray,
-    resid_sd: np.ndarray,
-    rng: np.random.Generator,
-) -> Dataset:
-    """ds with x_miss drawn where missing; design_miss is the imputer
-    design of the incomplete records. The columns it does not fill are
-    shared with ds, not copied."""
-    miss = ~ds.complete_mask
-    filled = ds.x_miss.copy()
-    for j in range(ds.dims.x_miss):
-        draw = design_miss @ beta[:, j] + resid_sd[j] * rng.standard_normal(int(miss.sum()))
-        filled[miss, j] = draw
-    return replace(ds, x_miss=filled, r=np.ones(ds.n, dtype=int))
-
-
 def mi_estimate(
     ds: Dataset,
     estimands: Optional[Sequence[EstimandSpec]] = None,
@@ -184,8 +173,10 @@ def mi_estimate(
 
     Each x_miss coordinate is regressed on (1, z, x_obs, a, m, y) over
     complete cases; every imputation fills conditional means plus
-    Gaussian noise at the residual sd, then the zero-odds pipeline runs
-    on the completed data. Pooled variance is W + (1 + 1/m) B.
+    Gaussian noise at the residual sd, all m drawn at once, imputation
+    after imputation. The zero-odds pipeline runs on the completed data
+    in batches of b = max(1, _BATCH_BYTES // (8 n D)) imputations, D the
+    outcome-chain design's width. Pooled variance is W + (1 + 1/m) B.
     """
     if m < 2:
         raise ConfigError("multiple imputation needs m >= 2")
@@ -206,25 +197,24 @@ def mi_estimate(
     resid_sd = np.sqrt((resid ** 2).sum(axis=0) / (n_cc - p))
 
     rng = np.random.Generator(np.random.Philox(seed))
-
-    points: dict[str, list[float]] = {name: [] for name in wanted}
-    within: dict[str, list[float]] = {name: [] for name in wanted}
-    psi_acc: dict[TreatmentProfile, list[float]] = {}
-    design_miss = design[~cc_mask]
-    for _ in range(m):
-        completed = _impute_once(ds, design_miss, beta, resid_sd, rng)
-        res = _run_pipeline(completed, wanted, level, sieve, "mi")
-        for name, rep in res.estimands.items():
-            points[name].append(rep.psi_hat)
-            within[name].append(rep.se ** 2)
-        for prof, psi in res.profiles.items():
-            psi_acc.setdefault(prof, []).append(psi)
+    miss = ~cc_mask
+    noise = rng.standard_normal((m, ds.dims.x_miss, int(miss.sum())))
+    means = np.array([design[miss] @ b for b in beta.T]).reshape(noise.shape[1:])
+    x_miss = np.repeat(ds.x_miss[None], m, axis=0)
+    x_miss[:, miss] = _t(means + resid_sd[:, None] * noise)
+    completed = replace(ds, x_miss=x_miss[0], r=np.ones(ds.n, dtype=int))
+    size = max(1, _BATCH_BYTES // (8 * ds.n * build_spec_bundle(completed, sieve).u[-1].dim))
+    shared = np.hstack([ds.x_obs, *ds.m])  # the outcome-chain points after x_miss
+    batches = []
+    for x in np.split(x_miss, range(size, m, size)):
+        points = np.concatenate([x, np.broadcast_to(shared, (len(x),) + shared.shape)], axis=-1)
+        batches.append(_run_pipeline(completed, wanted, level, sieve, "mi", points=points))
 
     reports = {}
     for name in wanted:
-        pts = np.asarray(points[name])
+        pts = np.concatenate([res.estimands[name].psi_hat for res in batches])
         point = float(pts.mean())
-        w_bar = float(np.mean(within[name]))
+        w_bar = float(np.mean(np.concatenate([res.estimands[name].se ** 2 for res in batches])))
         b_var = float(pts.var(ddof=1))
         total = w_bar + (1.0 + 1.0 / m) * b_var
         se = float(np.sqrt(total))
@@ -234,7 +224,8 @@ def mi_estimate(
             level=level, n=ds.n,
             diagnostics={"m": m, "within": w_bar, "between": b_var},
         )
-    profiles = {prof: float(np.mean(vals)) for prof, vals in psi_acc.items()}
+    profiles = {prof: float(np.mean(np.concatenate([res.profiles[prof] for res in batches])))
+                for prof in batches[0].profiles}
     return MethodResult(method="mi", estimands=reports, profiles=profiles,
                         extras={"m": m})
 

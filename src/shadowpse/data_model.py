@@ -74,7 +74,7 @@ class Dataset:
     """Column-wise dataset; the canonical storage for all estimators.
 
     A dataset is its arrays: dims reads the block widths off them, and a
-    1-d block is read as one column.
+    1-d block is read as one column; columns names each of their columns.
 
     x_miss rows are NaN wherever the covariate block is missing. For
     observed data that coincides with r = 0; simulation can also build
@@ -104,6 +104,10 @@ class Dataset:
         self.m = tuple(_as_2d(mk, n, f"m{k+1}") for k, mk in enumerate(self.m))
         if not self.columns:
             self.columns = _default_columns(self.dims)
+        named = DatasetDims(*(len(self.columns[key]) for key in ("z", "x_miss", "x_obs")),
+                            tuple(map(len, self.columns["m"])))
+        if named != self.dims:
+            raise DimensionMismatch(f"columns name blocks of widths {named} but arrays give {self.dims}")
 
     # ---- basic views -------------------------------------------------
 
@@ -399,6 +403,13 @@ def read_descriptor(path: str) -> tuple[int, dict]:
         raise DimensionMismatch(f"descriptor {path}: 'm' must be a list of lists of column names")
     if len(columns["m"]) != k:
         raise DimensionMismatch(f"descriptor declares k={k} but {len(columns['m'])} mediator groups")
+    roles: dict = {}
+    for key in ("r", "z", "x_miss", "x_obs", "a", "m", "y"):
+        names = columns[key]
+        for name in [names] if key in ("r", "a", "y") else sum(names, []) if key == "m" else names:
+            if roles.setdefault(name, key) != key:
+                raise DimensionMismatch(
+                    f"descriptor {path}: column {name!r} in both {roles[name]!r} and {key!r}")
     return k, columns
 
 

@@ -103,6 +103,7 @@ def fit_mu_chain(run: RunFits, profile: Sequence[int]) -> NuisanceFits:
 
 def estimate_psi(run: RunFits, fits: NuisanceFits) -> float:
     """Average the reweighted mu_1 predictions over the whole sample;
-    fits is a chain fitted under run's odds."""
+    fits is a chain fitted under run's odds; a batch gives one per slice."""
     plugin = (1.0 + run.odds_cc) * fits.values[0]
-    return float(plugin.sum() / run.designs.ds.n)
+    psi = plugin.sum(axis=-1) / run.designs.ds.n
+    return psi if psi.ndim else float(psi)

@@ -41,7 +41,7 @@ from .estimator import (
     fit_mu_chain,
     validate_profile,
 )
-from .series_regression import RunFits, SampleDesigns, _frozen
+from .series_regression import RunFits, SampleDesigns, _frozen, _mv
 
 OMEGA_FLOOR = 1e-3
 
@@ -90,9 +90,9 @@ def _fit_omega(
     """
     system = run.arm_lstsq(k, arm_level)
     rhs = system.project((1.0 + run.odds_cc) * target)
-    coef = system.pinv @ rhs
-    resid = system.span @ (system.rotation @ (system.reduced @ coef - rhs))
-    resid_sup = float(np.max(np.abs(resid))) if resid.size else 0.0
+    coef = _mv(system.pinv, rhs)
+    resid = _mv(system.span, _mv(system.rotation, _mv(system.reduced, coef) - rhs))
+    resid_sup = np.abs(resid).max(axis=-1, initial=0.0)
     return _frozen(coef), resid_sup, _frozen(system.fitted(coef))
 
 
@@ -127,8 +127,8 @@ def fit_omegas(run: RunFits, profile: Sequence[int]) -> OmegaFits:
                 target = np.ones(designs.n_cc) if k == 1 else (a_cc == prof[k - 2]).astype(float)
                 memo[key] = _fit_omega(run, k, prof[k - 1], target)
             coef, sup, vals = memo[key]
-            resid_sup = max(resid_sup, sup)
-            floor_events += int((vals < OMEGA_FLOOR).sum())
+            resid_sup = np.maximum(resid_sup, sup)
+            floor_events = floor_events + (vals < OMEGA_FLOOR).sum(axis=-1)
             factor = np.maximum(vals, OMEGA_FLOOR)
         omega.append(coef)
         key = ("cumulative", k, prof[:k])
@@ -212,15 +212,16 @@ def influence_values(
     """
     designs = run.designs
     n, n_cc = designs.ds.n, designs.n_cc
-    term1 = np.zeros(n)
-    term1[:n_cc] = (1.0 + run.odds_cc) * phi
+    term1 = np.zeros(phi.shape[:-1] + (n,))
+    term1[..., :n_cc] = (1.0 + run.odds_cc) * phi
+    term1 -= np.asarray(psi_hat)[..., None]
     if rho is None:
         if n_cc < n or run.odds_cc.any():
             raise DimensionMismatch("representer required when R gamma - 1 + R is not identically zero")
-        return term1 - psi_hat
+        return term1
     t = np.concatenate([run.odds_cc, np.full(n - n_cc, -1.0)])
     erho = designs.p_span @ (designs.representer_system.design @ rho)
-    return term1 - psi_hat - erho * t
+    return term1 - erho * t
 
 
 @dataclass
@@ -247,13 +248,16 @@ def variance_and_ci(
     diagnostics: Optional[dict] = None,
 ) -> InferenceReport:
     """sigma2 = (1/n) sum IF_i^2; CI = psi_hat -+ z sigma / sqrt(n).
-    Raises NonFiniteInput when sigma2 is not finite (an overflow)."""
+    Raises NonFiniteInput when sigma2 is not finite (an overflow). A batch
+    (b, n) of influence values gives a report of arrays of b figures."""
     ifv = np.asarray(if_values, dtype=float)
-    n = len(ifv)
-    sigma2 = float(ifv @ ifv) / n
-    if not np.isfinite(sigma2):
+    n = ifv.shape[-1]
+    sigma2 = (ifv[..., None, :] @ ifv[..., None])[..., 0, 0] / n
+    if not np.isfinite(sigma2).all():
         raise NonFiniteInput(f"influence-function variance is not finite: {sigma2}")
-    se = float(np.sqrt(sigma2 / n))
+    se = np.sqrt(sigma2 / n)
+    if ifv.ndim == 1:
+        sigma2, se = float(sigma2), float(se)
     z = z_critical(level)
     return InferenceReport(
         psi_hat=psi_hat, sigma2=sigma2, se=se,

@@ -19,6 +19,12 @@ SampleDesigns builds the sample designs of one pipeline run, each at
 most once and in one row order with the complete cases first. RunFits
 binds them to the run's odds values, once, and holds the nuisance fits
 made under those odds.
+
+The spans and SpanLeastSquares take stacks along a leading batch axis
+too: given b samples' outcome-chain points (mi's imputations), the chain
+span is stacked, a slice of lower rank masking its dropped directions
+with zeros. The conditioning span, odds design and representer stay
+single; the batched zero-odds runs on complete data never read them.
 """
 
 from __future__ import annotations
@@ -119,15 +125,28 @@ def project_residual_orthogonality(
     return float(np.max(np.abs(basis.T @ resid)) / max(len(v), 1))
 
 
+def _t(a: np.ndarray) -> np.ndarray:
+    """a with its last two axes swapped: the transpose of each slice."""
+    return a.swapaxes(-1, -2)
+
+
+def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for vectors x, slice by slice over any leading axes."""
+    return a @ x if x.ndim == 1 else (a @ x[..., None])[..., 0]
+
+
 def _gram_map(gram: np.ndarray) -> np.ndarray:
     """V diag(w)^(-1/2) over the eigenpairs (w, V) of the Gram matrix
-    gram whose eigenvalue lies above SPAN_EIG_RTOL times the largest."""
+    gram whose eigenvalue lies above SPAN_EIG_RTOL times the largest; in
+    a stack, a slice's dropped directions that others keep get scale 0."""
     if not np.isfinite(gram).all():
         raise UnsolvableSystem("orthonormal span: non-finite design")
     with lapack_errors("orthonormal span"):
         w, v = np.linalg.eigh(gram)
-    keep = w > max(w[-1], 0.0) * SPAN_EIG_RTOL
-    return v[:, keep] / np.sqrt(w[keep])
+    keep = w > w[..., -1:] * SPAN_EIG_RTOL  # a largest w <= 0 keeps none
+    # indexed by a mask, not sliced, so each map is column-major: products round by layout
+    kept = np.logical_or.reduce(keep.reshape(-1, keep.shape[-1]))
+    return v[..., kept] / np.sqrt(np.where(keep, w, np.inf)[..., kept])[..., None, :]
 
 
 def _span_in_place(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,20 +160,20 @@ def _span_in_place(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     need not outlive its span.
     """
     if m.size == 0:
-        return np.zeros((m.shape[0], 0)), np.zeros((0, m.shape[1]))
-    blocks = row_blocks(len(m))
-    coupling = gram = m.T @ m
+        return np.zeros(m.shape[:-1] + (0,)), np.zeros(m.shape[:-2] + (0, m.shape[-1]))
+    blocks = row_blocks(m.shape[-2])
+    coupling = gram = _t(m) @ m
     for second in (False, True):
         t = _gram_map(gram)
-        k = t.shape[1]
+        k = t.shape[-1]
         for rows in blocks:
-            m[rows, :k] = m[rows] @ t
-        if k < m.shape[1]:
-            m = np.ascontiguousarray(m[:, :k])
-        coupling = t.T @ coupling
+            m[..., rows, :k] = m[..., rows, :] @ t
+        if k < m.shape[-1]:
+            m = np.ascontiguousarray(m[..., :k])
+        coupling = _t(t) @ coupling
         if k == 0 or second:
             break
-        gram = m.T @ m
+        gram = _t(m) @ m
     return m, coupling
 
 
@@ -188,6 +207,7 @@ class SpanLeastSquares:
     cutoff eps * max(U_k rows, columns) * s_max, and rank counts the
     rest, as lstsq's rank does. Every fitted vector is S (R_k c). A fit
     is just its coefficient vector c; its rank is this system's.
+    Over a stack rank has one entry per slice, and the values may be shared.
     """
 
     span: np.ndarray
@@ -197,24 +217,25 @@ class SpanLeastSquares:
     gram: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.reduced = _frozen(self.rotation.T @ (
+        self.reduced = _frozen(_t(self.rotation) @ (
             self.coupling if self.gram is None else self.gram @ self.coupling))
         with lapack_errors("reduced least-squares design"):
             u_mat, s, vt = np.linalg.svd(self.reduced, full_matrices=False)
-        cutoff = np.finfo(float).eps * max(len(self.span), self.coupling.shape[1])
-        self.rank = rank = int((s > cutoff * (s[0] if s.size else 0.0)).sum())
-        self.pinv = _frozen((vt[:rank].T / s[:rank]) @ u_mat[:, :rank].T)
+        cutoff = np.finfo(float).eps * max(self.span.shape[-2], self.coupling.shape[-1])
+        keep = s > cutoff * s[..., :1]
+        self.rank = keep.sum(axis=-1)
+        self.pinv = _frozen((_t(vt) / np.where(keep, s, np.inf)[..., None, :]) @ _t(u_mat))
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """The coordinates M_k' S' values of values in the basis S M_k."""
-        return self.rotation.T @ (self.span.T @ values)
+        return _mv(_t(self.rotation), _mv(_t(self.span), values))
 
     def solve(self, values: np.ndarray) -> np.ndarray:
-        return self.pinv @ self.project(values if self.weights is None else self.weights * values)
+        return _mv(self.pinv, self.project(values if self.weights is None else self.weights * values))
 
     def fitted(self, coef: np.ndarray) -> np.ndarray:
         """U_k coef, as S (R_k coef)."""
-        return self.span @ (self.coupling @ coef)
+        return _mv(self.span, _mv(self.coupling, coef))
 
     def weighted(self, weights: np.ndarray, gram: np.ndarray) -> "SpanLeastSquares":
         """The same design under row weights, with gram = S' diag(weights) S."""
@@ -260,11 +281,13 @@ class SampleDesigns:
     representer_system holds the representer's normal equations under
     the ridge representer_ridge(n) that the sample size sets, factored
     once per run and solved against each profile's right-hand side.
+    points, a stack of level K+1 outcome-chain points, replaces ds's.
     """
 
-    def __init__(self, ds: Dataset, bundle: SpecBundle):
+    def __init__(self, ds: Dataset, bundle: SpecBundle, points: Optional[np.ndarray] = None):
         self.ds = ds
         self.bundle = bundle
+        self._points = points
         self.n_cc = int(np.count_nonzero(ds.complete_mask))
         # the records in row order, or None for the identity order
         self._order = None if self.n_cc == ds.n else np.argsort(~ds.complete_mask, kind="stable")
@@ -298,8 +321,9 @@ class SampleDesigns:
         outcome-chain design, k = 1..K+1, each through the one span of
         the level K+1 design."""
         top = self.bundle.u[-1]
-        span, coupling = _span_in_place(design_matrix(top, self.ds.mu_points(self.ds.k + 1)))
-        return tuple(span_least_squares(_frozen(span), _frozen(coupling[:, nested_columns(top, u)]))
+        points = self.ds.mu_points(self.ds.k + 1) if self._points is None else self._points
+        span, coupling = _span_in_place(design_matrix(top, points))
+        return tuple(span_least_squares(_frozen(span), _frozen(coupling[..., nested_columns(top, u)]))
                      for u in self.bundle.u)
 
     @cached_property
@@ -338,6 +362,8 @@ class RunFits:
     mu_k and omega_k fit on arm a_k solves against: 6 systems for the 9
     mu and 4 omega fits above, from one weighted Gram matrix S' W S of
     the chain span per arm, in memo under ("arm", a_k).
+    Under a stacked chain span every system, fit and fitted vector is
+    stacked too; the odds values and arm weights are shared.
     """
 
     def __init__(self, designs: SampleDesigns, odds_cc: np.ndarray):
@@ -356,7 +382,7 @@ class RunFits:
                 raise EmptyArm(f"no complete cases with a={level}")
             weights = _frozen(np.where(self.designs.a_cc == level, 1.0 + self.odds_cc, 0.0))
             span = self.designs.chain[-1].span
-            self.memo[arm] = (weights, _frozen((span.T * weights) @ span))
+            self.memo[arm] = (weights, _frozen((_t(span) * weights) @ span))
         if key not in self.memo:
             self.memo[key] = self.designs.chain[k - 1].weighted(*self.memo[arm])
         return self.memo[key]

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
+from typing import Optional
 
 import numpy as np
 
@@ -25,14 +26,15 @@ SPAN_BLOCK_ROWS = 2048
 
 @dataclass(frozen=True)
 class Standardizer:
-    """Per-coordinate affine map u = (x - center) / scale."""
+    """Per-coordinate affine map u = (x - center) / scale; for a stack of
+    b samples, center[j] and scale[j] hold b values, one per slice."""
 
     center: tuple[float, ...]
     scale: tuple[float, ...]
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        c = np.asarray(self.center)
-        s = np.asarray(self.scale)
+        c = np.asarray(self.center).T[..., None, :]
+        s = np.asarray(self.scale).T[..., None, :]
         return (points - c) / s
 
     @staticmethod
@@ -44,17 +46,17 @@ def fit_standardizer(points: np.ndarray) -> Standardizer:
     """Center/scale by mean and population standard deviation.
 
     Zero-variance coordinates get scale 1 so constants pass through
-    unchanged instead of dividing by zero.
+    unchanged instead of dividing by zero; a stack (b, n, d) gets them per slice.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     if not np.isfinite(pts).all():
         raise NonFiniteInput("fit_standardizer: non-finite input")
-    center = pts.mean(axis=0)
-    scale = pts.std(axis=0)  # population sd, denominator n
+    center = pts.mean(axis=-2)
+    scale = pts.std(axis=-2)  # population sd, denominator n
     scale = np.where(scale == 0.0, 1.0, scale)
-    return Standardizer(center=tuple(center.tolist()), scale=tuple(scale.tolist()))
+    return Standardizer(center=tuple(center.T.tolist()), scale=tuple(scale.T.tolist()))
 
 
 def detect_binary(points: np.ndarray) -> tuple[bool, ...]:
@@ -106,7 +108,7 @@ def row_blocks(n: int) -> list[slice]:
 
 
 def design_matrix(spec: BasisSpec, points: np.ndarray) -> np.ndarray:
-    """Evaluate the basis at each row of points; returns (n, spec.dim).
+    """Evaluate the basis at each row of points (n, d) or (b, n, d); returns (..., n, spec.dim).
 
     The columns are written into one preallocated array in column order,
     one row block at a time so a block stays in cache: the intercept,
@@ -117,26 +119,26 @@ def design_matrix(spec: BasisSpec, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if pts.shape[1] != spec.input_dim:
+    if pts.shape[-1] != spec.input_dim:
         raise DimensionMismatch(
-            f"points have {pts.shape[1]} coordinates, spec expects {spec.input_dim}"
+            f"points have {pts.shape[-1]} coordinates, spec expects {spec.input_dim}"
         )
     if not np.isfinite(pts).all():
         raise NonFiniteInput("design_matrix: non-finite input point")
 
-    out = np.empty((pts.shape[0], spec.dim))
-    for rows in row_blocks(pts.shape[0]):
-        u = spec.standardizer.apply(pts[rows])
-        out[rows, 0] = 1.0
+    out = np.empty(pts.shape[:-1] + (spec.dim,))
+    for rows in row_blocks(pts.shape[-2]):
+        u = spec.standardizer.apply(pts[..., rows, :])
+        out[..., rows, 0] = 1.0
         col = 1
         for j, degree in enumerate(spec.degrees):
             if degree:
-                out[rows, col] = u[:, j]
+                out[..., rows, col] = u[..., j]
                 for c in range(col + 1, col + degree):
-                    np.multiply(out[rows, c - 1], u[:, j], out=out[rows, c])
+                    np.multiply(out[..., rows, c - 1], u[..., j], out=out[..., rows, c])
             col += degree
         for i, j in spec._pairs():
-            np.multiply(u[:, i], u[:, j], out=out[rows, col])
+            np.multiply(u[..., i], u[..., j], out=out[..., rows, col])
             col += 1
     return out
 
@@ -223,8 +225,12 @@ def nested_columns(top: BasisSpec, spec: BasisSpec) -> np.ndarray:
     return np.array([*range(1 + sum(spec.degrees)), *pairs])
 
 
-def build_spec_bundle(ds: Dataset, sieve: SieveOptions = SieveOptions()) -> SpecBundle:
+def build_spec_bundle(ds: Dataset, sieve: SieveOptions = SieveOptions(),
+                      points: Optional[np.ndarray] = None) -> SpecBundle:
     """Standardizers are fit on the sample each basis will see.
+
+    points, ds.mu_points(K+1) by default, may be a stack (b, n, d) of
+    completed samples: every u_k then has one standardizer per slice.
 
     The conditioning basis sees every record; the q and u bases involve
     x_miss so their centers and scales come from complete cases. The
@@ -244,6 +250,7 @@ def build_spec_bundle(ds: Dataset, sieve: SieveOptions = SieveOptions()) -> Spec
     if not ds.complete_mask.any():
         raise EmptyResult("no complete cases")
     # the point matrices default to the complete-case rows
-    chain = spec_for(ds.mu_points(ds.k + 1), sieve.mu_degree, sieve.mu_interactions)
+    points = ds.mu_points(ds.k + 1) if points is None else points
+    chain = spec_for(points, sieve.mu_degree, sieve.mu_interactions)
     u = tuple(_leading(chain, ds.dims.x + sum(ds.dims.m[:k - 1])) for k in range(1, ds.k + 2))
     return _SampleSpecBundle(ds, sieve, u)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from shadowpse.errors import (
     InsufficientCompleteCases,
     MissingTrueX,
 )
-from shadowpse.sieve_basis import SieveOptions
+from shadowpse.sieve_basis import SieveOptions, build_spec_bundle
 from shadowpse.simulation import DgpConfig, run_monte_carlo, true_effects
 from support import one_mediator_dataset, rng_for
 
@@ -145,6 +147,57 @@ def test_mi_seed_determinism(obs600):
         assert a.estimands[est].se == b.estimands[est].se
     assert any(a.estimands[e].psi_hat != c.estimands[e].psi_hat
                for e in ESTIMAND_NAMES)
+
+
+# mi_estimate(obs600, m=4, seed=11) with each imputation run through the
+# pipeline on its own: (psi_hat, se, within, between) per estimand
+MI_OBS600_M4_SEED11 = {
+    "nde": (0.4375849309918354, 0.11332780791949519, 0.010927643412435798, 0.001532438908321758),
+    "nie_1": (-0.9337069725436392, 0.18719408735945353, 0.033537435217880815,
+              0.0012033528995663261),
+    "nie_2": (0.2922084536432674, 0.18956304262042845, 0.03442082470083065,
+              0.0012106579413469689),
+    "te": (-0.20391358790853642, 0.2260403216564123, 0.04885777948328625,
+           0.0017891580249984704),
+}
+
+
+@pytest.mark.parametrize("size, batches", [(1, [1, 1, 1, 1]), (3, [3, 1]), (4, [4])])
+def test_mi_batches_keep_the_pooled_figures_and_the_imputation_stream(
+        size, batches, obs600, monkeypatch):
+    """However its imputations are batched, mi pools the same psi_hat,
+    se, within and between, within 1e-12 relative of those of one
+    imputation at a time, so neither the batching nor the order of the
+    imputation draws can drift."""
+    width = build_spec_bundle(obs600).u[-1].dim
+    monkeypatch.setattr(baselines, "_BATCH_BYTES", 8 * obs600.n * width * size)
+    seen = []
+    pipeline = baselines._run_pipeline
+
+    def recording(*args, points=None, **kwargs):
+        seen.append(len(points))
+        return pipeline(*args, points=points, **kwargs)
+
+    monkeypatch.setattr(baselines, "_run_pipeline", recording)
+    res = mi_estimate(obs600, m=4, seed=11)
+    assert seen == batches
+    for name, want in MI_OBS600_M4_SEED11.items():
+        rep = res.estimands[name]
+        got = (rep.psi_hat, rep.se, rep.diagnostics["within"], rep.diagnostics["between"])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_mi_without_missing_covariate_columns_pools_equal_complete_fits(obs600):
+    """With no x_miss column there is nothing to fill: every imputation
+    is the observed data with r set to one, so mi pools m equal fits,
+    each the oracle's, with no between-imputation variance."""
+    ds = replace(obs600, x_miss=np.zeros((obs600.n, 0)), columns={})
+    res, oracle = mi_estimate(ds, m=3, seed=1), oracle_estimate(ds)
+    for name, rep in res.estimands.items():
+        assert rep.diagnostics["between"] == 0.0
+        want = oracle.estimands[name]
+        np.testing.assert_allclose([rep.psi_hat, rep.diagnostics["within"]],
+                                   [want.psi_hat, want.se ** 2], rtol=1e-12, atol=0)
 
 
 def test_mi_moves_point_estimates_off_complete_cases(obs2000):

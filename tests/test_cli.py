@@ -229,8 +229,10 @@ def _role_retyped(key: str, value):
     (_role_retyped("m", 5), r"descriptor \S+bad\.json: 'm' must be a list of lists "),
     (_role_retyped("y", ["y"]), r"descriptor \S+bad\.json: 'y' must be a column name"),
     (_role_retyped("z", "z"), r"descriptor \S+bad\.json: 'z' must be a list of column names"),
+    (_role_retyped("x_obs", ["x2", "y"]),
+     r"descriptor \S+bad\.json: column 'y' in both 'x_obs' and 'y'\n"),
 ], ids=["truncated descriptor", "non-UTF-8 cell", "declared column twice",
-        "mediators a number", "outcome a list", "shadow a string"])
+        "mediators a number", "outcome a list", "shadow a string", "column in two roles"])
 def test_malformed_input_file_is_a_data_error(corrupt, message, data_files, tmp_path, capsys):
     """A data or descriptor file the reader cannot take as it stands ends
     in a DimensionMismatch naming the file or column, exit 3, with no
@@ -239,7 +241,7 @@ def test_malformed_input_file_is_a_data_error(corrupt, message, data_files, tmp_
     assert cli.main(["validate", "--data", data, "--descriptor", desc]) == 3
     err = capsys.readouterr().err
     assert re.match("data error: DimensionMismatch: " + message, err)
-    assert "Traceback" not in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
 def test_oracle_runs_on_full_data(full2000, tmp_path, capsys):
@@ -683,7 +685,7 @@ def fine(designs, phi): pass
 # on the complete cases, SampleDesigns and the imputer of mi.
 COMPLETE_MASK_READERS = {"data_model.py": None, "sieve_basis.py": None,
                          "series_regression.py": {"SampleDesigns"},
-                         "baselines.py": {"_impute_once", "mi_estimate"}}
+                         "baselines.py": {"mi_estimate"}}
 
 
 def _complete_mask_reads(tree, allowed):

@@ -1,6 +1,7 @@
 import csv
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -227,6 +228,25 @@ def test_declared_column_named_twice_raises(tmp_path):
     _rewrite(data, header + ["y"], [row + ["9.0"] for row in rows])
     with pytest.raises(DimensionMismatch, match="column 'y' is repeated in "):
         read_csv(str(data), str(desc))
+
+
+def test_column_names_must_match_block_widths(tmp_path):
+    """Each role names one column per array column: a block widened
+    without new names raises, where write_csv would write a header over
+    longer records and read_csv would refuse its own file; with the
+    default names of the new widths it round-trips."""
+    obs = generate(DgpConfig(n=20, seed=seq(3102)))[1]
+    m1, m2 = obs.m
+    with pytest.raises(DimensionMismatch, match="columns name blocks of widths"):
+        replace(obs, m=(m1, np.hstack([m2, m2])))
+    with pytest.raises(DimensionMismatch):
+        replace(obs, columns={**obs.columns, "z": ["z", "z2"]})
+    widened = replace(obs, m=(m1, np.hstack([m2, m2])), columns={})
+    assert widened.columns["m"] == [["m1"], ["m2_1", "m2_2"]]
+    data, desc = tmp_path / "w.csv", tmp_path / "w.json"
+    write_csv(widened, str(data))
+    write_descriptor(widened, str(desc))
+    assert read_csv(str(data), str(desc)).m[1].tobytes() == widened.m[1].tobytes()
 
 
 def test_csv_short_row_names_its_row(tmp_path):

@@ -236,7 +236,8 @@ def test_fit_ranks_are_real_on_rank_deficient_designs(obs600):
 def reshaped(ds: Dataset, x_miss: int, x_obs: int, m: tuple) -> Dataset:
     """ds with its x_miss, x_obs and mediator blocks cut or widened to the
     given widths; a widened block gets seeded normal columns, and an
-    added x_miss column is missing where x_miss is."""
+    added x_miss column is missing where x_miss is. The columns get the
+    default names of the new widths."""
     rng = rng_for(2801, x_miss, x_obs, *m)
 
     def block(cols: np.ndarray, width: int, missing: bool = False) -> np.ndarray:
@@ -246,7 +247,7 @@ def reshaped(ds: Dataset, x_miss: int, x_obs: int, m: tuple) -> Dataset:
         return np.hstack([cols[:, :width], extra])
 
     return replace(ds, x_miss=block(ds.x_miss, x_miss, True), x_obs=block(ds.x_obs, x_obs),
-                   m=tuple(block(mk, width) for mk, width in zip(ds.m, m)))
+                   m=tuple(block(mk, width) for mk, width in zip(ds.m, m)), columns={})
 
 
 @pytest.mark.parametrize("case", ["default", "interactions", "one-coordinate x",
@@ -333,9 +334,10 @@ def test_each_nuisance_is_fitted_once_per_run(estimate, monkeypatch, obs2000):
 @pytest.mark.parametrize("method", ["cca", "mi"])
 def test_zero_odds_runs_fit_only_the_outcome_chain_bases(method, monkeypatch, obs600):
     """One spec_for per bundle, on the level K+1 outcome-chain points:
-    the conditioning and odds bases are never fitted."""
+    the conditioning and odds bases are never fitted. mi fits one bundle
+    to size its batches and one per batch of completed datasets."""
     widths = record_calls(monkeypatch, sieve_basis.spec_for,
-                          lambda a, kw: np.shape(a[0] if a else kw["points"])[1])
+                          lambda a, kw: np.shape(a[0] if a else kw["points"])[-1])
     if method == "cca":
         cca_estimate(obs600)
         bundles = 1

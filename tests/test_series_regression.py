@@ -250,3 +250,42 @@ def test_orthonormal_span_degenerate_matrices():
     bad[3, 1] = np.nan
     with pytest.raises(UnsolvableSystem):
         orthonormal_span(bad)
+
+
+def test_stacked_spans_and_systems_match_each_slice():
+    """A stack of designs in which one slice duplicates a column, and
+    another has two columns proportional on the weighted rows only, gives
+    slice by slice the span, rank and least-squares solutions of that
+    slice alone, to 1e-12 relative: masking a slice's dropped directions
+    (zero columns, zero reciprocals) reproduces dropping them."""
+    rng = rng_for(3101)
+    stack = rng.standard_normal((3, 300, 6))
+    stack[1, :, 4] = stack[1, :, 1]
+    values = rng.standard_normal((3, 300))
+    weights = rng.random(300) * (rng.random(300) < 0.7)
+    stack[2, weights > 0, 2] = 3.0 * stack[2, weights > 0, 0]
+    cols = np.array([0, 1, 2, 4])  # a level holding both dependent pairs
+
+    def close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    span, coupling = _span_in_place(stack.copy())
+    level = span_least_squares(span, coupling[..., cols])
+    weighted = level.weighted(weights, (np.swapaxes(span, -1, -2) * weights) @ span)
+    assert span.shape == (3, 300, 6) and list(level.rank) == [4, 3, 4]
+    assert list(weighted.rank) == [4, 3, 3]
+    stacked = orthonormal_span(stack)
+    for i in range(3):
+        alone, coupling_i = _span_in_place(stack[i].copy())
+        assert np.count_nonzero(np.abs(span[i]).max(axis=0)) == alone.shape[1]
+        close(project(span[i], values[i]), project(alone, values[i]))
+        close(span[i] @ coupling[i], stack[i])
+        close(project(stacked[i], values[i]), project(alone, values[i]))
+        one = span_least_squares(alone, coupling_i[:, cols])
+        one_w = one.weighted(weights, (alone.T * weights) @ alone)
+        for system, single in ((level, one), (weighted, one_w)):
+            assert system.rank[i] == single.rank
+            coef = single.solve(values[i])
+            close(system.solve(values)[i], coef)
+            close(system.solve(values[0])[i], single.solve(values[0]))
+            close(system.fitted(system.solve(values))[i], single.fitted(coef))
