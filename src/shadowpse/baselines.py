@@ -8,8 +8,10 @@ oracle  use the true covariates (simulation only), odds set to zero
 cca     drop incomplete records, odds set to zero
 mi      multiple imputation with a linear-Gaussian imputer and
         Rubin pooling, odds set to zero on each completed dataset; the
-        completed datasets run as one stack along a leading batch axis,
-        in batches of about _BATCH_BYTES of outcome-chain design
+        completed datasets differ only in their x_miss fills, so only
+        those go on a leading batch axis, in batches of about
+        _BATCH_BYTES of outcome-chain design, and every batch shares one
+        chain-spec fit and the first completed dataset's other columns
 
 run_method picks a method by name for the CLI and the Monte Carlo
 harness.
@@ -32,12 +34,13 @@ from .estimator import TreatmentProfile, named_estimand, validate_profile
 from .gamma_solver import GammaOptions, fit_gamma
 from .inference import InferenceReport, analyze_profile, variance_and_ci, z_critical
 from .series_regression import RunFits, SampleDesigns, _t, lapack_errors
-from .sieve_basis import SieveOptions, build_spec_bundle
+from .sieve_basis import SieveOptions, SpecBundle, build_spec_bundle
 
 EstimandSpec = Union[str, tuple[Sequence[int], Sequence[int]]]
 
-# bytes of outcome-chain design per batch of completed datasets in mi
-_BATCH_BYTES = 1 << 20
+# bytes of outcome-chain design per batch of completed datasets in mi:
+# 1.125 MiB, seven imputations at n = 2000 and D = 10
+_BATCH_BYTES = 9 << 17
 
 
 @dataclass
@@ -81,13 +84,17 @@ def _run_pipeline(
     sieve: SieveOptions,
     method: str,
     gamma_options: Optional[GammaOptions] = None,
-    points: Optional[np.ndarray] = None,
+    x_miss: Optional[np.ndarray] = None,
+    bundle: Optional[SpecBundle] = None,
 ) -> MethodResult:
     """The sieve pipeline; gamma_options=None sets the odds to zero,
     otherwise the odds are fitted on ds and their report goes to extras.
     A confidence level outside (0, 1) raises ConfigError before any fit.
-    points, a stack (b, n, d) of level K+1 outcome-chain points, runs b
-    complete samples that differ from ds only there, giving b of each figure.
+    x_miss, a stack (b, n, w) of fills of complete ds's x_miss block, runs
+    b samples that differ from ds only there, giving b of each figure:
+    they share ds's other columns, weights and odds (zero), and stack only
+    the fills' chain columns. bundle, when given, holds the specs already
+    fitted on those fills; else build_spec_bundle(ds, sieve, x_miss) fits them.
 
     The odds values are worked out once, one per complete case, and
     bound with the sample's designs in one RunFits, which every stage
@@ -95,7 +102,8 @@ def _run_pipeline(
     profile is analysed once; a contrast psi_a - psi_b takes the
     difference of its two profiles' influence values."""
     z_critical(level)
-    designs = SampleDesigns(ds, build_spec_bundle(ds, sieve, points), points)
+    bundle = build_spec_bundle(ds, sieve, x_miss) if bundle is None else bundle
+    designs = SampleDesigns(ds, bundle, x_miss)
     extras = {}
     if gamma_options is None:
         odds_cc = np.zeros(designs.n_cc)
@@ -174,9 +182,12 @@ def mi_estimate(
     Each x_miss coordinate is regressed on (1, z, x_obs, a, m, y) over
     complete cases; every imputation fills conditional means plus
     Gaussian noise at the residual sd, all m drawn at once, imputation
-    after imputation. The zero-odds pipeline runs on the completed data
-    in batches of b = max(1, _BATCH_BYTES // (8 n D)) imputations, D the
-    outcome-chain design's width. Pooled variance is W + (1 + 1/m) B.
+    after imputation. The chain specs are fitted once for all m fills:
+    x_miss gets a center and scale per imputation, the other coordinates
+    those of the first completed dataset. The zero-odds pipeline runs on
+    the completed data in batches of b = max(1, _BATCH_BYTES // (8 n D))
+    imputations, D the outcome-chain design's width. Pooled variance is
+    W + (1 + 1/m) B.
     """
     if m < 2:
         raise ConfigError("multiple imputation needs m >= 2")
@@ -203,12 +214,11 @@ def mi_estimate(
     x_miss = np.repeat(ds.x_miss[None], m, axis=0)
     x_miss[:, miss] = _t(means + resid_sd[:, None] * noise)
     completed = replace(ds, x_miss=x_miss[0], r=np.ones(ds.n, dtype=int))
-    size = max(1, _BATCH_BYTES // (8 * ds.n * build_spec_bundle(completed, sieve).u[-1].dim))
-    shared = np.hstack([ds.x_obs, *ds.m])  # the outcome-chain points after x_miss
-    batches = []
-    for x in np.split(x_miss, range(size, m, size)):
-        points = np.concatenate([x, np.broadcast_to(shared, (len(x),) + shared.shape)], axis=-1)
-        batches.append(_run_pipeline(completed, wanted, level, sieve, "mi", points=points))
+    bundle = build_spec_bundle(completed, sieve, x_miss)
+    size = max(1, _BATCH_BYTES // (8 * ds.n * bundle.u[-1].dim))
+    batches = [_run_pipeline(completed, wanted, level, sieve, "mi", x_miss=x_miss[s],
+                             bundle=bundle.batch(s))
+               for s in (slice(i, i + size) for i in range(0, m, size))]
 
     reports = {}
     for name in wanted:

@@ -380,7 +380,8 @@ def _is_names(value) -> bool:
 def read_descriptor(path: str) -> tuple[int, dict]:
     """(k, columns) of a descriptor: r, a and y each name a column, z,
     x_miss and x_obs are lists of names and m is k of them. A field of
-    another type raises DimensionMismatch naming it."""
+    another type, or a column named twice, in two roles or within one,
+    raises DimensionMismatch naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -407,9 +408,11 @@ def read_descriptor(path: str) -> tuple[int, dict]:
     for key in ("r", "z", "x_miss", "x_obs", "a", "m", "y"):
         names = columns[key]
         for name in [names] if key in ("r", "a", "y") else sum(names, []) if key == "m" else names:
-            if roles.setdefault(name, key) != key:
-                raise DimensionMismatch(
-                    f"descriptor {path}: column {name!r} in both {roles[name]!r} and {key!r}")
+            if name in roles:
+                where = (f"twice in {key!r}" if roles[name] == key
+                         else f"in both {roles[name]!r} and {key!r}")
+                raise DimensionMismatch(f"descriptor {path}: column {name!r} {where}")
+            roles[name] = key
     return k, columns
 
 

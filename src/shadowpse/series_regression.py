@@ -21,10 +21,11 @@ binds them to the run's odds values, once, and holds the nuisance fits
 made under those odds.
 
 The spans and SpanLeastSquares take stacks along a leading batch axis
-too: given b samples' outcome-chain points (mi's imputations), the chain
-span is stacked, a slice of lower rank masking its dropped directions
-with zeros. The conditioning span, odds design and representer stay
-single; the batched zero-odds runs on complete data never read them.
+too: given b samples that differ only in their x_miss fills (mi's
+imputations), the chain design and span are stacked, a slice of lower
+rank masking its dropped directions with zeros. The conditioning span,
+odds design and representer stay single; the batched zero-odds runs on
+complete data never read them.
 """
 
 from __future__ import annotations
@@ -45,7 +46,14 @@ from .errors import (
     NonFiniteInput,
     UnsolvableSystem,
 )
-from .sieve_basis import BasisSpec, SpecBundle, design_matrix, nested_columns, row_blocks
+from .sieve_basis import (
+    BasisSpec,
+    SpecBundle,
+    design_matrix,
+    filled_design,
+    nested_columns,
+    row_blocks,
+)
 
 # Gram eigenvalues at or below the largest times this are treated as zero
 # by orthonormal_span: a singular-value ratio of about 3e-7
@@ -281,13 +289,18 @@ class SampleDesigns:
     representer_system holds the representer's normal equations under
     the ridge representer_ridge(n) that the sample size sets, factored
     once per run and solved against each profile's right-hand side.
-    points, a stack of level K+1 outcome-chain points, replaces ds's.
+
+    x_miss, a stack (b, n, w) of fills of complete ds's x_miss block,
+    makes the chain design a stack of b samples that share every other
+    column with ds: ds's level K+1 design is written into each slice
+    once, and only the columns that involve x_miss are written again per
+    slice (sieve_basis.filled_design), under a bundle stacked on them.
     """
 
-    def __init__(self, ds: Dataset, bundle: SpecBundle, points: Optional[np.ndarray] = None):
+    def __init__(self, ds: Dataset, bundle: SpecBundle, x_miss: Optional[np.ndarray] = None):
         self.ds = ds
         self.bundle = bundle
-        self._points = points
+        self._x_miss = x_miss
         self.n_cc = int(np.count_nonzero(ds.complete_mask))
         # the records in row order, or None for the identity order
         self._order = None if self.n_cc == ds.n else np.argsort(~ds.complete_mask, kind="stable")
@@ -320,9 +333,10 @@ class SampleDesigns:
         """chain[k-1]: the unweighted least squares on the level-k
         outcome-chain design, k = 1..K+1, each through the one span of
         the level K+1 design."""
-        top = self.bundle.u[-1]
-        points = self.ds.mu_points(self.ds.k + 1) if self._points is None else self._points
-        span, coupling = _span_in_place(design_matrix(top, points))
+        top, points = self.bundle.u[-1], self.ds.mu_points(self.ds.k + 1)
+        design = (design_matrix(top, points) if self._x_miss is None
+                  else filled_design(top, points, self._x_miss))
+        span, coupling = _span_in_place(design)
         return tuple(span_least_squares(_frozen(span), _frozen(coupling[..., nested_columns(top, u)]))
                      for u in self.bundle.u)
 

@@ -7,6 +7,10 @@ coordinates of degree at least one when interactions are on.
 
 spec_for caps binary coordinates at power one, so an indicator's equal
 higher powers never enter as collinear columns.
+
+A spec may be stacked over samples that differ only in their leading
+(x_miss) coordinates: each of its centers and scales then holds one
+value per sample, and filled_design evaluates it at all of them.
 """
 
 from __future__ import annotations
@@ -60,11 +64,13 @@ def fit_standardizer(points: np.ndarray) -> Standardizer:
 
 
 def detect_binary(points: np.ndarray) -> tuple[bool, ...]:
-    """A coordinate is binary when all its observed values lie in {0, 1}."""
+    """A coordinate is binary when all its observed (finite) values lie in
+    {0, 1}; over a stack (..., n, d), in every slice."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    return tuple(bool(np.isin(col[np.isfinite(col)], (0.0, 1.0)).all()) for col in pts.T)
+    flags = (pts == 0.0) | (pts == 1.0) | ~np.isfinite(pts)
+    return tuple(flags.all(axis=tuple(range(pts.ndim - 1))).tolist())
 
 
 @dataclass(frozen=True)
@@ -128,18 +134,58 @@ def design_matrix(spec: BasisSpec, points: np.ndarray) -> np.ndarray:
 
     out = np.empty(pts.shape[:-1] + (spec.dim,))
     for rows in row_blocks(pts.shape[-2]):
-        u = spec.standardizer.apply(pts[..., rows, :])
         out[..., rows, 0] = 1.0
-        col = 1
-        for j, degree in enumerate(spec.degrees):
-            if degree:
-                out[..., rows, col] = u[..., j]
-                for c in range(col + 1, col + degree):
-                    np.multiply(out[..., rows, c - 1], u[..., j], out=out[..., rows, c])
-            col += degree
-        for i, j in spec._pairs():
-            np.multiply(u[..., i], u[..., j], out=out[..., rows, col])
-            col += 1
+        _write_columns(out[..., rows, :], spec, spec.standardizer.apply(pts[..., rows, :]),
+                       spec.input_dim)
+    return out
+
+
+def _write_columns(out: np.ndarray, spec: BasisSpec, u: np.ndarray, width: int) -> None:
+    """Write into the design rows out the columns of spec that involve one
+    of its leading width coordinates, whose standardized values u holds:
+    their powers, and the pair products with one of them as a factor. A
+    pair's factor from a later coordinate is read from that coordinate's
+    first-power column of out, which holds the same values as its u."""
+    first, col = [], 1
+    for j, degree in enumerate(spec.degrees):
+        first.append(col)
+        if degree and j < width:
+            out[..., col] = u[..., j]
+            for c in range(col + 1, col + degree):
+                np.multiply(out[..., c - 1], u[..., j], out=out[..., c])
+        col += degree
+    for i, j in spec._pairs():
+        if i < width:
+            other = u[..., j] if j < width else out[..., first[j]]
+            np.multiply(u[..., i], other, out=out[..., col])
+        col += 1
+
+
+def filled_design(spec: BasisSpec, points: np.ndarray, x_miss: np.ndarray) -> np.ndarray:
+    """The design of a stacked spec at the b samples that equal points
+    (n, d) but for their leading w coordinates, taken from x_miss
+    (b, n, w); returns (b, n, spec.dim).
+
+    design_matrix of spec's first slice at points is written into every
+    slice once. Then only the columns that involve a filled coordinate,
+    its powers and the pair products it enters, are written again, from
+    each slice's fills under its own center and scale. Every entry is
+    the product of the same factors as in design_matrix, so slice i
+    equals design_matrix(spec's slice i, its points) bit for bit.
+    """
+    fills = np.asarray(x_miss, dtype=float)
+    width = fills.shape[-1]
+    if fills.ndim != 3 or fills.shape[1] != len(points) or width > spec.input_dim:
+        raise DimensionMismatch(f"fills of shape {fills.shape} do not lead points of shape "
+                                f"{np.shape(points)}")
+    if not np.isfinite(fills).all():
+        raise NonFiniteInput("filled_design: non-finite fill")
+    template = design_matrix(_stack_slice(spec, 0), points)
+    out = np.empty(fills.shape[:1] + template.shape)
+    out[...] = template
+    lead = _leading(spec, width).standardizer
+    for rows in row_blocks(len(points)):
+        _write_columns(out[..., rows, :], spec, lead.apply(fills[..., rows, :]), width)
     return out
 
 
@@ -206,12 +252,51 @@ class _SampleSpecBundle(SpecBundle):
         sieve = self._sieve
         return spec_for(self._ds.regressor_points(), sieve.degree, sieve.include_interactions)
 
+    def batch(self, index: int | slice) -> "SpecBundle":
+        """The bundle of the slices index (a slice, or an int for one
+        sample) of outcome-chain bases fitted on a stack."""
+        u = tuple(_stack_slice(spec, index) for spec in self.u)
+        return _SampleSpecBundle(self._ds, self._sieve, u)
+
 
 def _leading(spec: BasisSpec, dim: int) -> BasisSpec:
     """spec restricted to its first dim input coordinates."""
     std = spec.standardizer
     return replace(spec, degrees=spec.degrees[:dim],
                    standardizer=Standardizer(center=std.center[:dim], scale=std.scale[:dim]))
+
+
+def _stack_slice(spec: BasisSpec, index: int | slice) -> BasisSpec:
+    """A stacked spec's slices index, or for an int that one slice's spec."""
+    std = spec.standardizer
+    return replace(spec, standardizer=Standardizer(center=tuple(c[index] for c in std.center),
+                                                   scale=tuple(s[index] for s in std.scale)))
+
+
+def _filled(spec: BasisSpec, x_miss: np.ndarray, degree: int) -> BasisSpec:
+    """spec, fitted on one sample, stacked over the b samples that differ
+    from it only in their leading coordinates, taken from x_miss
+    (b, n, w): those get each slice's own center and scale, and power one
+    when binary in every slice; the rest keep spec's, once per slice."""
+    b, n, w = x_miss.shape
+    cols = np.ascontiguousarray(np.moveaxis(x_miss, 0, 1)).reshape(n, b * w)
+    # C-ordered and at least two wide: numpy then sums each column down its
+    # rows in order, as a fit on one slice's points does; it sums a lone
+    # column, or a strided view of columns, pairwise
+    fit = fit_standardizer(cols if b * w != 1 else np.hstack([cols, cols]))
+
+    def stacked(filled: tuple, shared: tuple) -> tuple:
+        return (tuple(map(tuple, np.reshape(filled[:b * w], (b, w)).T.tolist()))
+                + tuple((v,) * b for v in shared[w:]))
+
+    own = spec.standardizer
+    return BasisSpec(
+        degrees=tuple(min(degree, 1) if flag else degree for flag in detect_binary(x_miss))
+        + spec.degrees[w:],
+        standardizer=Standardizer(center=stacked(fit.center, own.center),
+                                  scale=stacked(fit.scale, own.scale)),
+        include_interactions=spec.include_interactions,
+    )
 
 
 def nested_columns(top: BasisSpec, spec: BasisSpec) -> np.ndarray:
@@ -226,11 +311,16 @@ def nested_columns(top: BasisSpec, spec: BasisSpec) -> np.ndarray:
 
 
 def build_spec_bundle(ds: Dataset, sieve: SieveOptions = SieveOptions(),
-                      points: Optional[np.ndarray] = None) -> SpecBundle:
+                      x_miss: Optional[np.ndarray] = None) -> SpecBundle:
     """Standardizers are fit on the sample each basis will see.
 
-    points, ds.mu_points(K+1) by default, may be a stack (b, n, d) of
-    completed samples: every u_k then has one standardizer per slice.
+    x_miss, a stack (b, n_cc, w) of fills of ds's x_miss block on its
+    complete cases, stacks the u bases over b samples that differ from ds
+    only there, as mi's completed datasets do. The coordinates they share
+    (x_obs, m) keep the degrees, centers and scales of the one fit on ds;
+    each x_miss coordinate gets one center and scale per slice, and power
+    one when binary in every slice. So slice i, batch(i), equals the
+    bundle of ds with x_miss[i] bit for bit; batch(slice) keeps several.
 
     The conditioning basis sees every record; the q and u bases involve
     x_miss so their centers and scales come from complete cases. The
@@ -249,8 +339,13 @@ def build_spec_bundle(ds: Dataset, sieve: SieveOptions = SieveOptions(),
     """
     if not ds.complete_mask.any():
         raise EmptyResult("no complete cases")
-    # the point matrices default to the complete-case rows
-    points = ds.mu_points(ds.k + 1) if points is None else points
+    # the point matrices hold the complete-case rows
+    points = ds.mu_points(ds.k + 1)
     chain = spec_for(points, sieve.mu_degree, sieve.mu_interactions)
+    if x_miss is not None:
+        if np.ndim(x_miss) != 3 or np.shape(x_miss)[1:] != (len(points), ds.dims.x_miss):
+            raise DimensionMismatch(f"x_miss fills of shape {np.shape(x_miss)} for "
+                                    f"{len(points)} complete cases of width {ds.dims.x_miss}")
+        chain = _filled(chain, np.asarray(x_miss, dtype=float), sieve.mu_degree)
     u = tuple(_leading(chain, ds.dims.x + sum(ds.dims.m[:k - 1])) for k in range(1, ds.k + 2))
     return _SampleSpecBundle(ds, sieve, u)

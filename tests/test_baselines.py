@@ -174,9 +174,9 @@ def test_mi_batches_keep_the_pooled_figures_and_the_imputation_stream(
     seen = []
     pipeline = baselines._run_pipeline
 
-    def recording(*args, points=None, **kwargs):
-        seen.append(len(points))
-        return pipeline(*args, points=points, **kwargs)
+    def recording(*args, x_miss=None, **kwargs):
+        seen.append(len(x_miss))
+        return pipeline(*args, x_miss=x_miss, **kwargs)
 
     monkeypatch.setattr(baselines, "_run_pipeline", recording)
     res = mi_estimate(obs600, m=4, seed=11)

@@ -231,8 +231,12 @@ def _role_retyped(key: str, value):
     (_role_retyped("z", "z"), r"descriptor \S+bad\.json: 'z' must be a list of column names"),
     (_role_retyped("x_obs", ["x2", "y"]),
      r"descriptor \S+bad\.json: column 'y' in both 'x_obs' and 'y'\n"),
+    (_role_retyped("z", ["z", "z"]), r"descriptor \S+bad\.json: column 'z' twice in 'z'\n"),
+    (_role_retyped("m", [["m1"], ["m1"]]),
+     r"descriptor \S+bad\.json: column 'm1' twice in 'm'\n"),
 ], ids=["truncated descriptor", "non-UTF-8 cell", "declared column twice",
-        "mediators a number", "outcome a list", "shadow a string", "column in two roles"])
+        "mediators a number", "outcome a list", "shadow a string", "column in two roles",
+        "column twice in one role", "mediator in two groups"])
 def test_malformed_input_file_is_a_data_error(corrupt, message, data_files, tmp_path, capsys):
     """A data or descriptor file the reader cannot take as it stands ends
     in a DimensionMismatch naming the file or column, exit 3, with no

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from shadowpse import inference, series_regression, sieve_basis
+from shadowpse import baselines, inference, series_regression, sieve_basis
 from shadowpse.baselines import cca_estimate, mi_estimate, sri_estimate
 from shadowpse.data_model import Dataset, complete_cases
 from shadowpse.errors import DimensionMismatch
@@ -333,18 +333,19 @@ def test_each_nuisance_is_fitted_once_per_run(estimate, monkeypatch, obs2000):
 
 @pytest.mark.parametrize("method", ["cca", "mi"])
 def test_zero_odds_runs_fit_only_the_outcome_chain_bases(method, monkeypatch, obs600):
-    """One spec_for per bundle, on the level K+1 outcome-chain points:
-    the conditioning and odds bases are never fitted. mi fits one bundle
-    to size its batches and one per batch of completed datasets."""
+    """One spec_for per call, on the level K+1 outcome-chain points: the
+    conditioning and odds bases are never fitted. mi fits its one bundle
+    on the first completed dataset and gives only the x_miss coordinates
+    a center and scale per imputation, however many batches it runs
+    (here two, of one imputation each)."""
     widths = record_calls(monkeypatch, sieve_basis.spec_for,
                           lambda a, kw: np.shape(a[0] if a else kw["points"])[-1])
     if method == "cca":
         cca_estimate(obs600)
-        bundles = 1
     else:
+        monkeypatch.setattr(baselines, "_BATCH_BYTES", 1)
         mi_estimate(obs600, m=2, seed=3)
-        bundles = 2
-    assert widths == [obs600.mu_points(obs600.k + 1).shape[1]] * bundles
+    assert widths == [obs600.mu_points(obs600.k + 1).shape[1]]
 
 
 def analysis_bytes(analysis) -> bytes:

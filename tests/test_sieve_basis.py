@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from shadowpse.data_model import Dataset
-from shadowpse.errors import DimensionMismatch
+from shadowpse.errors import DimensionMismatch, NonFiniteInput
 from shadowpse.sieve_basis import (
     SPAN_BLOCK_ROWS,
     BasisSpec,
@@ -14,6 +14,7 @@ from shadowpse.sieve_basis import (
     build_spec_bundle,
     design_matrix,
     detect_binary,
+    filled_design,
     fit_standardizer,
     nested_columns,
     spec_for,
@@ -166,6 +167,34 @@ def test_detect_binary():
     assert tuple(detect_binary(cols)) == (True, False, False)
 
 
+def per_column_binary(points):
+    """detect_binary's definition, one column at a time."""
+    pts = np.asarray(points, dtype=float)
+    pts = pts[:, None] if pts.ndim == 1 else pts
+    return tuple(bool(np.isin(col[np.isfinite(col)], (0.0, 1.0)).all()) for col in pts.T)
+
+
+@pytest.mark.parametrize("points", [
+    np.array([[0.0, np.nan, 1.0, np.inf, -0.0, np.nan],
+              [1.0, 1.0, 0.5, 0.0, 1.0, np.nan],
+              [-0.0, np.nan, 1.0, -np.inf, 0.0, np.nan],
+              [0.0, 0.0, 1.0, 1.0, 2.0, np.nan]]),
+    np.array([0.0, 1.0, np.nan, -0.0]),
+    np.array([0.0, 1.0, 0.3]),
+    np.zeros((0, 3)),
+    np.zeros((5, 0)),
+    np.array([[[0.0, 1.0], [1.0, np.nan]], [[1.0, 0.0], [0.0, 0.5]]]),
+    np.array([[[0.0, np.inf], [1.0, 1.0]], [[np.nan, 0.0], [-0.0, -np.inf]]]),
+], ids=["special values", "one column", "not binary", "no rows", "no columns",
+        "stack, one slice not binary", "stack, binary"])
+def test_detect_binary_equals_the_per_column_definition(points):
+    """One pass over every coordinate gives, per coordinate, whether all
+    its finite values lie in {0, 1}: NaN and +-inf are not observed
+    values, -0.0 is 0, an all-NaN column is binary, and a stack's
+    coordinate is binary when it is in every slice."""
+    assert detect_binary(points) == per_column_binary(points)
+
+
 def test_spec_for_detects_binary_and_standardizes():
     rng = rng_for(205)
     pts = np.column_stack([rng.random(50), (rng.random(50) < 0.5).astype(float)])
@@ -254,3 +283,69 @@ def test_spec_guards():
         design_matrix(spec, np.zeros((3, 4)))
     with pytest.raises(NonFiniteInput):
         design_matrix(spec, np.array([[1.0, np.nan]]))
+
+
+def fill_stack(ds, b, key: int):
+    """b completed copies of ds's x_miss block, each with its own normal
+    draws on the incomplete records."""
+    stack = np.repeat(ds.x_miss[None], b, axis=0)
+    miss = ds.r == 0
+    stack[:, miss] = rng_for(207, key).standard_normal((b, int(miss.sum()), ds.dims.x_miss))
+    return stack
+
+
+def widened(ds):
+    """ds with a second x_miss column, missing where the first is."""
+    extra = np.where(ds.r[:, None] == 1, np.sin(3 * ds.x_miss) + ds.z, np.nan)
+    return replace(ds, x_miss=np.hstack([ds.x_miss, extra]), columns={})
+
+
+RICH = SieveOptions(mu_degree=3, mu_interactions=True)
+
+
+@pytest.mark.parametrize("key, case, sieve", [
+    (1, "observed", SieveOptions()), (2, "observed", RICH), (3, "x_miss of width 2", RICH),
+    (4, "x_miss of width 0", SieveOptions()), (5, "no missing record", RICH)],
+    ids=["default sieve", "cubic with interactions", "x_miss of width 2",
+         "x_miss of width 0", "no missing record"])
+def test_stacked_chain_spec_and_design_equal_each_slice_alone(key, case, sieve, obs600, comp600):
+    """The chain bases fitted once on a stack of x_miss fills, and the
+    filled design that writes the shared columns once, equal bit for bit
+    the bundle and design_matrix of each completed sample on its own:
+    the shared coordinates' fit is the template's, and each fill's center
+    and scale are summed down their column in row order as a 2-D fit
+    sums them. A slice range of the bundle gives those slices' design,
+    and a stack of one slice the same spec."""
+    ds = {"observed": obs600, "x_miss of width 2": widened(obs600),
+          "x_miss of width 0": replace(obs600, x_miss=np.zeros((obs600.n, 0)), columns={}),
+          "no missing record": comp600}[case]
+    stack = fill_stack(ds, 3, key)
+    template = replace(ds, x_miss=stack[0], r=np.ones(ds.n, dtype=int))
+    points = template.mu_points(template.k + 1)
+    bundle = build_spec_bundle(template, sieve, stack)
+    design = filled_design(bundle.u[-1], points, stack)
+    assert design.shape == (3, ds.n, bundle.u[-1].dim)
+    for i in range(3):
+        own = replace(template, x_miss=stack[i])
+        own_bundle = build_spec_bundle(own, sieve)
+        assert bundle.batch(i).u == own_bundle.u
+        want = design_matrix(own_bundle.u[-1], own.mu_points(own.k + 1))
+        assert design[i].tobytes() == want.tobytes()
+    tail = filled_design(bundle.batch(slice(1, 3)).u[-1], points, stack[1:])
+    assert tail.tobytes() == design[1:].tobytes()
+    assert build_spec_bundle(template, sieve, stack[:1]).u == bundle.batch(slice(0, 1)).u
+
+
+def test_filled_design_refuses_fills_that_do_not_fit(obs600):
+    """Fills must have one row per complete case and be finite."""
+    stack = fill_stack(obs600, 2, 6)
+    template = replace(obs600, x_miss=stack[0], r=np.ones(obs600.n, dtype=int))
+    bundle = build_spec_bundle(template, SieveOptions(), stack)
+    points = template.mu_points(template.k + 1)
+    with pytest.raises(DimensionMismatch):
+        build_spec_bundle(template, SieveOptions(), stack[:, 1:])
+    with pytest.raises(DimensionMismatch):
+        filled_design(bundle.u[-1], points, stack[0])
+    stack[1, 4, 0] = np.nan
+    with pytest.raises(NonFiniteInput):
+        filled_design(bundle.u[-1], points, stack)
