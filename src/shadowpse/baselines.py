@@ -10,8 +10,8 @@ mi      multiple imputation with a linear-Gaussian imputer and
         Rubin pooling, odds set to zero on each completed dataset; the
         completed datasets differ only in their x_miss fills, so only
         those go on a leading batch axis, in batches of about
-        _BATCH_BYTES of outcome-chain design, and every batch shares one
-        chain-spec fit and the first completed dataset's other columns
+        _BATCH_BYTES of outcome-chain design, and every batch shares the
+        first completed dataset's chain specs and other columns
 
 run_method picks a method by name for the CLI and the Monte Carlo
 harness.
@@ -92,9 +92,9 @@ def _run_pipeline(
     A confidence level outside (0, 1) raises ConfigError before any fit.
     x_miss, a stack (b, n, w) of fills of complete ds's x_miss block, runs
     b samples that differ from ds only there, giving b of each figure:
-    they share ds's other columns, weights and odds (zero), and stack only
-    the fills' chain columns. bundle, when given, holds the specs already
-    fitted on those fills; else build_spec_bundle(ds, sieve, x_miss) fits them.
+    they share ds's other columns, weights, odds (zero) and specs, and
+    stack only the fills' chain columns. bundle, when given, holds specs
+    already fitted; else build_spec_bundle(ds, sieve) fits them on ds.
 
     The odds values are worked out once, one per complete case, and
     bound with the sample's designs in one RunFits, which every stage
@@ -102,7 +102,7 @@ def _run_pipeline(
     profile is analysed once; a contrast psi_a - psi_b takes the
     difference of its two profiles' influence values."""
     z_critical(level)
-    bundle = build_spec_bundle(ds, sieve, x_miss) if bundle is None else bundle
+    bundle = build_spec_bundle(ds, sieve) if bundle is None else bundle
     designs = SampleDesigns(ds, bundle, x_miss)
     extras = {}
     if gamma_options is None:
@@ -182,12 +182,12 @@ def mi_estimate(
     Each x_miss coordinate is regressed on (1, z, x_obs, a, m, y) over
     complete cases; every imputation fills conditional means plus
     Gaussian noise at the residual sd, all m drawn at once, imputation
-    after imputation. The chain specs are fitted once for all m fills:
-    x_miss gets a center and scale per imputation, the other coordinates
-    those of the first completed dataset. The zero-odds pipeline runs on
-    the completed data in batches of b = max(1, _BATCH_BYTES // (8 n D))
-    imputations, D the outcome-chain design's width. Pooled variance is
-    W + (1 + 1/m) B.
+    after imputation. The chain specs are fitted once, on the first
+    completed dataset, and serve every imputation: a series fit depends
+    on its basis only through the span, which no center or scale moves.
+    The zero-odds pipeline runs on the completed data in batches of
+    b = max(1, _BATCH_BYTES // (8 n D)) imputations, D the outcome-chain
+    design's width. Pooled variance is W + (1 + 1/m) B.
     """
     if m < 2:
         raise ConfigError("multiple imputation needs m >= 2")
@@ -214,10 +214,10 @@ def mi_estimate(
     x_miss = np.repeat(ds.x_miss[None], m, axis=0)
     x_miss[:, miss] = _t(means + resid_sd[:, None] * noise)
     completed = replace(ds, x_miss=x_miss[0], r=np.ones(ds.n, dtype=int))
-    bundle = build_spec_bundle(completed, sieve, x_miss)
+    bundle = build_spec_bundle(completed, sieve)
     size = max(1, _BATCH_BYTES // (8 * ds.n * bundle.u[-1].dim))
     batches = [_run_pipeline(completed, wanted, level, sieve, "mi", x_miss=x_miss[s],
-                             bundle=bundle.batch(s))
+                             bundle=bundle)
                for s in (slice(i, i + size) for i in range(0, m, size))]
 
     reports = {}

@@ -186,6 +186,7 @@ def cmd_validate(cfg: dict) -> int:
 
 
 def cmd_estimate(cfg: dict) -> int:
+    options = _method_options(cfg)
     ds = _load_dataset(cfg)
     vreport = validate(ds) if cfg["method"] != "oracle" else None
 
@@ -202,7 +203,7 @@ def cmd_estimate(cfg: dict) -> int:
         estimands = None  # default contrast set for the dataset's K
 
     method = cfg["method"]
-    result = run_method(method, ds, estimands, _method_options(cfg), seed=cfg["seed"])
+    result = run_method(method, ds, estimands, options, seed=cfg["seed"])
 
     doc = {
         "command": "estimate",
@@ -221,6 +222,7 @@ def cmd_simulate(cfg: dict) -> int:
     out = cfg["out"]
     if not out:
         raise ConfigError("simulate requires --out DIRECTORY")
+    options = _method_options(cfg)
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
@@ -229,7 +231,7 @@ def cmd_simulate(cfg: dict) -> int:
     result = run_monte_carlo(
         config, reps=cfg["reps"], methods=cfg["methods"] or [cfg["method"]],
         estimands=cfg["estimands"] or STANDARD_ESTIMANDS, master_seed=cfg["seed"],
-        workers=cfg["threads"], options=_method_options(cfg), truth_big_n=cfg["big_n"],
+        workers=cfg["threads"], options=options, truth_big_n=cfg["big_n"],
     )
     result.to_csv(os.path.join(out, "mc_table.csv"))
     with open(os.path.join(out, "mc_summary.json"), "w") as fh:

@@ -379,21 +379,23 @@ def _is_names(value) -> bool:
 
 def read_descriptor(path: str) -> tuple[int, dict]:
     """(k, columns) of a descriptor: r, a and y each name a column, z,
-    x_miss and x_obs are lists of names and m is k of them. A field of
-    another type, or a column named twice, in two roles or within one,
-    raises DimensionMismatch naming it."""
+    x_miss and x_obs are lists of names, k is a JSON integer and m is k
+    lists of names. A field of another type, or a column named twice, in
+    two roles or within one, raises DimensionMismatch naming it. A UTF-8
+    byte order mark is skipped."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise DimensionMismatch(f"descriptor {path}: not valid JSON: {exc}") from exc
     try:
-        k = int(doc["k"])
-        columns = doc["columns"]
+        k, columns = doc["k"], doc["columns"]
         for key in ("r", "z", "x_miss", "x_obs", "a", "m", "y"):
             columns[key]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DimensionMismatch(f"descriptor {path}: missing or malformed field ({exc})")
+    if type(k) is not int:
+        raise DimensionMismatch(f"descriptor {path}: 'k' must be an integer, got {k!r}")
     for key in ("r", "a", "y"):
         if not isinstance(columns[key], str):
             raise DimensionMismatch(f"descriptor {path}: {key!r} must be a column name")
@@ -493,11 +495,11 @@ def read_csv(data_path: str, descriptor_path: str) -> Dataset:
     column at fault (or returns the same table when float() reads every
     cell, as it does "1_000"). Columns the descriptor does not declare
     are never parsed, and may repeat a name; a declared name may not.
-    The file must be UTF-8 text.
+    The file must be UTF-8 text; a byte order mark is skipped.
     """
     k, columns = read_descriptor(descriptor_path)
     try:
-        with open(data_path, newline="", encoding="utf-8") as fh:
+        with open(data_path, newline="", encoding="utf-8-sig") as fh:
             # readline, not iteration, so that tell() can mark where the records start
             lines = iter(fh.readline, "")
             try:

@@ -68,6 +68,7 @@ class GammaOptions:
     ridge vanishes faster than any sieve approximation rate and keeps
     the fit anchored to the constant-odds solution when the data carry
     little information. penalty=0 recovers the raw criterion.
+    A value out of range raises ConfigError naming its field.
     """
 
     max_iter: int = 500
@@ -76,6 +77,16 @@ class GammaOptions:
     restarts: int = 0
     seed: int = 0
     penalty: float = 1.0
+
+    def __post_init__(self) -> None:
+        for name, ok, wanted in (
+                ("max_iter", self.max_iter >= 1, "at least 1"),
+                ("grad_tol", 0 < self.grad_tol < np.inf, "finite and > 0"),
+                ("linear_cap", 0 < self.linear_cap < np.inf, "finite and > 0"),
+                ("restarts", self.restarts >= 0, "at least 0"),
+                ("penalty", 0 <= self.penalty < np.inf, "finite and >= 0")):
+            if not ok:
+                raise ConfigError(f"gamma_{name} must be {wanted}, got {getattr(self, name)}")
 
 
 def _odds_link(qmat: np.ndarray, pi: np.ndarray, cap: float) -> tuple[np.ndarray, np.ndarray]:

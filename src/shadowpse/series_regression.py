@@ -22,10 +22,10 @@ made under those odds.
 
 The spans and SpanLeastSquares take stacks along a leading batch axis
 too: given b samples that differ only in their x_miss fills (mi's
-imputations), the chain design and span are stacked, a slice of lower
-rank masking its dropped directions with zeros. The conditioning span,
-odds design and representer stay single; the batched zero-odds runs on
-complete data never read them.
+imputations), the chain design under one spec and its span are
+stacked, a slice of lower rank masking its dropped directions with
+zeros. The conditioning span, odds design and representer stay
+single; the batched zero-odds runs on complete data never read them.
 """
 
 from __future__ import annotations
@@ -294,7 +294,7 @@ class SampleDesigns:
     makes the chain design a stack of b samples that share every other
     column with ds: ds's level K+1 design is written into each slice
     once, and only the columns that involve x_miss are written again per
-    slice (sieve_basis.filled_design), under a bundle stacked on them.
+    slice (sieve_basis.filled_design), under the bundle's one spec.
     """
 
     def __init__(self, ds: Dataset, bundle: SpecBundle, x_miss: Optional[np.ndarray] = None):

@@ -8,9 +8,11 @@ coordinates of degree at least one when interactions are on.
 spec_for caps binary coordinates at power one, so an indicator's equal
 higher powers never enter as collinear columns.
 
-A spec may be stacked over samples that differ only in their leading
-(x_miss) coordinates: each of its centers and scales then holds one
-value per sample, and filled_design evaluates it at all of them.
+A series fit depends on its basis only through the column span, and
+the span of this basis is the same for any center and any scale > 0.
+So one spec, fitted on one sample, serves samples that differ only in
+their leading (x_miss) coordinates: filled_design evaluates it at a
+stack of them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
-from typing import Optional
 
 import numpy as np
 
@@ -30,16 +31,13 @@ SPAN_BLOCK_ROWS = 2048
 
 @dataclass(frozen=True)
 class Standardizer:
-    """Per-coordinate affine map u = (x - center) / scale; for a stack of
-    b samples, center[j] and scale[j] hold b values, one per slice."""
+    """Per-coordinate affine map u = (x - center) / scale."""
 
     center: tuple[float, ...]
     scale: tuple[float, ...]
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        c = np.asarray(self.center).T[..., None, :]
-        s = np.asarray(self.scale).T[..., None, :]
-        return (points - c) / s
+        return (points - np.asarray(self.center)) / np.asarray(self.scale)
 
     @staticmethod
     def identity(dim: int) -> "Standardizer":
@@ -50,27 +48,27 @@ def fit_standardizer(points: np.ndarray) -> Standardizer:
     """Center/scale by mean and population standard deviation.
 
     Zero-variance coordinates get scale 1 so constants pass through
-    unchanged instead of dividing by zero; a stack (b, n, d) gets them per slice.
+    unchanged instead of dividing by zero.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     if not np.isfinite(pts).all():
         raise NonFiniteInput("fit_standardizer: non-finite input")
-    center = pts.mean(axis=-2)
-    scale = pts.std(axis=-2)  # population sd, denominator n
+    center = pts.mean(axis=0)
+    scale = pts.std(axis=0)  # population sd, denominator n
     scale = np.where(scale == 0.0, 1.0, scale)
-    return Standardizer(center=tuple(center.T.tolist()), scale=tuple(scale.T.tolist()))
+    return Standardizer(center=tuple(center.tolist()), scale=tuple(scale.tolist()))
 
 
 def detect_binary(points: np.ndarray) -> tuple[bool, ...]:
     """A coordinate is binary when all its observed (finite) values lie in
-    {0, 1}; over a stack (..., n, d), in every slice."""
+    {0, 1}."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     flags = (pts == 0.0) | (pts == 1.0) | ~np.isfinite(pts)
-    return tuple(flags.all(axis=tuple(range(pts.ndim - 1))).tolist())
+    return tuple(flags.all(axis=0).tolist())
 
 
 @dataclass(frozen=True)
@@ -162,16 +160,16 @@ def _write_columns(out: np.ndarray, spec: BasisSpec, u: np.ndarray, width: int) 
 
 
 def filled_design(spec: BasisSpec, points: np.ndarray, x_miss: np.ndarray) -> np.ndarray:
-    """The design of a stacked spec at the b samples that equal points
-    (n, d) but for their leading w coordinates, taken from x_miss
-    (b, n, w); returns (b, n, spec.dim).
+    """The design of spec at the b samples that equal points (n, d) but
+    for their leading w coordinates, taken from x_miss (b, n, w);
+    returns (b, n, spec.dim).
 
-    design_matrix of spec's first slice at points is written into every
-    slice once. Then only the columns that involve a filled coordinate,
-    its powers and the pair products it enters, are written again, from
-    each slice's fills under its own center and scale. Every entry is
-    the product of the same factors as in design_matrix, so slice i
-    equals design_matrix(spec's slice i, its points) bit for bit.
+    design_matrix of spec at points is written into every slice once.
+    Then only the columns that involve a filled coordinate, its powers
+    and the pair products it enters, are written again from each
+    slice's fills. Every entry is the product of the same factors as in
+    design_matrix, so slice i equals design_matrix(spec, its points)
+    bit for bit.
     """
     fills = np.asarray(x_miss, dtype=float)
     width = fills.shape[-1]
@@ -180,7 +178,7 @@ def filled_design(spec: BasisSpec, points: np.ndarray, x_miss: np.ndarray) -> np
                                 f"{np.shape(points)}")
     if not np.isfinite(fills).all():
         raise NonFiniteInput("filled_design: non-finite fill")
-    template = design_matrix(_stack_slice(spec, 0), points)
+    template = design_matrix(spec, points)
     out = np.empty(fills.shape[:1] + template.shape)
     out[...] = template
     lead = _leading(spec, width).standardizer
@@ -252,51 +250,12 @@ class _SampleSpecBundle(SpecBundle):
         sieve = self._sieve
         return spec_for(self._ds.regressor_points(), sieve.degree, sieve.include_interactions)
 
-    def batch(self, index: int | slice) -> "SpecBundle":
-        """The bundle of the slices index (a slice, or an int for one
-        sample) of outcome-chain bases fitted on a stack."""
-        u = tuple(_stack_slice(spec, index) for spec in self.u)
-        return _SampleSpecBundle(self._ds, self._sieve, u)
-
 
 def _leading(spec: BasisSpec, dim: int) -> BasisSpec:
     """spec restricted to its first dim input coordinates."""
     std = spec.standardizer
     return replace(spec, degrees=spec.degrees[:dim],
                    standardizer=Standardizer(center=std.center[:dim], scale=std.scale[:dim]))
-
-
-def _stack_slice(spec: BasisSpec, index: int | slice) -> BasisSpec:
-    """A stacked spec's slices index, or for an int that one slice's spec."""
-    std = spec.standardizer
-    return replace(spec, standardizer=Standardizer(center=tuple(c[index] for c in std.center),
-                                                   scale=tuple(s[index] for s in std.scale)))
-
-
-def _filled(spec: BasisSpec, x_miss: np.ndarray, degree: int) -> BasisSpec:
-    """spec, fitted on one sample, stacked over the b samples that differ
-    from it only in their leading coordinates, taken from x_miss
-    (b, n, w): those get each slice's own center and scale, and power one
-    when binary in every slice; the rest keep spec's, once per slice."""
-    b, n, w = x_miss.shape
-    cols = np.ascontiguousarray(np.moveaxis(x_miss, 0, 1)).reshape(n, b * w)
-    # C-ordered and at least two wide: numpy then sums each column down its
-    # rows in order, as a fit on one slice's points does; it sums a lone
-    # column, or a strided view of columns, pairwise
-    fit = fit_standardizer(cols if b * w != 1 else np.hstack([cols, cols]))
-
-    def stacked(filled: tuple, shared: tuple) -> tuple:
-        return (tuple(map(tuple, np.reshape(filled[:b * w], (b, w)).T.tolist()))
-                + tuple((v,) * b for v in shared[w:]))
-
-    own = spec.standardizer
-    return BasisSpec(
-        degrees=tuple(min(degree, 1) if flag else degree for flag in detect_binary(x_miss))
-        + spec.degrees[w:],
-        standardizer=Standardizer(center=stacked(fit.center, own.center),
-                                  scale=stacked(fit.scale, own.scale)),
-        include_interactions=spec.include_interactions,
-    )
 
 
 def nested_columns(top: BasisSpec, spec: BasisSpec) -> np.ndarray:
@@ -310,17 +269,8 @@ def nested_columns(top: BasisSpec, spec: BasisSpec) -> np.ndarray:
     return np.array([*range(1 + sum(spec.degrees)), *pairs])
 
 
-def build_spec_bundle(ds: Dataset, sieve: SieveOptions = SieveOptions(),
-                      x_miss: Optional[np.ndarray] = None) -> SpecBundle:
+def build_spec_bundle(ds: Dataset, sieve: SieveOptions = SieveOptions()) -> SpecBundle:
     """Standardizers are fit on the sample each basis will see.
-
-    x_miss, a stack (b, n_cc, w) of fills of ds's x_miss block on its
-    complete cases, stacks the u bases over b samples that differ from ds
-    only there, as mi's completed datasets do. The coordinates they share
-    (x_obs, m) keep the degrees, centers and scales of the one fit on ds;
-    each x_miss coordinate gets one center and scale per slice, and power
-    one when binary in every slice. So slice i, batch(i), equals the
-    bundle of ds with x_miss[i] bit for bit; batch(slice) keeps several.
 
     The conditioning basis sees every record; the q and u bases involve
     x_miss so their centers and scales come from complete cases. The
@@ -342,10 +292,5 @@ def build_spec_bundle(ds: Dataset, sieve: SieveOptions = SieveOptions(),
     # the point matrices hold the complete-case rows
     points = ds.mu_points(ds.k + 1)
     chain = spec_for(points, sieve.mu_degree, sieve.mu_interactions)
-    if x_miss is not None:
-        if np.ndim(x_miss) != 3 or np.shape(x_miss)[1:] != (len(points), ds.dims.x_miss):
-            raise DimensionMismatch(f"x_miss fills of shape {np.shape(x_miss)} for "
-                                    f"{len(points)} complete cases of width {ds.dims.x_miss}")
-        chain = _filled(chain, np.asarray(x_miss, dtype=float), sieve.mu_degree)
     u = tuple(_leading(chain, ds.dims.x + sum(ds.dims.m[:k - 1])) for k in range(1, ds.k + 2))
     return _SampleSpecBundle(ds, sieve, u)

@@ -187,6 +187,32 @@ def test_mi_batches_keep_the_pooled_figures_and_the_imputation_stream(
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
+def test_mi_matches_each_completed_dataset_run_alone(obs2000, monkeypatch):
+    """At the benchmark's shape (n = 2000, m = 20), mi's one chain spec,
+    fitted on the first completed dataset, pools what Rubin's rules give
+    over each completed dataset run alone under its own spec: the chain
+    fits depend on the spec only through its span."""
+    m, fills = 20, []
+    pipeline = baselines._run_pipeline
+
+    def recording(ds, *args, x_miss=None, **kwargs):
+        fills.extend(replace(ds, x_miss=fill) for fill in x_miss)
+        return pipeline(ds, *args, x_miss=x_miss, **kwargs)
+
+    monkeypatch.setattr(baselines, "_run_pipeline", recording)
+    res = mi_estimate(obs2000, m=m, seed=5)
+    assert len(fills) == m
+    alone = [pipeline(ds, resolve_estimands(ds.k, None), 0.95, SieveOptions(), "mi")
+             for ds in fills]
+    for name, rep in res.estimands.items():
+        pts = np.array([run.estimands[name].psi_hat for run in alone])
+        within = np.mean([run.estimands[name].se ** 2 for run in alone])
+        between = pts.var(ddof=1)
+        se = np.sqrt(within + (1 + 1 / m) * between)
+        np.testing.assert_allclose([rep.psi_hat, rep.se], [pts.mean(), se], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(rep.diagnostics["between"], between, rtol=1e-10, atol=0)
+
+
 def test_mi_without_missing_covariate_columns_pools_equal_complete_fits(obs600):
     """With no x_miss column there is nothing to fill: every imputation
     is the observed data with r set to one, so mi pools m equal fits,

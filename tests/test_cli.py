@@ -13,6 +13,7 @@ import pytest
 from shadowpse import baselines, cli, simulation
 from shadowpse.data_model import read_descriptor, write_csv, write_descriptor
 from shadowpse.errors import ConfigError, EstimationError, NonFiniteInput, UnsolvableSystem
+from shadowpse.gamma_solver import GammaOptions
 from shadowpse.simulation import DgpConfig, generate
 
 from support import seq
@@ -212,10 +213,10 @@ def _declared_column_twice(data: str, desc: str, tmp_path) -> tuple[str, str]:
 
 
 def _role_retyped(key: str, value):
-    """A corruption that sets the descriptor's role key to value."""
+    """A corruption that sets the descriptor's role key, or k, to value."""
     def corrupt(data: str, desc: str, tmp_path) -> tuple[str, str]:
         doc = json.loads(open(desc, encoding="utf-8").read())
-        doc["columns"][key] = value
+        (doc if key == "k" else doc["columns"])[key] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
         return data, str(bad)
@@ -234,9 +235,13 @@ def _role_retyped(key: str, value):
     (_role_retyped("z", ["z", "z"]), r"descriptor \S+bad\.json: column 'z' twice in 'z'\n"),
     (_role_retyped("m", [["m1"], ["m1"]]),
      r"descriptor \S+bad\.json: column 'm1' twice in 'm'\n"),
+    (_role_retyped("k", 2.5), r"descriptor \S+bad\.json: 'k' must be an integer, got 2\.5\n"),
+    (_role_retyped("k", "2"), r"descriptor \S+bad\.json: 'k' must be an integer, got '2'\n"),
+    (_role_retyped("k", True), r"descriptor \S+bad\.json: 'k' must be an integer, got True\n"),
 ], ids=["truncated descriptor", "non-UTF-8 cell", "declared column twice",
         "mediators a number", "outcome a list", "shadow a string", "column in two roles",
-        "column twice in one role", "mediator in two groups"])
+        "column twice in one role", "mediator in two groups", "k fractional", "k a string",
+        "k a bool"])
 def test_malformed_input_file_is_a_data_error(corrupt, message, data_files, tmp_path, capsys):
     """A data or descriptor file the reader cannot take as it stands ends
     in a DimensionMismatch naming the file or column, exit 3, with no
@@ -476,6 +481,33 @@ def test_bad_estimator_setting_is_rejected_before_any_data_is_read(flag, value, 
     rc = cli.main(["estimate", "--data", data, "--descriptor", desc, flag, value])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"configuration error: {key} must be")
+
+
+@pytest.mark.parametrize("name, value", [
+    ("max_iter", 0), ("linear_cap", 0.0), ("linear_cap", float("nan")), ("linear_cap", -1.0),
+    ("penalty", -1.0), ("penalty", float("inf")), ("restarts", -2), ("grad_tol", -1.0),
+])
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_odds_solver_option_out_of_range_is_a_config_error(command, name, value, data_files,
+                                                           tmp_path, monkeypatch, capsys):
+    """GammaOptions refuses a value out of range with ConfigError; through
+    the CLI that is exit 2 and one stderr line, before any data is read
+    or any directory made."""
+    with pytest.raises(ConfigError, match=f"gamma_{name} must be"):
+        GammaOptions(**{name: value})
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "read_csv", no_work)
+    data, desc = data_files
+    out = tmp_path / "run"
+    flag = "--gamma-" + name.replace("_", "-")
+    rc = cli.main([command, "--data", data, "--descriptor", desc, "--out", str(out),
+                   flag, str(value)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith(f"configuration error: gamma_{name} must be")
+    assert len(err.splitlines()) == 1 and not out.exists()
 
 
 @pytest.mark.parametrize("command, flags", [

@@ -171,6 +171,27 @@ def test_csv_round_trip(tmp_path):
     assert header_order(columns)[0] == columns["r"]
 
 
+@pytest.mark.parametrize("y_cell", [None, "1_000"], ids=["loadtxt", "cell by cell"])
+def test_byte_order_mark_is_skipped(y_cell, tmp_path):
+    """A data file and a descriptor that start with a UTF-8 byte order
+    mark, as spreadsheet programs write them, read as the same files
+    without one, whichever reader takes the records."""
+    obs = generate(DgpConfig(n=30, seed=seq(107)))[1]
+    data, desc = tmp_path / "d.csv", tmp_path / "d.json"
+    write_csv(obs, str(data))
+    write_descriptor(obs, str(desc))
+    if y_cell is not None:
+        lines = data.read_text(encoding="utf-8").splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + "," + y_cell
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    clean = _arrays(read_csv(str(data), str(desc)))
+    for path in (data, desc):
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    marked = _arrays(read_csv(str(data), str(desc)))
+    for key, want in clean.items():
+        assert marked[key].tobytes() == want.tobytes()
+
+
 def test_csv_parse_errors(tmp_path):
     full, obs = generate(DgpConfig(n=20, seed=seq(106)))
     data = tmp_path / "d.csv"

@@ -335,9 +335,8 @@ def test_each_nuisance_is_fitted_once_per_run(estimate, monkeypatch, obs2000):
 def test_zero_odds_runs_fit_only_the_outcome_chain_bases(method, monkeypatch, obs600):
     """One spec_for per call, on the level K+1 outcome-chain points: the
     conditioning and odds bases are never fitted. mi fits its one bundle
-    on the first completed dataset and gives only the x_miss coordinates
-    a center and scale per imputation, however many batches it runs
-    (here two, of one imputation each)."""
+    on the first completed dataset and uses it for every imputation,
+    however many batches it runs (here two, of one imputation each)."""
     widths = record_calls(monkeypatch, sieve_basis.spec_for,
                           lambda a, kw: np.shape(a[0] if a else kw["points"])[-1])
     if method == "cca":

@@ -1,6 +1,10 @@
 """Property tests: invariants checked over generated inputs."""
 
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from shadowpse import cli
 from shadowpse.baselines import cca_estimate, mi_estimate, oracle_estimate, sri_estimate
 from shadowpse.data_model import Dataset, read_csv, write_csv, write_descriptor
 from shadowpse.errors import EmptyArm, EmptyResult, InsufficientCompleteCases
@@ -215,3 +220,118 @@ def test_degenerate_inputs_give_finite_estimates_or_a_typed_error(case):
             continue
         got = [(rep.psi_hat, rep.se) for rep in run().estimands.values()]
         assert got and np.isfinite(got).all(), (method, got)
+
+
+ROLES = ("r", "z", "x_miss", "x_obs", "a", "m", "y")
+BOM = b"\xef\xbb\xbf"
+MUTATIONS = ["drop a column", "duplicate a column", "rename a column", "swap two roles",
+             "a name in two roles", "blank an observed cell", "text in a cell",
+             "non-UTF-8 bytes", "truncate the descriptor", "a role of the wrong type",
+             "k disagrees with m", "k not an integer", "fractional r or a", "byte order mark"]
+# a pair so mutated may be read or refused, as its descriptor says; a
+# byte order mark must be read past, and every other mutation refused
+EITHER = {"swap two roles", "a role of the wrong type"}
+
+
+@pytest.fixture(scope="module")
+def written_pair(tmp_path_factory):
+    """The folder, CSV rows (cells as bytes), descriptor and column
+    values by name of a written n = 60 draw."""
+    obs = generate(DgpConfig(n=60, seed=seq(320)))[1]
+    folder = tmp_path_factory.mktemp("mutated")
+    data, desc = folder / "clean.csv", folder / "clean.json"
+    write_csv(obs, str(data))
+    write_descriptor(obs, str(desc))
+    rows = [line.split(b",") for line in data.read_bytes().split(b"\r\n")[:-1]]
+    blocks = zip(by_role(obs.columns), [obs.r, obs.z, obs.x_miss, obs.x_obs, obs.a, *obs.m, obs.y])
+    values = {name: col for names, block in blocks
+              for name, col in zip(names, np.reshape(block, (obs.n, -1)).T)}
+    return folder, rows, json.loads(desc.read_text()), values
+
+
+def by_role(cols: dict) -> list:
+    """The column names of each array of a Dataset, in the order r, z,
+    x_miss, x_obs, a, m_1..m_K, y."""
+    return [[cols["r"]], cols["z"], cols["x_miss"], cols["x_obs"], [cols["a"]], *cols["m"],
+            [cols["y"]]]
+
+
+def mutated(kind: str, draw, rows: list, doc: dict) -> tuple[bytes, bytes, dict]:
+    """One mutation of a written CSV and descriptor pair: the data and
+    descriptor bytes, and the descriptor's columns as written."""
+    rows, doc = [list(row) for row in rows], json.loads(json.dumps(doc))
+    cols, header = doc["columns"], [cell.decode() for cell in rows[0]]
+    i, j = draw(st.integers(1, len(rows) - 1)), draw(st.integers(0, len(header) - 1))
+    marks = (b"", b"")
+    if kind == "drop a column":
+        for row in rows:
+            del row[j]
+    elif kind == "duplicate a column":
+        for row in rows:
+            row.append(row[j])
+    elif kind == "rename a column":
+        rows[0][j] += b"_renamed"
+    elif kind == "swap two roles":
+        a, b = draw(st.lists(st.sampled_from(ROLES), min_size=2, max_size=2, unique=True))
+        cols[a], cols[b] = cols[b], cols[a]
+    elif kind == "a name in two roles":
+        key = draw(st.sampled_from(("z", "x_miss", "x_obs")))
+        cols[key] = cols[key] + [draw(st.sampled_from([n for n in header if n not in cols[key]]))]
+    elif kind == "blank an observed cell":
+        rows[i][draw(st.sampled_from([k for k, n in enumerate(header)
+                                      if n not in cols["x_miss"]]))] = b""
+    elif kind == "text in a cell":
+        rows[i][j] = b"abc"
+    elif kind == "non-UTF-8 bytes":
+        rows[i][j] = b"\xff"
+    elif kind == "a role of the wrong type":
+        cols[draw(st.sampled_from(ROLES))] = draw(
+            st.sampled_from([5, None, "x1", [], ["x1"], [["x1"]], {}, [5]]))
+    elif kind == "k disagrees with m":
+        doc["k"] = draw(st.integers(-1, 4).filter(lambda k: k != len(cols["m"])))
+    elif kind == "k not an integer":
+        doc["k"] = draw(st.sampled_from([2.5, "2", True, 2.0, None]))
+    elif kind == "fractional r or a":
+        rows[i][header.index(draw(st.sampled_from((cols["r"], cols["a"]))))] = b"0.5"
+    elif kind == "byte order mark":
+        marks = draw(st.sampled_from([(BOM, b""), (b"", BOM), (BOM, BOM)]))
+    data = marks[0] + b"".join(b",".join(row) + b"\r\n" for row in rows)
+    desc = marks[1] + json.dumps(doc).encode()
+    if kind == "truncate the descriptor":
+        desc = desc[:draw(st.integers(0, len(desc) - 1))]
+    return data, desc, cols
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(MUTATIONS), data=st.data())
+def test_a_mutated_input_file_is_read_as_written_or_refused(kind, data, written_pair):
+    """validate and estimate --method cca on a CSV and descriptor pair
+    with one mutation either exit 0 having read the arrays its
+    descriptor names, or exit 2 or 3 with one line on stderr: no
+    mutation ends in a traceback. Which of the two, EITHER says."""
+    folder, rows, doc, values = written_pair
+    data_bytes, desc_bytes, cols = mutated(kind, data.draw, rows, doc)
+    data_path, desc_path = folder / "mutated.csv", folder / "mutated.json"
+    data_path.write_bytes(data_bytes)
+    desc_path.write_bytes(desc_bytes)
+    for command in (["validate"], ["estimate", "--method", "cca"]):
+        read = []
+
+        def reading(*args):
+            read.append(read_csv(*args))
+            return read[-1]
+
+        err = io.StringIO()
+        with mock.patch.object(cli, "read_csv", reading), redirect_stdout(io.StringIO()), \
+                redirect_stderr(err):
+            rc = cli.main([*command, "--data", str(data_path), "--descriptor", str(desc_path)])
+        assert kind in EITHER or (rc == 0) == (kind == "byte order mark"), (kind, err.getvalue())
+        if rc != 0:
+            assert rc in (2, 3) and len(err.getvalue().splitlines()) == 1, (rc, err.getvalue())
+            continue
+        ds = read[0]
+        got = [ds.r, ds.z, ds.x_miss, ds.x_obs, ds.a, *ds.m, ds.y]
+        assert len(got) == len(by_role(cols)), kind
+        for have, names in zip(got, by_role(cols)):
+            want = np.column_stack([values[n] for n in names] or [np.empty((len(rows) - 1, 0))])
+            assert np.array_equal(np.reshape(have, want.shape), want, equal_nan=True), kind

@@ -183,15 +183,11 @@ def per_column_binary(points):
     np.array([0.0, 1.0, 0.3]),
     np.zeros((0, 3)),
     np.zeros((5, 0)),
-    np.array([[[0.0, 1.0], [1.0, np.nan]], [[1.0, 0.0], [0.0, 0.5]]]),
-    np.array([[[0.0, np.inf], [1.0, 1.0]], [[np.nan, 0.0], [-0.0, -np.inf]]]),
-], ids=["special values", "one column", "not binary", "no rows", "no columns",
-        "stack, one slice not binary", "stack, binary"])
+], ids=["special values", "one column", "not binary", "no rows", "no columns"])
 def test_detect_binary_equals_the_per_column_definition(points):
     """One pass over every coordinate gives, per coordinate, whether all
     its finite values lie in {0, 1}: NaN and +-inf are not observed
-    values, -0.0 is 0, an all-NaN column is binary, and a stack's
-    coordinate is binary when it is in every slice."""
+    values, -0.0 is 0 and an all-NaN column is binary."""
     assert detect_binary(points) == per_column_binary(points)
 
 
@@ -309,43 +305,36 @@ RICH = SieveOptions(mu_degree=3, mu_interactions=True)
     ids=["default sieve", "cubic with interactions", "x_miss of width 2",
          "x_miss of width 0", "no missing record"])
 def test_stacked_chain_spec_and_design_equal_each_slice_alone(key, case, sieve, obs600, comp600):
-    """The chain bases fitted once on a stack of x_miss fills, and the
-    filled design that writes the shared columns once, equal bit for bit
-    the bundle and design_matrix of each completed sample on its own:
-    the shared coordinates' fit is the template's, and each fill's center
-    and scale are summed down their column in row order as a 2-D fit
-    sums them. A slice range of the bundle gives those slices' design,
-    and a stack of one slice the same spec."""
+    """One chain spec, fitted on the first completed sample, has the
+    degrees and interactions each sample's own fit gives, so it spans
+    the same space at that sample's points, whatever the centers and
+    scales. The filled design, which writes the shared columns once,
+    equals bit for bit design_matrix of that spec at each sample."""
     ds = {"observed": obs600, "x_miss of width 2": widened(obs600),
           "x_miss of width 0": replace(obs600, x_miss=np.zeros((obs600.n, 0)), columns={}),
           "no missing record": comp600}[case]
     stack = fill_stack(ds, 3, key)
     template = replace(ds, x_miss=stack[0], r=np.ones(ds.n, dtype=int))
-    points = template.mu_points(template.k + 1)
-    bundle = build_spec_bundle(template, sieve, stack)
-    design = filled_design(bundle.u[-1], points, stack)
-    assert design.shape == (3, ds.n, bundle.u[-1].dim)
+    spec = build_spec_bundle(template, sieve).u[-1]
+    design = filled_design(spec, template.mu_points(template.k + 1), stack)
+    assert design.shape == (3, ds.n, spec.dim)
     for i in range(3):
         own = replace(template, x_miss=stack[i])
-        own_bundle = build_spec_bundle(own, sieve)
-        assert bundle.batch(i).u == own_bundle.u
-        want = design_matrix(own_bundle.u[-1], own.mu_points(own.k + 1))
-        assert design[i].tobytes() == want.tobytes()
-    tail = filled_design(bundle.batch(slice(1, 3)).u[-1], points, stack[1:])
-    assert tail.tobytes() == design[1:].tobytes()
-    assert build_spec_bundle(template, sieve, stack[:1]).u == bundle.batch(slice(0, 1)).u
+        own_spec = build_spec_bundle(own, sieve).u[-1]
+        assert (own_spec.degrees, own_spec._pairs()) == (spec.degrees, spec._pairs())
+        assert design[i].tobytes() == design_matrix(spec, own.mu_points(own.k + 1)).tobytes()
 
 
 def test_filled_design_refuses_fills_that_do_not_fit(obs600):
-    """Fills must have one row per complete case and be finite."""
+    """Fills must be a stack with one row per point, no wider than the
+    spec, and finite."""
     stack = fill_stack(obs600, 2, 6)
     template = replace(obs600, x_miss=stack[0], r=np.ones(obs600.n, dtype=int))
-    bundle = build_spec_bundle(template, SieveOptions(), stack)
+    spec = build_spec_bundle(template, SieveOptions()).u[-1]
     points = template.mu_points(template.k + 1)
-    with pytest.raises(DimensionMismatch):
-        build_spec_bundle(template, SieveOptions(), stack[:, 1:])
-    with pytest.raises(DimensionMismatch):
-        filled_design(bundle.u[-1], points, stack[0])
+    for bad in (stack[:, 1:], stack[0], np.zeros((2, len(points), spec.input_dim + 1))):
+        with pytest.raises(DimensionMismatch):
+            filled_design(spec, points, bad)
     stack[1, 4, 0] = np.nan
     with pytest.raises(NonFiniteInput):
-        filled_design(bundle.u[-1], points, stack)
+        filled_design(spec, points, stack)
