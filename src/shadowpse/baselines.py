@@ -53,13 +53,19 @@ class MethodResult:
 
 @dataclass(frozen=True)
 class MethodOptions:
-    """What run_method hands an estimator besides the data, the
-    estimands and the seed; each method reads the fields it uses."""
+    """What an estimator takes besides the data, the estimands and mi's
+    seed; each method reads the fields it uses. A level outside (0, 1)
+    or an mi_m below 2 raises ConfigError naming the field."""
 
     level: float = 0.95
     sieve: SieveOptions = SieveOptions()
     gamma_options: GammaOptions = GammaOptions()
     mi_m: int = 20
+
+    def __post_init__(self) -> None:
+        z_critical(self.level)
+        if self.mi_m < 2:
+            raise ConfigError(f"mi_m must be at least 2, got {self.mi_m}")
 
 
 def resolve_estimands(ds_k: int, estimands: Optional[Sequence[EstimandSpec]]) -> dict:
@@ -80,35 +86,29 @@ def resolve_estimands(ds_k: int, estimands: Optional[Sequence[EstimandSpec]]) ->
 def _run_pipeline(
     ds: Dataset,
     estimands: dict,
-    level: float,
-    sieve: SieveOptions,
+    options: MethodOptions,
     method: str,
-    gamma_options: Optional[GammaOptions] = None,
     x_miss: Optional[np.ndarray] = None,
     bundle: Optional[SpecBundle] = None,
 ) -> MethodResult:
-    """The sieve pipeline; gamma_options=None sets the odds to zero,
-    otherwise the odds are fitted on ds and their report goes to extras.
-    A confidence level outside (0, 1) raises ConfigError before any fit.
+    """The sieve pipeline; for sri the odds are fitted on ds and their
+    report goes to extras, every other method sets them to zero.
     x_miss, a stack (b, n, w) of fills of complete ds's x_miss block, runs
     b samples that differ from ds only there, giving b of each figure:
     they share ds's other columns, weights, odds (zero) and specs, and
     stack only the fills' chain columns. bundle, when given, holds specs
-    already fitted; else build_spec_bundle(ds, sieve) fits them on ds.
+    already fitted; else build_spec_bundle(ds, options.sieve) fits them.
 
     The odds values are worked out once, one per complete case, and
     bound with the sample's designs in one RunFits, which every stage
     reads and which is dropped when the run returns. Each distinct
     profile is analysed once; a contrast psi_a - psi_b takes the
     difference of its two profiles' influence values."""
-    z_critical(level)
-    bundle = build_spec_bundle(ds, sieve) if bundle is None else bundle
+    bundle = build_spec_bundle(ds, options.sieve) if bundle is None else bundle
     designs = SampleDesigns(ds, bundle, x_miss)
     extras = {}
-    if gamma_options is None:
-        odds_cc = np.zeros(designs.n_cc)
-    else:
-        gamma, gamma_report = fit_gamma(designs, gamma_options)
+    if method == "sri":
+        gamma, gamma_report = fit_gamma(designs, options.gamma_options)
         odds_cc = gamma.values(designs)
         extras = {
             "gamma_q_n": gamma_report.q_n,
@@ -118,6 +118,8 @@ def _run_pipeline(
             "gamma_polish_steps": gamma_report.polish_steps,
             "gamma_messages": list(gamma_report.messages),
         }
+    else:
+        odds_cc = np.zeros(designs.n_cc)
     run = RunFits(designs, odds_cc)
     analyses = {}
     reports = {}
@@ -128,7 +130,8 @@ def _run_pipeline(
         a, b = analyses[pa], analyses[pb]
         diag = {"profile_a": list(pa), "profile_b": list(pb),
                 "psi_a": a.psi_hat, "psi_b": b.psi_hat}
-        reports[name] = variance_and_ci(a.psi_hat - b.psi_hat, a.if_values - b.if_values, level, diag)
+        reports[name] = variance_and_ci(a.psi_hat - b.psi_hat, a.if_values - b.if_values,
+                                        options.level, diag)
     profiles = {prof: analysis.psi_hat for prof, analysis in analyses.items()}
     return MethodResult(method=method, estimands=reports, profiles=profiles, extras=extras)
 
@@ -136,46 +139,37 @@ def _run_pipeline(
 def sri_estimate(
     ds: Dataset,
     estimands: Optional[Sequence[EstimandSpec]] = None,
-    level: float = 0.95,
-    sieve: SieveOptions = SieveOptions(),
-    gamma_options: GammaOptions = GammaOptions(),
+    options: MethodOptions = MethodOptions(),
 ) -> MethodResult:
     """Shadow-variable sieve estimator on the observed data."""
-    wanted = resolve_estimands(ds.k, estimands)
-    return _run_pipeline(ds, wanted, level, sieve, "sri", gamma_options)
+    return _run_pipeline(ds, resolve_estimands(ds.k, estimands), options, "sri")
 
 
 def oracle_estimate(
     full: Dataset,
     estimands: Optional[Sequence[EstimandSpec]] = None,
-    level: float = 0.95,
-    sieve: SieveOptions = SieveOptions(),
+    options: MethodOptions = MethodOptions(),
 ) -> MethodResult:
     """Estimator with the true covariates: r set to one, odds to zero."""
     ds = full.with_r_set_to_one()
-    wanted = resolve_estimands(ds.k, estimands)
-    return _run_pipeline(ds, wanted, level, sieve, "oracle")
+    return _run_pipeline(ds, resolve_estimands(ds.k, estimands), options, "oracle")
 
 
 def cca_estimate(
     ds: Dataset,
     estimands: Optional[Sequence[EstimandSpec]] = None,
-    level: float = 0.95,
-    sieve: SieveOptions = SieveOptions(),
+    options: MethodOptions = MethodOptions(),
 ) -> MethodResult:
     """Complete-case analysis: biased under nonignorable missingness."""
     cc = complete_cases(ds)
-    wanted = resolve_estimands(cc.k, estimands)
-    return _run_pipeline(cc, wanted, level, sieve, "cca")
+    return _run_pipeline(cc, resolve_estimands(cc.k, estimands), options, "cca")
 
 
 def mi_estimate(
     ds: Dataset,
     estimands: Optional[Sequence[EstimandSpec]] = None,
-    m: int = MethodOptions.mi_m,
+    options: MethodOptions = MethodOptions(),
     seed=0,
-    level: float = 0.95,
-    sieve: SieveOptions = SieveOptions(),
 ) -> MethodResult:
     """Linear-Gaussian multiple imputation with Rubin pooling.
 
@@ -187,11 +181,9 @@ def mi_estimate(
     on its basis only through the span, which no center or scale moves.
     The zero-odds pipeline runs on the completed data in batches of
     b = max(1, _BATCH_BYTES // (8 n D)) imputations, D the outcome-chain
-    design's width. Pooled variance is W + (1 + 1/m) B.
+    design's width. Pooled variance is W + (1 + 1/m) B, m = options.mi_m.
     """
-    if m < 2:
-        raise ConfigError("multiple imputation needs m >= 2")
-    z = z_critical(level)
+    m, z = options.mi_m, z_critical(options.level)
     wanted = resolve_estimands(ds.k, estimands)
     cc_mask = ds.complete_mask
     design = np.hstack([np.ones((ds.n, 1)), ds.conditioning_points()])
@@ -214,10 +206,9 @@ def mi_estimate(
     x_miss = np.repeat(ds.x_miss[None], m, axis=0)
     x_miss[:, miss] = _t(means + resid_sd[:, None] * noise)
     completed = replace(ds, x_miss=x_miss[0], r=np.ones(ds.n, dtype=int))
-    bundle = build_spec_bundle(completed, sieve)
+    bundle = build_spec_bundle(completed, options.sieve)
     size = max(1, _BATCH_BYTES // (8 * ds.n * bundle.u[-1].dim))
-    batches = [_run_pipeline(completed, wanted, level, sieve, "mi", x_miss=x_miss[s],
-                             bundle=bundle)
+    batches = [_run_pipeline(completed, wanted, options, "mi", x_miss=x_miss[s], bundle=bundle)
                for s in (slice(i, i + size) for i in range(0, m, size))]
 
     reports = {}
@@ -231,7 +222,7 @@ def mi_estimate(
         reports[name] = InferenceReport(
             psi_hat=point, sigma2=total * ds.n, se=se,
             ci_lo=point - z * se, ci_hi=point + z * se,
-            level=level, n=ds.n,
+            level=options.level, n=ds.n,
             diagnostics={"m": m, "within": w_bar, "between": b_var},
         )
     profiles = {prof: float(np.mean(np.concatenate([res.profiles[prof] for res in batches])))
@@ -257,13 +248,12 @@ def run_method(
     up by module-global name at each call, so a wrapper bound to that
     name sees every call.
     """
-    common = dict(level=options.level, sieve=options.sieve)
     if method == "sri":
-        return sri_estimate(data, estimands, gamma_options=options.gamma_options, **common)
+        return sri_estimate(data, estimands, options)
     if method == "oracle":
-        return oracle_estimate(data, estimands, **common)
+        return oracle_estimate(data, estimands, options)
     if method == "cca":
-        return cca_estimate(data, estimands, **common)
+        return cca_estimate(data, estimands, options)
     if method == "mi":
-        return mi_estimate(data, estimands, m=options.mi_m, seed=seed, **common)
+        return mi_estimate(data, estimands, options, seed)
     raise ConfigError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")

@@ -23,7 +23,6 @@ from .baselines import METHODS, MethodOptions, run_method
 from .data_model import read_csv, validate
 from .errors import ConfigError, EstimationError
 from .gamma_solver import GammaOptions
-from .inference import z_critical
 from .sieve_basis import SieveOptions
 from .simulation import STANDARD_ESTIMANDS, DgpConfig, run_monte_carlo, true_effects
 
@@ -52,6 +51,9 @@ _DEFAULTS = {
     "out": None,
     **{f"gamma_{f.name}": f.default for f in _GAMMA_FIELDS},
 }
+# the type of each key whose null default does not show it; the
+# profiles are parsed by _parse_profile
+_KINDS = {"data": str, "descriptor": str, "out": str, "methods": list, "estimands": list}
 
 
 def _load_config_file(path: str) -> dict:
@@ -73,18 +75,28 @@ def _load_config_file(path: str) -> dict:
 
 
 def _typed(key: str, value):
-    """value checked against the type of key's default: a bool, int or
-    float key takes only a JSON value of that type, and an int is read
-    as a float for a float key."""
-    kind = type(_DEFAULTS[key])
-    if kind not in (bool, int, float) or type(value) is kind:
+    """value checked against key's type, that of its default or else
+    _KINDS's: a JSON value of that type, or null where the default is
+    null. An int is read as a float for a float key, and a list key
+    takes a list of strings or one comma-separated string, read as the
+    list of its non-empty items."""
+    kind = _KINDS.get(key, type(_DEFAULTS[key]))
+    if kind is type(None) or value is None and _DEFAULTS[key] is None:
         return value
     if kind is float and type(value) is int:
         return float(value)
-    raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+    if kind is list and isinstance(value, str):
+        return [s for s in value.split(",") if s]
+    if type(value) is kind and (kind is not list or all(type(s) is str for s in value)):
+        return value
+    wanted = "a list of strings" if kind is list else kind.__name__
+    raise ConfigError(f"config key {key!r} must be {wanted}, got {value!r}")
 
 
-def _resolve(args: argparse.Namespace) -> dict:
+def _resolve(args: argparse.Namespace) -> tuple[dict, MethodOptions]:
+    """The run's configuration and the estimator options built from it,
+    for every subcommand: building them range-checks each option, used
+    by the subcommand or not, in the record that holds it."""
     cfg = dict(_DEFAULTS)
     if args.config:
         cfg.update(_load_config_file(args.config))
@@ -93,16 +105,16 @@ def _resolve(args: argparse.Namespace) -> dict:
         if flag is not None:
             cfg[key] = flag
     cfg = {key: _typed(key, value) for key, value in cfg.items()}
-    if isinstance(cfg["estimands"], str):
-        cfg["estimands"] = [s for s in cfg["estimands"].split(",") if s]
-    if isinstance(cfg["methods"], str):
-        cfg["methods"] = [s for s in cfg["methods"].split(",") if s]
-    for key, least in (("n", 1), ("reps", 1), ("big_n", 1), ("mi_m", 2),
-                       ("degree", 0), ("mu_degree", 0)):
+    for key, least in (("n", 1), ("reps", 1), ("big_n", 2)):
         if cfg[key] < least:
             raise ConfigError(f"{key} must be at least {least}, got {cfg[key]}")
-    z_critical(cfg["level"])
-    return cfg
+    return cfg, MethodOptions(
+        level=cfg["level"],
+        sieve=SieveOptions(**{f.name: cfg[f.name] for f in fields(SieveOptions)}),
+        gamma_options=GammaOptions(
+            seed=cfg["seed"], **{f.name: cfg[f"gamma_{f.name}"] for f in _GAMMA_FIELDS}),
+        mi_m=cfg["mi_m"],
+    )
 
 
 def _parse_profile(text) -> tuple[int, ...]:
@@ -112,16 +124,6 @@ def _parse_profile(text) -> tuple[int, ...]:
     if not s or any(ch not in "01" for ch in s):
         raise ConfigError(f"profile must be a 0/1 string like 101, got {text!r}")
     return tuple(int(ch) for ch in s)
-
-
-def _method_options(cfg: dict) -> MethodOptions:
-    return MethodOptions(
-        level=cfg["level"],
-        sieve=SieveOptions(**{f.name: cfg[f.name] for f in fields(SieveOptions)}),
-        gamma_options=GammaOptions(
-            seed=cfg["seed"], **{f.name: cfg[f"gamma_{f.name}"] for f in _GAMMA_FIELDS}),
-        mi_m=cfg["mi_m"],
-    )
 
 
 def _write_json(doc: dict, out: str | None) -> None:
@@ -177,7 +179,7 @@ def _load_dataset(cfg: dict):
     return read_csv(cfg["data"], cfg["descriptor"])
 
 
-def cmd_validate(cfg: dict) -> int:
+def cmd_validate(cfg: dict, options: MethodOptions) -> int:
     ds = _load_dataset(cfg)
     report = validate(ds)
     doc = {"command": "validate", "report": report.to_dict()}
@@ -185,8 +187,7 @@ def cmd_validate(cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_estimate(cfg: dict) -> int:
-    options = _method_options(cfg)
+def cmd_estimate(cfg: dict, options: MethodOptions) -> int:
     ds = _load_dataset(cfg)
     vreport = validate(ds) if cfg["method"] != "oracle" else None
 
@@ -194,11 +195,7 @@ def cmd_estimate(cfg: dict) -> int:
     if cfg["profile_a"] is not None or cfg["profile_b"] is not None:
         if cfg["profile_a"] is None or cfg["profile_b"] is None:
             raise ConfigError("--profile-a and --profile-b must be given together")
-        pa = _parse_profile(cfg["profile_a"])
-        pb = _parse_profile(cfg["profile_b"])
-        if len(pa) != ds.k + 1 or len(pb) != ds.k + 1:
-            raise ConfigError(f"profiles must have length K+1={ds.k + 1}")
-        estimands.append((pa, pb))
+        estimands.append((_parse_profile(cfg["profile_a"]), _parse_profile(cfg["profile_b"])))
     if not estimands:
         estimands = None  # default contrast set for the dataset's K
 
@@ -218,11 +215,10 @@ def cmd_estimate(cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(cfg: dict) -> int:
+def cmd_simulate(cfg: dict, options: MethodOptions) -> int:
     out = cfg["out"]
     if not out:
         raise ConfigError("simulate requires --out DIRECTORY")
-    options = _method_options(cfg)
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
@@ -241,7 +237,7 @@ def cmd_simulate(cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_truth(cfg: dict) -> int:
+def cmd_truth(cfg: dict, options: MethodOptions) -> int:
     config = DgpConfig(n=cfg["n"], seed=cfg["seed"], alpha=cfg["alpha"])
     table = true_effects(config, big_n=cfg["big_n"], seed=cfg["seed"])
     doc = {"command": "truth", "table": table.to_dict()}
@@ -296,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _resolve(args)
+        cfg, options = _resolve(args)
         handler = {
             "validate": cmd_validate,
             "estimate": cmd_estimate,
@@ -305,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
         }[args.command]
         if cfg["out"] and args.command != "simulate":
             _check_out_file(cfg["out"])
-        code = handler(cfg)
+        code = handler(cfg, options)
         directory = _manifest_dir(cfg)
         if directory:
             _write_manifest(args.command, cfg, directory)

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import ConfigError, DimensionMismatch
 from .series_regression import RunFits, _frozen
 
 TreatmentProfile = tuple[int, ...]
@@ -34,9 +34,9 @@ TreatmentProfile = tuple[int, ...]
 def validate_profile(profile: Sequence[int], k: int) -> TreatmentProfile:
     prof = tuple(int(a) for a in profile)
     if len(prof) != k + 1:
-        raise DimensionMismatch(f"profile {prof} has length {len(prof)}, need K+1={k + 1}")
+        raise ConfigError(f"profile {prof} has length {len(prof)}, need K+1={k + 1}")
     if any(a not in (0, 1) for a in prof):
-        raise DimensionMismatch(f"profile entries must be 0/1, got {prof}")
+        raise ConfigError(f"profile entries must be 0/1, got {prof}")
     return prof
 
 
@@ -58,7 +58,7 @@ def named_estimand(name: str, k: int) -> tuple[TreatmentProfile, TreatmentProfil
             j = -1
         if 1 <= j <= k:
             return (0,) * (j - 1) + (1,) * (k + 2 - j), (0,) * j + (1,) * (k + 1 - j)
-    raise DimensionMismatch(f"unknown estimand {name!r} for K={k}")
+    raise ConfigError(f"unknown estimand {name!r} for K={k}")
 
 
 @dataclass

@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .data_model import Dataset
-from .errors import DimensionMismatch, EmptyResult, NonFiniteInput
+from .errors import ConfigError, DimensionMismatch, EmptyResult, NonFiniteInput
 
 # rows per block when a tall array is filled, overwritten or summed over
 SPAN_BLOCK_ROWS = 2048
@@ -210,12 +210,18 @@ class SieveOptions:
 
     degree and include_interactions size the conditioning and odds bases
     (p, q); mu_degree and mu_interactions size the outcome-chain bases (u).
+    A negative degree or mu_degree raises ConfigError naming the field.
     """
 
     degree: int = 3
     include_interactions: bool = True
     mu_degree: int = 2
     mu_interactions: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("degree", "mu_degree"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be at least 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from . import baselines
 from .data_model import Dataset
 from .errors import ConfigError, EstimationError
 from .estimator import TreatmentProfile, named_estimand
-from .inference import z_critical
 
 # ---- structural configuration -----------------------------------------
 
@@ -367,13 +366,12 @@ def run_monte_carlo(
     with one BLAS thread each: the replications' products are small, so
     more BLAS threads than cores only contend (a fork pool inheriting
     the default thread count ran slower than one process). An unknown
-    method, a confidence level outside (0, 1), or an estimand the truth
-    table lacks raises ConfigError before any replication runs.
+    method or an estimand the truth table lacks raises ConfigError
+    before any replication runs.
     """
     unknown = [m for m in methods if m not in baselines.METHODS]
     if unknown:
         raise ConfigError(f"unknown methods {unknown}; choose from {', '.join(baselines.METHODS)}")
-    z_critical(options.level)
     if truth is None:
         truth = true_effects(config, big_n=truth_big_n)
     missing = [e for e in estimands if e not in truth.contrasts]

@@ -17,7 +17,6 @@ from shadowpse.baselines import (
 from shadowpse.data_model import write_csv, write_descriptor
 from shadowpse.errors import (
     ConfigError,
-    DimensionMismatch,
     EmptyResult,
     InsufficientCompleteCases,
     MissingTrueX,
@@ -35,7 +34,7 @@ def test_resolve_estimands():
     assert mapping["te"] == ((1, 1, 1), (0, 0, 0))
     pair = resolve_estimands(2, [((1, 0, 1), (0, 0, 0))])
     assert pair == {"psi_101_vs_000": ((1, 0, 1), (0, 0, 0))}
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConfigError):
         resolve_estimands(2, ["bogus"])
 
 
@@ -44,7 +43,7 @@ def test_full_data_reduction_all_methods_agree(comp2000):
         "oracle": oracle_estimate(comp2000),
         "sri": sri_estimate(comp2000),
         "cca": cca_estimate(comp2000),
-        "mi": mi_estimate(comp2000, m=3, seed=5),
+        "mi": mi_estimate(comp2000, options=MethodOptions(mi_m=3), seed=5),
     }
     base = results["oracle"]
     for name, res in results.items():
@@ -79,7 +78,7 @@ def test_constant_outcome_gives_zero_contrasts():
     a = (rng.random(n) < 0.5).astype(int)
     m1 = x + rng.standard_normal(n)
     ds = one_mediator_dataset(n, x, a, m1, np.full(n, -1.75))
-    res = cca_estimate(ds, sieve=SieveOptions(degree=2))
+    res = cca_estimate(ds, options=MethodOptions(sieve=SieveOptions(degree=2)))
     for est in ("nde", "nie_1", "te"):
         assert abs(res.estimands[est].psi_hat) <= 1e-10
     for psi in res.profiles.values():
@@ -128,20 +127,31 @@ def test_cca_needs_complete_cases():
 
 
 def test_mi_guards(obs600):
-    with pytest.raises(ConfigError):
-        mi_estimate(obs600, m=1)
     # five complete cases cannot support the eight-column imputer design
     keep = np.zeros(obs600.n, dtype=bool)
     keep[np.where(obs600.r == 1)[0][:5]] = True
     keep[np.where(obs600.r == 0)[0][:3]] = True
     with pytest.raises(InsufficientCompleteCases):
-        mi_estimate(obs600.subset(keep), m=3)
+        mi_estimate(obs600.subset(keep), options=MethodOptions(mi_m=3))
+
+
+@pytest.mark.parametrize("build, key", [
+    (lambda: MethodOptions(level=1.0), "level"),
+    (lambda: MethodOptions(level=float("nan")), "level"),
+    (lambda: MethodOptions(mi_m=1), "mi_m"),
+    (lambda: SieveOptions(degree=-1), "degree"),
+    (lambda: SieveOptions(mu_degree=-1), "mu_degree"),
+], ids=["level-1", "level-nan", "mi_m", "degree", "mu_degree"])
+def test_each_estimator_option_is_range_checked_by_its_record(build, key):
+    with pytest.raises(ConfigError, match=f"^{key} must be"):
+        build()
 
 
 def test_mi_seed_determinism(obs600):
-    a = mi_estimate(obs600, m=4, seed=11)
-    b = mi_estimate(obs600, m=4, seed=11)
-    c = mi_estimate(obs600, m=4, seed=12)
+    m4 = MethodOptions(mi_m=4)
+    a = mi_estimate(obs600, options=m4, seed=11)
+    b = mi_estimate(obs600, options=m4, seed=11)
+    c = mi_estimate(obs600, options=m4, seed=12)
     for est in ESTIMAND_NAMES:
         assert a.estimands[est].psi_hat == b.estimands[est].psi_hat
         assert a.estimands[est].se == b.estimands[est].se
@@ -149,8 +159,9 @@ def test_mi_seed_determinism(obs600):
                for e in ESTIMAND_NAMES)
 
 
-# mi_estimate(obs600, m=4, seed=11) with each imputation run through the
-# pipeline on its own: (psi_hat, se, within, between) per estimand
+# mi_estimate(obs600, options=MethodOptions(mi_m=4), seed=11) with each
+# imputation run through the pipeline on its own: (psi_hat, se, within,
+# between) per estimand
 MI_OBS600_M4_SEED11 = {
     "nde": (0.4375849309918354, 0.11332780791949519, 0.010927643412435798, 0.001532438908321758),
     "nie_1": (-0.9337069725436392, 0.18719408735945353, 0.033537435217880815,
@@ -179,7 +190,7 @@ def test_mi_batches_keep_the_pooled_figures_and_the_imputation_stream(
         return pipeline(*args, x_miss=x_miss, **kwargs)
 
     monkeypatch.setattr(baselines, "_run_pipeline", recording)
-    res = mi_estimate(obs600, m=4, seed=11)
+    res = mi_estimate(obs600, options=MethodOptions(mi_m=4), seed=11)
     assert seen == batches
     for name, want in MI_OBS600_M4_SEED11.items():
         rep = res.estimands[name]
@@ -200,9 +211,9 @@ def test_mi_matches_each_completed_dataset_run_alone(obs2000, monkeypatch):
         return pipeline(ds, *args, x_miss=x_miss, **kwargs)
 
     monkeypatch.setattr(baselines, "_run_pipeline", recording)
-    res = mi_estimate(obs2000, m=m, seed=5)
+    res = mi_estimate(obs2000, options=MethodOptions(mi_m=m), seed=5)
     assert len(fills) == m
-    alone = [pipeline(ds, resolve_estimands(ds.k, None), 0.95, SieveOptions(), "mi")
+    alone = [pipeline(ds, resolve_estimands(ds.k, None), MethodOptions(), "mi")
              for ds in fills]
     for name, rep in res.estimands.items():
         pts = np.array([run.estimands[name].psi_hat for run in alone])
@@ -218,7 +229,7 @@ def test_mi_without_missing_covariate_columns_pools_equal_complete_fits(obs600):
     is the observed data with r set to one, so mi pools m equal fits,
     each the oracle's, with no between-imputation variance."""
     ds = replace(obs600, x_miss=np.zeros((obs600.n, 0)), columns={})
-    res, oracle = mi_estimate(ds, m=3, seed=1), oracle_estimate(ds)
+    res, oracle = mi_estimate(ds, options=MethodOptions(mi_m=3), seed=1), oracle_estimate(ds)
     for name, rep in res.estimands.items():
         assert rep.diagnostics["between"] == 0.0
         want = oracle.estimands[name]
@@ -227,7 +238,7 @@ def test_mi_without_missing_covariate_columns_pools_equal_complete_fits(obs600):
 
 
 def test_mi_moves_point_estimates_off_complete_cases(obs2000):
-    res = mi_estimate(obs2000, m=5, seed=3)
+    res = mi_estimate(obs2000, options=MethodOptions(mi_m=5), seed=3)
     cca = cca_estimate(obs2000)
     for est in ESTIMAND_NAMES:
         assert res.estimands[est].se > 0.0
@@ -302,6 +313,6 @@ def test_mi_leaves_the_observed_arrays_unchanged(obs600):
         return [ds.r, ds.z, ds.x_miss, ds.x_obs, ds.a, *ds.m, ds.y]
 
     before = [arr.copy() for arr in arrays(obs600)]
-    mi_estimate(obs600, m=2, seed=3)
+    mi_estimate(obs600, options=MethodOptions(mi_m=2), seed=3)
     for was, now in zip(before, arrays(obs600)):
         np.testing.assert_array_equal(now, was)

@@ -116,6 +116,8 @@ def test_profile_option_errors(data_files):
     assert cli.main(base + ["--profile-a", "1x1", "--profile-b", "000"]) == 2
     assert cli.main(base + ["--profile-a", "11", "--profile-b", "00"]) == 2
     assert cli.main(base + ["--profile-a", "111"]) == 2
+    assert cli.main(base + ["--estimand", "nie_3"]) == 2
+    assert cli.main(base + ["--estimand", "foo"]) == 2
 
 
 def test_missing_required_options(data_files, tmp_path):
@@ -141,14 +143,21 @@ def test_unknown_config_key(tmp_path):
     ("estimate", {"degree": "abc"}),
     ("truth", {"seed": None}),
     ("estimate", {"gamma_restarts": 1.7}),
-], ids=["include_interactions", "degree", "seed", "gamma_restarts"])
+    ("estimate", {"out": 5}),
+    ("simulate", {"out": 5}),
+    ("estimate", {"estimands": 5}),
+    ("estimate", {"estimands": [1, 2]}),
+    ("simulate", {"methods": 5}),
+], ids=["include_interactions", "degree", "seed", "gamma_restarts", "out-estimate",
+        "out-simulate", "estimands", "estimand-numbers", "methods"])
 def test_config_value_of_the_wrong_type_is_a_config_error(command, doc, data_files,
                                                           tmp_path, capsys):
     data, desc = data_files
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
+    out = [] if "out" in doc else ["--out", str(tmp_path / "out.json")]
     rc = cli.main([command, "--config", str(path), "--data", data, "--descriptor", desc,
-                   "--big-n", "200", "--out", str(tmp_path / "out.json")])
+                   "--big-n", "200"] + out)
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
@@ -338,17 +347,17 @@ def test_basis_flags_are_recorded(tmp_path):
 # flag, its config key, a value other than the default, and where the
 # estimator's bound arguments hold it
 OPTION_FLAGS = [
-    (["--level", "0.9"], "level", 0.9, "level"),
-    (["--degree", "2"], "degree", 2, "sieve.degree"),
-    (["--no-interactions"], "include_interactions", False, "sieve.include_interactions"),
-    (["--mu-degree", "3"], "mu_degree", 3, "sieve.mu_degree"),
-    (["--mu-interactions"], "mu_interactions", True, "sieve.mu_interactions"),
-    (["--mi-m", "3"], "mi_m", 3, "m"),
-    (["--gamma-max-iter", "300"], "gamma_max_iter", 300, "gamma_options.max_iter"),
-    (["--gamma-grad-tol", "1e-7"], "gamma_grad_tol", 1e-7, "gamma_options.grad_tol"),
-    (["--gamma-linear-cap", "8"], "gamma_linear_cap", 8.0, "gamma_options.linear_cap"),
-    (["--gamma-restarts", "1"], "gamma_restarts", 1, "gamma_options.restarts"),
-    (["--gamma-penalty", "0.5"], "gamma_penalty", 0.5, "gamma_options.penalty"),
+    (["--level", "0.9"], "level", 0.9, "options.level"),
+    (["--degree", "2"], "degree", 2, "options.sieve.degree"),
+    (["--no-interactions"], "include_interactions", False, "options.sieve.include_interactions"),
+    (["--mu-degree", "3"], "mu_degree", 3, "options.sieve.mu_degree"),
+    (["--mu-interactions"], "mu_interactions", True, "options.sieve.mu_interactions"),
+    (["--mi-m", "3"], "mi_m", 3, "options.mi_m"),
+    (["--gamma-max-iter", "300"], "gamma_max_iter", 300, "options.gamma_options.max_iter"),
+    (["--gamma-grad-tol", "1e-7"], "gamma_grad_tol", 1e-7, "options.gamma_options.grad_tol"),
+    (["--gamma-linear-cap", "8"], "gamma_linear_cap", 8.0, "options.gamma_options.linear_cap"),
+    (["--gamma-restarts", "1"], "gamma_restarts", 1, "options.gamma_options.restarts"),
+    (["--gamma-penalty", "0.5"], "gamma_penalty", 0.5, "options.gamma_options.penalty"),
 ]
 
 
@@ -418,7 +427,7 @@ def test_every_error_class_has_an_expected_exit():
 
 @pytest.mark.parametrize("name", sorted(RAISABLE))
 def test_exit_code_for_each_error_class(name, monkeypatch, capsys):
-    def failing(cfg):
+    def failing(cfg, options):
         raise RAISABLE[name]("forced")
 
     monkeypatch.setattr(cli, "cmd_validate", failing)
@@ -487,12 +496,13 @@ def test_bad_estimator_setting_is_rejected_before_any_data_is_read(flag, value, 
     ("max_iter", 0), ("linear_cap", 0.0), ("linear_cap", float("nan")), ("linear_cap", -1.0),
     ("penalty", -1.0), ("penalty", float("inf")), ("restarts", -2), ("grad_tol", -1.0),
 ])
-@pytest.mark.parametrize("command", ["estimate", "simulate"])
+@pytest.mark.parametrize("command", ["estimate", "simulate", "truth", "validate"])
 def test_odds_solver_option_out_of_range_is_a_config_error(command, name, value, data_files,
                                                            tmp_path, monkeypatch, capsys):
     """GammaOptions refuses a value out of range with ConfigError; through
-    the CLI that is exit 2 and one stderr line, before any data is read
-    or any directory made."""
+    any subcommand, even one that fits no odds, that is exit 2 and one
+    stderr line, before any data is read or any file or directory made,
+    the manifest included."""
     with pytest.raises(ConfigError, match=f"gamma_{name} must be"):
         GammaOptions(**{name: value})
 
@@ -503,11 +513,11 @@ def test_odds_solver_option_out_of_range_is_a_config_error(command, name, value,
     data, desc = data_files
     out = tmp_path / "run"
     flag = "--gamma-" + name.replace("_", "-")
-    rc = cli.main([command, "--data", data, "--descriptor", desc, "--out", str(out),
-                   flag, str(value)])
+    rc = cli.main([command, "--data", data, "--descriptor", desc, "--big-n", "200",
+                   "--out", str(out), flag, str(value)])
     err = capsys.readouterr().err
     assert rc == 2 and err.startswith(f"configuration error: gamma_{name} must be")
-    assert len(err.splitlines()) == 1 and not out.exists()
+    assert len(err.splitlines()) == 1 and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -515,6 +525,7 @@ def test_odds_solver_option_out_of_range_is_a_config_error(command, name, value,
     ("simulate", ["--reps", "0"]),
     ("simulate", ["--n", "0"]),
     ("simulate", ["--n", "-5"]),
+    ("truth", ["--big-n", "1"]),
 ])
 def test_size_below_one_is_rejected_before_any_work(command, flags, tmp_path, monkeypatch,
                                                     capsys):

@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 from shadowpse import baselines, inference, series_regression, sieve_basis
-from shadowpse.baselines import cca_estimate, mi_estimate, sri_estimate
+from shadowpse.baselines import MethodOptions, cca_estimate, mi_estimate, sri_estimate
 from shadowpse.data_model import Dataset, complete_cases
 from shadowpse.errors import DimensionMismatch
 from shadowpse.estimator import named_estimand
@@ -343,7 +343,7 @@ def test_zero_odds_runs_fit_only_the_outcome_chain_bases(method, monkeypatch, ob
         cca_estimate(obs600)
     else:
         monkeypatch.setattr(baselines, "_BATCH_BYTES", 1)
-        mi_estimate(obs600, m=2, seed=3)
+        mi_estimate(obs600, options=MethodOptions(mi_m=2), seed=3)
     assert widths == [obs600.mu_points(obs600.k + 1).shape[1]]
 
 

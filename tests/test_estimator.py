@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shadowpse.baselines import sri_estimate
-from shadowpse.errors import DimensionMismatch, EmptyArm
+from shadowpse.errors import ConfigError, EmptyArm
 from shadowpse.estimator import (
     estimate_psi,
     fit_mu_chain,
@@ -27,17 +27,17 @@ def test_named_estimand_profiles():
     assert named_estimand("nie_1", 2) == ((1, 1, 1), (0, 1, 1))
     assert named_estimand("nie_2", 2) == ((0, 1, 1), (0, 0, 1))
     assert named_estimand("te", 1) == ((1, 1), (0, 0))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConfigError):
         named_estimand("nie_3", 2)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConfigError):
         named_estimand("bogus", 2)
 
 
 def test_validate_profile():
     assert validate_profile([1, 0, 1], 2) == (1, 0, 1)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConfigError):
         validate_profile((1, 0), 2)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConfigError):
         validate_profile((1, 2, 0), 2)
 
 

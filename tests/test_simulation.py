@@ -230,7 +230,6 @@ def test_result_csv_layout(tmp_path, cheap_truth):
 @pytest.mark.parametrize("kwargs", [
     dict(methods=["sir"]),
     dict(methods=["cca"], estimands=["te", "nie_3"]),
-    dict(methods=["cca"], options=MethodOptions(level=1.5)),
 ])
 def test_monte_carlo_checks_inputs_before_replicating(cheap_truth, monkeypatch, kwargs):
     from shadowpse import simulation
