@@ -43,7 +43,7 @@ from .gamma_solver import (
 from .inference import (
     InferenceReport,
     OmegaFits,
-    analyze_profile,
+    analyze_profiles,
     fit_omegas,
     fit_representer,
     influence_values,

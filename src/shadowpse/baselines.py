@@ -32,7 +32,7 @@ from .data_model import Dataset, complete_cases
 from .errors import ConfigError, InsufficientCompleteCases
 from .estimator import TreatmentProfile, named_estimand, validate_profile
 from .gamma_solver import GammaOptions, fit_gamma
-from .inference import InferenceReport, analyze_profile, variance_and_ci, z_critical
+from .inference import InferenceReport, analyze_profiles, variance_and_ci, z_critical
 from .series_regression import RunFits, SampleDesigns, _t, lapack_errors
 from .sieve_basis import SieveOptions, SpecBundle, build_spec_bundle
 
@@ -101,8 +101,9 @@ def _run_pipeline(
 
     The odds values are worked out once, one per complete case, and
     bound with the sample's designs in one RunFits, which every stage
-    reads and which is dropped when the run returns. Each distinct
-    profile is analysed once; a contrast psi_a - psi_b takes the
+    reads and which is dropped when the run returns. The distinct
+    profiles, in the order the contrasts name them, are analysed
+    together, stage by stage; a contrast psi_a - psi_b takes the
     difference of its two profiles' influence values."""
     bundle = build_spec_bundle(ds, options.sieve) if bundle is None else bundle
     designs = SampleDesigns(ds, bundle, x_miss)
@@ -120,20 +121,17 @@ def _run_pipeline(
         }
     else:
         odds_cc = np.zeros(designs.n_cc)
-    run = RunFits(designs, odds_cc)
-    analyses = {}
+    profiles = list(dict.fromkeys(prof for pair in estimands.values() for prof in pair))
+    psi, if_values = analyze_profiles(RunFits(designs, odds_cc), profiles)
+    row = {prof: j for j, prof in enumerate(profiles)}
     reports = {}
     for name, (pa, pb) in estimands.items():
-        for prof in (pa, pb):
-            if prof not in analyses:
-                analyses[prof] = analyze_profile(run, prof)
-        a, b = analyses[pa], analyses[pb]
-        diag = {"profile_a": list(pa), "profile_b": list(pb),
-                "psi_a": a.psi_hat, "psi_b": b.psi_hat}
-        reports[name] = variance_and_ci(a.psi_hat - b.psi_hat, a.if_values - b.if_values,
+        a, b = row[pa], row[pb]
+        diag = {"profile_a": list(pa), "profile_b": list(pb), "psi_a": psi[a], "psi_b": psi[b]}
+        reports[name] = variance_and_ci(psi[a] - psi[b], if_values[..., a, :] - if_values[..., b, :],
                                         options.level, diag)
-    profiles = {prof: analysis.psi_hat for prof, analysis in analyses.items()}
-    return MethodResult(method=method, estimands=reports, profiles=profiles, extras=extras)
+    return MethodResult(method=method, estimands=reports, profiles=dict(zip(profiles, psi)),
+                        extras=extras)
 
 
 def sri_estimate(

@@ -20,7 +20,7 @@ from dataclasses import asdict, fields
 
 from . import __version__
 from .baselines import METHODS, MethodOptions, run_method
-from .data_model import read_csv, validate
+from .data_model import json_text, read_csv, validate
 from .errors import ConfigError, EstimationError
 from .gamma_solver import GammaOptions
 from .sieve_basis import SieveOptions
@@ -119,7 +119,9 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, MethodOptions]:
 
 def _parse_profile(text) -> tuple[int, ...]:
     if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
+        if any(type(v) is not int or v not in (0, 1) for v in text):
+            raise ConfigError(f"profile list entries must be 0 or 1, got {text!r}")
+        return tuple(text)
     s = str(text).replace(",", "").strip()
     if not s or any(ch not in "01" for ch in s):
         raise ConfigError(f"profile must be a 0/1 string like 101, got {text!r}")
@@ -127,7 +129,7 @@ def _parse_profile(text) -> tuple[int, ...]:
 
 
 def _write_json(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = json_text(doc)
     if out:
         try:
             fh = open(out, "w")
@@ -154,9 +156,9 @@ def _check_out_file(out: str) -> None:
 
 def _write_manifest(command: str, cfg: dict, directory: str) -> None:
     manifest = {"command": command, "version": __version__, "config": cfg}
-    path = os.path.join(directory, "run_manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    text = json_text(manifest)
+    with open(os.path.join(directory, "run_manifest.json"), "w") as fh:
+        fh.write(text)
         fh.write("\n")
 
 
@@ -219,19 +221,20 @@ def cmd_simulate(cfg: dict, options: MethodOptions) -> int:
     out = cfg["out"]
     if not out:
         raise ConfigError("simulate requires --out DIRECTORY")
+    config = DgpConfig(n=cfg["n"], seed=cfg["seed"], alpha=cfg["alpha"])
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make --out directory {out}: {exc.strerror}")
-    config = DgpConfig(n=cfg["n"], seed=cfg["seed"], alpha=cfg["alpha"])
     result = run_monte_carlo(
         config, reps=cfg["reps"], methods=cfg["methods"] or [cfg["method"]],
         estimands=cfg["estimands"] or STANDARD_ESTIMANDS, master_seed=cfg["seed"],
         workers=cfg["threads"], options=options, truth_big_n=cfg["big_n"],
     )
+    summary = json_text(result.to_json_dict())
     result.to_csv(os.path.join(out, "mc_table.csv"))
     with open(os.path.join(out, "mc_summary.json"), "w") as fh:
-        json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
+        fh.write(summary)
         fh.write("\n")
     print(f"wrote {os.path.join(out, 'mc_table.csv')}")
     return EXIT_OK

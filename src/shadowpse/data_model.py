@@ -280,10 +280,20 @@ def header_order(columns: dict) -> list[str]:
     return cols
 
 
+def json_text(doc) -> str:
+    """doc as strict JSON text, indented with sorted keys, for every JSON
+    file the package writes: a NaN or infinity in doc, which strict JSON
+    cannot hold, raises NonFiniteInput, so it never reaches a file."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteInput(f"not written: {exc}") from exc
+
+
 def write_descriptor(ds: Dataset, path: str) -> None:
-    doc = {"k": ds.k, "columns": ds.columns}
+    text = json_text({"k": ds.k, "columns": ds.columns})
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write(text)
         fh.write("\n")
 
 

@@ -35,7 +35,8 @@ class EmptyResult(EstimationError):
 
 
 class NonFiniteInput(EstimationError):
-    """NaN or infinity in a numeric input that must be finite."""
+    """NaN or infinity in a numeric input, or in a figure to be written
+    as JSON, that must be finite."""
 
 
 class LengthMismatch(EstimationError):

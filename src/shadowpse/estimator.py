@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch
-from .series_regression import RunFits, _frozen
+from .errors import ConfigError
+from .series_regression import RunFits, _frozen, _mv, _t, tall
 
 TreatmentProfile = tuple[int, ...]
 
@@ -66,7 +66,8 @@ class NuisanceFits:
     """Backward chain mu_1..mu_{K+1} for one profile.
 
     mu[k-1] is mu_k's coefficient vector in the basis bundle.u[k-1] and
-    values[k-1] its fitted values on the complete cases, both read-only.
+    values[k-1] its fitted values on the complete cases, a row of the
+    stack the chains of one call share; all are read-only.
     """
 
     profile: TreatmentProfile
@@ -74,31 +75,43 @@ class NuisanceFits:
     values: list[np.ndarray]
 
 
-def fit_mu_chain(run: RunFits, profile: Sequence[int]) -> NuisanceFits:
-    """Fit the K+1 weighted regressions, outcome level first; each mu_k
-    is shared through run.memo with every profile of the same suffix,
-    and each is solved against run.arm_lstsq(k, a_k), the one small
-    weighted system per (k, a_k) that the omega_k fits on that arm read
-    too; its fitted values come from the run's one outcome-chain span."""
-    designs = run.designs
-    ds = designs.ds
-    prof = validate_profile(profile, ds.k)
-    if len(designs.bundle.u) != ds.k + 1:
-        raise DimensionMismatch(f"need {ds.k + 1} mu bases, got {len(designs.bundle.u)}")
+def fit_mu_chains(run: RunFits, profiles: Sequence[Sequence[int]]) -> list[NuisanceFits]:
+    """Fit the K+1 weighted regressions of each profile's chain, level by
+    level from the outcome down, each distinct fit once.
 
-    mu: list[np.ndarray] = [None] * (ds.k + 1)  # type: ignore[list-item]
-    values: list[np.ndarray] = [None] * (ds.k + 1)  # type: ignore[list-item]
-    response = designs.y_cc
-    for k in range(ds.k + 1, 0, -1):
-        key = ("mu", k, prof[k - 1:])
-        if key not in run.memo:
-            system = run.arm_lstsq(k, prof[k - 1])
-            coef = system.solve(response)
-            # next level regresses mu_k evaluated at (x, m_1..m_{k-1})
-            run.memo[key] = (_frozen(coef), _frozen(system.fitted(coef)))
-        mu[k - 1], values[k - 1] = run.memo[key]
-        response = values[k - 1]
-    return NuisanceFits(profile=prof, mu=mu, values=values)
+    mu_k depends on its profile only through the suffix (a_k..a_{K+1}),
+    so the four default profiles of a K = 2 run make 9 fits where fitting
+    each profile alone makes 12. Each is solved against run.arm_lstsq(k,
+    a_k), which the omega_k fits on that arm read too, in the coordinates
+    of the chain span S: the outcome level's right-hand side is S' W_a y
+    from run.arm_moments, and each lower level fits the level above's
+    fitted values S f from S' W_a S f = G_a f, with no pass over the
+    rows. One tall product evaluates every fit on the complete cases.
+    """
+    designs = run.designs
+    top = designs.ds.k + 1
+    profiles = [validate_profile(prof, designs.ds.k) for prof in profiles]
+    # each fit's key: its level and the profile suffix it depends on, outcome level first
+    keys = list(dict.fromkeys((k, prof[k - 1:]) for k in range(top, 0, -1) for prof in profiles))
+    coef, coords = {}, {}
+    for k, suffix in keys:
+        system = run.arm_lstsq(k, suffix[0])
+        rhs = (run.arm_moments[..., suffix[0], 0, :] if k == top
+               else _mv(run.arm(suffix[0])[1], coords[k + 1, suffix[1:]]))
+        coef[k, suffix] = _frozen(system.solve_coordinates(rhs))
+        coords[k, suffix] = system.coordinates(coef[k, suffix])
+    values = _frozen(tall(np.stack(list(coords.values()), axis=-2), _t(designs.chain[-1].span)))
+    row = {key: j for j, key in enumerate(coords)}
+    return [NuisanceFits(
+        profile=prof,
+        mu=[coef[k, prof[k - 1:]] for k in range(1, top + 1)],
+        values=[values[..., row[k, prof[k - 1:]], :] for k in range(1, top + 1)],
+    ) for prof in profiles]
+
+
+def fit_mu_chain(run: RunFits, profile: Sequence[int]) -> NuisanceFits:
+    """The mu chain of one profile: fit_mu_chains of that profile alone."""
+    return fit_mu_chains(run, [profile])[0]
 
 
 def estimate_psi(run: RunFits, fits: NuisanceFits) -> float:

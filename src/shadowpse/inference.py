@@ -33,15 +33,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, LengthMismatch, NonFiniteInput
+from .errors import ConfigError, DimensionMismatch, NonFiniteInput
 from .estimator import (
     NuisanceFits,
     TreatmentProfile,
     estimate_psi,
-    fit_mu_chain,
+    fit_mu_chains,
     validate_profile,
 )
-from .series_regression import RunFits, SampleDesigns, _frozen, _mv
+from .series_regression import RunFits, SampleDesigns, _frozen, _mv, _t, tall
 
 OMEGA_FLOOR = 1e-3
 
@@ -67,6 +67,9 @@ class OmegaFits:
     augmentation terms stay orthogonal to the fitted chain and the
     reweighted mean of phi reproduces psi_hat exactly; cumulative_values[k-1]
     are its fitted values on the complete cases. All are read-only.
+    moment_residual_sup is the largest 2-norm, over the profile's omega
+    fits, of the moment residual's coordinates in the orthonormal basis
+    of its level: a bound on the residual's sup over the rows.
     """
 
     profile: TreatmentProfile
@@ -77,77 +80,91 @@ class OmegaFits:
     moment_residual_sup: float
 
 
-def _fit_omega(
-    run: RunFits, k: int, arm_level: int, target: np.ndarray,
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """omega_k's coefficients in the k-th mu basis, its moment residual
-    sup and its raw values on the complete cases.
-
-    The moment system S_k' diag(1{A = a_k} (1 + gamma)) U_k c =
-    S_k' ((1 + gamma) target), with S_k the orthonormal basis of level
-    k, has the matrix of the mu_k fits on arm a_k, so it is solved
-    against their run.arm_lstsq(k, a_k).
-    """
-    system = run.arm_lstsq(k, arm_level)
-    rhs = system.project((1.0 + run.odds_cc) * target)
-    coef = _mv(system.pinv, rhs)
-    resid = _mv(system.span, _mv(system.rotation, _mv(system.reduced, coef) - rhs))
-    resid_sup = np.abs(resid).max(axis=-1, initial=0.0)
-    return _frozen(coef), resid_sup, _frozen(system.fitted(coef))
-
-
-def fit_omegas(run: RunFits, profile: Sequence[int]) -> OmegaFits:
-    """Fit each omega_k from its conditional moment restriction and
-    build the cumulative products, in one pass over the levels.
+def fit_omega_levels(run: RunFits, profiles: Sequence[Sequence[int]]) -> list[OmegaFits]:
+    """Fit each profile's omega_k from its conditional moment restriction
+    and push the cumulative products back onto the mu bases, level by
+    level, each distinct fit once.
 
     omega_1 solves E[(1+gamma)(1{A=a_1} w(X) - 1) | R=1, X] = 0 and, for
     k >= 2, omega_k solves the same with target 1{A=a_{k-1}} and
     conditioning (X, M_1..M_{k-1}); both are projected onto the span of
     the k-th mu basis over complete cases, giving a small linear system
-    whose matrix is that of the mu_k fits on arm a_k. Where a_k = a_{k-1}
-    omega_k is one and is not fitted. Each fitted omega_k is floored and
-    multiplied into the running product, which is then projected onto
-    the k-th mu basis by least squares through designs.chain[k-1]. All
-    fits are shared through run.memo with every profile of the same
-    levels; floor events count per profile.
+    whose matrix is that of the mu_k fits on arm a_k, run.arm_lstsq(k,
+    a_k). Where a_k = a_{k-1} omega_k is one and is not fitted. A fit's
+    right-hand side is the target's coordinates S' (1 + gamma) t in the
+    chain span S, which run.arm_moments holds for every target, and one
+    tall product evaluates every fit. The floored products
+    omega_1..omega_k, one per distinct prefix (a_1..a_k), are formed row
+    by row; one tall product projects them all, and one evaluates their
+    least-squares fits through designs.chain[k-1]. Each stack goes once
+    the next one is made. Floor events count per profile.
     """
-    designs, memo = run.designs, run.memo
-    prof = validate_profile(profile, designs.ds.k)
-    a_cc = designs.a_cc
-    omega: list[Optional[np.ndarray]] = []
-    cumulative: list[np.ndarray] = []
-    cumulative_values: list[np.ndarray] = []
-    floor_events, resid_sup = 0, 0.0
-    running = np.ones(designs.n_cc)
-    for k in range(1, len(prof) + 1):
-        coef = factor = None
-        if k == 1 or prof[k - 1] != prof[k - 2]:
-            key = ("omega", k, prof[max(k - 2, 0):k])
-            if key not in memo:
-                target = np.ones(designs.n_cc) if k == 1 else (a_cc == prof[k - 2]).astype(float)
-                memo[key] = _fit_omega(run, k, prof[k - 1], target)
-            coef, sup, vals = memo[key]
-            resid_sup = np.maximum(resid_sup, sup)
-            floor_events = floor_events + (vals < OMEGA_FLOOR).sum(axis=-1)
-            factor = np.maximum(vals, OMEGA_FLOOR)
-        omega.append(coef)
-        key = ("cumulative", k, prof[:k])
-        if key not in memo:
-            product = running if factor is None else running * factor
-            lstsq = designs.chain[k - 1]
-            cum = lstsq.solve(product)
-            memo[key] = (_frozen(cum), _frozen(product), _frozen(lstsq.fitted(cum)))
-        cum, running, fitted = memo[key]
-        cumulative.append(cum)
-        cumulative_values.append(fitted)
-    return OmegaFits(
-        profile=prof,
-        omega=omega,
-        cumulative=cumulative,
-        cumulative_values=cumulative_values,
-        floor_events=floor_events,
-        moment_residual_sup=resid_sup,
-    )
+    designs = run.designs
+    levels = range(1, designs.ds.k + 2)
+    profiles = [validate_profile(prof, designs.ds.k) for prof in profiles]
+    span = designs.chain[-1].span
+
+    # omega_k's key: k and (a_{k-1}, a_k), or (a_1,) at level 1; its target
+    # is 1{A = a_{k-1}}, or ones (-1) at level 1
+    def omega_key(prof, k):
+        return (k, prof[max(k - 2, 0):k]) if k == 1 or prof[k - 1] != prof[k - 2] else None
+
+    keys = sorted({omega_key(prof, k) for prof in profiles for k in levels} - {None})
+    # the target's coordinates S' (1 + gamma) t: S' W_t 1 for t = 1{A = a_{k-1}},
+    # and S' (W_0 + W_1) 1 for ones
+    moments = run.arm_moments[..., 1, :]
+    omega, resid, coords = {}, {}, {}
+    for k, sub in keys:
+        system = run.arm_lstsq(k, sub[-1])
+        target = moments[..., sub[0], :] if k > 1 else moments.sum(axis=-2)
+        rhs = _mv(_t(system.rotation), target)
+        omega[k, sub] = _frozen(_mv(system.pinv, rhs))
+        gap = _mv(system.reduced, omega[k, sub]) - rhs
+        resid[k, sub] = np.sqrt((gap * gap).sum(axis=-1))
+        coords[k, sub] = system.coordinates(omega[k, sub])
+    raw = dict(zip(keys, np.moveaxis(tall(np.stack(list(coords.values()), axis=-2), _t(span)),
+                                     -2, 0)))
+    floors = {key: (vals < OMEGA_FLOOR).sum(axis=-1) for key, vals in raw.items()}
+
+    # the floored products, one row per distinct prefix (a_1..a_k), level by level
+    prefixes = list(dict.fromkeys(prof[:k] for k in levels for prof in profiles))
+    row = {prefix: j for j, prefix in enumerate(prefixes)}
+    products = np.empty(span.shape[:-2] + (len(prefixes), designs.n_cc))
+    for prefix in prefixes:
+        key, out = omega_key(prefix, len(prefix)), products[..., row[prefix], :]
+        below = products[..., row[prefix[:-1]], :] if len(prefix) > 1 else 1.0
+        if key is None:
+            out[...] = below
+        else:
+            np.multiply(below, np.maximum(raw[key], OMEGA_FLOOR), out=out)
+    del raw
+    projected = tall(products, span)
+    del products
+    cumulative, coords = {}, {}
+    for prefix in prefixes:
+        lstsq = designs.chain[len(prefix) - 1]
+        cumulative[prefix] = _frozen(lstsq.solve_coordinates(projected[..., row[prefix], :]))
+        coords[prefix] = lstsq.coordinates(cumulative[prefix])
+    values = _frozen(tall(np.stack(list(coords.values()), axis=-2), _t(span)))
+
+    fits = []
+    for prof in profiles:
+        own = [omega_key(prof, k) for k in levels]
+        fitted = [key for key in own if key is not None]
+        fits.append(OmegaFits(
+            profile=prof,
+            omega=[None if key is None else omega[key] for key in own],
+            cumulative=[cumulative[prof[:k]] for k in levels],
+            cumulative_values=[values[..., row[prof[:k]], :] for k in levels],
+            floor_events=sum(floors[key] for key in fitted),
+            moment_residual_sup=np.max([resid[key] for key in fitted], axis=0),
+        ))
+    return fits
+
+
+def fit_omegas(run: RunFits, profile: Sequence[int]) -> OmegaFits:
+    """The omega fits of one profile: fit_omega_levels of that profile alone."""
+    return fit_omega_levels(run, [profile])[0]
 
 
 def phi_values(designs: SampleDesigns, fits: NuisanceFits, omegas: OmegaFits) -> np.ndarray:
@@ -159,8 +176,6 @@ def phi_values(designs: SampleDesigns, fits: NuisanceFits, omegas: OmegaFits) ->
 
     with the floored products re-projected onto the mu bases.
     """
-    if fits.profile != omegas.profile:
-        raise DimensionMismatch("mu chain and omega fits target different profiles")
     prof, a = fits.profile, designs.a_cc
     mu_vals, cum_vals = fits.values, omegas.cumulative_values
     kk = len(prof) - 1
@@ -181,19 +196,17 @@ def fit_representer(designs: SampleDesigns, phi: np.ndarray) -> tuple[np.ndarray
     its bias falls faster than the se. Returns rho's coefficients in the
     odds basis designs.bundle.q and the criterion value, at most zero
     (zero is feasible). Only the right-hand side depends on phi: the
-    factored system is the run's designs.representer_system, shared by
-    every profile, and its rank (that of the projected odds design) and
-    eps are the fit's.
+    factored system is the run's designs.representer_system, and its
+    rank (that of the projected odds design) and eps are the fit's.
+    A stack (P, n_cc) of phi vectors takes one tall product q' phi and
+    one solve, and gives P columns of coefficients and P values.
     """
-    ds = designs.ds
-    if np.shape(phi) != (designs.n_cc,):
-        raise LengthMismatch("phi must have one entry per complete case")
     system = designs.representer_system
-    rhs = designs.q.T @ phi
+    rhs = tall(designs.q.T, phi.T)
     coef = system.solve(rhs)
     proj = system.design @ coef
-    value = 0.5 * float(proj @ proj) / ds.n - float(rhs @ coef) / ds.n
-    return coef, value
+    value = (0.5 * (proj * proj).sum(axis=0) - (rhs * coef).sum(axis=0)) / designs.ds.n
+    return coef, value if value.ndim else float(value)
 
 
 def influence_values(
@@ -204,7 +217,9 @@ def influence_values(
 ) -> np.ndarray:
     """Per-record influence values in row order, complete cases first;
     mean near zero by construction. rho is the representer's coefficient
-    vector in the odds basis, as fit_representer returns it.
+    vector in the odds basis, as fit_representer returns it. A stack of
+    P profiles' psi_hat (..., P), phi (..., P, n_cc) and rho columns
+    (dim q, P) gives their values (..., P, n), from one tall product.
 
     rho=None is the complete-data shortcut: with odds identically zero
     and no incomplete records the correction factor R gamma - 1 + R is
@@ -212,16 +227,18 @@ def influence_values(
     """
     designs = run.designs
     n, n_cc = designs.ds.n, designs.n_cc
-    term1 = np.zeros(phi.shape[:-1] + (n,))
-    term1[..., :n_cc] = (1.0 + run.odds_cc) * phi
-    term1 -= np.asarray(psi_hat)[..., None]
+    values = np.zeros(phi.shape[:-1] + (n,))
+    values[..., :n_cc] = (1.0 + run.odds_cc) * phi
+    values -= np.asarray(psi_hat)[..., None]
     if rho is None:
         if n_cc < n or run.odds_cc.any():
             raise DimensionMismatch("representer required when R gamma - 1 + R is not identically zero")
-        return term1
-    t = np.concatenate([run.odds_cc, np.full(n - n_cc, -1.0)])
-    erho = designs.p_span @ (designs.representer_system.design @ rho)
-    return term1 - erho * t
+        return values
+    erho = tall((designs.representer_system.design @ rho).T, designs.p_span.T)
+    erho[..., :n_cc] *= run.odds_cc
+    values[..., :n_cc] -= erho[..., :n_cc]
+    values[..., n_cc:] += erho[..., n_cc:]
+    return values
 
 
 @dataclass
@@ -269,35 +286,28 @@ def variance_and_ci(
 # ---- profile driver ----------------------------------------------------
 
 
-@dataclass
-class ProfileAnalysis:
-    psi_hat: float
-    fits: NuisanceFits
-    omegas: OmegaFits
-    phi: np.ndarray
-    rho: Optional[np.ndarray]
-    if_values: np.ndarray
+def analyze_profiles(run: RunFits, profiles: Sequence[Sequence[int]]) -> tuple[list, np.ndarray]:
+    """psi_hat and the influence values of each profile, all on the run's
+    designs under its odds values, stage by stage: the mu chains, the
+    omegas and their cumulative products, phi, the representer and the
+    influence values, each stage for every profile at once.
 
-
-def analyze_profile(run: RunFits, profile: Sequence[int]) -> ProfileAnalysis:
-    """Full single-profile pipeline: chain, omegas, phi, representer, IF,
-    all on the run's designs under its odds values.
-
-    With no incomplete records and zero odds the factor R odds - 1 + R
-    is identically zero, so the representer is neither fitted nor read.
+    Returns psi_hat per profile (a float, or one per slice of a batch)
+    and the influence values (..., P, n), one row per profile. The fits'
+    stacks go once phi has read them. With no incomplete records and
+    zero odds the factor R odds - 1 + R is identically zero, so the
+    representer is neither fitted nor read.
     """
     designs = run.designs
-    prof = validate_profile(profile, designs.ds.k)
-    fits = fit_mu_chain(run, prof)
-    psi_hat = estimate_psi(run, fits)
-    omegas = fit_omegas(run, prof)
-    phi = phi_values(designs, fits, omegas)
-
+    chains = fit_mu_chains(run, profiles)
+    psi = [estimate_psi(run, fits) for fits in chains]
+    omegas = fit_omega_levels(run, profiles)
+    phi = np.empty(chains[0].values[0].shape[:-1] + (len(chains), designs.n_cc))
+    for j, (fits, omega) in enumerate(zip(chains, omegas)):
+        phi[..., j, :] = phi_values(designs, fits, omega)
+    del chains, omegas
     if designs.n_cc == designs.ds.n and not run.odds_cc.any():
         rho = None
     else:
         rho, _ = fit_representer(designs, phi)
-    return ProfileAnalysis(
-        psi_hat=psi_hat, fits=fits, omegas=omegas, phi=phi, rho=rho,
-        if_values=influence_values(run, psi_hat, phi, rho),
-    )
+    return psi, influence_values(run, np.stack(psi, axis=-1), phi, rho)

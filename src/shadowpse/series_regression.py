@@ -10,15 +10,17 @@ and outcome-chain spans of SampleDesigns the design matrix itself.
 span_least_squares solves least squares on a design S R held in the
 span S of a wider design: the normal equations reduce to a system with
 one row per column of R's own span, so every outcome-chain level reads
-the top level's one span, and a right-hand side costs two thin products.
+the top level's one span, and a fit takes its right-hand side and gives
+its fitted values as coordinates in that span; tall is the one product
+with a row per complete case or record that the analysis stages make.
 RidgeSystem holds ridged normal equations (gram + eps I) x = rhs with
 one Cholesky factor, made once and read by every right-hand side. A
 LAPACK failure in any of these raises UnsolvableSystem.
 
 SampleDesigns builds the sample designs of one pipeline run, each at
 most once and in one row order with the complete cases first. RunFits
-binds them to the run's odds values, once, and holds the nuisance fits
-made under those odds.
+binds them to the run's odds values, once, and holds the arm-weighted
+systems made under those odds.
 
 The spans and SpanLeastSquares take stacks along a leading batch axis
 too: given b samples that differ only in their x_miss fills (mi's
@@ -133,6 +135,13 @@ def project_residual_orthogonality(
     return float(np.max(np.abs(basis.T @ resid)) / max(len(v), 1))
 
 
+def tall(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ right, where one factor has a row per complete case or per
+    record: every pass of the analysis stages over the sample is one call
+    here, a product with one column per distinct fit of the stage."""
+    return left @ right
+
+
 def _t(a: np.ndarray) -> np.ndarray:
     """a with its last two axes swapped: the transpose of each slice."""
     return a.swapaxes(-1, -2)
@@ -213,8 +222,15 @@ class SpanLeastSquares:
     c = pinv(reduced) @ M_k' S' W v is the minimum-norm solution. The
     pseudo-inverse drops singular values at or below np.linalg.lstsq's
     cutoff eps * max(U_k rows, columns) * s_max, and rank counts the
-    rest, as lstsq's rank does. Every fitted vector is S (R_k c). A fit
-    is just its coefficient vector c; its rank is this system's.
+    rest, as lstsq's rank does. A fit is just its coefficient vector c;
+    its rank is this system's.
+
+    A fit lives in the coordinates of the span S: it reads its right-hand
+    side only as S' W v (solve_coordinates), and its fitted vector S (R_k c)
+    only through R_k c (coordinates). When v is itself a fitted vector
+    S f, S' W v = gram f takes no pass over the rows, so the stages pass
+    over them only to project the vectors they start from and to evaluate
+    the fits they end with, one tall product each for all their fits.
     Over a stack rank has one entry per slice, and the values may be shared.
     """
 
@@ -234,16 +250,23 @@ class SpanLeastSquares:
         self.rank = keep.sum(axis=-1)
         self.pinv = _frozen((_t(vt) / np.where(keep, s, np.inf)[..., None, :]) @ _t(u_mat))
 
-    def project(self, values: np.ndarray) -> np.ndarray:
-        """The coordinates M_k' S' values of values in the basis S M_k."""
-        return _mv(_t(self.rotation), _mv(_t(self.span), values))
+    def solve_coordinates(self, coords: np.ndarray) -> np.ndarray:
+        """c = pinv M_k' coords, the fit whose right-hand side v has the
+        coordinates coords = S' W v in the span."""
+        return _mv(self.pinv, _mv(_t(self.rotation), coords))
+
+    def coordinates(self, coef: np.ndarray) -> np.ndarray:
+        """R_k coef: the coordinates in the span of the fitted vector U_k coef."""
+        return _mv(self.coupling, coef)
 
     def solve(self, values: np.ndarray) -> np.ndarray:
-        return _mv(self.pinv, self.project(values if self.weights is None else self.weights * values))
+        """The fit of one vector of values, one per row."""
+        weighted = values if self.weights is None else self.weights * values
+        return self.solve_coordinates(tall(_t(self.span), weighted[..., None])[..., 0])
 
     def fitted(self, coef: np.ndarray) -> np.ndarray:
         """U_k coef, as S (R_k coef)."""
-        return _mv(self.span, _mv(self.coupling, coef))
+        return tall(self.span, self.coordinates(coef)[..., None])[..., 0]
 
     def weighted(self, weights: np.ndarray, gram: np.ndarray) -> "SpanLeastSquares":
         """The same design under row weights, with gram = S' diag(weights) S."""
@@ -352,32 +375,26 @@ class SampleDesigns:
 
 
 class RunFits:
-    """One pipeline run: its designs, its odds values and the nuisance
-    fits made under them.
+    """One pipeline run: its designs, its odds values and the weighted
+    systems made under them.
 
     The run works out its odds values once, one per complete case in
     the designs' row order, and binds them here: the vector is frozen,
-    so every fit in memo was made under it. Every stage that reads the
+    so every system here was made under it. Every stage that reads the
     odds takes this object.
 
-    memo is shared by every profile of the run. A profile
-    (a_1..a_{K+1}) reads mu_k under ("mu", k, (a_k..a_{K+1})), the
-    non-identity omega_k under ("omega", k, (a_{k-1}, a_k)), with
-    ("omega", 1, (a_1,)) for omega_1, and the cumulative omega product
-    up to level k under ("cumulative", k, (a_1..a_k)), so the four
-    default profiles of a K = 2 run make 9 mu, 4 omega and 9 cumulative
-    fits where fitting each profile alone makes 12, 6 and 12. The mu and
-    cumulative entries keep the fitted values on the complete cases with
-    the coefficients, so no profile computes them again; every array in
-    them is read-only, so no profile writes into another's fits.
-
-    arm_lstsq(k, a_k), in memo under ("system", k, a_k), is the least
-    squares on level k with weights 1{A = a_k} (1 + odds) that every
-    mu_k and omega_k fit on arm a_k solves against: 6 systems for the 9
-    mu and 4 omega fits above, from one weighted Gram matrix S' W S of
-    the chain span per arm, in memo under ("arm", a_k).
-    Under a stacked chain span every system, fit and fitted vector is
-    stacked too; the odds values and arm weights are shared.
+    arm(a) holds arm a's weights 1{A = a} (1 + odds) and weighted Gram
+    matrix G_a = S' W_a S of the chain span S, made on first use, one
+    tall product each. arm_lstsq(k, a) is the least squares on level k
+    under those weights, which every mu_k and omega_k fit on arm a
+    solves against; the mu chain's lower levels take their right-hand
+    sides as G_a f, f the coordinates of the level above's fit.
+    arm_moments holds, per arm, the coordinates S' W_a y and S' W_a 1
+    that the mu chain and the omega fits start from, from one more tall
+    product. The run holds these small arrays, and no vector of n rows
+    beyond the odds and the arm weights.
+    Under a stacked chain span every system and Gram matrix is stacked
+    too; the odds values and arm weights are shared.
     """
 
     def __init__(self, designs: SampleDesigns, odds_cc: np.ndarray):
@@ -385,18 +402,32 @@ class RunFits:
             raise DimensionMismatch("odds values must have one entry per complete case")
         self.designs = designs
         self.odds_cc = _frozen(np.asarray(odds_cc, dtype=float))
-        self.memo: dict = {}
+        # row a: the weights 1{A = a} (1 + odds) of arm a
+        self.weights = _frozen(np.where(designs.a_cc == np.arange(2)[:, None], 1.0 + self.odds_cc, 0.0))
+        self._grams: dict = {}
+        self._systems: dict = {}
+
+    def arm(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """(weights, gram) of the complete cases with a = level; raises
+        EmptyArm when there are none."""
+        if level not in self._grams:
+            if not (self.designs.a_cc == level).any():
+                raise EmptyArm(f"no complete cases with a={level}")
+            span = self.designs.chain[-1].span
+            self._grams[level] = _frozen(tall(_t(span) * self.weights[level], span))
+        return self.weights[level], self._grams[level]
+
+    @cached_property
+    def arm_moments(self) -> np.ndarray:
+        """arm_moments[..., a, 0, :] = S' W_a y and arm_moments[..., a, 1, :]
+        = S' W_a 1, zero for an arm with no complete case."""
+        starts = np.stack([self.weights * self.designs.y_cc, self.weights], axis=1)
+        coords = tall(starts.reshape(4, -1), self.designs.chain[-1].span)
+        return _frozen(coords.reshape(coords.shape[:-2] + (2, 2, -1)))
 
     def arm_lstsq(self, k: int, level: int) -> SpanLeastSquares:
         """Least squares on level k over the complete cases with a = level,
-        weighted by 1 + odds: one small system per (k, level), held in memo."""
-        arm, key = ("arm", level), ("system", k, level)
-        if arm not in self.memo:
-            if not (self.designs.a_cc == level).any():
-                raise EmptyArm(f"no complete cases with a={level}")
-            weights = _frozen(np.where(self.designs.a_cc == level, 1.0 + self.odds_cc, 0.0))
-            span = self.designs.chain[-1].span
-            self.memo[arm] = (weights, _frozen((_t(span) * weights) @ span))
-        if key not in self.memo:
-            self.memo[key] = self.designs.chain[k - 1].weighted(*self.memo[arm])
-        return self.memo[key]
+        weighted by 1 + odds: one small system per (k, level)."""
+        if (k, level) not in self._systems:
+            self._systems[k, level] = self.designs.chain[k - 1].weighted(*self.arm(level))
+        return self._systems[k, level]

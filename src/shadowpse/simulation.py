@@ -102,6 +102,10 @@ class DgpConfig:
     y: YEq = YEq()
     miss: MissEq = MissEq()
 
+    def __post_init__(self) -> None:
+        if not abs(self.alpha) <= 1.0:  # also refuses NaN
+            raise ConfigError(f"alpha must be a correlation in [-1, 1], got {self.alpha}")
+
     def without_treatment_effects(self) -> "DgpConfig":
         """Zero every A coefficient in the outcome-relevant equations."""
         return replace(
@@ -258,6 +262,11 @@ def true_effects(config: DgpConfig, big_n: int = 10 ** 6, seed: int = TRUTH_SEED
 # ---- Monte-Carlo harness ------------------------------------------------
 
 
+# replications a cell statistic needs to be defined; with fewer it is
+# NaN in CellStats and null in the JSON summary
+_LEAST_REPS = {"bias": 1, "cp": 1, "mcse_cp": 1, "se": 2, "mcse_bias": 2}
+
+
 @dataclass
 class CellStats:
     bias: float
@@ -300,7 +309,9 @@ class McResult:
             "failures": {m: list(v) for m, v in self.failures.items()},
         }
         for (method, est), cell in self.cells.items():
-            out["cells"].setdefault(method, {})[est] = asdict(cell)
+            out["cells"].setdefault(method, {})[est] = {
+                name: None if cell.reps_used < _LEAST_REPS.get(name, 0) else value
+                for name, value in asdict(cell).items()}
         return out
 
 

@@ -10,6 +10,8 @@ routes agree within four Monte-Carlo standard errors on every contrast;
 ``test_simulation.py`` re-derives the closed form and re-checks this.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from shadowpse.data_model import Dataset
@@ -37,6 +39,15 @@ def tile_dataset(ds: Dataset, k: int) -> Dataset:
         m=tuple(np.tile(mm, (k, 1)) for mm in ds.m),
         y=np.tile(ds.y, k),
     )
+
+
+def three_mediators(ds: Dataset) -> Dataset:
+    """ds with m_2 widened to two columns and a third, two-column mediator
+    appended; the new columns are the same seeded normal draw for every
+    dataset of the same n."""
+    extra = rng_for(42, ds.n).standard_normal((ds.n, 3))
+    m1, m2 = ds.m
+    return replace(ds, m=(m1, np.hstack([m2, extra[:, :1]]), extra[:, 1:]), columns={})
 
 
 def one_mediator_dataset(n, x, a, m1, y, r=None, z=None) -> Dataset:

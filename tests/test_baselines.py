@@ -97,17 +97,19 @@ def test_contrast_report_shape(obs600):
 
 
 def test_each_profile_analysed_once(monkeypatch, obs600):
+    """One analysis of the distinct profiles, in the order the contrasts
+    name them."""
     calls = []
-    original = baselines.analyze_profile
+    original = baselines.analyze_profiles
 
-    def counting(run, profile):
-        calls.append(profile)
-        return original(run, profile)
+    def counting(run, profiles):
+        calls.append(list(profiles))
+        return original(run, profiles)
 
-    monkeypatch.setattr(baselines, "analyze_profile", counting)
+    monkeypatch.setattr(baselines, "analyze_profiles", counting)
     res = sri_estimate(obs600)
-    assert calls == [(0, 0, 1), (0, 0, 0), (1, 1, 1), (0, 1, 1)]
-    assert list(res.profiles) == calls
+    assert calls == [[(0, 0, 1), (0, 0, 0), (1, 1, 1), (0, 1, 1)]]
+    assert list(res.profiles) == calls[0]
     parts = {name: rep.psi_hat for name, rep in res.estimands.items()}
     assert abs(parts["nde"] + parts["nie_1"] + parts["nie_2"] - parts["te"]) <= 1e-12
 

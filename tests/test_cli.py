@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from shadowpse import baselines, cli, simulation
+from shadowpse import baselines, cli, data_model, simulation
 from shadowpse.data_model import read_descriptor, write_csv, write_descriptor
 from shadowpse.errors import ConfigError, EstimationError, NonFiniteInput, UnsolvableSystem
 from shadowpse.gamma_solver import GammaOptions
@@ -118,6 +118,75 @@ def test_profile_option_errors(data_files):
     assert cli.main(base + ["--profile-a", "111"]) == 2
     assert cli.main(base + ["--estimand", "nie_3"]) == 2
     assert cli.main(base + ["--estimand", "foo"]) == 2
+
+
+@pytest.mark.parametrize("profile", [[1, "x", 1], [1, 2, 1], [1, 0.5, 1], [1, True, 1]])
+def test_config_profile_list_with_a_bad_entry_is_a_config_error(profile, data_files, tmp_path,
+                                                                 capsys):
+    data, desc = data_files
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"profile_a": profile, "profile_b": "000"}))
+    rc = cli.main(["estimate", "--data", data, "--descriptor", desc, "--method", "cca",
+                   "--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("configuration error: profile")
+    cfg.write_text(json.dumps({"profile_a": [1, 1, 1], "profile_b": [0, 0, 0]}))
+    assert cli.main(["estimate", "--data", data, "--descriptor", desc, "--method", "cca",
+                     "--config", str(cfg)]) == 0
+    assert list(json.loads(capsys.readouterr().out)["estimands"]) == ["psi_111_vs_000"]
+
+
+@pytest.mark.parametrize("command", ["truth", "simulate"])
+def test_alpha_outside_minus_one_to_one_writes_nothing(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli.main([command, "--big-n", "200", "--n", "200", "--reps", "1", "--method", "cca",
+                   "--alpha", "2", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("configuration error: alpha")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _strict_json(text: str):
+    """text parsed as strict JSON: NaN and Infinity tokens are refused."""
+    def refuse(token):
+        raise ValueError(f"{token} is not strict JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_single_replication_summary_is_strict_json(tmp_path, capsys):
+    """se and mcse_bias need two replications: with one they are null."""
+    rc = cli.main(["simulate", "--reps", "1", "--n", "200", "--methods", "cca", "--big-n", "200",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    capsys.readouterr()
+    doc = _strict_json((tmp_path / "mc_summary.json").read_text())
+    for cell in doc["cells"]["cca"].values():
+        assert cell["se"] is None and cell["mcse_bias"] is None
+        assert isinstance(cell["bias"], float) and cell["reps_used"] == 1
+    _strict_json((tmp_path / "run_manifest.json").read_text())
+
+
+def test_non_finite_figure_is_never_written(data_files, tmp_path, monkeypatch, capsys):
+    """A NaN that reaches a JSON writer is a typed error, and no file is
+    written: all four writers go through one strict encoder."""
+    data, desc = data_files
+    real = cli.run_method
+
+    def nan_profiles(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.profiles = {prof: float("nan") for prof in res.profiles}
+        return res
+
+    monkeypatch.setattr(cli, "run_method", nan_profiles)
+    out = tmp_path / "est.json"
+    rc = cli.main(["estimate", "--data", data, "--descriptor", desc, "--method", "cca",
+                   "--out", str(out)])
+    assert rc == NonFiniteInput.exit_code
+    assert "NonFiniteInput" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(NonFiniteInput):
+        data_model.json_text({"x": float("inf")})
 
 
 def test_missing_required_options(data_files, tmp_path):

@@ -14,9 +14,9 @@ from shadowpse import baselines, inference, series_regression, sieve_basis
 from shadowpse.baselines import MethodOptions, cca_estimate, mi_estimate, sri_estimate
 from shadowpse.data_model import Dataset, complete_cases
 from shadowpse.errors import DimensionMismatch
-from shadowpse.estimator import named_estimand
+from shadowpse.estimator import fit_mu_chains, named_estimand
 from shadowpse.gamma_solver import GammaModel, fit_gamma
-from shadowpse.inference import analyze_profile, fit_omegas, fit_representer
+from shadowpse.inference import analyze_profiles, fit_omega_levels, fit_omegas, fit_representer
 from shadowpse.series_regression import RunFits, SampleDesigns
 from shadowpse.sieve_basis import SieveOptions, build_spec_bundle
 
@@ -98,10 +98,10 @@ def test_shared_designs_match_fresh_designs_bit_for_bit(obs2000, bundle2000, gam
     odds = model.values(designs)
     shared = RunFits(designs, odds)
     for prof in profiles:
-        a = analyze_profile(shared, prof)
-        b = analyze_profile(RunFits(SampleDesigns(obs2000, bundle2000), odds), prof)
-        assert a.psi_hat == b.psi_hat
-        assert a.if_values.tobytes() == b.if_values.tobytes()
+        a = analyze_profiles(shared, [prof])
+        b = analyze_profiles(RunFits(SampleDesigns(obs2000, bundle2000), odds), [prof])
+        assert a[0] == b[0]
+        assert a[1].tobytes() == b[1].tobytes()
 
 
 def test_designs_must_match_the_dataset(obs600, obs2000, bundle2000):
@@ -294,8 +294,9 @@ def test_each_nuisance_is_fitted_once_per_run(estimate, monkeypatch, obs2000):
     distinct fits and their omegas 4, all solved against 6 weighted
     systems (one per level and arm) made from 2 weighted Gram matrices
     of the chain span (one per arm), and their 9 cumulative products
-    against the 3 unweighted ones (one per level). No SVD or
-    least-squares solve runs on a matrix with a row per complete case."""
+    against the 3 unweighted ones (one per level). Every fit is solved
+    from the coordinates of its right-hand side in the span, and no SVD
+    or least-squares solve runs on a matrix with a row per complete case."""
     levels = record_calls(monkeypatch, series_regression.span_least_squares, lambda a, kw: None)
     weighted = series_regression.SpanLeastSquares.weighted
     grams = []
@@ -305,15 +306,22 @@ def test_each_nuisance_is_fitted_once_per_run(estimate, monkeypatch, obs2000):
         return weighted(self, weights, gram)
 
     monkeypatch.setattr(series_regression.SpanLeastSquares, "weighted", counting_weighted)
-    omegas = record_calls(monkeypatch, inference._fit_omega, lambda a, kw: None)
-    solve = series_regression.SpanLeastSquares.solve
+    solve = series_regression.SpanLeastSquares.solve_coordinates
     solves = []
 
-    def counting_solve(self, values):
+    def counting_solve(self, coords):
         solves.append(self.weights is not None)
-        return solve(self, values)
+        return solve(self, coords)
 
-    monkeypatch.setattr(series_regression.SpanLeastSquares, "solve", counting_solve)
+    monkeypatch.setattr(series_regression.SpanLeastSquares, "solve_coordinates", counting_solve)
+    fit_levels = inference.fit_omega_levels
+    omegas = []
+
+    def recording(run, profiles):
+        omegas.extend(fit_levels(run, profiles))
+        return omegas
+
+    monkeypatch.setattr(inference, "fit_omega_levels", recording)
     rows = []
     for name in ("svd", "lstsq"):
         original = getattr(np.linalg, name)
@@ -326,9 +334,26 @@ def test_each_nuisance_is_fitted_once_per_run(estimate, monkeypatch, obs2000):
     res = estimate(obs2000)
     assert sorted(res.profiles) == sorted(DEFAULT_PROFILES)
     n_cc = int(obs2000.complete_mask.sum())
-    assert (len(grams), len(set(grams)), solves.count(True), len(omegas)) == (6, 2, 9, 4)
+    fitted = {id(coef) for om in omegas for coef in om.omega if coef is not None}
+    assert (len(grams), len(set(grams)), solves.count(True), len(fitted)) == (6, 2, 9, 4)
     assert (len(levels), solves.count(False)) == (3, 9)
     assert rows and n_cc not in rows
+
+
+def test_one_tall_product_per_stage_pass(monkeypatch, obs2000):
+    """A default sri run passes over the sample in 9 tall products: the
+    two arms' Gram matrices; one projection that starts both the mu
+    chain (S' W_a y) and the omega fits (S' W_a 1); every mu fit's
+    values; the omega values; the cumulative products' projection and
+    their fits' values; q' phi; and the representer term of the
+    influence values. Fitting the four profiles one at a time, each fit
+    with its own products, took 56."""
+    shapes = record_calls(monkeypatch, series_regression.tall,
+                          lambda a, kw: (np.shape(a[0]), np.shape(a[1])))
+    sri_estimate(obs2000)
+    assert len(shapes) == 9
+    n_cc = int(obs2000.complete_mask.sum())
+    assert all(obs2000.n in left + right or n_cc in left + right for left, right in shapes)
 
 
 @pytest.mark.parametrize("method", ["cca", "mi"])
@@ -347,13 +372,15 @@ def test_zero_odds_runs_fit_only_the_outcome_chain_bases(method, monkeypatch, ob
     assert widths == [obs600.mu_points(obs600.k + 1).shape[1]]
 
 
-def analysis_bytes(analysis) -> bytes:
-    """Every array and figure of one profile analysis, as bytes."""
-    arrays = [analysis.if_values, analysis.phi]
-    arrays += analysis.fits.mu + analysis.omegas.cumulative
-    arrays += [coef for coef in analysis.omegas.omega if coef is not None]
-    return b"".join(np.ascontiguousarray(arr).tobytes() for arr in arrays) + repr(
-        analysis.psi_hat).encode()
+def analysis_bytes(run: RunFits) -> bytes:
+    """Every array and figure of the default profiles' analysis, as bytes."""
+    psi, if_values = analyze_profiles(run, DEFAULT_PROFILES)
+    arrays = [if_values, np.array(psi)]
+    for fits in fit_mu_chains(run, DEFAULT_PROFILES):
+        arrays += fits.mu
+    for omegas in fit_omega_levels(run, DEFAULT_PROFILES):
+        arrays += omegas.cumulative + [coef for coef in omegas.omega if coef is not None]
+    return b"".join(np.ascontiguousarray(arr).tobytes() for arr in arrays)
 
 
 @pytest.mark.parametrize("odds", ["zero then model", "array then array",
@@ -375,32 +402,36 @@ def test_fits_never_outlive_their_odds(odds, obs2000, bundle2000, gamma2000):
     for values in pair:
         run = RunFits(shared, values)
         fresh = RunFits(SampleDesigns(obs2000, bundle2000), values)
-        for prof in DEFAULT_PROFILES:
-            got = analyze_profile(run, prof)
-            want = analyze_profile(fresh, prof)
-            assert analysis_bytes(got) == analysis_bytes(want)
+        assert analysis_bytes(run) == analysis_bytes(fresh)
         if odds == "one array changed in place":
             with pytest.raises(ValueError):
                 values[:] = tilted
 
 
 def test_shared_fits_are_read_only(obs2000, bundle2000, gamma2000):
-    """Every coefficient, fitted and product array in the run's memo is
-    read-only, and so is every fit a profile analysis returns from it:
-    no profile can write into the fits another profile reads."""
+    """Every coefficient and fitted array the profiles' fits hold is
+    read-only, and the profiles share each distinct fit: no profile can
+    write into the fits another profile reads. The four default profiles
+    hold 9 distinct mu fits, 4 omega fits and 9 cumulative fits, each
+    fitted array a row of its stage's one stack."""
     designs = SampleDesigns(obs2000, bundle2000)
     run = RunFits(designs, gamma2000[0].values(designs))
-    for prof in DEFAULT_PROFILES:
-        analysis = analyze_profile(run, prof)
-        fits, omegas = analysis.fits, analysis.omegas
-        shared = fits.mu + fits.values + omegas.cumulative + omegas.cumulative_values
-        shared += [coef for coef in omegas.omega if coef is not None]
-        assert len(shared) == 12 + sum(coef is not None for coef in omegas.omega)
-        assert not any(arr.flags.writeable for arr in shared)
-    in_memo = [arr for key, entry in run.memo.items() if key[0] in ("mu", "omega", "cumulative")
-               for arr in entry if isinstance(arr, np.ndarray)]
-    assert len(in_memo) == 2 * 9 + 2 * 4 + 3 * 9
-    assert not any(arr.flags.writeable for arr in in_memo)
+    chains = fit_mu_chains(run, DEFAULT_PROFILES)
+    omegas = fit_omega_levels(run, DEFAULT_PROFILES)
+    arrays = {"mu": {}, "mu values": {}, "omega": {}, "cumulative": {}, "cumulative values": {}}
+    for fits, om in zip(chains, omegas):
+        for kind, held in (("mu", fits.mu), ("mu values", fits.values),
+                           ("omega", [c for c in om.omega if c is not None]),
+                           ("cumulative", om.cumulative),
+                           ("cumulative values", om.cumulative_values)):
+            # a coefficient array is shared as one object, a row of values by its address
+            arrays[kind].update((arr.ctypes.data if "values" in kind else id(arr), arr)
+                                for arr in held)
+    assert {kind: len(held) for kind, held in arrays.items()} == {
+        "mu": 9, "mu values": 9, "omega": 4, "cumulative": 9, "cumulative values": 9}
+    for kind in ("mu values", "cumulative values"):
+        assert len({id(arr.base) for arr in arrays[kind].values()}) == 1
+    assert not any(arr.flags.writeable for held in arrays.values() for arr in held.values())
 
 
 def fresh_representer(designs: SampleDesigns, phi: np.ndarray):
@@ -422,7 +453,8 @@ def fresh_representer(designs: SampleDesigns, phi: np.ndarray):
 
 def test_representer_system_is_factored_once_per_run(monkeypatch, obs2000):
     """The four default profiles solve against one factored representer
-    system, and each solve equals a fresh per-profile one byte for byte."""
+    system, in one solve with a column per profile, and each column
+    equals a fresh per-profile solve within 1e-12 relative."""
     builds = record_calls(monkeypatch, series_regression.ridge_system, lambda a, kw: None)
     cho_factor = scipy.linalg.cho_factor
     factored = []
@@ -442,14 +474,16 @@ def test_representer_system_is_factored_once_per_run(monkeypatch, obs2000):
 
     monkeypatch.setattr(inference, "fit_representer", recording)
     sri_estimate(obs2000)
-    dim_q = solved[0][1].bundle.q.dim
-    assert len(solved) == len(DEFAULT_PROFILES)
+    (phi, designs, (rho, value)), = solved
+    dim_q = designs.bundle.q.dim
+    assert phi.shape == (len(DEFAULT_PROFILES), designs.n_cc)
+    assert rho.shape == (dim_q, len(DEFAULT_PROFILES)) and value.shape == (len(DEFAULT_PROFILES),)
     assert len(builds) == 1
     assert factored.count((dim_q, dim_q)) == 1
-    for phi, designs, (rho, value) in solved:
-        coef, want_value, rank = fresh_representer(designs, phi)
-        assert rho.tobytes() == coef.tobytes()
-        assert value == want_value
+    for j, phi_j in enumerate(phi):
+        coef, want_value, rank = fresh_representer(designs, phi_j)
+        assert np.max(np.abs(rho[:, j] - coef)) <= 1e-12 * np.max(np.abs(coef))
+        assert abs(value[j] - want_value) <= 1e-12 * abs(want_value)
         assert designs.representer_system.rank == rank
 
 
@@ -477,13 +511,12 @@ def assert_pure(designs: SampleDesigns, odds: np.ndarray, profiles) -> list:
     cumulative fits."""
     ranks = []
     run = RunFits(designs, odds)
-    for prof in profiles:
-        analysis = analyze_profile(run, prof)
+    chains, levels = fit_mu_chains(run, profiles), fit_omega_levels(run, profiles)
+    for prof, fits, omegas in zip(profiles, chains, levels):
         want = standalone_chain(designs, odds, prof)
-        for k, (got, (coef, rank)) in enumerate(zip(analysis.fits.mu, want), start=1):
+        for k, (got, (coef, rank)) in enumerate(zip(fits.mu, want), start=1):
             assert np.max(np.abs(got - coef)) <= 1e-10 * np.max(np.abs(coef))
             assert run.arm_lstsq(k, prof[k - 1]).rank == rank
-        omegas = analysis.omegas
         product = np.ones(designs.n_cc)
         for k, got in enumerate(omegas.cumulative, start=1):
             omega, design = omegas.omega[k - 1], fresh_u(designs, k)

@@ -5,10 +5,11 @@ import scipy.optimize
 from shadowpse.baselines import sri_estimate
 from shadowpse.errors import ConfigError, DimensionMismatch
 from shadowpse.gamma_solver import GammaOptions, fit_gamma
+from shadowpse import inference
 from shadowpse.inference import (
     OMEGA_FLOOR,
     InferenceReport,
-    analyze_profile,
+    analyze_profiles,
     fit_omegas,
     fit_representer,
     influence_values,
@@ -111,10 +112,12 @@ def phi_at_row(ds, u_specs, i, fits, omegas):
 def test_phi_values_matches_per_record_path(obs600):
     designs = SampleDesigns(obs600, build_spec_bundle(obs600))
     model, _ = fit_gamma(designs, GammaOptions())
-    analysis = analyze_profile(RunFits(designs, model.values(designs)), (1, 0, 1))
+    run = RunFits(designs, model.values(designs))
+    fits, omegas = fit_mu_chain(run, (1, 0, 1)), fit_omegas(run, (1, 0, 1))
+    phi = phi_values(designs, fits, omegas)
     for j, i in enumerate(np.flatnonzero(obs600.complete_mask)[:25]):
-        got = phi_at_row(obs600, designs.bundle.u, i, analysis.fits, analysis.omegas)
-        assert abs(got - analysis.phi[j]) <= 1e-10
+        got = phi_at_row(obs600, designs.bundle.u, i, fits, omegas)
+        assert abs(got - phi[j]) <= 1e-10
 
 
 def test_reweighted_phi_mean_reproduces_psi(obs2000, bundle2000, gamma2000):
@@ -123,9 +126,10 @@ def test_reweighted_phi_mean_reproduces_psi(obs2000, bundle2000, gamma2000):
     gvals = model.values(designs)
     run = RunFits(designs, gvals)
     for profile in ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)):
-        analysis = analyze_profile(run, profile)
-        lhs = float(np.sum((1.0 + gvals) * analysis.phi)) / obs2000.n
-        assert abs(lhs - analysis.psi_hat) <= 1e-8
+        fits = fit_mu_chain(run, profile)
+        phi = phi_values(designs, fits, fit_omegas(run, profile))
+        lhs = float(np.sum((1.0 + gvals) * phi)) / obs2000.n
+        assert abs(lhs - estimate_psi(run, fits)) <= 1e-8
 
 
 def test_representer_zero_target(obs600):
@@ -164,12 +168,16 @@ def test_representer_matches_brute_force_minimiser():
     assert float(np.max(np.abs(res.x - rho))) <= 1e-6
 
 
-def test_influence_complete_data_reduction(comp600):
+def test_influence_complete_data_reduction(comp600, monkeypatch):
+    """On complete data under zero odds the representer is never fitted."""
+    def no_representer(*args):
+        raise AssertionError("representer fitted")
+
+    monkeypatch.setattr(inference, "fit_representer", no_representer)
     designs = SampleDesigns(comp600, build_spec_bundle(comp600))
-    analysis = analyze_profile(RunFits(designs, np.zeros(comp600.n)), (1, 1, 1))
-    assert analysis.rho is None
-    assert abs(float(analysis.if_values.mean())) <= 1e-10
-    assert variance_and_ci(analysis.psi_hat, analysis.if_values).se > 0.0
+    (psi_hat,), (if_values,) = analyze_profiles(RunFits(designs, np.zeros(comp600.n)), [(1, 1, 1)])
+    assert abs(float(if_values.mean())) <= 1e-10
+    assert variance_and_ci(psi_hat, if_values).se > 0.0
 
 
 def test_influence_requires_representer_when_data_incomplete(obs600, gamma2000):
@@ -184,8 +192,7 @@ def test_influence_mean_small_under_fitted_odds():
         full, obs = generate(DgpConfig(n=2000, seed=seq(5, i)))
         designs = SampleDesigns(obs, build_spec_bundle(obs))
         model, _ = fit_gamma(designs, GammaOptions())
-        analysis = analyze_profile(RunFits(designs, model.values(designs)), (1, 1, 1))
-        ifv = analysis.if_values
+        _, (ifv,) = analyze_profiles(RunFits(designs, model.values(designs)), [(1, 1, 1)])
         ratio = abs(ifv.mean()) / (ifv.std(ddof=1) / np.sqrt(obs.n))
         assert ratio <= 0.5
 
@@ -218,7 +225,7 @@ def test_contrast_variance_properties():
 
 
 def fixed_ridge_report(ds, gvals, ridge: float) -> InferenceReport:
-    """The (1, 1, 1) profile's interval as analyze_profile's values give
+    """The (1, 1, 1) profile's interval as analyze_profiles's values give
     it, with the representer solved at the given relative ridge rather
     than at the rule's ridge for ds.n."""
     designs = SampleDesigns(ds, build_spec_bundle(ds))
@@ -240,8 +247,8 @@ def test_se_shrinks_by_root_k_under_k_fold_tiling(k, obs600):
     model, _ = fit_gamma(designs, GammaOptions())
     gv = model.values(designs)
     base = fixed_ridge_report(obs600, gv, 1e-2)
-    analysis = analyze_profile(RunFits(designs, gv), (1, 1, 1))
-    assert base.se == variance_and_ci(analysis.psi_hat, analysis.if_values).se
+    (psi_hat,), (if_values,) = analyze_profiles(RunFits(designs, gv), [(1, 1, 1)])
+    assert base.se == variance_and_ci(psi_hat, if_values).se
     big = fixed_ridge_report(tile_dataset(obs600, k), np.tile(gv, k), 1e-2)
     assert abs(big.se / base.se - 1.0 / np.sqrt(k)) <= 1e-10
     assert abs(big.psi_hat - base.psi_hat) <= 1e-10

@@ -24,7 +24,7 @@ from shadowpse.data_model import Dataset, read_csv, write_csv, write_descriptor
 from shadowpse.errors import EmptyArm, EmptyResult, InsufficientCompleteCases
 from shadowpse.simulation import DgpConfig, generate
 
-from support import one_mediator_dataset, rng_for, seq
+from support import one_mediator_dataset, rng_for, seq, three_mediators
 
 EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
             1.7976931348623157e308]
@@ -140,15 +140,6 @@ def mnar_one_mediator_dataset(n: int) -> Dataset:
     y = m1 + a + x + rng.standard_normal(n)
     r = (rng.random(n) < 0.9 - 0.5 * x).astype(int)
     return one_mediator_dataset(n, x, a, m1, y, r=r, z=z)
-
-
-def three_mediators(ds: Dataset) -> Dataset:
-    """ds with m_2 widened to two columns and a third, two-column mediator
-    appended; the new columns are the same seeded normal draw for every
-    dataset of the same n."""
-    extra = rng_for(42, ds.n).standard_normal((ds.n, 3))
-    m1, m2 = ds.m
-    return replace(ds, m=(m1, np.hstack([m2, extra[:, :1]]), extra[:, 1:]), columns={})
 
 
 def test_total_effect_is_the_sum_of_its_paths(full2000, obs600):

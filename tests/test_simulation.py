@@ -206,6 +206,7 @@ def test_failed_replications_are_excluded_and_reported(cheap_truth):
     cell = res.cells[("mi", "te")]
     assert cell.n_fail == 3 and cell.reps_used == 0
     assert np.isnan(cell.bias)
+    assert set(res.to_json_dict()["cells"]["mi"]["te"].values()) == {None, 0, 3}
     assert len(res.failures["mi"]) == 3
     assert res.failures["mi"][0].startswith("rep 0: InsufficientCompleteCases")
 
@@ -240,3 +241,11 @@ def test_monte_carlo_checks_inputs_before_replicating(cheap_truth, monkeypatch, 
     monkeypatch.setattr(simulation, "_one_rep", no_replication)
     with pytest.raises(ConfigError):
         run_monte_carlo(DgpConfig(n=250), reps=2, truth=cheap_truth, **kwargs)
+
+
+@pytest.mark.parametrize("alpha", [2.0, -1.5, float("nan"), float("inf")])
+def test_alpha_outside_minus_one_to_one_is_refused(alpha):
+    """alpha is the correlation of the normal draws behind z and x1."""
+    with pytest.raises(ConfigError, match="alpha"):
+        DgpConfig(alpha=alpha)
+    assert DgpConfig(alpha=-1.0).alpha == -1.0
