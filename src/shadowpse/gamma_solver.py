@@ -18,11 +18,12 @@ smooth, so the analytic gradient and Hessian are exact everywhere.
 
 fit_gamma descends once, from the marginal-ratio intercept start that
 also anchors the ridge, plus any requested restarts. Each descent is
-Levenberg-Marquardt to a loose tolerance, then Newton steps on the
-exact Hessian of the penalised objective until its gradient norm is
-below POLISH_GTOL: the criterion keeps a non-zero residual at its
-minimum, so Levenberg-Marquardt alone converges only linearly, while
-the Newton polish converges quadratically and pins the end point.
+Gauss-Newton on the normal equations to a loose tolerance, then Newton
+steps on the exact Hessian of the penalised objective until its
+gradient norm is below POLISH_GTOL: the criterion keeps a non-zero
+residual at its minimum, so Gauss-Newton alone converges only
+linearly, while the Newton polish converges quadratically and pins the
+end point.
 Projections are applied through an orthonormal basis of the
 conditioning design's column span, built once per pipeline run by
 SampleDesigns (series_regression) with the complete cases as its
@@ -36,23 +37,27 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .data_model import Dataset
 from .errors import (
     ConfigError,
     DegenerateTarget,
-    DimensionMismatch,
     LengthMismatch,
     UnsolvableSystem,
 )
 from .sieve_basis import BasisSpec, design_matrix, row_blocks
 from .series_regression import SampleDesigns, lapack_errors
 
-# Levenberg-Marquardt stops once the objective's relative decrease falls
-# below LM_FTOL; the Newton polish then runs until the gradient norm of
-# the penalised objective is at most POLISH_GTOL, or POLISH_MAX_STEPS.
-LM_FTOL = 1e-6
+# Gauss-Newton stops once a step lowers the objective by a relative
+# GN_FTOL or less, or moves pi by less than GN_XTOL |pi|, or fails to
+# lower it in MAX_HALVINGS halvings; the Newton polish then runs until
+# the gradient norm of the penalised objective is at most POLISH_GTOL,
+# or POLISH_MAX_STEPS. A normal matrix that does not factor is ridged
+# by NORMAL_RIDGE times its mean diagonal.
+GN_FTOL = 1e-6
+GN_XTOL = 1e-14
+MAX_HALVINGS = 10
+NORMAL_RIDGE = 1e-12
 POLISH_GTOL = 1e-11
 POLISH_MAX_STEPS = 20
 
@@ -121,12 +126,10 @@ class GammaModel:
 
         Incomplete records have no evaluable covariates, and the
         estimator reads the odds only where r = 1. The model must use
-        the designs' odds basis.
+        the designs' odds basis, as fit_gamma's model does.
         """
         if self.is_zero:
             return np.zeros(designs.n_cc)
-        if self.spec_q != designs.bundle.q:
-            raise DimensionMismatch("odds model and designs use different odds bases")
         return self._on_design(designs.q)
 
 
@@ -136,7 +139,7 @@ class GammaFitReport:
 
     n_starts counts the descents: the one from the intercept start plus
     options.restarts perturbed ones. best_start is the index of the
-    winning descent, n_iter its Levenberg-Marquardt nfev and
+    winning descent, n_iter its Gauss-Newton residual evaluations and
     polish_steps the exact-Hessian Newton steps it kept after that; q_n
     is the raw criterion at the winner and grad_norm the penalised
     objective's gradient norm there. A polish that stops above
@@ -238,8 +241,8 @@ def _intercept_start(ds: Dataset, spec_q: BasisSpec, cap: float) -> Optional[np.
 @dataclass
 class _Descent:
     """One descent: penalised objective, raw Q_n, the objective's
-    gradient norm, Levenberg-Marquardt nfev, the Newton steps kept and
-    the end point. polish_stop says why the polish ended above
+    gradient norm, Gauss-Newton residual evaluations, the Newton steps
+    kept and the end point. polish_stop says why the polish ended above
     POLISH_GTOL, and is None when it reached it."""
 
     obj: float
@@ -251,38 +254,52 @@ class _Descent:
     polish_stop: Optional[str]
 
 
+def _solve_normal(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """matrix^-1 rhs for a symmetric matrix, by one Cholesky factor-and-solve.
+
+    A matrix that does not factor gets NORMAL_RIDGE times its mean
+    diagonal added and is factored once more: J'J is singular with
+    penalty 0 on a rank-deficient conditioning span. A matrix that
+    still does not factor raises UnsolvableSystem. LAPACK's posv is
+    called directly, as the scipy.linalg wrappers cost more than the
+    solve at these sizes.
+    """
+    with lapack_errors(what):
+        _, x, info = scipy.linalg.lapack.dposv(matrix, rhs)
+        if info > 0:
+            ridge = NORMAL_RIDGE * np.trace(matrix) / len(matrix)
+            _, x, info = scipy.linalg.lapack.dposv(matrix + ridge * np.eye(len(matrix)), rhs)
+    if info != 0:
+        raise UnsolvableSystem(f"{what}: matrix is not positive definite")
+    return x
+
+
 def _descend(prob: _GammaProblem, x0: np.ndarray, pi0: np.ndarray,
              options: GammaOptions) -> _Descent:
-    """Levenberg-Marquardt, then an exact-Hessian Newton polish, from x0.
+    """Gauss-Newton, then an exact-Hessian Newton polish, from x0.
 
-    The first phase is MINPACK lmder on the stacked residual, Gauss-Newton
-    on the projected moment vector with the penalty rows sqrt(lam)
-    (pi - pi0) always stacked under the moment rows (zero rows when
-    penalty=0, so the residual has at least as many rows as unknowns
-    even when the conditioning span is rank-deficient). It runs to
-    LM_FTOL only: the penalised criterion keeps a non-zero residual at
-    its minimum, so the second-order term Gauss-Newton drops does not
-    vanish there and the descent converges linearly.
+    The objective is Q_n + lam ||pi - pi0||^2 with lam = penalty / n.
+    The first phase takes Gauss-Newton steps on the normal equations
+    (J'J/n + lam I) s = -(J'r/n + lam (pi - pi0)), with r the projected
+    moment vector and J its Jacobian. A step that does not lower the
+    objective is halved, at most MAX_HALVINGS times, after which the
+    phase stops. It also stops once a kept step lowers the objective by
+    a relative GN_FTOL or less, or is shorter than GN_XTOL |pi|, or
+    after options.max_iter residual evaluations. It runs to GN_FTOL
+    only: the criterion keeps a non-zero residual at its minimum, so
+    the second-order term Gauss-Newton drops does not vanish there and
+    the phase converges linearly.
     The second phase takes Newton steps on the exact Hessian plus
     2 lam I until the gradient norm is at most POLISH_GTOL, or for
     POLISH_MAX_STEPS steps. A step is kept when the objective falls, or
     when it stays within 8 ulps of it and the gradient norm falls: near
     the optimum the objective moves below its own rounding. A Hessian
-    that is not positive definite, or a step that is not kept, ends the
-    polish at the current point.
+    that does not factor, or a step that is not kept, ends the polish
+    at the current point. Both phases solve through _solve_normal.
     """
     cap = options.linear_cap
-    sqrt_n = np.sqrt(prob.n)
     lam = options.penalty / prob.n
-    sqrt_lam = np.sqrt(lam)
     eye = np.eye(len(x0))
-    penalty_jac = sqrt_lam * eye
-
-    def residual(p: np.ndarray) -> np.ndarray:
-        return np.concatenate([prob.residual(p, cap) / sqrt_n, sqrt_lam * (p - pi0)])
-
-    def jacobian(p: np.ndarray) -> np.ndarray:
-        return np.vstack([prob.residual_jac(p, cap) / sqrt_n, penalty_jac])
 
     def objective(p: np.ndarray) -> tuple[float, float, np.ndarray, float]:
         qn, grad = prob.value_and_grad(p, cap)
@@ -290,17 +307,32 @@ def _descend(prob: _GammaProblem, x0: np.ndarray, pi0: np.ndarray,
         grad = grad + 2.0 * lam * d
         return qn + lam * float(d @ d), qn, grad, float(np.sqrt(grad @ grad))
 
-    res = scipy.optimize.least_squares(
-        residual,
-        x0,
-        jac=jacobian,
-        method="lm",
-        xtol=1e-14,
-        ftol=LM_FTOL,
-        gtol=1e-14,
-        max_nfev=options.max_iter,
-    )
-    pi = res.x
+    def penalised(p: np.ndarray) -> tuple[float, np.ndarray]:
+        r = prob.residual(p, cap)
+        d = p - pi0
+        return float(r @ r) / prob.n + lam * float(d @ d), r
+
+    pi = np.array(x0, dtype=float)
+    obj, r = penalised(pi)
+    nfev = 1
+    while nfev < options.max_iter:
+        jac = prob.residual_jac(pi, cap)
+        step = _solve_normal(jac.T @ jac / prob.n + lam * eye,
+                             -(jac.T @ r / prob.n + lam * (pi - pi0)), "odds Gauss-Newton step")
+        for _ in range(MAX_HALVINGS + 1):
+            trial = pi + step
+            t_obj, t_r = penalised(trial)
+            nfev += 1
+            if t_obj < obj or nfev == options.max_iter:
+                break
+            step *= 0.5
+        if not t_obj < obj:
+            break
+        decrease = (obj - t_obj) / obj
+        pi, obj, r = trial, t_obj, t_r
+        if decrease <= GN_FTOL or step @ step <= GN_XTOL ** 2 * (pi @ pi):
+            break
+
     obj, qn, grad, gnorm = objective(pi)
     steps, stop = 0, None
     while gnorm > POLISH_GTOL:
@@ -308,9 +340,7 @@ def _descend(prob: _GammaProblem, x0: np.ndarray, pi0: np.ndarray,
             stop = f"step limit {POLISH_MAX_STEPS} reached"
             break
         try:
-            with lapack_errors("odds Newton step"):
-                step = scipy.linalg.solve(prob.hessian(pi, cap) + 2.0 * lam * eye, grad,
-                                          assume_a="pos")
+            step = _solve_normal(prob.hessian(pi, cap) + 2.0 * lam * eye, grad, "odds Newton step")
         except UnsolvableSystem:
             stop = "Hessian not positive definite"
             break
@@ -322,7 +352,7 @@ def _descend(prob: _GammaProblem, x0: np.ndarray, pi0: np.ndarray,
             break
         pi, obj, qn, grad, gnorm = trial, t_obj, t_qn, t_grad, t_gnorm
         steps += 1
-    return _Descent(obj, qn, gnorm, int(res.nfev), steps, pi, stop)
+    return _Descent(obj, qn, gnorm, nfev, steps, pi, stop)
 
 
 def fit_gamma(
@@ -331,7 +361,7 @@ def fit_gamma(
 ) -> tuple[GammaModel, GammaFitReport]:
     """Minimise Q_n plus the n-vanishing ridge by one descent from pi0.
 
-    The descent (Levenberg-Marquardt, then the exact-Hessian Newton
+    The descent (Gauss-Newton, then the exact-Hessian Newton
     polish; see _descend) starts from the penalty anchor pi0, the
     marginal-ratio intercept start, or from zero when the marginal
     ratio lies beyond the soft clamp.
@@ -339,10 +369,10 @@ def fit_gamma(
     each descend again; the winner has the lowest objective, then the
     lowest gradient norm, then the first index. The report counts the
     first descent plus the restarts, best_start indexes into them (0 is
-    the descent from pi0), n_iter is the winning descent's
-    Levenberg-Marquardt nfev and polish_steps its Newton steps. The
-    reported q_n is always the raw criterion; grad_norm refers to the
-    objective actually minimised.
+    the descent from pi0), n_iter is the winning descent's Gauss-Newton
+    residual evaluations and polish_steps its Newton steps. The reported
+    q_n is always the raw criterion; grad_norm refers to the objective
+    actually minimised.
     """
     ds = designs.ds
     spec_q, spec_p = designs.bundle.q, designs.bundle.p
